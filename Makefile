@@ -163,5 +163,13 @@ bench-cluster:
 alloc-gate:
 	go test -run 'TestZeroAlloc' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/
 
+# The benchmark harness is its own module (bench/go.mod, replacing
+# filtermap with ../) that compiles against internal packages, so the
+# root `go build ./...` cannot see a break there. Build, vet and test it
+# on its own.
+.PHONY: bench-module
+bench-module:
+	cd bench && go vet ./... && go test ./...
+
 .PHONY: ci
-ci: test-gate test race chaos-golden monitor-golden cluster-golden world-golden
+ci: test-gate test race chaos-golden monitor-golden cluster-golden world-golden bench-module

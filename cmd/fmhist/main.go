@@ -41,6 +41,7 @@ import (
 
 	"filtermap"
 	"filtermap/internal/longitudinal"
+	"filtermap/internal/plan"
 	"filtermap/internal/simclock"
 	"filtermap/internal/store"
 	"filtermap/internal/version"
@@ -126,9 +127,8 @@ func record(s *store.Store, args []string) error {
 	rounds := fs.Int("rounds", 0, "discovery crawl rounds (with -run -kind discovery; 0 = default)")
 	budget := fs.Int("budget", 0, "discovery probe budget (with -run -kind discovery; 0 = default)")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
-	switch *kind {
-	case longitudinal.KindIdentify, longitudinal.KindTable4, longitudinal.KindDiscovery, longitudinal.KindMechanisms:
-	default:
+	p, ok := plan.ForStoreKind(*kind)
+	if !ok {
 		return fmt.Errorf("unsupported kind %q (identify, table4, discovery, or mechanisms)", *kind)
 	}
 	if (*in == "") == !*run {
@@ -147,61 +147,41 @@ func record(s *store.Store, args []string) error {
 		at = simclock.Epoch
 		config = filtermap.ConfigHash(filtermap.Options{})
 	} else {
-		opts := filtermap.Options{
-			Seed:         *seed,
-			HideConsoles: *hideConsoles,
-			ScrubHeaders: *scrubHeaders,
+		req := plan.Request{
+			Kind: p.Kind,
+			World: filtermap.Options{
+				Seed:         *seed,
+				HideConsoles: *hideConsoles,
+				ScrubHeaders: *scrubHeaders,
+			},
+			Rounds: *rounds,
+			Budget: *budget,
 		}
-		if *kind == longitudinal.KindMechanisms {
-			opts.Mechanisms = &filtermap.MechanismOptions{}
+		if err := plan.Normalize(&req); err != nil {
+			return err
 		}
 		var engOpts []filtermap.Option
 		if *workers > 0 {
 			engOpts = append(engOpts, filtermap.WithWorkers(*workers))
 		}
-		w, err := filtermap.NewWorld(opts, engOpts...)
+		w, err := filtermap.NewWorld(req.World, engOpts...)
 		if err != nil {
 			return err
 		}
 		defer w.Close()
 		w.Clock.Advance(*advance)
-		ctx := context.Background()
-		var doc any
-		switch *kind {
-		case longitudinal.KindIdentify:
-			rep, err := w.RunIdentification(ctx)
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.IdentifyJSON(rep)
-		case longitudinal.KindTable4:
-			w.Clock.Advance(8 * time.Hour)
-			reports, err := w.RunCharacterization(ctx)
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.Table4JSON(reports)
-		case longitudinal.KindDiscovery:
-			w.Clock.Advance(8 * time.Hour)
-			targets, err := w.RunDiscovery(ctx, filtermap.DiscoveryOptions{
-				Rounds: *rounds, Budget: *budget,
-			})
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.DiscoveryJSON(*rounds, *budget, targets)
-		case longitudinal.KindMechanisms:
-			targets, err := w.RunMechanismSurvey(ctx)
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.MechanismsJSON(targets)
+		if p.Advance > 0 {
+			w.Clock.Advance(p.Advance)
+		}
+		doc, _, err := plan.Execute(context.Background(), w, nil, req)
+		if err != nil {
+			return err
 		}
 		if body, err = json.Marshal(doc); err != nil {
 			return err
 		}
 		at = w.Clock.Now()
-		config = filtermap.ConfigHash(opts)
+		config = filtermap.ConfigHash(req.World)
 	}
 
 	meta, err := s.Append(store.Snapshot{

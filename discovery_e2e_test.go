@@ -54,9 +54,16 @@ func TestGoldenDiscovery(t *testing.T) {
 	compareGolden(t, "discovery.golden", filtermap.Reporter{}.Discovery(0, 0, targets))
 }
 
+// TestDiscoverEndpointMatchesCLIDocument keeps an independent reference
+// for every served plan document: POST /v1/{kind}?wait=1 must return
+// the bytes of the facade's own rendering of a fresh world positioned
+// the way the CLIs position it. Standalone and clustered serving share
+// one execution path, so the cluster goldens cannot catch a drift in
+// that path; this comparison can.
 func TestDiscoverEndpointMatchesCLIDocument(t *testing.T) {
 	const rounds, budget = 2, 40
 	isps := []string{"YemenNet"}
+	ctx := context.Background()
 
 	srv, err := server.New(server.Options{})
 	if err != nil {
@@ -66,43 +73,88 @@ func TestDiscoverEndpointMatchesCLIDocument(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	reqBody, err := json.Marshal(server.DiscoverRequest{ISPs: isps, Rounds: rounds, Budget: budget})
-	if err != nil {
-		t.Fatal(err)
+	var r filtermap.Reporter
+	cases := []struct {
+		kind    string
+		body    server.PlanRequest
+		world   filtermap.Options
+		advance time.Duration
+		render  func(w *filtermap.World) (any, error)
+	}{
+		{
+			kind: "identify",
+			render: func(w *filtermap.World) (any, error) {
+				rep, err := w.RunIdentification(ctx)
+				return r.IdentifyJSON(rep), err
+			},
+		},
+		{
+			kind:    "characterize",
+			advance: 8 * time.Hour,
+			render: func(w *filtermap.World) (any, error) {
+				reports, err := w.RunCharacterization(ctx)
+				return r.Table4JSON(reports), err
+			},
+		},
+		{
+			kind:    "discover",
+			body:    server.DiscoverRequest{ISPs: isps, Rounds: rounds, Budget: budget},
+			advance: 8 * time.Hour,
+			render: func(w *filtermap.World) (any, error) {
+				targets, err := w.RunDiscovery(ctx, filtermap.DiscoveryOptions{
+					ISPs: isps, Rounds: rounds, Budget: budget,
+				})
+				return r.DiscoveryJSON(rounds, budget, targets), err
+			},
+		},
+		{
+			kind:  "mechanisms",
+			world: filtermap.Options{Mechanisms: &filtermap.MechanismOptions{}},
+			render: func(w *filtermap.World) (any, error) {
+				targets, err := w.RunMechanismSurvey(ctx)
+				return r.MechanismsJSON(targets), err
+			},
+		},
 	}
-	resp, err := http.Post(ts.URL+"/v1/discover?wait=1", "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/discover status = %d", resp.StatusCode)
-	}
-	var viaServer bytes.Buffer
-	if _, err := viaServer.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			reqBody, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/"+tc.kind+"?wait=1", "application/json", bytes.NewReader(reqBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST /v1/%s status = %d", tc.kind, resp.StatusCode)
+			}
+			var viaServer bytes.Buffer
+			if _, err := viaServer.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
 
-	// The CLI path: same world configuration, same warm-up, same caps.
-	w, err := filtermap.NewWorld(filtermap.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	w.Clock.Advance(8 * time.Hour)
-	targets, err := w.RunDiscovery(context.Background(), filtermap.DiscoveryOptions{
-		ISPs: isps, Rounds: rounds, Budget: budget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCLI, err := json.Marshal(filtermap.Reporter{}.DiscoveryJSON(rounds, budget, targets))
-	if err != nil {
-		t.Fatal(err)
-	}
+			// The CLI path: same world configuration, same warm-up.
+			w, err := filtermap.NewWorld(tc.world)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			w.Clock.Advance(tc.advance)
+			doc, err := tc.render(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaCLI, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if got, want := bytes.TrimSpace(viaServer.Bytes()), bytes.TrimSpace(viaCLI); !bytes.Equal(got, want) {
-		t.Fatalf("documents diverge:\nserver: %s\ncli:    %s", got, want)
+			if got, want := bytes.TrimSpace(viaServer.Bytes()), bytes.TrimSpace(viaCLI); !bytes.Equal(got, want) {
+				t.Fatalf("documents diverge:\nserver: %.600s\ncli:    %.600s", got, want)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/plan"
 	"filtermap/internal/world"
 )
 
@@ -29,13 +30,13 @@ func BenchmarkClusterFanout(b *testing.B) {
 				w.HeartbeatEvery = time.Second
 				go w.Run(ctx) //nolint:errcheck // exits on cancel
 			}
-			req := Request{
-				Kind:  KindMechanisms,
+			req := plan.Request{
+				Kind:  plan.KindMechanisms,
 				World: world.Options{Mechanisms: &world.MechanismOptions{}},
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coord.Run(ctx, req); err != nil {
+				if _, _, err := coord.Run(ctx, req); err != nil {
 					b.Fatal(err)
 				}
 			}

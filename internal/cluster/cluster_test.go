@@ -3,14 +3,12 @@ package cluster
 import (
 	"context"
 	"errors"
-	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"filtermap/internal/fingerprint"
+	"filtermap/internal/plan"
 	"filtermap/internal/report"
 	"filtermap/internal/world"
 )
@@ -72,54 +70,6 @@ func TestRingStability(t *testing.T) {
 	}
 }
 
-// ---- split ----
-
-func TestSplitIdentifyPerProduct(t *testing.T) {
-	specs, err := Split(Request{Kind: KindIdentify})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for p := range fingerprint.ShodanKeywords() {
-		want = append(want, p)
-	}
-	sort.Strings(want)
-	if len(specs) != len(want) {
-		t.Fatalf("identify shards = %d, want %d", len(specs), len(want))
-	}
-	for i, spec := range specs {
-		if len(spec.Pieces) != 1 || spec.Pieces[0] != want[i] {
-			t.Fatalf("shard %d pieces = %v, want [%s]", i, spec.Pieces, want[i])
-		}
-	}
-}
-
-func TestSplitISPOrderAndFilter(t *testing.T) {
-	roster := world.MechanismRosterISPs()
-	if len(roster) < 2 {
-		t.Skip("roster too small to exercise filtering")
-	}
-	specs, err := Split(Request{Kind: KindMechanisms})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != len(roster) {
-		t.Fatalf("mechanisms shards = %d, want %d", len(specs), len(roster))
-	}
-	// Request ISPs out of roster order: shard order must stay canonical.
-	reversed := []string{roster[len(roster)-1], roster[0]}
-	specs, err = Split(Request{Kind: KindMechanisms, ISPs: reversed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 2 || specs[0].Pieces[0] != roster[0] || specs[1].Pieces[0] != roster[len(roster)-1] {
-		t.Fatalf("filtered shards not in roster order: %+v", specs)
-	}
-	if _, err := Split(Request{Kind: "confirm"}); err == nil {
-		t.Fatal("Split(confirm) should fail: the confirmation timeline is not shardable")
-	}
-}
-
 // ---- coordinator lease state machine ----
 
 // startJob submits a mechanisms job and waits until its shards are
@@ -129,7 +79,7 @@ func startJob(t *testing.T, c *Coordinator) (<-chan any, <-chan error) {
 	docs := make(chan any, 1)
 	errs := make(chan error, 1)
 	go func() {
-		doc, err := c.Run(context.Background(), Request{Kind: KindMechanisms})
+		doc, _, err := c.Run(context.Background(), plan.Request{Kind: plan.KindMechanisms})
 		docs <- doc
 		errs <- err
 	}()
@@ -147,8 +97,8 @@ func startJob(t *testing.T, c *Coordinator) (<-chan any, <-chan error) {
 }
 
 // fragFor fabricates a deterministic mechanisms fragment for a lease.
-func fragFor(l ShardLease) *Fragment {
-	return &Fragment{
+func fragFor(l ShardLease) *plan.Fragment {
+	return &plan.Fragment{
 		Pieces:     l.Spec.Pieces,
 		Mechanisms: []report.MechanismISPDoc{{ISP: l.Spec.Pieces[0], Tested: 1}},
 	}
@@ -315,7 +265,7 @@ func TestRunAbortsOnContextCancel(t *testing.T) {
 	c := NewCoordinator(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Run(ctx, Request{Kind: KindMechanisms}); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Run(ctx, plan.Request{Kind: plan.KindMechanisms}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run under canceled ctx = %v, want context.Canceled", err)
 	}
 	// The aborted job must not be leasable.
@@ -324,68 +274,15 @@ func TestRunAbortsOnContextCancel(t *testing.T) {
 	}
 }
 
-// ---- merge ----
-
-func TestMergeIdentifyExactness(t *testing.T) {
-	// Two product shards sharing a candidate and an installation: the
-	// union must count the host once, keep byte-identical installations
-	// deduped, and sort numerically (10.0.0.9 before 10.0.0.70).
-	shared := report.InstallationDoc{IP: "10.0.0.9", Products: []string{"Netsweeper", "Websense"}, Country: "YE"}
-	fragA := &Fragment{
-		Pieces:        []string{"Netsweeper"},
-		Candidates:    map[string][]string{"Netsweeper": {"10.0.0.9", "10.0.0.70"}},
-		Installations: []report.InstallationDoc{{IP: "10.0.0.70", Products: []string{"Netsweeper"}, Country: "QA"}, shared},
-		StageErrors:   []report.StageErrorDoc{{Stage: "whois", Target: "10.0.0.9", Error: "timeout"}},
-	}
-	fragB := &Fragment{
-		Pieces:        []string{"Websense"},
-		Candidates:    map[string][]string{"Websense": {"10.0.0.9", "10.0.0.200"}},
-		Installations: []report.InstallationDoc{shared},
-		StageErrors:   []report.StageErrorDoc{{Stage: "whois", Target: "10.0.0.9", Error: "timeout"}},
-	}
-	got, err := Merge(Request{Kind: KindIdentify}, []*Fragment{fragA, fragB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := got.(report.IdentifyDoc)
-
-	if doc.CandidateCount != 3 {
-		t.Fatalf("CandidateCount = %d, want 3 (distinct-IP union)", doc.CandidateCount)
-	}
-	if doc.ValidatedCount != 2 || len(doc.Installations) != 2 {
-		t.Fatalf("ValidatedCount = %d (installs %d), want 2 deduped", doc.ValidatedCount, len(doc.Installations))
-	}
-	if doc.Installations[0].IP != "10.0.0.9" || doc.Installations[1].IP != "10.0.0.70" {
-		t.Fatalf("installations not in numeric address order: %s, %s", doc.Installations[0].IP, doc.Installations[1].IP)
-	}
-	if len(doc.StageErrors) != 1 {
-		t.Fatalf("stage errors not deduped by (stage, target): %+v", doc.StageErrors)
-	}
-	if want := (3.0 - 2.0) / 3.0; doc.FalsePositiveRate != want {
-		t.Fatalf("FalsePositiveRate = %v, want %v", doc.FalsePositiveRate, want)
-	}
-	wantCountries := map[string][]string{"Netsweeper": {"QA", "YE"}, "Websense": {"YE"}}
-	if !reflect.DeepEqual(doc.ProductCountries, wantCountries) {
-		t.Fatalf("ProductCountries = %v, want %v", doc.ProductCountries, wantCountries)
-	}
-	if !doc.Degraded {
-		t.Fatal("stage errors must mark the merged doc degraded")
-	}
-
-	if _, err := Merge(Request{Kind: KindIdentify}, []*Fragment{fragA, nil}); err == nil {
-		t.Fatal("Merge must reject a missing fragment")
-	}
-}
-
 // TestRunZeroShards submits a request whose ISP filter matches nothing:
 // Run must complete immediately with the empty merged document instead
 // of enqueueing a job no Result can ever finish.
 func TestRunZeroShards(t *testing.T) {
 	completed := 0
-	c := NewCoordinator(Options{OnComplete: func(Request, any) { completed++ }})
+	c := NewCoordinator(Options{OnComplete: func(plan.Request, any) { completed++ }})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	doc, err := c.Run(ctx, Request{Kind: KindMechanisms, ISPs: []string{"no-such-isp"}})
+	doc, _, err := c.Run(ctx, plan.Request{Kind: plan.KindMechanisms, ISPs: []string{"no-such-isp"}})
 	if err != nil {
 		t.Fatalf("zero-shard Run: %v", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"filtermap/internal/plan"
 )
 
 // Options tunes a Coordinator.
@@ -22,7 +24,7 @@ type Options struct {
 	// OnComplete, when set, observes every successfully merged document
 	// before Run returns — the server appends it to the snapshot store
 	// here, making the coordinator the store's single writer.
-	OnComplete func(req Request, doc any)
+	OnComplete func(req plan.Request, doc any)
 	// Now substitutes the clock in tests (nil = time.Now).
 	Now func() time.Time
 }
@@ -57,13 +59,13 @@ const (
 )
 
 type shardState struct {
-	spec     ShardSpec
+	spec     plan.ShardSpec
 	state    int
 	epoch    int
 	worker   string
 	deadline time.Time
 	attempts int
-	frag     *Fragment
+	frag     *plan.Fragment
 }
 
 // Job states (JobStatusDoc.State).
@@ -75,14 +77,15 @@ const (
 )
 
 type jobState struct {
-	id     string
-	req    Request
-	shards []*shardState
-	done   int
-	state  string
-	doc    any
-	err    error
-	ch     chan struct{}
+	id       string
+	req      plan.Request
+	shards   []*shardState
+	done     int
+	state    string
+	doc      any
+	degraded bool
+	err      error
+	ch       chan struct{}
 }
 
 // finishedTail bounds the finished-job history kept for status.
@@ -111,22 +114,23 @@ func NewCoordinator(opts Options) *Coordinator {
 }
 
 // Run splits the request into shards, waits for workers to lease and
-// complete them, and returns the merged document. It blocks until the
-// job completes, fails (a shard exhausted its attempts), or ctx ends —
-// an abandoned job stops leasing immediately.
-func (c *Coordinator) Run(ctx context.Context, req Request) (any, error) {
-	specs, err := Split(req)
+// complete them, and returns the merged document and whether it is
+// degraded. It blocks until the job completes, fails (a shard exhausted
+// its attempts), or ctx ends — an abandoned job stops leasing
+// immediately.
+func (c *Coordinator) Run(ctx context.Context, req plan.Request) (any, bool, error) {
+	specs, err := plan.Split(req)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if len(specs) == 0 {
 		// Nothing to lease: merging is triggered by the last shard's
 		// Result, so an enqueued zero-shard job could never complete.
 		// Merge the empty fragment set immediately instead — the same
 		// (empty) document the single-process path produces.
-		doc, err := Merge(req, nil)
+		doc, degraded, err := plan.Merge(req, nil)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if c.opts.OnComplete != nil {
 			c.opts.OnComplete(req, doc)
@@ -135,7 +139,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (any, error) {
 		c.counters.Jobs++
 		c.counters.JobsDone++
 		c.mu.Unlock()
-		return doc, nil
+		return doc, degraded, nil
 	}
 
 	c.mu.Lock()
@@ -162,12 +166,12 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (any, error) {
 		// The merger may have won the race; report its outcome if so.
 		select {
 		case <-j.ch:
-			return j.doc, j.err
+			return j.doc, j.degraded, j.err
 		default:
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 	case <-j.ch:
-		return j.doc, j.err
+		return j.doc, j.degraded, j.err
 	}
 }
 
@@ -356,7 +360,7 @@ func (c *Coordinator) shardLocked(ref LeaseRef) *shardState {
 // first delivery wins regardless of which lease produced it. Failure
 // requeues the shard until MaxAttempts, then fails the job. The last
 // shard's success triggers the merge and wakes Run.
-func (c *Coordinator) Result(worker string, ref LeaseRef, frag *Fragment, errMsg string) ResultResponse {
+func (c *Coordinator) Result(worker string, ref LeaseRef, frag *plan.Fragment, errMsg string) ResultResponse {
 	c.mu.Lock()
 	c.touchWorkerLocked(worker, c.opts.Now())
 	j, ok := c.jobs[ref.Job]
@@ -411,20 +415,20 @@ func (c *Coordinator) Result(worker string, ref LeaseRef, frag *Fragment, errMsg
 	// Last shard: this goroutine owns the merge. Mark the job merging so
 	// aborts and late results leave it alone, and merge outside the lock.
 	j.state = jobMerging
-	frags := make([]*Fragment, len(j.shards))
+	frags := make([]*plan.Fragment, len(j.shards))
 	for i, s := range j.shards {
 		frags[i] = s.frag
 	}
 	req := j.req
 	c.mu.Unlock()
 
-	doc, err := Merge(req, frags)
+	doc, degraded, err := plan.Merge(req, frags)
 	if err == nil && c.opts.OnComplete != nil {
 		c.opts.OnComplete(req, doc)
 	}
 
 	c.mu.Lock()
-	j.doc, j.err = doc, err
+	j.doc, j.degraded, j.err = doc, degraded, err
 	if err != nil {
 		j.state = jobFailed
 		c.counters.JobsFailed++

@@ -1,19 +1,15 @@
 // Package cluster is the distributed scan-out layer: a coordinator that
-// splits a pipeline request into shards over the probe space (one shard
-// per Table 2 product for identification, one per target ISP for
-// characterization, discovery, and the mechanism survey), leases shards
-// to workers over an HTTP/JSON protocol, and merges the returned
-// document fragments into a report byte-identical to the single-process
+// splits a plan request into shards (plan.Split), leases them to workers
+// over an HTTP/JSON protocol, and merges the returned fragments
+// (plan.Merge) into a report byte-identical to the single-process
 // output.
 //
-// The determinism contract that makes the merge exact: every worker
-// builds its own netsim world replica from the same world.Options (same
-// seed ⇒ same world), positions its clock exactly the way the server's
-// single-process runner does, and ships back final-document fragments —
-// the per-product / per-ISP pieces of the JSON documents in
-// internal/report — rather than internal structs. The coordinator
-// reassembles the document and the server marshals it through the same
-// encoder, so a 4-worker cluster and one process produce the same bytes.
+// What a shard is and how it runs lives in internal/plan: a worker runs
+// its leased shards on a plan.Runner, the same runner a standalone
+// server uses for its one-shard runs. This package keeps only the
+// distribution machinery — the coordinator's shard table and leases,
+// the workers, the consistent-hash ring and the replication-log
+// follower.
 //
 // Shards are leased with a deadline: a worker that stops heartbeating
 // loses its lease and the shard is reassigned to the next worker that
@@ -26,93 +22,8 @@ package cluster
 import (
 	"time"
 
-	"filtermap/internal/report"
-	"filtermap/internal/world"
+	"filtermap/internal/plan"
 )
-
-// Pipeline kinds the cluster can shard. Confirmation campaigns are
-// excluded by design: a campaign consumes the virtual timeline (clock
-// advancement, vendor submission queues), so it is single-use and runs
-// in-process.
-const (
-	KindIdentify     = "identify"
-	KindCharacterize = "characterize"
-	KindDiscover     = "discover"
-	KindMechanisms   = "mechanisms"
-)
-
-// Shardable reports whether the cluster can fan the kind out.
-func Shardable(kind string) bool {
-	switch kind {
-	case KindIdentify, KindCharacterize, KindDiscover, KindMechanisms:
-		return true
-	}
-	return false
-}
-
-// Request is one plan to scan out: the effective world options the run
-// executes under plus the kind-specific parameters, mirroring the
-// server's normalized request types.
-type Request struct {
-	Kind string `json:"kind"`
-	// World is the effective world.Options (base options with the
-	// request's evasion overlay applied). Every worker builds its replica
-	// from exactly these options.
-	World world.Options `json:"world"`
-	// Products restricts the identify keyword fan-out (identify only;
-	// empty = all Table 2 products).
-	Products []string `json:"products,omitempty"`
-	// Countries bounds the identify ccTLD fan-out (identify only).
-	Countries []string `json:"countries,omitempty"`
-	// ISPs restricts the target set (characterize/discover/mechanisms).
-	ISPs []string `json:"isps,omitempty"`
-	// Rounds and Budget cap each discovery crawl (discover only).
-	Rounds int `json:"rounds,omitempty"`
-	Budget int `json:"budget,omitempty"`
-}
-
-// ShardSpec is one unit of leased work: a slice of the request's probe
-// space small enough for one worker, with everything the worker needs to
-// rebuild the world and run it.
-type ShardSpec struct {
-	Kind  string        `json:"kind"`
-	World world.Options `json:"world"`
-	// Pieces names this shard's slice of the probe space: product names
-	// for identify, ISP names otherwise.
-	Pieces []string `json:"pieces"`
-	// Countries carries the identify country restriction.
-	Countries []string `json:"countries,omitempty"`
-	// Rounds and Budget carry the discovery crawl caps.
-	Rounds int `json:"rounds,omitempty"`
-	Budget int `json:"budget,omitempty"`
-}
-
-// Fragment is one shard's contribution to the final document: the
-// per-product / per-ISP pieces of the internal/report JSON documents,
-// produced by the same renderers the single-process path uses. Exactly
-// the fields for the shard's kind are populated.
-type Fragment struct {
-	// Pieces echoes the shard's probe-space slice.
-	Pieces []string `json:"pieces"`
-
-	// Identify. Candidates maps product -> candidate addresses from the
-	// keyword stage; the merged CandidateCount is the distinct-IP union
-	// across products, which per-shard document fields cannot express.
-	Candidates    map[string][]string      `json:"candidates,omitempty"`
-	Installations []report.InstallationDoc `json:"installations,omitempty"`
-	QueryErrors   []report.QueryErrorDoc   `json:"query_errors,omitempty"`
-	StageErrors   []report.StageErrorDoc   `json:"stage_errors,omitempty"`
-
-	// Characterize.
-	Table4Rows []report.Table4RowDoc     `json:"table4_rows,omitempty"`
-	Reports    []report.CountryReportDoc `json:"reports,omitempty"`
-
-	// Discover.
-	Discovery []report.DiscoveryTargetDoc `json:"discovery,omitempty"`
-
-	// Mechanisms.
-	Mechanisms []report.MechanismISPDoc `json:"mechanisms,omitempty"`
-}
 
 // LeaseRef identifies one granted lease: the job, the shard index within
 // it, and the lease epoch. The epoch increments on every (re)assignment,
@@ -126,9 +37,9 @@ type LeaseRef struct {
 // ShardLease is one granted lease: the ref, the work, and the deadline
 // by which the worker must heartbeat or deliver.
 type ShardLease struct {
-	Ref      LeaseRef  `json:"ref"`
-	Spec     ShardSpec `json:"spec"`
-	Deadline time.Time `json:"deadline"`
+	Ref      LeaseRef       `json:"ref"`
+	Spec     plan.ShardSpec `json:"spec"`
+	Deadline time.Time      `json:"deadline"`
 }
 
 // LeaseRequest is the POST /v1/cluster/lease body.
@@ -147,10 +58,10 @@ type LeaseResponse struct {
 // ResultRequest is the POST /v1/cluster/result body: a completed
 // fragment, or the error that ended the attempt.
 type ResultRequest struct {
-	Worker   string    `json:"worker"`
-	Ref      LeaseRef  `json:"ref"`
-	Fragment *Fragment `json:"fragment,omitempty"`
-	Error    string    `json:"error,omitempty"`
+	Worker   string         `json:"worker"`
+	Ref      LeaseRef       `json:"ref"`
+	Fragment *plan.Fragment `json:"fragment,omitempty"`
+	Error    string         `json:"error,omitempty"`
 }
 
 // ResultResponse acknowledges a posted result. Stale marks a result for

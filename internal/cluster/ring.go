@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"filtermap/internal/plan"
 )
 
 // ring is a consistent-hash ring over worker IDs. Each member
@@ -66,7 +68,7 @@ func ringHash(s string) uint64 {
 // shardKey is the ring key for one shard: kind plus the first piece of
 // its probe-space slice. Job-independent, so repeated runs of the same
 // plan land each product/ISP on the same worker (warm world replicas).
-func shardKey(spec *ShardSpec) string {
+func shardKey(spec *plan.ShardSpec) string {
 	key := spec.Kind
 	if len(spec.Pieces) > 0 {
 		key += "/" + spec.Pieces[0]

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/plan"
 )
 
 // Transport is the worker's view of the coordinator: the four verbs of
@@ -131,10 +132,10 @@ func (t *HTTPTransport) Release(ctx context.Context, req ReleaseRequest) error {
 }
 
 // Worker is the pull-based runtime: it polls the coordinator for a
-// lease, executes the shard against its local world replicas, posts the
-// fragment, and repeats. A heartbeat goroutine renews the lease while a
-// shard runs; a heartbeat that comes back invalid cancels the shard
-// (the lease expired and someone else owns it now).
+// lease, executes the shard on its plan.Runner, posts the fragment, and
+// repeats. A heartbeat goroutine renews the lease while a shard runs; a
+// heartbeat that comes back invalid cancels the shard (the lease expired
+// and someone else owns it now).
 type Worker struct {
 	// ID names the worker on the ring. Must be unique per cluster.
 	ID string
@@ -151,15 +152,25 @@ type Worker struct {
 	// running count — test instrumentation for crash/drain scenarios.
 	OnResult func(n int)
 
-	runner   *Runner
-	draining atomic.Bool
-	posted   atomic.Uint64
+	runner    *plan.Runner
+	ownRunner bool // close the runner when Run returns
+	draining  atomic.Bool
+	posted    atomic.Uint64
 }
 
-// NewWorker builds a worker with its own runner. Engine options tune the
-// worker's world replicas.
+// NewWorker builds a worker with its own runner, closed when Run
+// returns. Engine options tune the worker's worlds.
 func NewWorker(id string, transport Transport, engOpts ...engine.Option) *Worker {
-	return &Worker{ID: id, Transport: transport, runner: NewRunner(engOpts...)}
+	w := NewWorkerWithRunner(id, transport, plan.NewRunner(engOpts...))
+	w.ownRunner = true
+	return w
+}
+
+// NewWorkerWithRunner builds a worker executing shards on a
+// caller-owned runner: fmserve's in-process workers share the server's
+// runner, and with it the server's base world as the identify replica.
+func NewWorkerWithRunner(id string, transport Transport, runner *plan.Runner) *Worker {
+	return &Worker{ID: id, Transport: transport, runner: runner}
 }
 
 // Drain makes Run finish (or relinquish) current leases and return
@@ -169,14 +180,16 @@ func (w *Worker) Drain() { w.draining.Store(true) }
 
 // Run is the worker loop. It returns when ctx ends or Drain is called;
 // on the way out it releases any lease it did not complete, so the
-// coordinator reassigns without waiting for expiry. The runner's cached
-// worlds are closed on return.
+// coordinator reassigns without waiting for expiry. A runner the worker
+// built itself is closed on return.
 func (w *Worker) Run(ctx context.Context) error {
 	poll := w.Poll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
-	defer w.runner.Close()
+	if w.ownRunner {
+		defer w.runner.Close()
+	}
 
 	for {
 		if ctx.Err() != nil {

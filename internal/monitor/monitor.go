@@ -13,13 +13,13 @@ import (
 
 	"filtermap/internal/engine"
 	"filtermap/internal/longitudinal"
-	"filtermap/internal/report"
+	"filtermap/internal/plan"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
 )
 
-// Plan kinds. These double as the store snapshot kinds the plan appends,
-// matching the longitudinal engine's kind switch.
+// Plan kinds of the standing rotation. A plan kind is the snapshot kind
+// the plan appends: any store kind in the internal/plan registry.
 const (
 	PlanIdentify   = longitudinal.KindIdentify
 	PlanDiscovery  = longitudinal.KindDiscovery
@@ -30,8 +30,8 @@ const (
 type Plan struct {
 	// Name labels the plan in events (defaults to Kind).
 	Name string
-	// Kind selects the pipeline: PlanIdentify, PlanDiscovery or
-	// PlanMechanisms.
+	// Kind selects the pipeline by its snapshot kind (PlanIdentify,
+	// PlanDiscovery, PlanMechanisms, ...).
 	Kind string
 	// Every is the virtual re-run period.
 	Every time.Duration
@@ -64,8 +64,9 @@ type Options struct {
 	Seed uint64
 	// Tick is the virtual duration of one scheduler tick (default 24h).
 	Tick time.Duration
-	// Plans is the scan rotation (default DefaultPlans). A mechanisms
-	// plan forces World.Mechanisms on.
+	// Plans is the scan rotation (default DefaultPlans). A plan switches
+	// on the world features its kind needs (a mechanisms plan forces
+	// World.Mechanisms on).
 	Plans []Plan
 	// World configures the monitored world. The monitor owns a dedicated
 	// world built from these options — churn mutates it between ticks,
@@ -147,15 +148,15 @@ func New(o Options, st *store.Store) (*Monitor, error) {
 		if p.Name == "" {
 			p.Name = p.Kind
 		}
-		switch p.Kind {
-		case PlanIdentify, PlanDiscovery:
-		case PlanMechanisms:
-			if o.World.Mechanisms == nil {
-				o.World.Mechanisms = &world.MechanismOptions{}
-			}
-		default:
+		d, ok := plan.ForStoreKind(p.Kind)
+		if !ok {
 			return nil, fmt.Errorf("monitor: unknown plan kind %q", p.Kind)
 		}
+		req := plan.Request{Kind: d.Kind, World: o.World}
+		if err := d.Normalize(&req); err != nil {
+			return nil, fmt.Errorf("monitor: plan %q: %w", p.Name, err)
+		}
+		o.World = req.World
 		if p.Every <= 0 {
 			return nil, fmt.Errorf("monitor: plan %q needs a positive period", p.Name)
 		}
@@ -366,40 +367,19 @@ func (m *Monitor) runPlan(ctx context.Context, tick int, ps *planState) (Event, 
 	return m.publish(ev), nil
 }
 
-// runPipeline executes the plan's scan and returns the snapshot body —
-// the same document shape fmserve serves for the kind, so monitor
-// snapshots and API snapshots diff against each other.
+// runPipeline executes the plan's scan on the monitored world and
+// returns the snapshot body — the same document fmserve serves for the
+// kind, through the same plan descriptor, so monitor snapshots and API
+// snapshots diff against each other.
 func (m *Monitor) runPipeline(ctx context.Context, p *Plan) (json.RawMessage, error) {
-	switch p.Kind {
-	case PlanIdentify:
-		rep, err := m.w.RunIdentification(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(report.IdentifyJSON(rep))
-	case PlanDiscovery:
-		targets, err := m.w.RunDiscovery(ctx, world.DiscoveryOptions{Rounds: p.Rounds, Budget: p.Budget})
-		if err != nil {
-			return nil, err
-		}
-		rts := make([]report.DiscoveryTarget, 0, len(targets))
-		for _, t := range targets {
-			rts = append(rts, report.DiscoveryTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report})
-		}
-		return json.Marshal(report.DiscoveryJSON(p.Rounds, p.Budget, rts, world.DiscoveredList(targets)))
-	case PlanMechanisms:
-		targets, err := m.w.RunMechanismSurvey(ctx)
-		if err != nil {
-			return nil, err
-		}
-		rts := make([]report.MechanismTarget, 0, len(targets))
-		for _, t := range targets {
-			rts = append(rts, report.MechanismTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results})
-		}
-		return json.Marshal(report.MechanismsJSON(rts))
-	default:
-		return nil, fmt.Errorf("unknown plan kind %q", p.Kind)
+	d, _ := plan.ForStoreKind(p.Kind)
+	doc, _, err := plan.Execute(ctx, m.w, nil, plan.Request{
+		Kind: d.Kind, World: m.opts.World, Rounds: p.Rounds, Budget: p.Budget,
+	})
+	if err != nil {
+		return nil, err
 	}
+	return json.Marshal(doc)
 }
 
 func (m *Monitor) publish(e Event) Event {

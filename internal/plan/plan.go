@@ -1,0 +1,315 @@
+// Package plan is the registry of shardable measurement plans: §3
+// identification, §5 characterization, the search-based discovery crawl
+// and the DNS/RST/SNI mechanism survey. Each kind is one descriptor
+// file; everything that runs a plan — the fmserve service, the cluster
+// coordinator and workers, the monitor and fmhist — looks the kind up
+// here instead of carrying its own copy of the pipeline.
+//
+// A plan run is Split → Exec per shard → Merge. A cluster spreads the
+// shards over workers; a single process runs the whole request as one
+// shard holding every piece (Runner.Run). Both go through the same Exec
+// and the same Merge, so standalone and clustered documents differ only
+// in how the request was partitioned, and they are byte-identical
+// because every Merge is exact across partitions.
+//
+// Confirmation campaigns are deliberately not plans: a campaign consumes
+// the virtual timeline (clock advancement, vendor submission queues), so
+// it is single-use and cannot be sharded or replayed per piece.
+package plan
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"filtermap/internal/report"
+	"filtermap/internal/scanner"
+	"filtermap/internal/world"
+)
+
+// Plan kinds: the pipeline names used as POST /v1/{kind} paths, job
+// kinds and cluster wire kinds.
+const (
+	KindIdentify     = "identify"
+	KindCharacterize = "characterize"
+	KindDiscover     = "discover"
+	KindMechanisms   = "mechanisms"
+)
+
+// Plan describes one shardable plan kind.
+type Plan struct {
+	// Kind is the pipeline name.
+	Kind string
+	// StoreKind is the snapshot kind the plan's documents are stored
+	// under (the longitudinal diff format).
+	StoreKind string
+
+	// Replica positions runner shards on a long-lived world replica at
+	// the epoch with a once-scanned banner index. Otherwise each shard
+	// builds a fresh world and advances its clock by Advance first.
+	Replica bool
+	Advance time.Duration
+
+	// Normalize canonicalizes a request in place — sorted, deduplicated
+	// lists, fields the kind does not read cleared, required world
+	// features switched on — and rejects unknown names.
+	Normalize func(req *Request) error
+	// Pieces lists the probe-space units a request covers, in
+	// single-process execution order (which is also the merge order).
+	Pieces func(req Request) []string
+	// Exec runs one shard on w. idx is a banner index already scanned
+	// from w; nil scans fresh where the kind needs one.
+	Exec func(ctx context.Context, w *world.World, idx *scanner.Index, spec ShardSpec) (*Fragment, error)
+	// Merge rebuilds the final document from fragments in shard order
+	// and reports whether it is degraded (the run survived partial
+	// failures).
+	Merge func(req Request, frags []*Fragment) (doc any, degraded bool, err error)
+}
+
+var (
+	byKind      = map[string]*Plan{}
+	byStoreKind = map[string]*Plan{}
+)
+
+// register adds a descriptor; each descriptor file calls it from init.
+func register(p *Plan) {
+	if byKind[p.Kind] != nil || byStoreKind[p.StoreKind] != nil {
+		panic("plan: duplicate registration of " + p.Kind)
+	}
+	byKind[p.Kind] = p
+	byStoreKind[p.StoreKind] = p
+}
+
+// Lookup returns the descriptor for a pipeline kind.
+func Lookup(kind string) (*Plan, bool) {
+	p, ok := byKind[kind]
+	return p, ok
+}
+
+// ForStoreKind returns the descriptor whose documents are stored under
+// the given snapshot kind.
+func ForStoreKind(storeKind string) (*Plan, bool) {
+	p, ok := byStoreKind[storeKind]
+	return p, ok
+}
+
+// Kinds lists every registered pipeline kind, sorted.
+func Kinds() []string {
+	out := make([]string, 0, len(byKind))
+	for k := range byKind {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func lookup(kind string) (*Plan, error) {
+	p, ok := byKind[kind]
+	if !ok {
+		return nil, fmt.Errorf("plan: unknown kind %q", kind)
+	}
+	return p, nil
+}
+
+// Request is one plan to run: the effective world options it executes
+// under plus the kind-specific parameters. It is also the cluster wire
+// request.
+type Request struct {
+	Kind string `json:"kind"`
+	// World is the effective world.Options. Every shard builds (or
+	// reuses) its world from exactly these options.
+	World world.Options `json:"world"`
+	// Products restricts the identify keyword fan-out (identify only;
+	// empty = all Table 2 products).
+	Products []string `json:"products,omitempty"`
+	// Countries bounds the identify ccTLD fan-out (identify only).
+	Countries []string `json:"countries,omitempty"`
+	// ISPs restricts the target set (characterize/discover/mechanisms).
+	ISPs []string `json:"isps,omitempty"`
+	// Rounds and Budget cap each discovery crawl (discover only).
+	Rounds int `json:"rounds,omitempty"`
+	Budget int `json:"budget,omitempty"`
+}
+
+// ShardSpec is one unit of work: a slice of the request's probe space
+// plus everything needed to rebuild the world and run it.
+type ShardSpec struct {
+	Kind  string        `json:"kind"`
+	World world.Options `json:"world"`
+	// Pieces names this shard's slice of the probe space: product names
+	// for identify, ISP names otherwise.
+	Pieces []string `json:"pieces"`
+	// Countries carries the identify country restriction.
+	Countries []string `json:"countries,omitempty"`
+	// Rounds and Budget carry the discovery crawl caps.
+	Rounds int `json:"rounds,omitempty"`
+	Budget int `json:"budget,omitempty"`
+}
+
+// Fragment is one shard's contribution to the final document: the
+// per-product / per-ISP pieces of the internal/report JSON documents.
+// Exactly the fields for the shard's kind are populated.
+type Fragment struct {
+	// Pieces echoes the shard's probe-space slice.
+	Pieces []string `json:"pieces"`
+
+	// Identify. Candidates maps product -> candidate addresses from the
+	// keyword stage; the merged CandidateCount is the distinct-IP union
+	// across products, which per-shard document fields cannot express.
+	Candidates    map[string][]string      `json:"candidates,omitempty"`
+	Installations []report.InstallationDoc `json:"installations,omitempty"`
+	QueryErrors   []report.QueryErrorDoc   `json:"query_errors,omitempty"`
+	StageErrors   []report.StageErrorDoc   `json:"stage_errors,omitempty"`
+
+	// Characterize.
+	Table4Rows []report.Table4RowDoc     `json:"table4_rows,omitempty"`
+	Reports    []report.CountryReportDoc `json:"reports,omitempty"`
+
+	// Discover.
+	Discovery []report.DiscoveryTargetDoc `json:"discovery,omitempty"`
+
+	// Mechanisms.
+	Mechanisms []report.MechanismISPDoc `json:"mechanisms,omitempty"`
+}
+
+// shard cuts a request down to one shard over the given pieces.
+func (req Request) shard(pieces []string) ShardSpec {
+	return ShardSpec{
+		Kind:      req.Kind,
+		World:     req.World,
+		Pieces:    pieces,
+		Countries: req.Countries,
+		Rounds:    req.Rounds,
+		Budget:    req.Budget,
+	}
+}
+
+// Normalize canonicalizes a request through its kind's descriptor.
+func Normalize(req *Request) error {
+	p, err := lookup(req.Kind)
+	if err != nil {
+		return err
+	}
+	return p.Normalize(req)
+}
+
+// Split cuts a request into one shard per probe-space piece, in
+// single-process execution order (the merge order).
+func Split(req Request) ([]ShardSpec, error) {
+	p, err := lookup(req.Kind)
+	if err != nil {
+		return nil, err
+	}
+	pieces := p.Pieces(req)
+	specs := make([]ShardSpec, 0, len(pieces))
+	for _, piece := range pieces {
+		specs = append(specs, req.shard([]string{piece}))
+	}
+	return specs, nil
+}
+
+// Merge reassembles a request's fragments — one per shard, in shard
+// order — into the final document, reporting whether it is degraded.
+func Merge(req Request, frags []*Fragment) (any, bool, error) {
+	p, err := lookup(req.Kind)
+	if err != nil {
+		return nil, false, err
+	}
+	for i, f := range frags {
+		if f == nil {
+			return nil, false, fmt.Errorf("plan: merge %s: missing fragment %d", req.Kind, i)
+		}
+	}
+	return p.Merge(req, frags)
+}
+
+// Execute runs a request on a caller-owned world as a single shard
+// holding every piece and merges it. The caller positions the world's
+// clock; idx is a banner index scanned from w (nil scans fresh). The
+// monitor and fmhist run their plans through here.
+func Execute(ctx context.Context, w *world.World, idx *scanner.Index, req Request) (any, bool, error) {
+	p, err := lookup(req.Kind)
+	if err != nil {
+		return nil, false, err
+	}
+	return whole(ctx, p, req, func(spec ShardSpec) (*Fragment, error) {
+		return p.Exec(ctx, w, idx, spec)
+	})
+}
+
+// whole runs req as one shard holding every piece through run, then
+// merges. A request covering no piece merges the empty fragment set:
+// the Exec functions read an empty piece list as "everything".
+func whole(ctx context.Context, p *Plan, req Request, run func(ShardSpec) (*Fragment, error)) (any, bool, error) {
+	var frags []*Fragment
+	if pieces := p.Pieces(req); len(pieces) > 0 {
+		frag, err := run(req.shard(pieces))
+		if err != nil {
+			return nil, false, err
+		}
+		frags = append(frags, frag)
+	}
+	return Merge(req, frags)
+}
+
+// sortDedupe trims, deduplicates and sorts a name list (nil when empty).
+func sortDedupe(in []string) []string {
+	seen := make(map[string]bool, len(in))
+	var out []string
+	for _, s := range in {
+		s = strings.TrimSpace(s)
+		if s == "" || seen[s] {
+			continue
+		}
+		seen[s] = true
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkNames canonicalizes a name list and rejects names outside known
+// with "unknown <what> %q".
+func checkNames(names *[]string, known []string, what string) error {
+	*names = sortDedupe(*names)
+	ok := make(map[string]bool, len(known))
+	for _, k := range known {
+		ok[k] = true
+	}
+	for _, n := range *names {
+		if !ok[n] {
+			return fmt.Errorf("unknown %s %q", what, n)
+		}
+	}
+	return nil
+}
+
+// filterISPs keeps all in order, restricted to want when non-empty, so
+// shard order matches single-process target order.
+func filterISPs(all, want []string) []string {
+	if len(want) == 0 {
+		return all
+	}
+	wanted := make(map[string]bool, len(want))
+	for _, isp := range want {
+		wanted[isp] = true
+	}
+	out := make([]string, 0, len(want))
+	for _, isp := range all {
+		if wanted[isp] {
+			out = append(out, isp)
+		}
+	}
+	return out
+}
+
+// characterizationISPs lists the §5 target ISPs in target order.
+func characterizationISPs() []string {
+	var isps []string
+	for _, t := range world.CharacterizationTargets() {
+		isps = append(isps, t.ISP)
+	}
+	return isps
+}

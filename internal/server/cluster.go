@@ -12,6 +12,7 @@ import (
 
 	"filtermap/internal/cluster"
 	"filtermap/internal/monitor"
+	"filtermap/internal/plan"
 	"filtermap/internal/store"
 )
 
@@ -63,9 +64,10 @@ type clusterRuntime struct {
 	wg      sync.WaitGroup
 }
 
-// startCluster wires the coordinator (and, for RoleBoth, local workers)
-// into the server. Completed cluster runs append to the snapshot store
-// through recordClusterDoc — the single-writer replication log.
+// startCluster wires the coordinator (and, for RoleBoth, local workers
+// sharing the server's runner) into the server. Completed cluster runs
+// append to the snapshot store through recordClusterDoc — the
+// single-writer replication log.
 func (s *Server) startCluster(opts ClusterOptions) {
 	role := opts.Role
 	if role == "" {
@@ -98,7 +100,7 @@ func (s *Server) startCluster(opts ClusterOptions) {
 		ctx, cancel := context.WithCancel(context.Background())
 		rt.cancel = cancel
 		for i := 0; i < n; i++ {
-			w := cluster.NewWorker(fmt.Sprintf("local-%d", i), cluster.LocalTransport{Coord: rt.coord}, s.engOpts...)
+			w := cluster.NewWorkerWithRunner(fmt.Sprintf("local-%d", i), cluster.LocalTransport{Coord: rt.coord}, s.runner)
 			w.Poll = opts.WorkerPoll
 			w.HeartbeatEvery = hb
 			rt.workers = append(rt.workers, w)
@@ -126,33 +128,14 @@ func (rt *clusterRuntime) stop() {
 	rt.wg.Wait()
 }
 
-// clusterRequest maps a normalized pipeline request onto the cluster
-// wire request, carrying the effective world options. Only shardable
-// kinds map; confirm (single-use timeline) reports false.
-func (s *Server) clusterRequest(kind string, req any) (cluster.Request, bool) {
-	effective := worldConfigOf(req).options(s.opts.World)
-	switch r := req.(type) {
-	case *IdentifyRequest:
-		return cluster.Request{Kind: cluster.KindIdentify, World: effective, Products: r.Products, Countries: r.Countries}, true
-	case *CharacterizeRequest:
-		return cluster.Request{Kind: cluster.KindCharacterize, World: effective, ISPs: r.ISPs}, true
-	case *DiscoverRequest:
-		return cluster.Request{Kind: cluster.KindDiscover, World: effective, ISPs: r.ISPs, Rounds: r.Rounds, Budget: r.Budget}, true
-	case *MechanismsRequest:
-		return cluster.Request{Kind: cluster.KindMechanisms, World: effective, ISPs: r.ISPs}, true
-	}
-	_ = kind
-	return cluster.Request{}, false
-}
-
 // recordClusterDoc is the coordinator's OnComplete hook: it appends the
 // merged document to the snapshot store (the replication log replicas
 // tail) and publishes a watch event. The store dedupes identical
 // consecutive content per (kind, config), so repeated runs of an
 // unchanged world cost one record.
-func (s *Server) recordClusterDoc(req cluster.Request, doc any) {
-	storeKind, err := storeKindFor(req.Kind)
-	if err != nil {
+func (s *Server) recordClusterDoc(req plan.Request, doc any) {
+	p, ok := plan.Lookup(req.Kind)
+	if !ok {
 		s.metrics.clusterAppendError()
 		return
 	}
@@ -162,7 +145,7 @@ func (s *Server) recordClusterDoc(req cluster.Request, doc any) {
 		return
 	}
 	meta, err := s.snaps.Append(store.Snapshot{
-		Kind:   storeKind,
+		Kind:   p.StoreKind,
 		At:     s.base.Clock.Now(),
 		Config: store.ConfigHash(req.World),
 		Note:   "cluster",

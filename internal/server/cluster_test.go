@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"filtermap/internal/cluster"
+	"filtermap/internal/world"
 )
 
 // clusterTestOptions enables coordinator+local-worker mode tuned for
@@ -58,17 +59,23 @@ func TestClusterDisabled(t *testing.T) {
 
 // TestClusterByteIdentity is the core determinism contract: every
 // shardable kind served by a coordinator+workers cluster must be
-// byte-identical to the standalone single-process answer.
+// byte-identical to the standalone single-process answer — on the
+// default world and on a base world with non-default options, where a
+// zero request overlay must mean the base options on both paths.
 func TestClusterByteIdentity(t *testing.T) {
-	_, plain := newTestServer(t, Options{})
-	_, clustered := newTestServer(t, clusterTestOptions(2))
+	for _, base := range []world.Options{{}, {HideConsoles: true}} {
+		plainOpts, clusterOpts := Options{World: base}, clusterTestOptions(2)
+		clusterOpts.World = base
+		_, plain := newTestServer(t, plainOpts)
+		_, clustered := newTestServer(t, clusterOpts)
 
-	for _, kind := range []string{"identify", "mechanisms", "discover", "characterize"} {
-		path := "/v1/" + kind + "?wait=1"
-		want := postBody(t, plain.URL+path)
-		got := postBody(t, clustered.URL+path)
-		if string(got) != string(want) {
-			t.Errorf("%s: clustered body differs from single-process\nclustered: %.300s\nsingle:    %.300s", kind, got, want)
+		for _, kind := range []string{"identify", "mechanisms", "discover", "characterize"} {
+			path := "/v1/" + kind + "?wait=1"
+			want := postBody(t, plain.URL+path)
+			got := postBody(t, clustered.URL+path)
+			if string(got) != string(want) {
+				t.Errorf("base %+v, %s: clustered body differs from single-process\nclustered: %.300s\nsingle:    %.300s", base, kind, got, want)
+			}
 		}
 	}
 }

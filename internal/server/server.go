@@ -20,11 +20,15 @@
 //	GET  /healthz          liveness
 //	GET  /metrics          request/cache/job/engine counters
 //
-// Worlds: identification runs against the server's long-lived base world
-// with a banner index scanned once and reused; confirmation and
-// characterization build a fresh world per execution because campaigns
-// consume the virtual timeline (clock advancement, vendor submissions).
-// Requests carrying evasion options always get a fresh world.
+// Execution: the four plan kinds (identify, characterize, discover,
+// mechanisms) come from the internal/plan registry and run on a
+// plan.Runner as a one-shard cluster — or split across workers in
+// cluster mode — so a standalone and a clustered server run the same
+// code. The runner adopts the server's long-lived base world as the
+// identify replica for the base options, with a banner index scanned
+// once and reused. Confirmation builds a fresh world per execution
+// because campaigns consume the virtual timeline (clock advancement,
+// vendor submissions).
 package server
 
 import (
@@ -43,23 +47,23 @@ import (
 	"filtermap/internal/cluster"
 	"filtermap/internal/confirm"
 	"filtermap/internal/engine"
-	"filtermap/internal/fingerprint"
 	"filtermap/internal/longitudinal"
 	"filtermap/internal/monitor"
+	"filtermap/internal/plan"
 	"filtermap/internal/report"
-	"filtermap/internal/scanner"
 	"filtermap/internal/store"
 	"filtermap/internal/version"
 	"filtermap/internal/world"
 )
 
-// Pipeline kinds accepted by the job and dispatch endpoints.
+// Pipeline kinds accepted by the job and dispatch endpoints: the plan
+// registry's kinds plus confirm.
 const (
-	KindIdentify     = "identify"
+	KindIdentify     = plan.KindIdentify
 	KindConfirm      = "confirm"
-	KindCharacterize = "characterize"
-	KindDiscover     = "discover"
-	KindMechanisms   = "mechanisms"
+	KindCharacterize = plan.KindCharacterize
+	KindDiscover     = plan.KindDiscover
+	KindMechanisms   = plan.KindMechanisms
 )
 
 // Options configures a Server. The zero value serves the default world
@@ -128,9 +132,8 @@ type Server struct {
 	jobs    *jobManager
 	limiter *rateLimiter
 
-	base    *world.World
-	baseMu  sync.Mutex // guards the lazy base-world banner scan
-	baseIdx *scanner.Index
+	base   *world.World
+	runner *plan.Runner // executes plan kinds; adopts base as a replica
 
 	snaps   *store.Store
 	diffEng *longitudinal.Engine
@@ -189,6 +192,8 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 		return nil, fmt.Errorf("server: build base world: %w", err)
 	}
 	s.base = base
+	s.runner = plan.NewRunner(s.engOpts...)
+	s.runner.Adopt(opts.World, base)
 
 	s.snaps, err = store.Open(opts.StoreDir)
 	if err != nil {
@@ -203,11 +208,11 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 	// content-addressed and never go stale, so they stay.
 	s.broker = monitor.NewBroker(opts.WatchRetain)
 	s.snaps.OnAppend(func(meta store.Meta) {
-		pk, ok := pipelineKindFor(meta.Kind)
+		p, ok := plan.ForStoreKind(meta.Kind)
 		if !ok {
 			return
 		}
-		s.metrics.cacheInvalidated(s.cache.invalidatePrefix(pk + ":" + meta.Config + ":"))
+		s.metrics.cacheInvalidated(s.cache.invalidatePrefix(p.Kind + ":" + meta.Config + ":"))
 	})
 
 	if opts.Monitor != nil {
@@ -262,11 +267,10 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.Handle(pattern, s.instrument(pattern, h))
 	}
-	handle("POST /v1/identify", s.handleIdentify)
+	for _, kind := range plan.Kinds() {
+		handle("POST /v1/"+kind, s.handlePlan(kind))
+	}
 	handle("POST /v1/confirm", s.handleConfirm)
-	handle("POST /v1/characterize", s.handleCharacterize)
-	handle("POST /v1/discover", s.handleDiscover)
-	handle("POST /v1/mechanisms", s.handleMechanisms)
 	handle("POST /v1/jobs", s.handleJobSubmit)
 	handle("GET /v1/jobs", s.handleJobList)
 	handle("GET /v1/jobs/{id}", s.handleJobGet)
@@ -311,6 +315,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if s.mon != nil {
 			s.mon.Close()
 		}
+		s.runner.Close()
 		s.base.Close()
 		if serr := s.snaps.Close(); serr != nil && err == nil {
 			err = serr
@@ -385,8 +390,9 @@ func (w *statusWriter) Flush() {
 // ---- request types ----
 
 // WorldConfig selects the Table 5 evasion scenarios and ablations for a
-// run. The zero value means "the server's base world"; any flag set
-// builds a dedicated world for the run.
+// run. The zero value means the server's base world options, unchanged;
+// any flag set replaces the base's flags and runs on a world built for
+// those options.
 type WorldConfig struct {
 	HideConsoles      bool `json:"hide_consoles,omitempty"`
 	ScrubHeaders      bool `json:"scrub_headers,omitempty"`
@@ -398,11 +404,15 @@ type WorldConfig struct {
 	Mechanisms bool `json:"mechanisms,omitempty"`
 }
 
-func (c WorldConfig) zero() bool { return c == WorldConfig{} }
-
-// options overlays the request's evasion flags on the server's base
-// world options (keeping seed and start time).
+// options resolves the overlay against the server's base world options
+// (keeping seed, start time, scale and chaos settings). This is the one
+// place a request's world is decided: it feeds the cache key, the
+// snapshot config hash and the runner's replica choice, so a zero
+// overlay reuses the base world exactly.
 func (c WorldConfig) options(base world.Options) world.Options {
+	if c == (WorldConfig{}) {
+		return base
+	}
 	base.HideConsoles = c.HideConsoles
 	base.ScrubHeaders = c.ScrubHeaders
 	base.FilterSubmissions = c.FilterSubmissions
@@ -415,29 +425,36 @@ func (c WorldConfig) options(base world.Options) world.Options {
 	return base
 }
 
-// IdentifyRequest parameterizes POST /v1/identify.
-type IdentifyRequest struct {
-	// Products restricts the keyword fan-out (empty = all Table 2
-	// products).
+// PlanRequest is the body of POST /v1/{identify,characterize,discover,
+// mechanisms} and of their job and snapshot requests. Each kind reads
+// only its own fields; normalization clears the rest.
+type PlanRequest struct {
+	// Products restricts the identify keyword fan-out (empty = all
+	// Table 2 products).
 	Products []string `json:"products,omitempty"`
-	// Countries bounds the ccTLD fan-out (empty = every country in the
-	// banner index).
+	// Countries bounds the identify ccTLD fan-out (empty = every country
+	// in the banner index).
 	Countries []string `json:"countries,omitempty"`
-	// World selects evasion scenarios; non-zero runs on a fresh world.
+	// ISPs restricts the characterize/discover targets (empty = all
+	// confirmed deployments) or the mechanism survey (empty = the whole
+	// mechanism roster).
+	ISPs []string `json:"isps,omitempty"`
+	// Rounds and Budget cap each discovery crawl (0 = discovery package
+	// defaults).
+	Rounds int `json:"rounds,omitempty"`
+	Budget int `json:"budget,omitempty"`
+	// World selects evasion scenarios; the mechanism survey always runs
+	// with the censoring roster on.
 	World WorldConfig `json:"world,omitempty"`
 }
 
-func (r *IdentifyRequest) normalize() error {
-	r.Products = sortDedupe(r.Products)
-	r.Countries = sortDedupe(r.Countries)
-	known := fingerprint.ShodanKeywords()
-	for _, p := range r.Products {
-		if _, ok := known[p]; !ok {
-			return badRequestf("unknown product %q", p)
-		}
-	}
-	return nil
-}
+// Per-kind names for PlanRequest.
+type (
+	IdentifyRequest     = PlanRequest
+	CharacterizeRequest = PlanRequest
+	DiscoverRequest     = PlanRequest
+	MechanismsRequest   = PlanRequest
+)
 
 // ConfirmRequest parameterizes POST /v1/confirm.
 type ConfirmRequest struct {
@@ -448,154 +465,56 @@ type ConfirmRequest struct {
 	World WorldConfig `json:"world,omitempty"`
 }
 
-func (r *ConfirmRequest) normalize() error {
-	r.Campaign = strings.TrimSpace(r.Campaign)
-	return nil
-}
-
-// CharacterizeRequest parameterizes POST /v1/characterize.
-type CharacterizeRequest struct {
-	// ISPs restricts the §5 targets (empty = all confirmed deployments).
-	ISPs []string `json:"isps,omitempty"`
-	// World selects evasion scenarios for the run's world.
-	World WorldConfig `json:"world,omitempty"`
-}
-
-func (r *CharacterizeRequest) normalize() error {
-	r.ISPs = sortDedupe(r.ISPs)
-	known := make(map[string]bool)
-	for _, t := range world.CharacterizationTargets() {
-		known[t.ISP] = true
+// planRequest resolves a body against the base world options and
+// normalizes it through the kind's plan descriptor.
+func (s *Server) planRequest(kind string, body PlanRequest) (*plan.Request, error) {
+	req := &plan.Request{
+		Kind:      kind,
+		World:     body.World.options(s.opts.World),
+		Products:  body.Products,
+		Countries: body.Countries,
+		ISPs:      body.ISPs,
+		Rounds:    body.Rounds,
+		Budget:    body.Budget,
 	}
-	for _, isp := range r.ISPs {
-		if !known[isp] {
-			return badRequestf("unknown characterization ISP %q", isp)
-		}
+	if err := plan.Normalize(req); err != nil {
+		return nil, badRequestf("%s", err.Error())
 	}
-	return nil
-}
-
-// DiscoverRequest parameterizes POST /v1/discover.
-type DiscoverRequest struct {
-	// ISPs restricts the crawl targets (empty = all confirmed
-	// deployments).
-	ISPs []string `json:"isps,omitempty"`
-	// Rounds and Budget cap each target's crawl (0 = discovery package
-	// defaults).
-	Rounds int `json:"rounds,omitempty"`
-	Budget int `json:"budget,omitempty"`
-	// World selects evasion scenarios for the run's world.
-	World WorldConfig `json:"world,omitempty"`
-}
-
-func (r *DiscoverRequest) normalize() error {
-	r.ISPs = sortDedupe(r.ISPs)
-	known := make(map[string]bool)
-	for _, t := range world.CharacterizationTargets() {
-		known[t.ISP] = true
-	}
-	for _, isp := range r.ISPs {
-		if !known[isp] {
-			return badRequestf("unknown discovery ISP %q", isp)
-		}
-	}
-	if r.Rounds < 0 {
-		return badRequestf("rounds must be >= 0, got %d", r.Rounds)
-	}
-	if r.Budget < 0 {
-		return badRequestf("budget must be >= 0, got %d", r.Budget)
-	}
-	return nil
-}
-
-// MechanismsRequest parameterizes POST /v1/mechanisms.
-type MechanismsRequest struct {
-	// ISPs restricts the survey to named roster ISPs (empty = the whole
-	// mechanism roster).
-	ISPs []string `json:"isps,omitempty"`
-	// World selects evasion scenarios; normalize forces World.Mechanisms
-	// on, since the survey is meaningless without the censoring roster.
-	World WorldConfig `json:"world,omitempty"`
-}
-
-func (r *MechanismsRequest) normalize() error {
-	r.ISPs = sortDedupe(r.ISPs)
-	known := make(map[string]bool)
-	for _, isp := range world.MechanismRosterISPs() {
-		known[isp] = true
-	}
-	for _, isp := range r.ISPs {
-		if !known[isp] {
-			return badRequestf("unknown mechanism-roster ISP %q", isp)
-		}
-	}
-	// The flag participates in the request key via worldHash, so two
-	// clients that differ only in whether they spelled it out coalesce.
-	r.World.Mechanisms = true
-	return nil
-}
-
-func sortDedupe(in []string) []string {
-	if len(in) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		s = strings.TrimSpace(s)
-		if s == "" || seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// worldConfigOf extracts a request's evasion overlay (zero value when
-// the request type carries none).
-func worldConfigOf(req any) WorldConfig {
-	switch r := req.(type) {
-	case *IdentifyRequest:
-		return r.World
-	case *ConfirmRequest:
-		return r.World
-	case *CharacterizeRequest:
-		return r.World
-	case *DiscoverRequest:
-		return r.World
-	case *MechanismsRequest:
-		return r.World
-	}
-	return WorldConfig{}
-}
-
-// worldHash is the fingerprint of the effective world.Options a request
-// runs under: the request's evasion overlay applied to the server's base
-// options. It is the same hash the snapshot store records, so a cached
-// body and a persisted snapshot of the same run share a config identity.
-func (s *Server) worldHash(req any) string {
-	return store.ConfigHash(worldConfigOf(req).options(s.opts.World))
+	return req, nil
 }
 
 // requestKey derives the cache/singleflight key from a normalized
-// request: kind, the effective world-config hash, and the request's
-// deterministic JSON encoding. Hashing the *effective* options (not just
-// the request overlay) keeps results from one base-world configuration
-// from being served after the server is restarted onto another — two
-// servers with different seeds or evasion baselines never share keys.
+// request: kind, the effective world-config hash (the same hash the
+// snapshot store records), and the request's deterministic JSON
+// encoding. Hashing the *effective* options keeps results from one
+// base-world configuration from being served after the server is
+// restarted onto another.
 func (s *Server) requestKey(kind string, req any) string {
-	b, err := json.Marshal(req)
+	body := req
+	if r, ok := req.(*plan.Request); ok {
+		// A plan request's world enters the key through its hash; the
+		// shadowing field keeps the options out of the JSON, so the hot
+		// path marshals them once.
+		body = struct {
+			*plan.Request
+			World *struct{} `json:"world,omitempty"`
+		}{Request: r}
+	}
+	b, err := json.Marshal(body)
 	if err != nil {
 		// Request types marshal by construction; a failure here is a
 		// programming error, and an unshareable key is the safe fallback.
 		return kind + ":unmarshalable"
 	}
-	return kind + ":" + s.worldHash(req) + ":" + string(b)
+	return kind + ":" + store.ConfigHash(s.worldOptions(req)) + ":" + string(b)
+}
+
+// worldOptions returns the effective world options a request runs under.
+func (s *Server) worldOptions(req any) world.Options {
+	if r, ok := req.(*plan.Request); ok {
+		return r.World
+	}
+	return req.(*ConfirmRequest).World.options(s.opts.World)
 }
 
 // ---- dispatch: cache -> singleflight -> pipeline ----
@@ -631,116 +550,30 @@ func (s *Server) execute(ctx context.Context, kind string, req any) ([]byte, err
 		}
 	}
 	s.metrics.run(kind)
-	var doc any
-	var err error
-	if s.clusterRt != nil {
-		if creq, ok := s.clusterRequest(kind, req); ok {
-			doc, err = s.clusterRt.coord.Run(ctx, creq)
-			if err != nil {
-				return nil, err
-			}
-			if docDegraded(doc) {
-				s.metrics.runDegraded(kind)
-			}
-			return json.Marshal(doc)
-		}
-	}
-	switch kind {
-	case KindIdentify:
-		doc, err = s.runIdentify(ctx, req.(*IdentifyRequest))
-	case KindConfirm:
-		doc, err = s.runConfirm(ctx, req.(*ConfirmRequest))
-	case KindCharacterize:
-		doc, err = s.runCharacterize(ctx, req.(*CharacterizeRequest))
-	case KindDiscover:
-		doc, err = s.runDiscover(ctx, req.(*DiscoverRequest))
-	case KindMechanisms:
-		doc, err = s.runMechanisms(ctx, req.(*MechanismsRequest))
-	default:
-		err = badRequestf("unknown kind %q", kind)
-	}
+	doc, degraded, err := s.run(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	if docDegraded(doc) {
+	if degraded {
 		s.metrics.runDegraded(kind)
 	}
 	return json.Marshal(doc)
 }
 
-// docDegraded reports whether a pipeline document carries the Degraded
-// marker — the run completed on partial results.
-func docDegraded(doc any) bool {
-	switch d := doc.(type) {
-	case report.IdentifyDoc:
-		return d.Degraded
-	case report.Table3Doc:
-		return d.Degraded
-	case report.Table4Doc:
-		return d.Degraded
-	case report.DiscoveryDoc:
-		return d.Degraded
-	case report.MechanismsDoc:
-		return d.Degraded
+// run executes one request. A plan runs on the coordinator's workers in
+// cluster mode and otherwise as a one-shard cluster on the server's
+// runner; a confirmation campaign runs in-process.
+func (s *Server) run(ctx context.Context, req any) (any, bool, error) {
+	r, ok := req.(*plan.Request)
+	switch {
+	case !ok:
+		doc, err := s.runConfirm(ctx, req.(*ConfirmRequest))
+		return doc, doc.Degraded, err
+	case s.clusterRt != nil:
+		return s.clusterRt.coord.Run(ctx, *r)
 	default:
-		return false
+		return s.runner.Run(ctx, *r)
 	}
-}
-
-// runIdentify executes the §3 pipeline. Default-world requests reuse the
-// base world and its once-scanned banner index — the cached hot path;
-// evasion-configured requests scan a dedicated world.
-func (s *Server) runIdentify(ctx context.Context, req *IdentifyRequest) (report.IdentifyDoc, error) {
-	w := s.base
-	var index *scanner.Index
-	if req.World.zero() {
-		var err error
-		if index, err = s.sharedIndex(ctx); err != nil {
-			return report.IdentifyDoc{}, err
-		}
-	} else {
-		fresh, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-		if err != nil {
-			return report.IdentifyDoc{}, err
-		}
-		defer fresh.Close()
-		w = fresh
-	}
-	p, err := w.IdentifyPipeline(ctx, index)
-	if err != nil {
-		return report.IdentifyDoc{}, err
-	}
-	if len(req.Products) > 0 {
-		all := fingerprint.ShodanKeywords()
-		kw := make(map[string][]string, len(req.Products))
-		for _, prod := range req.Products {
-			kw[prod] = all[prod]
-		}
-		p.Keywords = kw
-	}
-	if len(req.Countries) > 0 {
-		p.Countries = req.Countries
-	}
-	rep, err := p.Run(ctx)
-	if err != nil {
-		return report.IdentifyDoc{}, err
-	}
-	return report.IdentifyJSON(rep), nil
-}
-
-// sharedIndex scans the base world's address space once and reuses the
-// banner index for every subsequent default-world identification.
-func (s *Server) sharedIndex(ctx context.Context) (*scanner.Index, error) {
-	s.baseMu.Lock()
-	defer s.baseMu.Unlock()
-	if s.baseIdx == nil {
-		idx, err := s.base.Scanner().ScanNetwork(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("server: base scan: %w", err)
-		}
-		s.baseIdx = idx
-	}
-	return s.baseIdx, nil
 }
 
 // runConfirm executes §4 campaigns, always on a fresh world: a campaign
@@ -769,90 +602,22 @@ func (s *Server) runConfirm(ctx context.Context, req *ConfirmRequest) (report.Ta
 	return report.Table3JSON([]*confirm.Outcome{outcome}), nil
 }
 
-// runCharacterize executes §5 on a fresh world positioned the same way
-// fmcharacterize positions it (clock at +8h, Yemen license window
-// active), so results match the CLI and stay deterministic per request.
-func (s *Server) runCharacterize(ctx context.Context, req *CharacterizeRequest) (report.Table4Doc, error) {
-	w, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-	if err != nil {
-		return report.Table4Doc{}, err
-	}
-	defer w.Close()
-	w.Clock.Advance(8 * time.Hour)
-	reports, err := w.RunCharacterizationFor(ctx, req.ISPs)
-	if err != nil {
-		return report.Table4Doc{}, err
-	}
-	return report.Table4JSON(reports), nil
-}
-
-// runDiscover executes the discovery crawl on a fresh world positioned
-// like characterization (clock at +8h, Yemen license window active), so
-// results match fmdiscover and stay deterministic per request.
-func (s *Server) runDiscover(ctx context.Context, req *DiscoverRequest) (report.DiscoveryDoc, error) {
-	w, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-	if err != nil {
-		return report.DiscoveryDoc{}, err
-	}
-	defer w.Close()
-	w.Clock.Advance(8 * time.Hour)
-	targets, err := w.RunDiscovery(ctx, world.DiscoveryOptions{
-		ISPs:   req.ISPs,
-		Rounds: req.Rounds,
-		Budget: req.Budget,
-	})
-	if err != nil {
-		return report.DiscoveryDoc{}, err
-	}
-	return discoveryDoc(req.Rounds, req.Budget, targets), nil
-}
-
-// discoveryDoc builds the discovery document from world targets.
-func discoveryDoc(rounds, budget int, targets []world.TargetDiscovery) report.DiscoveryDoc {
-	rts := make([]report.DiscoveryTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.DiscoveryTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report})
-	}
-	return report.DiscoveryJSON(rounds, budget, rts, world.DiscoveredList(targets))
-}
-
-// runMechanisms executes the mechanism survey on a fresh world with the
-// censoring-ISP roster enabled (normalize guarantees World.Mechanisms),
-// probing each roster ISP's blocked domains over DNS, raw-TCP, and TLS.
-func (s *Server) runMechanisms(ctx context.Context, req *MechanismsRequest) (report.MechanismsDoc, error) {
-	w, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-	if err != nil {
-		return report.MechanismsDoc{}, err
-	}
-	defer w.Close()
-	targets, err := w.RunMechanismSurveyFor(ctx, req.ISPs)
-	if err != nil {
-		return report.MechanismsDoc{}, err
-	}
-	return mechanismsDoc(targets), nil
-}
-
-// mechanismsDoc builds the mechanism document from world targets.
-func mechanismsDoc(targets []world.MechanismSurveyTarget) report.MechanismsDoc {
-	rts := make([]report.MechanismTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.MechanismTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results})
-	}
-	return report.MechanismsJSON(rts)
-}
-
 // ---- handlers ----
 
-func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
-	var req IdentifyRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+// handlePlan serves POST /v1/{kind} for one plan kind.
+func (s *Server) handlePlan(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body PlanRequest
+		if !s.decodeBody(w, r, &body) {
+			return
+		}
+		req, err := s.planRequest(kind, body)
+		if err != nil {
+			jsonError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		s.dispatch(w, r, kind, req)
 	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindIdentify, &req)
 }
 
 func (s *Server) handleConfirm(w http.ResponseWriter, r *http.Request) {
@@ -860,10 +625,7 @@ func (s *Server) handleConfirm(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	req.Campaign = strings.TrimSpace(req.Campaign)
 	if err := s.validateCampaign(req.Campaign); err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
@@ -883,42 +645,6 @@ func (s *Server) validateCampaign(key string) error {
 		}
 	}
 	return badRequestf("unknown campaign %q", key)
-}
-
-func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	var req CharacterizeRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindCharacterize, &req)
-}
-
-func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
-	var req DiscoverRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindDiscover, &req)
-}
-
-func (s *Server) handleMechanisms(w http.ResponseWriter, r *http.Request) {
-	var req MechanismsRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindMechanisms, &req)
 }
 
 // dispatch implements the pipeline endpoints' contract: synchronous when
@@ -994,38 +720,41 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // parseKindRequest decodes and normalizes a kind-specific request body.
 func (s *Server) parseKindRequest(kind string, raw json.RawMessage) (any, error) {
-	unmarshal := func(v interface{ normalize() error }) (any, error) {
-		if len(raw) > 0 {
-			if err := json.Unmarshal(raw, v); err != nil {
-				return nil, badRequestf("bad %s request: %v", kind, err)
-			}
-		}
-		if err := v.normalize(); err != nil {
-			return nil, err
-		}
-		return v, nil
+	if kind != KindConfirm {
+		return s.parsePlanRequest(kind, raw, "unknown job kind %q")
 	}
-	switch kind {
-	case KindIdentify:
-		return unmarshal(&IdentifyRequest{})
-	case KindConfirm:
-		req, err := unmarshal(&ConfirmRequest{})
-		if err != nil {
-			return nil, err
-		}
-		if err := s.validateCampaign(req.(*ConfirmRequest).Campaign); err != nil {
-			return nil, err
-		}
-		return req, nil
-	case KindCharacterize:
-		return unmarshal(&CharacterizeRequest{})
-	case KindDiscover:
-		return unmarshal(&DiscoverRequest{})
-	case KindMechanisms:
-		return unmarshal(&MechanismsRequest{})
-	default:
-		return nil, badRequestf("unknown job kind %q", kind)
+	var req ConfirmRequest
+	if err := unmarshalRequest(kind, raw, &req); err != nil {
+		return nil, err
 	}
+	req.Campaign = strings.TrimSpace(req.Campaign)
+	if err := s.validateCampaign(req.Campaign); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// parsePlanRequest decodes and normalizes a plan kind's request body,
+// rejecting kinds outside the registry with unknownf.
+func (s *Server) parsePlanRequest(kind string, raw json.RawMessage, unknownf string) (*plan.Request, error) {
+	if _, ok := plan.Lookup(kind); !ok {
+		return nil, badRequestf(unknownf, kind)
+	}
+	var body PlanRequest
+	if err := unmarshalRequest(kind, raw, &body); err != nil {
+		return nil, err
+	}
+	return s.planRequest(kind, body)
+}
+
+func unmarshalRequest(kind string, raw json.RawMessage, v any) error {
+	if len(raw) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		return badRequestf("bad %s request: %v", kind, err)
+	}
+	return nil
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -1063,29 +792,43 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // artifacts, through the same cache/singleflight as the pipeline
 // endpoints.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	kind := r.PathValue("kind")
-	switch kind {
+	var kind string
+	var reshape func([]byte) (any, error)
+	switch name := r.PathValue("kind"); name {
 	case "table1":
 		writeJSON(w, http.StatusOK, report.Table1JSON())
+		return
 	case "table3":
 		s.serveCached(w, r, KindConfirm, &ConfirmRequest{}, nil)
+		return
 	case "table4":
-		s.serveCached(w, r, KindCharacterize, &CharacterizeRequest{}, nil)
+		kind = KindCharacterize
 	case "mechanisms":
-		s.serveCached(w, r, KindMechanisms, &MechanismsRequest{World: WorldConfig{Mechanisms: true}}, nil)
+		kind = KindMechanisms
 	case "figure1":
-		s.serveCached(w, r, KindIdentify, &IdentifyRequest{}, nil)
+		kind = KindIdentify
 	case "installations":
-		s.serveCached(w, r, KindIdentify, &IdentifyRequest{}, func(val []byte) (any, error) {
-			var doc report.IdentifyDoc
-			if err := json.Unmarshal(val, &doc); err != nil {
-				return nil, err
-			}
-			return map[string]any{"installations": doc.Installations}, nil
-		})
+		kind, reshape = KindIdentify, installationsOnly
 	default:
-		jsonError(w, http.StatusNotFound, fmt.Sprintf("unknown report %q", kind))
+		jsonError(w, http.StatusNotFound, fmt.Sprintf("unknown report %q", name))
+		return
 	}
+	req, err := s.planRequest(kind, PlanRequest{})
+	if err != nil {
+		jsonError(w, errorStatus(err), err.Error())
+		return
+	}
+	s.serveCached(w, r, kind, req, reshape)
+}
+
+// installationsOnly reshapes a cached identify document into the
+// installations report.
+func installationsOnly(val []byte) (any, error) {
+	var doc report.IdentifyDoc
+	if err := json.Unmarshal(val, &doc); err != nil {
+		return nil, err
+	}
+	return map[string]any{"installations": doc.Installations}, nil
 }
 
 // serveCached runs a default-parameter pipeline through the cache and

@@ -101,6 +101,12 @@ func TestIdentifyEndToEnd(t *testing.T) {
 	if len(doc.ProductCountries) == 0 {
 		t.Fatal("identify returned no product->countries map")
 	}
+	var first MetricsDoc
+	doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &first)
+	scanned := first.Engine.Stage("scan").Attempts
+	if scanned == 0 {
+		t.Fatal("the first identify run recorded no scan")
+	}
 
 	// Second call (no wait) must answer from the cache, synchronously.
 	var cached report.IdentifyDoc
@@ -149,6 +155,10 @@ func TestIdentifyEndToEnd(t *testing.T) {
 	}
 	if len(md.Engine.Stages) == 0 {
 		t.Fatal("metrics carry no engine stage stats")
+	}
+	// Both runs used the base world and its one banner scan.
+	if got := md.Engine.Stage("scan").Attempts; got != scanned {
+		t.Fatalf("scan attempts = %d after two identify runs, want %d (one scan of the base world)", got, scanned)
 	}
 }
 
@@ -225,14 +235,14 @@ func TestMechanismsEndpoint(t *testing.T) {
 		MechanismsRequest{ISPs: []string{"NoSuchISP"}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 
-	// normalize forces World.Mechanisms on, so a request that spells the
-	// flag out coalesces onto the same cache key as one that omits it.
-	a := &MechanismsRequest{ISPs: []string{"Nayatel"}}
-	b := &MechanismsRequest{ISPs: []string{"Nayatel"}, World: WorldConfig{Mechanisms: true}}
-	if err := a.normalize(); err != nil {
+	// Normalization forces World.Mechanisms on, so a request that spells
+	// the flag out coalesces onto the same cache key as one that omits it.
+	a, err := srv.planRequest(KindMechanisms, MechanismsRequest{ISPs: []string{"Nayatel"}})
+	if err != nil {
 		t.Fatalf("normalize a: %v", err)
 	}
-	if err := b.normalize(); err != nil {
+	b, err := srv.planRequest(KindMechanisms, MechanismsRequest{ISPs: []string{"Nayatel"}, World: WorldConfig{Mechanisms: true}})
+	if err != nil {
 		t.Fatalf("normalize b: %v", err)
 	}
 	if ka, kb := srv.requestKey(KindMechanisms, a), srv.requestKey(KindMechanisms, b); ka != kb {
@@ -252,8 +262,15 @@ func TestWorldConfigMechanismsOmittedWhenUnset(t *testing.T) {
 		t.Fatalf("zero WorldConfig leaks the mechanisms key: %s", b)
 	}
 	srv, _ := newTestServer(t, Options{})
-	plain := srv.requestKey(KindIdentify, &IdentifyRequest{})
-	withMech := srv.requestKey(KindIdentify, &IdentifyRequest{World: WorldConfig{Mechanisms: true}})
+	plainReq, err := srv.planRequest(KindIdentify, IdentifyRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mechReq, err := srv.planRequest(KindIdentify, IdentifyRequest{World: WorldConfig{Mechanisms: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, withMech := srv.requestKey(KindIdentify, plainReq), srv.requestKey(KindIdentify, mechReq)
 	if plain == withMech {
 		t.Fatal("enabling World.Mechanisms must change the request key")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"filtermap/internal/longitudinal"
 	"filtermap/internal/monitor"
+	"filtermap/internal/plan"
 	"filtermap/internal/store"
 )
 
@@ -31,42 +32,6 @@ type snapshotRecordRequest struct {
 	Request json.RawMessage `json:"request,omitempty"`
 }
 
-// storeKindFor maps a pipeline kind to the snapshot kind its document is
-// stored under.
-func storeKindFor(kind string) (string, error) {
-	switch kind {
-	case KindIdentify:
-		return longitudinal.KindIdentify, nil
-	case KindCharacterize:
-		return longitudinal.KindTable4, nil
-	case KindDiscover:
-		return longitudinal.KindDiscovery, nil
-	case KindMechanisms:
-		return longitudinal.KindMechanisms, nil
-	case KindConfirm:
-		return "", badRequestf("confirmation campaigns are single-use timelines; snapshot %q or %q instead", KindIdentify, KindCharacterize)
-	default:
-		return "", badRequestf("unknown snapshot kind %q", kind)
-	}
-}
-
-// pipelineKindFor is storeKindFor's inverse: the pipeline kind whose
-// cached reports a snapshot of the given store kind supersedes.
-func pipelineKindFor(storeKind string) (string, bool) {
-	switch storeKind {
-	case longitudinal.KindIdentify:
-		return KindIdentify, true
-	case longitudinal.KindTable4:
-		return KindCharacterize, true
-	case longitudinal.KindDiscovery:
-		return KindDiscover, true
-	case longitudinal.KindMechanisms:
-		return KindMechanisms, true
-	default:
-		return "", false
-	}
-}
-
 // handleSnapshotRecord runs the requested pipeline (through the result
 // cache) and appends its document to the snapshot store, keyed by the
 // base world's virtual time and the effective world-config hash. Identical
@@ -77,16 +42,17 @@ func (s *Server) handleSnapshotRecord(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	storeKind, err := storeKindFor(body.Kind)
+	if body.Kind == KindConfirm {
+		jsonError(w, http.StatusBadRequest, fmt.Sprintf(
+			"confirmation campaigns are single-use timelines; snapshot %q or %q instead", KindIdentify, KindCharacterize))
+		return
+	}
+	req, err := s.parsePlanRequest(body.Kind, body.Request, "unknown snapshot kind %q")
 	if err != nil {
 		jsonError(w, errorStatus(err), err.Error())
 		return
 	}
-	req, err := s.parseKindRequest(body.Kind, body.Request)
-	if err != nil {
-		jsonError(w, errorStatus(err), err.Error())
-		return
-	}
+	p, _ := plan.Lookup(req.Kind)
 	key := s.requestKey(body.Kind, req)
 	val, err := s.cachedRun(r.Context(), body.Kind, key, req)
 	if err != nil {
@@ -94,9 +60,9 @@ func (s *Server) handleSnapshotRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta, err := s.snaps.Append(store.Snapshot{
-		Kind:   storeKind,
+		Kind:   p.StoreKind,
 		At:     s.base.Clock.Now(),
-		Config: s.worldHash(req),
+		Config: store.ConfigHash(req.World),
 		Note:   body.Note,
 		Body:   val,
 	})
@@ -114,7 +80,7 @@ func (s *Server) handleSnapshotRecord(w http.ResponseWriter, r *http.Request) {
 	// API-recorded snapshots alongside monitor ticks.
 	s.broker.Publish(monitor.Event{
 		At: s.base.Clock.Now(), Type: monitor.EventSnapshot,
-		Plan: "api", Kind: storeKind,
+		Plan: "api", Kind: p.StoreKind,
 		Seq: meta.Seq, SnapshotID: meta.ID, Deduped: meta.Deduped,
 		Note: body.Note,
 	})

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"sync"
 	"time"
 
 	"filtermap/internal/categorydb"
@@ -168,6 +169,12 @@ type World struct {
 	// default profile).
 	scale *scaleRealm
 
+	// clients records every measurement client MeasureClient handed out,
+	// so Close can release the keep-alive connections their pools hold.
+	// One entry per MeasureClient call over the world's life.
+	clientsMu sync.Mutex
+	clients   []*measurement.Client
+
 	// Deployment handles for tests and ablations.
 	YemenLicense *licenseHandle
 }
@@ -207,14 +214,14 @@ func Build(opts Options, engOpts ...engine.Option) (*World, error) {
 		engCfg.Sleep = func(_ context.Context, d time.Duration) { clock.Advance(d) }
 	}
 	w := &World{
-		Opts:       opts,
-		Clock:      clock,
-		Net:        netsim.New(clock),
-		Engine:     engCfg,
-		GeoDB:      &geo.DB{},
-		ASTable:    &geo.ASTable{},
-		Dir:        urllist.NewDirectory(),
-		Gen:        urllist.NewGenerator(opts.Seed + 1),
+		Opts:           opts,
+		Clock:          clock,
+		Net:            netsim.New(clock),
+		Engine:         engCfg,
+		GeoDB:          &geo.DB{},
+		ASTable:        &geo.ASTable{},
+		Dir:            urllist.NewDirectory(),
+		Gen:            urllist.NewGenerator(opts.Seed + 1),
 		FieldHosts:     make(map[string]*netsim.Host),
 		FieldResolvers: make(map[string]netip.Addr),
 	}
@@ -271,8 +278,20 @@ func MustBuild(opts Options) *World {
 	return w
 }
 
-// Close shuts the simulated network down.
-func (w *World) Close() { w.Net.Close() }
+// Close shuts the simulated network down, first closing every pooled
+// keep-alive connection its measurement clients parked: closing the
+// listeners alone leaves those connections, and the product goroutines
+// serving them, alive.
+func (w *World) Close() {
+	w.clientsMu.Lock()
+	clients := w.clients
+	w.clients = nil
+	w.clientsMu.Unlock()
+	for _, c := range clients {
+		c.CloseIdle()
+	}
+	w.Net.Close()
+}
 
 // Stats returns the engine metrics registry shared by every pooled stage
 // this world runs (scan, search, validate, whois, geo, measure,
@@ -330,7 +349,11 @@ func (w *World) MeasureClient(isp string) (*measurement.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &measurement.Client{Field: field, Lab: w.LabVantage(), Config: w.Engine}, nil
+	c := &measurement.Client{Field: field, Lab: w.LabVantage(), Config: w.Engine}
+	w.clientsMu.Lock()
+	w.clients = append(w.clients, c)
+	w.clientsMu.Unlock()
+	return c, nil
 }
 
 // LabClient returns an HTTP client dialing from the lab (the researchers'

@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -255,5 +256,34 @@ func TestNetsweeperAutoQueueTaintsPreTest(t *testing.T) {
 		if res := client.TestURL(ctx, u); res.Verdict != measurement.Blocked {
 			t.Fatalf("pre-tested site %s verdict = %v, want blocked by auto-categorization", u, res.Verdict)
 		}
+	}
+}
+
+// TestCloseReleasesPooledConnections pins World.Close against the
+// keep-alive leak: characterization and the mechanism survey park
+// pooled connections whose server-side goroutines must all exit when
+// the world closes.
+func TestCloseReleasesPooledConnections(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	w, err := Build(Options{Mechanisms: &MechanismOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	w.Clock.Advance(8 * time.Hour)
+	if _, err := w.RunCharacterization(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunMechanismSurvey(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
