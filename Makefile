@@ -171,5 +171,14 @@ alloc-gate:
 bench-module:
 	cd bench && go vet ./... && go test ./...
 
+# Keep deleted APIs deleted: fail when a non-test .go file outside the
+# benchmark module carries a "// Deprecated:" marker. Delete the API
+# instead; the goldens pin the behaviour that stays.
+.PHONY: deprecated-gate
+deprecated-gate:
+	@if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build '// Deprecated:' .; then \
+		echo "deprecated-gate: delete the API instead of deprecating it" >&2; exit 1; \
+	fi
+
 .PHONY: ci
-ci: test-gate test race chaos-golden monitor-golden cluster-golden world-golden bench-module
+ci: test-gate deprecated-gate test race chaos-golden monitor-golden cluster-golden world-golden bench-module

@@ -32,6 +32,7 @@ import (
 
 	"filtermap/internal/longitudinal"
 	"filtermap/internal/version"
+	"filtermap/internal/world"
 )
 
 func main() {
@@ -41,30 +42,17 @@ func main() {
 	budget := flag.Int("budget", 0, "max probes per target (0 = default)")
 	isps := flag.String("isps", "", "comma-separated ISP subset (default: every characterization target)")
 	seed := flag.Int64("seed", 0, "world seed")
-	workers := flag.Int("workers", 0, "engine worker-pool size (0 = default)")
 	asJSON := flag.Bool("json", false, "emit the discovery document as JSON")
 	stats := flag.Bool("stats", false, "append per-stage engine statistics")
 	storeDir := flag.String("store", "", "record the run into this snapshot store directory")
 	table4 := flag.Bool("table4", false, "fold the discovered list into a re-measurement and print Table 4")
-	scale := flag.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a lazily-materialized synthetic population")
-	chaosSeed := flag.Uint64("chaos", 0, "nonzero: install the deterministic fault-injection plan with this seed")
-	faultProfile := flag.String("fault-profile", "",
-		fmt.Sprintf("fault profile for -chaos, one of %s (default %q)",
-			strings.Join(filtermap.FaultProfiles(), ", "), filtermap.DefaultFaultProfile))
+	worldFlags := world.Flags(flag.CommandLine)
 	checkVersion := version.Flag(flag.CommandLine, "fmdiscover")
 	flag.Parse()
 	checkVersion()
 
-	var engOpts []filtermap.Option
-	if *workers > 0 {
-		engOpts = append(engOpts, filtermap.WithWorkers(*workers))
-	}
-	w, err := filtermap.NewWorld(filtermap.Options{
-		Seed:         *seed,
-		ChaosSeed:    *chaosSeed,
-		FaultProfile: *faultProfile,
-		Scale:        *scale,
-	}, engOpts...)
+	worldOpts, engOpts := worldFlags(filtermap.Options{Seed: *seed})
+	w, err := filtermap.NewWorld(worldOpts, engOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}

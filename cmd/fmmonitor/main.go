@@ -30,6 +30,7 @@ import (
 	"filtermap"
 
 	"filtermap/internal/version"
+	"filtermap/internal/world"
 )
 
 func main() {
@@ -39,17 +40,12 @@ func main() {
 	tick := flag.Duration("tick", 0, "virtual duration of one tick (0 = 24h)")
 	seed := flag.Uint64("seed", 0, "churn/jitter script seed")
 	worldSeed := flag.Int64("world-seed", 0, "monitored-world seed")
-	workers := flag.Int("workers", 0, "engine worker-pool size (0 = default)")
 	plans := flag.String("plans", "", "comma-separated plan subset: identify, mechanisms, discovery (default: all)")
 	noChurn := flag.Bool("no-churn", false, "freeze the landscape (no installs/removals between ticks)")
 	asJSON := flag.Bool("json", false, "emit the event stream as JSON lines")
 	summary := flag.Bool("summary", false, "append the scheduler-counter summary")
 	storeDir := flag.String("store", "", "persist snapshots into this store directory (default: in-memory)")
-	scale := flag.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a lazily-materialized synthetic population")
-	chaosSeed := flag.Uint64("chaos", 0, "nonzero: install the deterministic fault-injection plan with this seed")
-	faultProfile := flag.String("fault-profile", "",
-		fmt.Sprintf("fault profile for -chaos, one of %s (default %q)",
-			strings.Join(filtermap.FaultProfiles(), ", "), filtermap.DefaultFaultProfile))
+	worldFlags := world.Flags(flag.CommandLine)
 	checkVersion := version.Flag(flag.CommandLine, "fmmonitor")
 	flag.Parse()
 	checkVersion()
@@ -68,20 +64,12 @@ func main() {
 	}
 	defer st.Close()
 
-	var engOpts []filtermap.Option
-	if *workers > 0 {
-		engOpts = append(engOpts, filtermap.WithWorkers(*workers))
-	}
+	worldOpts, engOpts := worldFlags(filtermap.Options{Seed: *worldSeed})
 	mon, err := filtermap.NewMonitor(filtermap.MonitorOptions{
-		Seed:  *seed,
-		Tick:  *tick,
-		Plans: selected,
-		World: filtermap.Options{
-			Seed:         *worldSeed,
-			ChaosSeed:    *chaosSeed,
-			FaultProfile: *faultProfile,
-			Scale:        *scale,
-		},
+		Seed:    *seed,
+		Tick:    *tick,
+		Plans:   selected,
+		World:   worldOpts,
 		Engine:  engOpts,
 		NoChurn: *noChurn,
 	}, st)

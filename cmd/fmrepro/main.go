@@ -40,31 +40,20 @@ import (
 	"filtermap/internal/report"
 	"filtermap/internal/urllist"
 	"filtermap/internal/version"
+	"filtermap/internal/world"
 )
 
 var (
-	showStats = flag.Bool("stats", false, "print per-stage engine timing tables to stderr")
-	jsonOut   = flag.Bool("json", false, "emit machine-readable artifacts as JSON (fmserve's encoding)")
-
-	chaosSeed = flag.Uint64("chaos", 0, "nonzero: install the deterministic fault-injection plan with this seed")
-	faultProfile = flag.String("fault-profile", "",
-		fmt.Sprintf("fault profile for -chaos, one of %s (default %q)",
-			strings.Join(filtermap.FaultProfiles(), ", "), filtermap.DefaultFaultProfile))
-	workers = flag.Int("workers", 0, "worker-pool size for pooled pipeline stages (0 = engine default)")
-	scale   = flag.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a lazily-materialized synthetic population")
+	showStats  = flag.Bool("stats", false, "print per-stage engine timing tables to stderr")
+	jsonOut    = flag.Bool("json", false, "emit machine-readable artifacts as JSON (fmserve's encoding)")
+	worldFlags = world.Flags(flag.CommandLine)
 )
 
-// newWorld builds a world for one step, folding in the global -chaos,
-// -fault-profile and -workers flags.
+// newWorld builds a world for one step, folding in the global -workers,
+// -scale, -chaos and -fault-profile flags.
 func newWorld(base filtermap.Options) (*filtermap.World, error) {
-	base.ChaosSeed = *chaosSeed
-	base.FaultProfile = *faultProfile
-	base.Scale = *scale
-	var engOpts []filtermap.Option
-	if *workers > 0 {
-		engOpts = append(engOpts, filtermap.WithWorkers(*workers))
-	}
-	return filtermap.NewWorld(base, engOpts...)
+	opts, engOpts := worldFlags(base)
+	return filtermap.NewWorld(opts, engOpts...)
 }
 
 // emitJSON prints a document the way fmserve does: compact JSON plus a
@@ -150,14 +139,7 @@ func table1(context.Context) error {
 }
 
 func table2(context.Context) error {
-	sigDescs := make(map[string][]string)
-	for _, sig := range fingerprint.Table2Signatures() {
-		var parts []string
-		for _, m := range sig.Matchers {
-			parts = append(parts, m.Describe())
-		}
-		sigDescs[sig.Product] = append(sigDescs[sig.Product], strings.Join(parts, " AND "))
-	}
+	sigDescs := fingerprint.Table2SignatureDescriptions()
 	if *jsonOut {
 		return emitJSON(report.Table2JSON(fingerprint.ShodanKeywords(), sigDescs))
 	}
@@ -279,15 +261,7 @@ func mechanisms(ctx context.Context) error {
 		doc.Stats = jsonStats(w)
 		return emitJSON(doc)
 	}
-	sigDescs := make(map[string][]string)
-	for _, sig := range fingerprint.Table2Signatures() {
-		var parts []string
-		for _, m := range sig.Matchers {
-			parts = append(parts, m.Describe())
-		}
-		sigDescs[sig.Product] = append(sigDescs[sig.Product], strings.Join(parts, " AND "))
-	}
-	fmt.Print(report.Table2WithMechanisms(fingerprint.ShodanKeywords(), sigDescs,
+	fmt.Print(report.Table2WithMechanisms(fingerprint.ShodanKeywords(), fingerprint.Table2SignatureDescriptions(),
 		fingerprint.MechanismSignatureDescriptions()))
 	fmt.Println()
 	fmt.Print(r.Mechanisms(targets))

@@ -24,12 +24,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"filtermap"
 
 	"filtermap/internal/scanner"
 	"filtermap/internal/version"
+	"filtermap/internal/world"
 )
 
 func main() {
@@ -38,22 +38,14 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the identification report as JSON (fmserve's /v1/identify encoding)")
 	saveCensus := flag.String("save-census", "", "write the banner index to a census JSONL file after scanning")
 	loadCensus := flag.String("load-census", "", "load the banner index from a census JSONL file instead of scanning")
-	workers := flag.Int("workers", 0, "worker-pool size for scan/validate/geo stages (0 = default)")
 	showStats := flag.Bool("stats", false, "print the per-stage engine timing table to stderr")
-	chaosSeed := flag.Uint64("chaos", 0, "nonzero: install the deterministic fault-injection plan with this seed")
-	faultProfile := flag.String("fault-profile", "",
-		fmt.Sprintf("fault profile for -chaos, one of %s (default %q)",
-			strings.Join(filtermap.FaultProfiles(), ", "), filtermap.DefaultFaultProfile))
-	scale := flag.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a lazily-materialized synthetic population")
+	worldFlags := world.Flags(flag.CommandLine)
 	checkVersion := version.Flag(flag.CommandLine, "fmscan")
 	flag.Parse()
 	checkVersion()
 
-	w, err := filtermap.NewWorld(filtermap.Options{
-		ChaosSeed:    *chaosSeed,
-		FaultProfile: *faultProfile,
-		Scale:        *scale,
-	}, filtermap.WithWorkers(*workers))
+	opts, engOpts := worldFlags(filtermap.Options{})
+	w, err := filtermap.NewWorld(opts, engOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 //	        [-cache-ttl 5m] [-cache-entries 256]
 //	        [-rate 0] [-burst 8] [-max-body 1048576] [-store DIR]
 //	        [-monitor] [-monitor-seed N] [-monitor-tick 24h] [-watch-retain N]
-//	        [-role coordinator|worker|both] [-coordinator URL] [-worker-id ID]
-//	        [-cluster-workers N] [-lease-ttl 10s] [-cluster-token SECRET]
+//	        [-role coordinator|both] [-cluster-workers N] [-lease-ttl 10s]
+//	        [-cluster-token SECRET]
 //	        [-follow URL] [-follow-interval 2s]
 //
 // With -store, snapshot endpoints persist to the same append-only log
@@ -34,28 +34,23 @@
 //
 // -role enables distributed scan-out. "coordinator" shards identify,
 // characterize, discovery and mechanism requests across workers joining
-// over POST /v1/cluster/lease; "both" additionally runs -cluster-workers
-// in-process workers so one binary serves and executes; "worker" runs no
-// HTTP server at all — it leases shards from -coordinator exactly like
-// cmd/fmworker. -follow makes this server a read-only replica tailing
-// the coordinator's replication log (GET /v1/cluster/log) into its own
-// snapshot store.
+// over POST /v1/cluster/lease (run them with cmd/fmworker); "both"
+// additionally runs -cluster-workers in-process workers so one binary
+// serves and executes. -follow makes this server a read-only replica
+// tailing the coordinator's replication log (GET /v1/cluster/log) into
+// its own snapshot store.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: the listener
 // stops, queued and running jobs drain (bounded by -drain), and the
-// world closes. A -role worker process finishes or relinquishes its
-// leases before exiting, so the coordinator reassigns them within one
-// heartbeat interval.
+// world closes.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -79,9 +74,7 @@ func main() {
 	monitorSeed := flag.Uint64("monitor-seed", 0, "monitor churn/jitter seed (with -monitor)")
 	monitorTick := flag.Duration("monitor-tick", 0, "virtual duration of one monitor tick (with -monitor; 0 = 24h)")
 	watchRetain := flag.Int("watch-retain", 0, "events retained for /v1/watch replay (0 = default)")
-	role := flag.String("role", "", "cluster role: coordinator, worker or both (empty = standalone, no cluster)")
-	coordinator := flag.String("coordinator", "", "coordinator base URL (with -role worker)")
-	workerID := flag.String("worker-id", "", "worker id on the ring (with -role worker; default worker-<pid>)")
+	role := flag.String("role", "", "cluster role: coordinator or both (empty = standalone, no cluster; run workers with fmworker)")
 	clusterWorkers := flag.Int("cluster-workers", 1, "in-process workers (with -role both)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "shard lease TTL before reassignment (with -role coordinator|both)")
 	clusterToken := flag.String("cluster-token", "", "shared secret protecting /v1/cluster/*; workers and followers must send it (empty = open)")
@@ -96,11 +89,6 @@ func main() {
 	var engOpts []filtermap.Option
 	if *workers > 0 {
 		engOpts = append(engOpts, filtermap.WithWorkers(*workers))
-	}
-
-	if *role == "worker" {
-		runWorker(*coordinator, *workerID, *clusterToken, *drain, engOpts)
-		return
 	}
 	opts := filtermap.ServeOptions{
 		World:           filtermap.Options{Scale: *scale},
@@ -118,7 +106,7 @@ func main() {
 		opts.Monitor = &filtermap.MonitorOptions{Seed: *monitorSeed, Tick: *monitorTick}
 	}
 	switch *role {
-	case "", "worker":
+	case "":
 	case filtermap.RoleCoordinator, filtermap.RoleBoth:
 		opts.Cluster = &filtermap.ClusterOptions{
 			Role:         *role,
@@ -126,7 +114,7 @@ func main() {
 			LocalWorkers: *clusterWorkers,
 		}
 	default:
-		log.Fatalf("fmserve: unknown -role %q (want coordinator, worker or both)", *role)
+		log.Fatalf("fmserve: unknown -role %q (want coordinator or both; run workers with fmworker)", *role)
 	}
 	if *follow != "" {
 		opts.Follow = *follow
@@ -161,45 +149,4 @@ func main() {
 		log.Printf("fmserve: job drain: %v", err)
 	}
 	log.Print("fmserve stopped")
-}
-
-// runWorker is the -role worker path: no HTTP server, just the lease
-// loop against -coordinator, with the same graceful-drain contract as
-// cmd/fmworker.
-func runWorker(coordinator, id, token string, drain time.Duration, engOpts []filtermap.Option) {
-	if coordinator == "" {
-		log.Fatal("fmserve: -role worker requires -coordinator URL")
-	}
-	if id == "" {
-		id = fmt.Sprintf("worker-%d", os.Getpid())
-	}
-	w := filtermap.NewClusterWorkerWithToken(id, coordinator, token, engOpts...)
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	runCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	log.Printf("fmserve worker %s leasing from %s", id, coordinator)
-	done := make(chan error, 1)
-	go func() { done <- w.Run(runCtx) }()
-
-	select {
-	case <-done:
-		log.Printf("fmserve worker %s stopped", id)
-		return
-	case <-sigCtx.Done():
-	}
-	stop()
-
-	log.Printf("fmserve worker %s draining (budget %s)", id, drain)
-	w.Drain()
-	select {
-	case <-done:
-	case <-time.After(drain):
-		log.Printf("fmserve worker %s drain budget exceeded; aborting lease", id)
-		cancel()
-		<-done
-	}
-	log.Printf("fmserve worker %s stopped", id)
 }

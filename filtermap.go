@@ -455,35 +455,5 @@ func mechanismTargets(targets []MechanismSurveyTarget) []report.MechanismTarget 
 // diff prints.
 func (Reporter) DiffText(d *Diff) string { return d.Render() }
 
-// DiffJSON returns the diff document itself (fmserve's GET /v1/diff
-// encoding); it exists for symmetry with the other *JSON renderers.
-func (Reporter) DiffJSON(d *Diff) *Diff { return d }
-
 // Timeline renders a longitudinal timeline as a per-country count table.
 func (Reporter) Timeline(tl *Timeline) string { return tl.Render() }
-
-// RenderTable1 renders the paper's product inventory.
-//
-// Deprecated: use Reporter.Table1.
-func RenderTable1() string { return Reporter{}.Table1() }
-
-// RenderTable3 renders confirmation outcomes in the paper's Table 3
-// layout.
-//
-// Deprecated: use Reporter.Table3.
-func RenderTable3(outcomes []*Outcome) string { return Reporter{}.Table3(outcomes) }
-
-// RenderTable4 renders characterization reports as the Table 4 matrix.
-//
-// Deprecated: use Reporter.Table4.
-func RenderTable4(reports []*CharacterizeReport) string { return Reporter{}.Table4(reports) }
-
-// RenderFigure1 renders the identification report as the Figure 1 map.
-//
-// Deprecated: use Reporter.Figure1.
-func RenderFigure1(rep *IdentifyReport) string { return Reporter{}.Figure1(rep) }
-
-// RenderInstallations renders per-installation identification detail.
-//
-// Deprecated: use Reporter.Installations.
-func RenderInstallations(rep *IdentifyReport) string { return Reporter{}.Installations(rep) }

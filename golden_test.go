@@ -65,14 +65,7 @@ func TestGoldenTable1(t *testing.T) {
 }
 
 func TestGoldenTable2(t *testing.T) {
-	sigDescs := make(map[string][]string)
-	for _, sig := range fingerprint.Table2Signatures() {
-		var parts []string
-		for _, m := range sig.Matchers {
-			parts = append(parts, m.Describe())
-		}
-		sigDescs[sig.Product] = append(sigDescs[sig.Product], strings.Join(parts, " AND "))
-	}
+	sigDescs := fingerprint.Table2SignatureDescriptions()
 	compareGolden(t, "table2.golden", report.Table2(fingerprint.ShodanKeywords(), sigDescs))
 }
 

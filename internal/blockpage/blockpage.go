@@ -13,14 +13,15 @@
 // literal markers of every body pattern are fused into one Aho-Corasick
 // automaton, so a response body is scanned exactly once no matter how
 // large the corpus grows; Location patterns only run on 3xx responses;
-// regexps (user corpora, DeriveBodyRegexp fallbacks) run last. The byte
+// other detectors (match.Regexp for user corpora and DeriveBodyRegexp
+// fallbacks) run as their own stages, lazily, in corpus order. The byte
 // entry point ClassifyBytes performs zero heap allocations on both the
 // hit and miss paths for automaton-backed corpora — see DESIGN.md §12.
 //
 // DeriveBodyRegexp mechanizes the "manual analysis" step: given sample
 // block pages for the same product captured for different URLs, it keeps
-// the lines stable across samples and emits a regexp that matches future
-// instances.
+// the lines stable across samples and emits a detector that matches
+// future instances.
 package blockpage
 
 import (
@@ -64,14 +65,10 @@ type Pattern struct {
 	Where   Where
 	// Detector is the compiled matcher. Literal and ordered-literal
 	// detectors (match.NewLiteral, match.NewOrdered) are fused into the
-	// classifier's single-pass automaton; any other Detector runs as its
-	// own stage in corpus order.
+	// classifier's single-pass automaton; any other Detector (a regexp
+	// pattern is match.NewRegexp(re)) runs as its own stage in corpus
+	// order. A nil Detector never matches.
 	Detector match.Detector
-	// Regexp is the legacy matcher, used only when Detector is nil.
-	//
-	// Deprecated: set Detector. Regexp remains so seed callers compile
-	// unchanged; semantics are identical.
-	Regexp *regexp.Regexp
 }
 
 // Match is a successful classification.
@@ -101,9 +98,9 @@ type ByteMatch struct {
 	Hit match.Hit
 }
 
-// DefaultPatterns returns the vendor block-page corpus. Every entry
-// carries both a Detector (used by the classifier) and the equivalent
-// legacy Regexp (kept for callers that inspect it).
+// DefaultPatterns returns the vendor block-page corpus. Each Detector is
+// the literal form of the regexp §5's manual analysis produced; the
+// differential tests replay those regexps as the frozen reference.
 func DefaultPatterns() []Pattern {
 	return []Pattern{
 		{
@@ -111,45 +108,41 @@ func DefaultPatterns() []Pattern {
 			Name:     "exception-page",
 			Where:    InBody,
 			Detector: match.NewLiteral("your request was denied because of its content categorization"),
-			Regexp:   regexp.MustCompile(`(?i)your request was denied because of its content categorization`),
 		},
 		{
 			Product:  "McAfee SmartFilter",
 			Name:     "mwg-notification",
 			Where:    InBody,
 			Detector: match.NewOrdered([]string{"<title>McAfee Web Gateway - Notification</title>", "URL Blocked"}),
-			Regexp:   regexp.MustCompile(`(?is)<title>McAfee Web Gateway - Notification</title>.*URL Blocked`),
 		},
 		{
 			Product:  "Netsweeper",
 			Name:     "deny-redirect",
 			Where:    InLocation,
 			Detector: match.NewLiteral("/webadmin/deny/"),
-			Regexp:   regexp.MustCompile(`(?i)/webadmin/deny/`),
 		},
 		{
 			Product: "Netsweeper",
 			Name:    "deny-page",
 			Where:   InBody,
-			// A.*B|B matches exactly when B does, so the detector is the
-			// bare second alternative.
+			// The seed regexp "this page has been denied.*powered by
+			// netsweeper|powered by netsweeper" matches exactly when its
+			// second alternative does, so the detector is that literal.
 			Detector: match.NewLiteral("powered by netsweeper"),
-			Regexp:   regexp.MustCompile(`(?i)this page has been denied.*powered by netsweeper|powered by netsweeper`),
 		},
 		{
 			Product: "Websense",
 			Name:    "blockpage-redirect",
 			Where:   InLocation,
-			// (?i) without (?s): the .* gap must not cross a newline.
+			// The seed regexp's .* gap is (?i) without (?s): it must not
+			// cross a newline.
 			Detector: match.NewOrdered([]string{":15871/cgi-bin/blockpage.cgi?", "ws-session="}, match.WithLineGap(true)),
-			Regexp:   regexp.MustCompile(`(?i):15871/cgi-bin/blockpage\.cgi\?.*ws-session=`),
 		},
 		{
 			Product:  "Websense",
 			Name:     "blockpage-body",
 			Where:    InBody,
 			Detector: match.NewLiteral("content blocked by your organization's policy"),
-			Regexp:   regexp.MustCompile(`(?i)content blocked by your organization's policy`),
 		},
 	}
 }
@@ -158,11 +151,10 @@ func DefaultPatterns() []Pattern {
 type patKind uint8
 
 const (
-	kindInert        patKind = iota // no detector, no regexp: never matches
+	kindInert        patKind = iota // no detector: never matches
 	kindAutoBody                    // body literals fused into the automaton
 	kindDetectorBody                // body detector evaluated standalone
-	kindRegexBody                   // legacy body regexp
-	kindLocation                    // location detector or regexp, 3xx only
+	kindLocation                    // location detector, 3xx only
 )
 
 // maxStackPatterns bounds the corpus size for which classification scratch
@@ -237,11 +229,11 @@ func (c *Classifier) compile() {
 	var lits []string
 	for i, p := range c.patterns {
 		switch {
+		case p.Detector == nil:
+			// kindInert
 		case p.Where == InLocation:
-			if p.Detector != nil || p.Regexp != nil {
-				c.kinds[i] = kindLocation
-			}
-		case p.Detector != nil:
+			c.kinds[i] = kindLocation
+		default:
 			if seq, ok := fusable(p.Detector); ok {
 				c.kinds[i] = kindAutoBody
 				c.numStages[i] = int32(len(seq))
@@ -254,8 +246,6 @@ func (c *Classifier) compile() {
 			} else {
 				c.kinds[i] = kindDetectorBody
 			}
-		case p.Regexp != nil:
-			c.kinds[i] = kindRegexBody
 		}
 	}
 	c.auto = nil
@@ -374,33 +364,13 @@ func (c *Classifier) classify(status int, body, loc []byte, hop int) (ByteMatch,
 				h.ID = i
 				return ByteMatch{Product: p.Product, Pattern: p.Name, Category: categoryFromBytes(body), Hop: hop, Hit: h}, true
 			}
-		case kindRegexBody:
-			if l := p.Regexp.FindIndex(body); l != nil {
-				return ByteMatch{
-					Product:  p.Product,
-					Pattern:  p.Name,
-					Category: categoryFromBytes(body),
-					Hop:      hop,
-					Hit:      match.Hit{ID: i, Start: l[0], End: l[1]},
-				}, true
-			}
 		case kindLocation:
 			if !is3xx || len(loc) == 0 {
 				continue
 			}
-			if p.Detector != nil {
-				if h, ok := p.Detector.Match(loc); ok {
-					h.ID = i
-					return ByteMatch{Product: p.Product, Pattern: p.Name, Category: categoryFromLocationBytes(loc), Hop: hop, Hit: h}, true
-				}
-			} else if l := p.Regexp.FindIndex(loc); l != nil {
-				return ByteMatch{
-					Product:  p.Product,
-					Pattern:  p.Name,
-					Category: categoryFromLocationBytes(loc),
-					Hop:      hop,
-					Hit:      match.Hit{ID: i, Start: l[0], End: l[1]},
-				}, true
+			if h, ok := p.Detector.Match(loc); ok {
+				h.ID = i
+				return ByteMatch{Product: p.Product, Pattern: p.Name, Category: categoryFromLocationBytes(loc), Hop: hop, Hit: h}, true
 			}
 		}
 	}
@@ -444,19 +414,14 @@ func categoryFromLocationBytes(loc []byte) []byte {
 	return []byte(s)
 }
 
-// categoryLine is the pattern categoryFromBytes implements byte-wise.
-//
-// Deprecated: retained only as documentation of the extractor's contract
-// and for the differential tests; the hot path no longer executes it.
-var categoryLine = regexp.MustCompile(`(?i)<p>category:\s*([^<]+)</p>`)
-
 // emDash is the UTF-8 encoding of U+2014, one of the two annotation
 // delimiters categoryFromBytes strips.
 var emDash = []byte("—")
 
 // categoryFromBytes recovers the "Category: ..." line that the block
 // pages in this corpus carry. It is the byte-wise equivalent of matching
-// categoryLine and post-processing the capture: find each case-insensitive
+// (?i)<p>category:\s*([^<]+)</p> and post-processing the capture (the
+// differential tests replay that regexp): find each case-insensitive
 // "<p>category:", take the span up to the next '<' (which must open
 // "</p>" and must be non-empty for the regexp's [^<]+ to have matched),
 // trim it, and strip trailing "(...)" / "— ..." annotations. The result
@@ -507,9 +472,10 @@ func categoryFromResponse(resp *httpwire.Response) string {
 // the non-trivial lines common to all samples and joins them into a
 // single tolerant regexp. Lines that vary between samples (the blocked
 // URL, timestamps, session ids) drop out automatically. The returned
-// Pattern carries both the regexp and an equivalent ordered-literal
-// Detector, so derived patterns fuse into the classifier's single-pass
-// automaton like the built-in corpus.
+// Pattern's Detector is the equivalent ordered-literal detector, so
+// derived patterns fuse into the classifier's single-pass automaton like
+// the built-in corpus; only when that detector misses a sample does it
+// fall back to match.NewRegexp(re).
 func DeriveBodyRegexp(product string, samples [][]byte) (Pattern, error) {
 	if len(samples) < 2 {
 		return Pattern{}, fmt.Errorf("blockpage: need at least 2 samples, got %d", len(samples))
@@ -566,25 +532,16 @@ func DeriveBodyRegexp(product string, samples [][]byte) (Pattern, error) {
 	// The ordered-literal detector is equivalent on ASCII input (the regex
 	// body is quoted literals joined by (?s).*, and ASCII folding mirrors
 	// (?i) there). Verify it against the evidence; if a sample exercises a
-	// divergence (exotic Unicode case pairs), drop the detector and let
-	// the classifier fall back to the regexp stage — exactness beats speed.
-	det := match.NewOrdered(lines)
+	// divergence (exotic Unicode case pairs), keep the regexp as the
+	// detector instead — exactness beats speed.
+	pat := Pattern{Product: product, Name: "derived", Where: InBody, Detector: match.NewOrdered(lines)}
 	for _, s := range samples {
-		if _, ok := det.Match(s); !ok {
-			det = nil
+		if _, ok := pat.Detector.Match(s); !ok {
+			pat.Detector = match.NewRegexp(re)
 			break
 		}
 	}
-	return Pattern{Product: product, Name: "derived", Where: InBody, Detector: detectorOrNil(det), Regexp: re}, nil
-}
-
-// detectorOrNil converts a possibly-nil concrete detector to the
-// interface without wrapping a typed nil.
-func detectorOrNil(d *match.Ordered) match.Detector {
-	if d == nil {
-		return nil
-	}
-	return d
+	return pat, nil
 }
 
 func lineSet(b []byte) map[string]bool {

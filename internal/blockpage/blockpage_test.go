@@ -134,17 +134,18 @@ func TestDeriveBodyRegexp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DeriveBodyRegexp: %v", err)
 	}
+	re := derivedRegexp(t, pat)
 	// The derived pattern matches a fresh page from the same product...
-	if !pat.Regexp.Match(samplePage("http://fresh.example/zzz")) {
-		t.Fatalf("derived pattern missed a fresh sample: %s", pat.Regexp)
+	if _, ok := pat.Detector.Match(samplePage("http://fresh.example/zzz")); !ok {
+		t.Fatalf("derived pattern missed a fresh sample: %s", re)
 	}
 	// ...and not an unrelated page.
-	if pat.Regexp.Match([]byte("<html><body><p>hello world, nothing restricted</p></body></html>")) {
-		t.Fatalf("derived pattern overmatches: %s", pat.Regexp)
+	if _, ok := pat.Detector.Match([]byte("<html><body><p>hello world, nothing restricted</p></body></html>")); ok {
+		t.Fatalf("derived pattern overmatches: %s", re)
 	}
 	// The varying URL line must not have been baked in.
-	if strings.Contains(pat.Regexp.String(), "one.example") {
-		t.Fatalf("derived pattern contains a sample URL: %s", pat.Regexp)
+	if strings.Contains(re.String(), "one.example") {
+		t.Fatalf("derived pattern contains a sample URL: %s", re)
 	}
 }
 

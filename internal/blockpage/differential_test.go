@@ -2,34 +2,72 @@ package blockpage
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
 	"filtermap/internal/corpustest"
 	"filtermap/internal/httpwire"
+	"filtermap/internal/match"
 )
 
+// seedRegexps is the default corpus as §5's manual analysis wrote it,
+// frozen and keyed by pattern name. DefaultPatterns carries the literal
+// detectors these reduce to; the reference classifier replays the
+// regexps themselves.
+var seedRegexps = map[string]*regexp.Regexp{
+	"exception-page":     regexp.MustCompile(`(?i)your request was denied because of its content categorization`),
+	"mwg-notification":   regexp.MustCompile(`(?is)<title>McAfee Web Gateway - Notification</title>.*URL Blocked`),
+	"deny-redirect":      regexp.MustCompile(`(?i)/webadmin/deny/`),
+	"deny-page":          regexp.MustCompile(`(?i)this page has been denied.*powered by netsweeper|powered by netsweeper`),
+	"blockpage-redirect": regexp.MustCompile(`(?i):15871/cgi-bin/blockpage\.cgi\?.*ws-session=`),
+	"blockpage-body":     regexp.MustCompile(`(?i)content blocked by your organization's policy`),
+}
+
+// categoryLine is the pattern categoryFromBytes implements byte-wise.
+var categoryLine = regexp.MustCompile(`(?i)<p>category:\s*([^<]+)</p>`)
+
 // referenceClassifyResponse is the seed implementation, frozen: a
-// corpus-order loop running each Pattern's regexp, with the regexp-based
-// category extraction. The staged classifier must agree with it
-// everywhere the differential corpus reaches.
+// corpus-order loop running each pattern's seed regexp, with the
+// regexp-based category extraction. The staged classifier must agree
+// with it everywhere the differential corpus reaches.
 func referenceClassifyResponse(c *Classifier, resp *httpwire.Response, hop int) (Match, bool) {
 	for _, p := range c.patterns {
+		re := seedRegexps[p.Name]
 		switch p.Where {
 		case InBody:
-			if p.Regexp.Match(resp.Body) {
+			if re.Match(resp.Body) {
 				return Match{Product: p.Product, Pattern: p.Name, Category: referenceCategoryFromResponse(resp), Hop: hop}, true
 			}
 		case InLocation:
 			if resp.StatusCode >= 300 && resp.StatusCode < 400 {
-				if loc := resp.Header.Get("Location"); loc != "" && p.Regexp.MatchString(loc) {
+				if loc := resp.Header.Get("Location"); loc != "" && re.MatchString(loc) {
 					return Match{Product: p.Product, Pattern: p.Name, Category: categoryFromLocation(loc), Hop: hop}, true
 				}
 			}
 		}
 	}
 	return Match{}, false
+}
+
+// derivedRegexp rebuilds the regexp DeriveBodyRegexp compiles from a
+// derived pattern's literals: the quoted lines joined by (?is).*. A
+// regexp fallback detector carries it already.
+func derivedRegexp(t testing.TB, p Pattern) *regexp.Regexp {
+	t.Helper()
+	switch d := p.Detector.(type) {
+	case *match.Ordered:
+		parts := make([]string, len(d.Literals()))
+		for i, l := range d.Literals() {
+			parts[i] = regexp.QuoteMeta(l)
+		}
+		return regexp.MustCompile(`(?is)` + strings.Join(parts, ".*"))
+	case *match.Regexp:
+		return d.Pattern()
+	}
+	t.Fatalf("derived pattern has detector %T", p.Detector)
+	return nil
 }
 
 func referenceCategoryFromResponse(resp *httpwire.Response) string {
@@ -71,10 +109,10 @@ func differentialCases(t *testing.T) []*httpwire.Response {
 		[]byte("This page has been denied by policy. Powered by Netsweeper."),
 		[]byte("powered by netsweeper"),
 		[]byte("Content blocked by your organization's policy<p>Category:Phishing(7)</p>"),
-		[]byte("<p>category:   </p>"),   // all-whitespace capture
-		[]byte("<p>Category:</p>"),      // empty region: regexp cannot match here
-		[]byte("<p>Category: (x)</p>"),  // annotation at offset 0 after trim: no strip
-		[]byte("<p>Category: x()</p>"),  // annotation mid-string
+		[]byte("<p>category:   </p>"),  // all-whitespace capture
+		[]byte("<p>Category:</p>"),     // empty region: regexp cannot match here
+		[]byte("<p>Category: (x)</p>"), // annotation at offset 0 after trim: no strip
+		[]byte("<p>Category: x()</p>"), // annotation mid-string
 		[]byte("<p>Category: A — session 9</p>powered by netsweeper"),
 		[]byte("<p>Category: \xff\xfe invalid utf8 (1)</p>powered by netsweeper"),
 		[]byte("<p>Category: first<p>Category: second</p>powered by netsweeper"), // first occurrence unterminated
@@ -107,6 +145,11 @@ func differentialCases(t *testing.T) []*httpwire.Response {
 func TestDifferentialClassify(t *testing.T) {
 	cases := differentialCases(t)
 	c := NewClassifier(nil)
+	for _, p := range c.patterns {
+		if seedRegexps[p.Name] == nil {
+			t.Fatalf("default pattern %q has no seed regexp to replay", p.Name)
+		}
+	}
 	check := func(t *testing.T, resp *httpwire.Response) {
 		got, gotOK := c.ClassifyResponse(resp, 3)
 		want, wantOK := referenceClassifyResponse(c, resp, 3)
@@ -168,7 +211,8 @@ func TestDifferentialClassifyBytes(t *testing.T) {
 }
 
 // TestDifferentialDerived checks that patterns DeriveBodyRegexp emits
-// classify identically whether the detector or the legacy regexp runs.
+// classify identically whether the ordered-literal detector or the
+// regexp it stands for runs.
 func TestDifferentialDerived(t *testing.T) {
 	samples := [][]byte{
 		[]byte("<html>\n<h1>Access denied by national policy</h1>\n<p>The page you requested is restricted.</p>\n<p>URL: http://a.example/</p>\n</html>"),
@@ -178,13 +222,13 @@ func TestDifferentialDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Detector == nil {
-		t.Fatal("derived pattern lost its detector on ASCII samples")
+	if _, ok := p.Detector.(*match.Ordered); !ok {
+		t.Fatalf("derived pattern on ASCII samples has detector %T, want *match.Ordered", p.Detector)
 	}
 	withDet := NewClassifier([]Pattern{p})
-	legacy := p
-	legacy.Detector = nil
-	withRegex := NewClassifier([]Pattern{legacy})
+	reference := p
+	reference.Detector = match.NewRegexp(derivedRegexp(t, p))
+	withRegex := NewClassifier([]Pattern{reference})
 	probes := append([][]byte{}, samples...)
 	probes = append(probes,
 		[]byte("<h1>ACCESS DENIED BY NATIONAL POLICY</h1> ... <p>The page you requested is restricted.</p>"),

@@ -42,9 +42,9 @@ func FuzzClassifyResponse(f *testing.F) {
 }
 
 // FuzzDeriveBodyRegexp fuzzes the paper's regex-derivation step with two
-// block-page samples. A derived pattern must compile (guaranteed by a
-// nil error) and must match both samples it was derived from — the
-// whole point of keeping only their common lines.
+// block-page samples. A derived pattern's detector, and the regexp it
+// stands for, must match both samples it was derived from — the whole
+// point of keeping only their common lines.
 func FuzzDeriveBodyRegexp(f *testing.F) {
 	f.Add(
 		[]byte("<html>\nThis page is blocked by policy.\nCategory: pornography\nsession 123\n</html>"),
@@ -58,11 +58,17 @@ func FuzzDeriveBodyRegexp(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if p.Regexp == nil {
-			t.Fatal("derived pattern without a compiled regexp")
+		if p.Detector == nil {
+			t.Fatal("derived pattern without a detector")
 		}
-		if !p.Regexp.Match(a) || !p.Regexp.Match(b) {
-			t.Fatalf("derived pattern %q does not match its own samples", p.Regexp)
+		re := derivedRegexp(t, p)
+		for _, sample := range [][]byte{a, b} {
+			if _, ok := p.Detector.Match(sample); !ok {
+				t.Fatalf("derived detector (%q) does not match its own sample %q", re, sample)
+			}
+			if !re.Match(sample) {
+				t.Fatalf("derived regexp %q does not match its own sample %q", re, sample)
+			}
 		}
 	})
 }

@@ -101,7 +101,7 @@ type Config struct {
 }
 
 // Option mutates a Config — the functional-options surface shared by
-// scanner.New, measurement.NewClient and filtermap.NewWorld.
+// scanner.New and filtermap.NewWorld.
 type Option func(*Config)
 
 // WithWorkers bounds pool concurrency.

@@ -146,6 +146,21 @@ func Table2Signatures() []*Signature {
 	}
 }
 
+// Table2SignatureDescriptions groups the Table 2 signatures' conditions
+// by product, in signature-table order — the Table 2 signature column's
+// content.
+func Table2SignatureDescriptions() map[string][]string {
+	out := make(map[string][]string)
+	for _, sig := range Table2Signatures() {
+		parts := make([]string, len(sig.Matchers))
+		for i, m := range sig.Matchers {
+			parts[i] = m.Describe()
+		}
+		out[sig.Product] = append(out[sig.Product], strings.Join(parts, " AND "))
+	}
+	return out
+}
+
 // ShodanKeywords reproduces Table 2's search keywords, keyed by product.
 // The identification pipeline fans these out across ccTLD-qualified
 // queries exactly as §3.1 describes.

@@ -179,9 +179,6 @@ type Pipeline struct {
 	Keywords map[string][]string
 	// Countries is the ccTLD fan-out list; nil derives it from the index.
 	Countries []string
-	// SkipValidation disables the fingerprint stage (for the ablation
-	// benchmark only — production use keeps it on).
-	SkipValidation bool
 	// Config carries the shared execution knobs (workers, timeout, retry,
 	// stats, observer) for the pipeline's pooled stages.
 	Config engine.Config
@@ -212,7 +209,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 
-	vals, err := p.runValidation(ctx, addrs, report.CandidatesByProduct, report)
+	vals, err := p.runValidation(ctx, addrs, report)
 	if err != nil {
 		return nil, err
 	}
@@ -320,18 +317,7 @@ type validated struct {
 // validation keeps failing is recorded in report.Errors and dropped —
 // partial coverage beats a dead run. The configured Breaker (if any)
 // stops retry burn per candidate address.
-func (p *Pipeline) runValidation(ctx context.Context, addrs []netip.Addr, candidatesByProduct map[string][]netip.Addr, report *Report) ([]validated, error) {
-	if p.SkipValidation {
-		out := make([]validated, 0, len(addrs))
-		for _, addr := range addrs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out = append(out, validated{addr: addr, products: productsFromCandidates(candidatesByProduct, addr)})
-		}
-		return out, nil
-	}
-
+func (p *Pipeline) runValidation(ctx context.Context, addrs []netip.Addr, report *Report) ([]validated, error) {
 	results := engine.MapResults(ctx, p.Config, StageValidate, addrs, func(ctx context.Context, addr netip.Addr) (*validated, error) {
 		key := "validate:" + addr.String()
 		if !p.Config.Breaker.Allow(key) {
@@ -429,18 +415,4 @@ func (p *Pipeline) runGeoMapping(ctx context.Context, vals []validated, report *
 		return report.Installations[i].Addr.Less(report.Installations[j].Addr)
 	})
 	return nil
-}
-
-func productsFromCandidates(byProduct map[string][]netip.Addr, addr netip.Addr) []string {
-	var out []string
-	for product, addrs := range byProduct {
-		for _, a := range addrs {
-			if a == addr {
-				out = append(out, product)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

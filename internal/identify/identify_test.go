@@ -146,28 +146,6 @@ func TestPipelineCountsFalsePositives(t *testing.T) {
 	}
 }
 
-func TestPipelineSkipValidation(t *testing.T) {
-	f := newFixture(t)
-	f.pipeline.SkipValidation = true
-	rep, err := f.pipeline.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without validation the decoy survives.
-	if rep.ValidatedCount != rep.CandidateCount {
-		t.Fatalf("skip-validation kept %d of %d", rep.ValidatedCount, rep.CandidateCount)
-	}
-	found := false
-	for _, inst := range rep.Installations {
-		if inst.Hostname == "techblog.example" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("decoy absent despite skipped validation")
-	}
-}
-
 func TestProductCountries(t *testing.T) {
 	f := newFixture(t)
 	rep, err := f.pipeline.Run(context.Background())

@@ -10,8 +10,8 @@ import (
 
 // This file renders diffs and timelines as text, in the same ASCII-table
 // style as the paper's tables. The diff rendering is the `fmhist diff`
-// output and the golden-file surface; DiffJSON-side consumers marshal the
-// Diff struct directly.
+// output and the golden-file surface; JSON consumers (fmserve's GET
+// /v1/diff) marshal the Diff struct directly.
 
 func (r SnapRef) label() string {
 	return fmt.Sprintf("seq %d  id %s  at %s", r.Seq, r.ID, r.At.UTC().Format(time.RFC3339))

@@ -168,16 +168,11 @@ type Client struct {
 	// Classifier recognizes vendor block pages; nil uses the default
 	// corpus.
 	Classifier *blockpage.Classifier
-	// Timeout bounds each fetch (default 10s).
-	//
-	// Deprecated: set Config.Timeout (or use NewClient with
-	// engine.WithTimeout). Timeout still wins when both are set, so
-	// existing struct-literal construction keeps working.
-	Timeout time.Duration
 	// MaxRedirects bounds each redirect chain (default 10).
 	MaxRedirects int
 	// Config carries the shared execution knobs (workers, timeout, retry,
-	// stats, observer) for TestList's URL fan-out.
+	// stats, observer) for TestList's URL fan-out. Config.Timeout bounds
+	// each fetch (default 10s).
 	Config engine.Config
 	// DisableReuse turns off per-vantage keep-alive connection reuse and
 	// restores the one-connection-per-request behavior. Reuse is safe to
@@ -206,15 +201,6 @@ type vantagePool struct {
 	at   time.Time
 }
 
-// NewClient builds a dual-vantage client with functional options, e.g.
-//
-//	measurement.NewClient(field, lab, engine.WithWorkers(4), engine.WithStats(stats))
-//
-// Struct-literal construction remains supported.
-func NewClient(field, lab *Vantage, opts ...engine.Option) *Client {
-	return &Client{Field: field, Lab: lab, Config: engine.NewConfig(opts...)}
-}
-
 // defaultClassifier is the shared default-corpus classifier: compiling
 // the corpus (regexes, automaton) per comparison was a measurable cost,
 // and the classifier is immutable and safe for concurrent use.
@@ -233,16 +219,9 @@ func (c *Client) classifier() *blockpage.Classifier {
 	return defaultClassifier
 }
 
-func (c *Client) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return c.Config.TimeoutOr(DefaultFetchTimeout)
-}
-
 // engineConfig resolves the pool configuration for TestList. The engine
 // imposes no extra per-item timeout: each fetch already bounds itself via
-// timeout(), and one URL test is two fetches.
+// Config.Timeout, and one URL test is two fetches.
 func (c *Client) engineConfig() engine.Config {
 	cfg := c.Config
 	cfg.Workers = cfg.WorkersOr(DefaultMeasureWorkers)
@@ -398,7 +377,7 @@ func (c *Client) ReuseStats() (reused, pooled uint64) {
 }
 
 func (c *Client) fetch(ctx context.Context, v *Vantage, rawurl string) Fetch {
-	client := v.PooledClient(c.timeout(), c.poolFor(v))
+	client := v.PooledClient(c.Config.TimeoutOr(DefaultFetchTimeout), c.poolFor(v))
 	if c.MaxRedirects > 0 {
 		client.MaxRedirects = c.MaxRedirects
 	}

@@ -23,6 +23,10 @@ type Host struct {
 	// interceptor. The filtering middlebox itself needs this so its onward
 	// (proxied) connections are not re-intercepted in a loop.
 	bypassIntercept bool
+	// pending marks a realm host whose materialization is still running:
+	// its listeners may not be bound yet, so a dial waits for the
+	// materialization instead of being refused.
+	pending atomic.Bool
 
 	mu        sync.Mutex
 	listeners map[uint16]*listener

@@ -285,6 +285,10 @@ func (n *Network) AddHost(addr netip.Addr, name string, isp *ISP) (*Host, error)
 		return nil, ErrHostExists
 	}
 	h := &Host{network: n, addr: addr, name: strings.ToLower(name), isp: isp, listeners: make(map[uint16]*listener)}
+	if rs := n.realm; rs != nil && rs.building && rs.realm.Contains(addr) {
+		h.pending.Store(true)
+		rs.staged = append(rs.staged, h)
+	}
 	n.hosts[addr] = h
 	if h.name != "" {
 		n.dns[h.name] = addr
@@ -437,8 +441,9 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if dstHost == nil {
-		// Cold realm address: build the host on first contact. This
+	if dstHost == nil || dstHost.pending.Load() {
+		// Cold realm address, or one a running materialization is still
+		// wiring: build it, or wait for the build, on first contact. This
 		// must happen before the interception decision so a lazy dial
 		// sees the same sameISP answer an eager build would.
 		dstHost = n.materializeIfRealm(dst)

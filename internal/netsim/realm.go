@@ -40,7 +40,9 @@ type Realm interface {
 	// without materializing anything.
 	ReverseLookup(addr netip.Addr) (string, bool)
 	// Materialize constructs and registers the host at addr (and may
-	// register its whole ISP in one call).
+	// register its whole ISP in one call). Hosts it registers stay
+	// undialable until it returns, so it may bind their listeners after
+	// AddHost.
 	Materialize(addr netip.Addr) error
 }
 
@@ -59,6 +61,14 @@ type realmState struct {
 	// must stay removed, not quietly regenerate on the next dial.
 	mu           sync.Mutex
 	materialized map[netip.Addr]bool
+
+	// building is set while Materialize runs, and staged collects the
+	// realm hosts AddHost registers meanwhile (both guarded by
+	// Network.mu). A staged host is pending: registered so the
+	// materializer can wire it, but not dialable until Materialize
+	// returns and its listeners exist.
+	building bool
+	staged   []*Host
 }
 
 func (rs *realmState) done(addr netip.Addr) bool {
@@ -99,7 +109,8 @@ func (n *Network) Realm() Realm {
 // owns the address, returning the host (nil when addr is outside the
 // realm, was removed, or failed to materialize). Exactly one caller
 // runs Materialize for a given address; concurrent dialers for the
-// same cold address queue on matMu and find the host registered.
+// same cold address, or for a pending sibling the running
+// materialization registered, queue on matMu and find the host wired.
 func (n *Network) materializeIfRealm(addr netip.Addr) *Host {
 	n.mu.RLock()
 	rs := n.realm
@@ -116,13 +127,23 @@ func (n *Network) materializeIfRealm(addr netip.Addr) *Host {
 	if h != nil || rs.done(addr) {
 		return h
 	}
-	if err := rs.realm.Materialize(addr); err != nil {
+	n.mu.Lock()
+	rs.building = true
+	n.mu.Unlock()
+	err := rs.realm.Materialize(addr)
+	n.mu.Lock()
+	rs.building = false
+	staged := rs.staged
+	rs.staged = nil
+	h = n.hosts[addr]
+	n.mu.Unlock()
+	for _, s := range staged {
+		s.pending.Store(false)
+	}
+	if err != nil {
 		return nil
 	}
 	rs.markDone(addr)
-	n.mu.RLock()
-	h = n.hosts[addr]
-	n.mu.RUnlock()
 	return h
 }
 

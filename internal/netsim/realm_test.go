@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // toyRealm owns 240.0.0.1 .. 240.0.0.N and materializes each host
@@ -148,6 +149,93 @@ func TestRealmConcurrentDialSingleFlight(t *testing.T) {
 	}
 	if got := r.calls.Load(); got != 1 {
 		t.Fatalf("Materialize calls = %d, want exactly 1 under %d concurrent dialers", got, dialers)
+	}
+}
+
+// pairRealm materializes its two addresses together, like a whole-ISP
+// materializer, and parks between registering the hosts and binding
+// their listeners until release is closed.
+type pairRealm struct {
+	toyRealm
+	added, release chan struct{}
+	built          bool
+}
+
+func (r *pairRealm) Materialize(netip.Addr) error {
+	if r.built {
+		return nil
+	}
+	r.built = true
+	var hosts []*Host
+	for i := 1; i <= r.n; i++ {
+		name, _ := r.ReverseLookup(r.addr(i))
+		h, err := r.net.AddHost(r.addr(i), name, nil)
+		if err != nil {
+			return err
+		}
+		hosts = append(hosts, h)
+	}
+	close(r.added)
+	<-r.release
+	for _, h := range hosts {
+		banner := fmt.Sprintf("BANNER %s\n", h.Addr())
+		if _, err := h.ServeHandler(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
+			defer conn.Close()
+			io.WriteString(conn, banner)
+		})); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRealmHostNotDialableMidMaterialize dials while a materialization
+// has registered its hosts but not yet bound their listeners. A second
+// dial to the address being built, and one to its sibling, must wait
+// for the materialization and connect instead of being refused.
+func TestRealmHostNotDialableMidMaterialize(t *testing.T) {
+	nw := New(nil)
+	defer nw.Close()
+	r := &pairRealm{toyRealm: toyRealm{net: nw, n: 2}, added: make(chan struct{}), release: make(chan struct{})}
+	nw.SetRealm(r)
+	src, err := nw.AddHost(netip.MustParseAddr("198.51.100.1"), "probe.test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func(dst netip.Addr) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			c, err := src.Dial(context.Background(), dst, 80)
+			if err == nil {
+				_, err = bufio.NewReader(c).ReadString('\n')
+				c.Close()
+			}
+			done <- err
+		}()
+		return done
+	}
+
+	release := sync.OnceFunc(func() { close(r.release) })
+	defer release() // a failed check must not leave the builder parked
+
+	first := dial(r.addr(1))
+	<-r.added
+	same, sibling := dial(r.addr(1)), dial(r.addr(2))
+	select {
+	case err := <-same:
+		t.Fatalf("dial to the address being materialized returned mid-materialization: %v", err)
+	case err := <-sibling:
+		t.Fatalf("dial to a sibling returned mid-materialization: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	for _, d := range []struct {
+		name string
+		done <-chan error
+	}{{"first", first}, {"same", same}, {"sibling", sibling}} {
+		if err := <-d.done; err != nil {
+			t.Errorf("%s dial: %v", d.name, err)
+		}
 	}
 }
 

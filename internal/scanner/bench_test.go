@@ -34,7 +34,7 @@ func BenchmarkSearchKeyword(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if hits := idx.Search(q); len(hits) != 100 {
+		if hits := idx.SearchBytes(q.Compile(), nil); len(hits) != 100 {
 			b.Fatalf("hits = %d", len(hits))
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkSearchWithFilters(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Search(q)
+		idx.SearchBytes(q.Compile(), nil)
 	}
 }
 
@@ -73,7 +73,7 @@ func BenchmarkIndexSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hits := 0
 		for _, q := range queries {
-			hits += len(idx.Search(q))
+			hits += len(idx.SearchBytes(q.Compile(), nil))
 		}
 		if hits == 0 {
 			b.Fatal("no hits")

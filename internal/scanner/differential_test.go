@@ -3,11 +3,12 @@ package scanner
 import (
 	"net/netip"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// referenceSearch is the seed Search implementation, frozen: rebuild the
+// referenceSearch is the seed search implementation, frozen: rebuild the
 // lowered banner text per banner per query and run matchKeyword over it.
 // The cached-text/CompiledQuery path must agree with it everywhere.
 func referenceSearch(x *Index, q Query) []Banner {
@@ -40,6 +41,17 @@ func referenceSearch(x *Index, q Query) []Banner {
 		return out[i].Port < out[j].Port
 	})
 	return out
+}
+
+// matchKeyword matches one keyword against a banner the way the seed
+// implementation did, before Query.Compile lowered keywords once.
+func matchKeyword(b Banner, text, kw string) bool {
+	if i := strings.IndexByte(kw, '/'); i > 0 {
+		if port, err := parsePort(kw[:i]); err == nil {
+			return b.Port == port && strings.Contains(text, strings.ToLower(kw[i:]))
+		}
+	}
+	return strings.Contains(text, kw)
 }
 
 // differentialIndex builds an index whose banners exercise the cached
@@ -109,7 +121,7 @@ func sameBanners(a, b []Banner) bool {
 	return true
 }
 
-// TestDifferentialSearch checks Search (cached text + compiled queries)
+// TestDifferentialSearch checks SearchBytes (cached text + compiled queries)
 // against the frozen reference, serially and from 8 goroutines sharing
 // the index (run under -race via `make race`).
 func TestDifferentialSearch(t *testing.T) {
@@ -117,7 +129,7 @@ func TestDifferentialSearch(t *testing.T) {
 	queries := differentialQueries(t)
 	check := func(t *testing.T) {
 		for _, q := range queries {
-			got := idx.Search(q)
+			got := idx.SearchBytes(q.Compile(), nil)
 			want := referenceSearch(idx, q)
 			if !sameBanners(got, want) {
 				t.Errorf("query %+v:\n  new: %d hits %v\n  ref: %d hits %v", q, len(got), got, len(want), want)
@@ -149,8 +161,8 @@ func TestSearchBytesAppends(t *testing.T) {
 	if len(out) < 2 || out[0].Hostname != "sentinel" {
 		t.Fatalf("dst not preserved: %v", out)
 	}
-	if !sameBanners(out[1:], idx.Search(q)) {
-		t.Fatalf("appended region differs from Search")
+	if !sameBanners(out[1:], idx.SearchBytes(q.Compile(), nil)) {
+		t.Fatalf("appended region differs from a fresh search")
 	}
 }
 

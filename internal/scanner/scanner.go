@@ -61,8 +61,7 @@ func (b *Banner) Text() string {
 	return strings.ToLower(b.Hostname + "\n" + b.RawHead + "\n" + b.BodyExcerpt)
 }
 
-// Default probe bounds (used when neither the legacy fields nor the
-// engine config set them).
+// Default probe bounds (used when the engine config does not set them).
 const (
 	DefaultProbeTimeout   = 5 * time.Second
 	DefaultScanWorkers    = 32
@@ -70,9 +69,7 @@ const (
 )
 
 // Scanner probes hosts and builds an Index. Concurrency, timeout, retry
-// and observability knobs live in the shared engine Config; the legacy
-// Timeout/Workers fields remain honoured so struct-literal construction
-// keeps working.
+// and observability knobs live in the shared engine Config.
 type Scanner struct {
 	// Vantage is the host the scan originates from (a neutral,
 	// unfiltered network position).
@@ -81,14 +78,9 @@ type Scanner struct {
 	Ports []uint16
 	// BodyExcerptLen bounds indexed body bytes (default 2048).
 	BodyExcerptLen int
-	// Timeout bounds each probe (default 5s).
-	// Deprecated: set Config.Timeout (or use New with engine.WithTimeout).
-	Timeout time.Duration
-	// Workers bounds concurrent probes (default 32).
-	// Deprecated: set Config.Workers (or use New with engine.WithWorkers).
-	Workers int
 	// Config carries the shared execution knobs (workers, timeout, retry,
-	// stats, observer). The zero value uses the scanner defaults.
+	// stats, observer). The zero value uses the scanner defaults (32
+	// workers, 5s per probe).
 	Config engine.Config
 }
 
@@ -113,16 +105,10 @@ func (s *Scanner) excerptLen() int {
 	return DefaultBodyExcerptLen
 }
 
-// engineConfig resolves the effective execution config: explicit legacy
-// fields win over Config values, which win over the scan defaults.
+// engineConfig resolves the effective execution config: Config values
+// win over the scan defaults.
 func (s *Scanner) engineConfig() engine.Config {
 	cfg := s.Config
-	if s.Workers > 0 {
-		cfg.Workers = s.Workers
-	}
-	if s.Timeout > 0 {
-		cfg.Timeout = s.Timeout
-	}
 	cfg.Workers = cfg.WorkersOr(DefaultScanWorkers)
 	cfg.Timeout = cfg.TimeoutOr(DefaultProbeTimeout)
 	return cfg
@@ -427,11 +413,6 @@ func (cq *CompiledQuery) matchText(port uint16, text []byte) bool {
 	return true
 }
 
-// Search runs a parsed query.
-func (x *Index) Search(q Query) []Banner {
-	return x.SearchBytes(q.Compile(), nil)
-}
-
 // SearchBytes runs a compiled query over the cached banner text, appends
 // matches to dst and returns it, with the appended region sorted by
 // (addr, port). With a pre-compiled query and a reused dst of sufficient
@@ -483,21 +464,7 @@ func (x *Index) SearchString(q string) ([]Banner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return x.Search(parsed), nil
-}
-
-// matchKeyword matches one keyword against a banner the way the
-// pre-CompiledQuery implementation did; the differential tests use it as
-// the reference semantics.
-//
-// Deprecated: superseded by Query.Compile + Index.SearchBytes.
-func matchKeyword(b Banner, text, kw string) bool {
-	if i := strings.IndexByte(kw, '/'); i > 0 {
-		if port, err := parsePort(kw[:i]); err == nil {
-			return b.Port == port && strings.Contains(text, strings.ToLower(kw[i:]))
-		}
-	}
-	return strings.Contains(text, kw)
+	return x.SearchBytes(parsed.Compile(), nil), nil
 }
 
 func parsePort(s string) (uint16, error) {

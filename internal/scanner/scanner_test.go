@@ -230,7 +230,7 @@ func TestSearchDeterministicOrder(t *testing.T) {
 	idx.Add(Banner{Addr: netip.MustParseAddr("10.0.0.2"), Port: 80, RawHead: "kw"})
 	idx.Add(Banner{Addr: netip.MustParseAddr("10.0.0.1"), Port: 8080, RawHead: "kw"})
 	idx.Add(Banner{Addr: netip.MustParseAddr("10.0.0.1"), Port: 80, RawHead: "kw"})
-	hits := idx.Search(Query{Keywords: []string{"kw"}})
+	hits := idx.SearchBytes(Query{Keywords: []string{"kw"}}.Compile(), nil)
 	if len(hits) != 3 {
 		t.Fatalf("hits = %d", len(hits))
 	}

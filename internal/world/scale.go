@@ -407,13 +407,6 @@ func (w *World) buildScale() error {
 	// exactly like a materialized one.
 	w.GeoDB.SetFallback(r.geoFallback)
 	w.ASTable.SetFallback(r.whoisFallback)
-	if w.Opts.EagerScale {
-		for i := 0; i < profile.isps; i++ {
-			if err := r.Materialize(r.hostAddr(i, 0)); err != nil {
-				return fmt.Errorf("world: eager scale: %w", err)
-			}
-		}
-	}
 	return nil
 }
 
@@ -448,11 +441,18 @@ func cannedResponse(server, title, body string) []byte {
 // cannedHandler serves a fixed response to every connection: the
 // cheapest possible listener for the generic synthetic population.
 // The in-memory pipe buffers writes, so the response can be written
-// without draining the request first.
+// without draining the request first. It then half-closes rather than
+// closes: the prober sees EOF after the response, and a request that
+// lands after the handler returned is still accepted instead of failing
+// on a closed pipe.
 func cannedHandler(resp []byte) netsim.Handler {
 	return netsim.HandlerFunc(func(conn net.Conn, _ netsim.DialInfo) {
-		defer conn.Close()
 		conn.Write(resp) //nolint:errcheck // peer may already be gone
+		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+			cw.CloseWrite() //nolint:errcheck // cannot fail in memory
+			return
+		}
+		conn.Close()
 	})
 }
 

@@ -99,10 +99,17 @@ func BenchmarkScaleFullScan(b *testing.B) {
 				ctx := context.Background()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					w, err := Build(Options{Scale: ScaleCity, EagerScale: mode.eager},
-						engine.WithWorkers(workers))
+					w, err := Build(Options{Scale: ScaleCity}, engine.WithWorkers(workers))
 					if err != nil {
 						b.Fatal(err)
+					}
+					if mode.eager {
+						r := w.Net.Realm()
+						for _, a := range r.Addrs() {
+							if err := r.Materialize(a); err != nil {
+								b.Fatal(err)
+							}
+						}
 					}
 					b.StartTimer()
 					if _, err := w.RunIdentification(ctx); err != nil {

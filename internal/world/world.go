@@ -112,12 +112,6 @@ type Options struct {
 	// values participate in the hash, making scale part of snapshot IDs
 	// and cache keys.
 	Scale string `json:",omitempty"`
-	// EagerScale materializes the entire synthetic population at Build
-	// time instead of lazily on first dial. Excluded from the JSON form
-	// (and therefore from ConfigHash): by the determinism contract an
-	// eager world is byte-identical to a lazy one, so both must share
-	// cache keys and snapshot IDs.
-	EagerScale bool `json:"-"`
 }
 
 // World is the assembled simulation.

@@ -2,7 +2,6 @@ package filtermap_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"filtermap"
@@ -30,14 +29,7 @@ func mechanismsRun(t *testing.T, workers int) string {
 		t.Fatal(err)
 	}
 	var r filtermap.Reporter
-	sigDescs := make(map[string][]string)
-	for _, sig := range fingerprint.Table2Signatures() {
-		var parts []string
-		for _, m := range sig.Matchers {
-			parts = append(parts, m.Describe())
-		}
-		sigDescs[sig.Product] = append(sigDescs[sig.Product], strings.Join(parts, " AND "))
-	}
+	sigDescs := fingerprint.Table2SignatureDescriptions()
 	out := report.Table2WithMechanisms(fingerprint.ShodanKeywords(), sigDescs,
 		fingerprint.MechanismSignatureDescriptions())
 	out += "\n" + r.Mechanisms(targets) + "\n" + r.Table4Mechanisms(targets)

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,24 +18,40 @@ import (
 	"filtermap/internal/report"
 )
 
-// scaleWorld builds a world with the given scale options and worker
-// count, torn down with the test.
-func scaleWorld(t *testing.T, opts filtermap.Options, workers int) *filtermap.World {
+// scaleBuild says how the battery builds a world: the engine worker
+// count, and whether the synthetic population is materialized eagerly
+// right after Build instead of on first dial.
+type scaleBuild struct {
+	workers int
+	eager   bool
+}
+
+// scaleWorld builds a world with the given scale options, torn down with
+// the test.
+func scaleWorld(t *testing.T, opts filtermap.Options, b scaleBuild) *filtermap.World {
 	t.Helper()
-	w, err := filtermap.NewWorld(opts, filtermap.WithWorkers(workers))
+	w, err := filtermap.NewWorld(opts, filtermap.WithWorkers(b.workers))
 	if err != nil {
 		t.Fatalf("NewWorld(%+v): %v", opts, err)
 	}
 	t.Cleanup(w.Close)
+	if b.eager {
+		r := w.Net.Realm()
+		for _, a := range r.Addrs() {
+			if err := r.Materialize(a); err != nil {
+				t.Fatalf("eager materialize %s: %v", a, err)
+			}
+		}
+	}
 	return w
 }
 
 // The artifact renderers, each reproducing one fmrepro step byte for
 // byte on a fresh world.
 
-func identifyArtifact(t *testing.T, opts filtermap.Options, workers int) string {
+func identifyArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
 	t.Helper()
-	w := scaleWorld(t, opts, workers)
+	w := scaleWorld(t, opts, b)
 	rep, err := w.RunIdentification(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +60,9 @@ func identifyArtifact(t *testing.T, opts filtermap.Options, workers int) string 
 	return r.Figure1(rep) + "\n" + r.Installations(rep)
 }
 
-func table3Artifact(t *testing.T, opts filtermap.Options, workers int) string {
+func table3Artifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
 	t.Helper()
-	w := scaleWorld(t, opts, workers)
+	w := scaleWorld(t, opts, b)
 	outcomes, err := w.RunTable3(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +70,9 @@ func table3Artifact(t *testing.T, opts filtermap.Options, workers int) string {
 	return filtermap.Reporter{}.Table3(outcomes)
 }
 
-func table4Artifact(t *testing.T, opts filtermap.Options, workers int) string {
+func table4Artifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
 	t.Helper()
-	w := scaleWorld(t, opts, workers)
+	w := scaleWorld(t, opts, b)
 	w.Clock.Advance(8 * time.Hour)
 	reports, err := w.RunCharacterization(context.Background())
 	if err != nil {
@@ -66,9 +81,9 @@ func table4Artifact(t *testing.T, opts filtermap.Options, workers int) string {
 	return filtermap.Reporter{}.Table4(reports) + "\n(cells reconstructed from §5 prose; see EXPERIMENTS.md)"
 }
 
-func discoveryArtifact(t *testing.T, opts filtermap.Options, workers int) string {
+func discoveryArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
 	t.Helper()
-	w := scaleWorld(t, opts, workers)
+	w := scaleWorld(t, opts, b)
 	w.Clock.Advance(8 * time.Hour)
 	targets, err := w.RunDiscovery(context.Background(), filtermap.DiscoveryOptions{})
 	if err != nil {
@@ -77,10 +92,10 @@ func discoveryArtifact(t *testing.T, opts filtermap.Options, workers int) string
 	return filtermap.Reporter{}.Discovery(0, 0, targets)
 }
 
-func mechanismsArtifact(t *testing.T, opts filtermap.Options, workers int) string {
+func mechanismsArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
 	t.Helper()
 	opts.Mechanisms = &filtermap.MechanismOptions{}
-	w := scaleWorld(t, opts, workers)
+	w := scaleWorld(t, opts, b)
 	targets, err := w.RunMechanismSurvey(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +107,7 @@ func mechanismsArtifact(t *testing.T, opts filtermap.Options, workers int) strin
 // scaleArtifacts names every world-backed artifact in the battery.
 var scaleArtifacts = []struct {
 	name   string
-	render func(*testing.T, filtermap.Options, int) string
+	render func(*testing.T, filtermap.Options, scaleBuild) string
 }{
 	{"identify", identifyArtifact},
 	{"table3", table3Artifact},
@@ -131,14 +146,7 @@ func diffArtifacts(t *testing.T, label, a, b string) {
 // the Table 1/2/3/4 battery.
 func TestScaleSmallProfileMatchesGoldens(t *testing.T) {
 	compareGolden(t, "table1.golden", filtermap.Reporter{}.Table1())
-	sigDescs := make(map[string][]string)
-	for _, sig := range fingerprint.Table2Signatures() {
-		var parts []string
-		for _, m := range sig.Matchers {
-			parts = append(parts, m.Describe())
-		}
-		sigDescs[sig.Product] = append(sigDescs[sig.Product], strings.Join(parts, " AND "))
-	}
+	sigDescs := fingerprint.Table2SignatureDescriptions()
 	compareGolden(t, "table2.golden", report.Table2(fingerprint.ShodanKeywords(), sigDescs))
 
 	opts := filtermap.Options{Scale: filtermap.ScaleSmall}
@@ -154,11 +162,11 @@ func TestScaleSmallProfileMatchesGoldens(t *testing.T) {
 			if !ok {
 				continue // mechanisms.golden carries extra Table 2 framing, pinned below
 			}
-			compareGolden(t, golden, art.render(t, opts, workers))
+			compareGolden(t, golden, art.render(t, opts, scaleBuild{workers: workers}))
 		}
 		got := report.Table2WithMechanisms(fingerprint.ShodanKeywords(), sigDescs,
 			fingerprint.MechanismSignatureDescriptions()) + "\n" +
-			mechanismsArtifact(t, opts, workers)
+			mechanismsArtifact(t, opts, scaleBuild{workers: workers})
 		compareGolden(t, "mechanisms.golden", got)
 	}
 }
@@ -172,8 +180,9 @@ func TestScaleCityLazyEagerEquivalence(t *testing.T) {
 		t.Run(art.name, func(t *testing.T) {
 			var baseline string
 			for _, workers := range []int{1, 8} {
-				lazy := art.render(t, filtermap.Options{Scale: filtermap.ScaleCity}, workers)
-				eager := art.render(t, filtermap.Options{Scale: filtermap.ScaleCity, EagerScale: true}, workers)
+				city := filtermap.Options{Scale: filtermap.ScaleCity}
+				lazy := art.render(t, city, scaleBuild{workers: workers})
+				eager := art.render(t, city, scaleBuild{workers: workers, eager: true})
 				diffArtifacts(t, fmt.Sprintf("%s lazy-vs-eager at %d workers", art.name, workers), lazy, eager)
 				if baseline == "" {
 					baseline = lazy
@@ -190,12 +199,12 @@ func TestScaleCityLazyEagerEquivalence(t *testing.T) {
 // (every 12th ISP), and identification must find more installations
 // than the handcrafted world alone.
 func TestScaleCityFindsSyntheticInstallations(t *testing.T) {
-	base := scaleWorld(t, filtermap.Options{}, 8)
+	base := scaleWorld(t, filtermap.Options{}, scaleBuild{workers: 8})
 	baseRep, err := base.RunIdentification(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	city := scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleCity}, 8)
+	city := scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleCity}, scaleBuild{workers: 8})
 	cityRep, err := city.RunIdentification(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -207,20 +216,14 @@ func TestScaleCityFindsSyntheticInstallations(t *testing.T) {
 }
 
 // TestScaleConfigHash pins the cache-key plumbing: the scale profile
-// must flow into ConfigHash (so fmserve cache entries and snapshot IDs
-// never mix worlds of different scales), while EagerScale must NOT —
-// lazy and eager builds are byte-equivalent by contract, so they share
-// cached results.
+// must flow into ConfigHash, so fmserve cache entries and snapshot IDs
+// never mix worlds of different scales.
 func TestScaleConfigHash(t *testing.T) {
 	def := filtermap.ConfigHash(filtermap.Options{})
 	city := filtermap.ConfigHash(filtermap.Options{Scale: filtermap.ScaleCity})
 	nation := filtermap.ConfigHash(filtermap.Options{Scale: filtermap.ScaleNation})
 	if def == city || city == nation {
 		t.Fatalf("scale missing from config hash: default %s, city %s, nation %s", def, city, nation)
-	}
-	eager := filtermap.ConfigHash(filtermap.Options{Scale: filtermap.ScaleCity, EagerScale: true})
-	if eager != city {
-		t.Fatalf("EagerScale changed the config hash (%s vs %s); equivalent worlds must share cache entries", eager, city)
 	}
 }
 
@@ -233,7 +236,7 @@ func TestScaleNationFullScan(t *testing.T) {
 	if os.Getenv("FILTERMAP_SCALE_NATION") == "" {
 		t.Skip("set FILTERMAP_SCALE_NATION=1 to run the full nation-scale scan")
 	}
-	w := scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleNation}, 8)
+	w := scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleNation}, scaleBuild{workers: 8})
 	if got := w.ScaleHosts(); got < 100_000 {
 		t.Fatalf("nation world has %d synthetic hosts, want >= 100000", got)
 	}

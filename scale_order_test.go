@@ -89,7 +89,7 @@ func worldFingerprint(t *testing.T, w *filtermap.World) []string {
 
 func TestScaleOrderIndependence(t *testing.T) {
 	build := func() *filtermap.World {
-		return scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleCity}, 8)
+		return scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleCity}, scaleBuild{workers: 8})
 	}
 
 	// Reference: strict sequential materialization in address order.
