@@ -80,7 +80,7 @@ cluster-golden:
 # without -race; shadow memory would drown it).
 .PHONY: world-golden
 world-golden:
-	go test -race -run 'TestScale|TestRealm|TestServeHandlerDirectDispatch' -count=1 . ./internal/world/ ./internal/netsim/
+	go test -race -run 'TestScale|TestRealm|TestServeDirectDispatch' -count=1 . ./internal/world/ ./internal/netsim/
 	go test -run 'TestScaleNationLazyMemoryCeiling' -count=1 ./internal/world/
 
 # The world-scaling benchmarks (DESIGN.md §16) as JSON: cold whole-ISP
@@ -180,5 +180,14 @@ deprecated-gate:
 		echo "deprecated-gate: delete the API instead of deprecating it" >&2; exit 1; \
 	fi
 
+# Fail when any Go file outside the benchmark build cache is not
+# gofmt-formatted; `gofmt -w` on the listed files fixes it.
+.PHONY: fmt-gate
+fmt-gate:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then \
+		echo "$$out"; echo "fmt-gate: gofmt -w the files above" >&2; exit 1; \
+	fi
+
 .PHONY: ci
-ci: test-gate deprecated-gate test race chaos-golden monitor-golden cluster-golden world-golden bench-module
+ci: test-gate deprecated-gate fmt-gate test race chaos-golden monitor-golden cluster-golden world-golden bench-module

@@ -489,12 +489,10 @@ func BenchmarkProxyDetectSurvey(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := ref.Listen(80)
-	if err != nil {
+	srv := &httpwire.Server{Handler: proxydetect.EchoHandler()}
+	if _, err := ref.Serve(80, netsim.Public, srv); err != nil {
 		b.Fatal(err)
 	}
-	srv := &httpwire.Server{Handler: proxydetect.EchoHandler()}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
 
 	vantages := map[string]*netsim.Host{"control": w.Lab}
 	truth := proxydetect.GroundTruth{"control": false}

@@ -101,13 +101,16 @@ func main() {
 	}
 
 	if *storeDir != "" {
-		record(*storeDir, w, *seed, *rounds, *budget, opts.ISPs, targets)
+		record(*storeDir, w, worldOpts, *rounds, *budget, targets)
 	}
 }
 
-// record appends the discovery document to a snapshot store. Progress
-// goes to stderr so stdout stays the report alone.
-func record(dir string, w *filtermap.World, seed int64, rounds, budget int, isps []string, targets []filtermap.TargetDiscovery) {
+// record appends the discovery document to a snapshot store under the
+// ConfigHash of the run's world options — the fingerprint fmhist record,
+// fmserve snapshots and the monitor use — so the same document recorded
+// by any of them dedupes. Progress goes to stderr so stdout stays the
+// report alone.
+func record(dir string, w *filtermap.World, opts filtermap.Options, rounds, budget int, targets []filtermap.TargetDiscovery) {
 	s, err := filtermap.OpenStore(dir)
 	if err != nil {
 		log.Fatal(err)
@@ -117,16 +120,10 @@ func record(dir string, w *filtermap.World, seed int64, rounds, budget int, isps
 	if err != nil {
 		log.Fatal(err)
 	}
-	config := filtermap.ConfigHash(struct {
-		Seed   int64    `json:"seed"`
-		Rounds int      `json:"rounds"`
-		Budget int      `json:"budget"`
-		ISPs   []string `json:"isps,omitempty"`
-	}{seed, rounds, budget, isps})
 	meta, err := s.Append(filtermap.Snapshot{
 		Kind:   longitudinal.KindDiscovery,
 		At:     w.Clock.Now(),
-		Config: config,
+		Config: filtermap.ConfigHash(opts),
 		Body:   body,
 	})
 	if err != nil {

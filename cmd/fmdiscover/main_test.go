@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"strings"
 	"testing"
 
 	"filtermap"
+	"filtermap/internal/longitudinal"
+	"filtermap/internal/plan"
 )
 
 // TestMainSingleTarget runs the real main against one vantage with a
@@ -22,6 +27,57 @@ func TestMainSingleTarget(t *testing.T) {
 	}
 	if !strings.Contains(out, filtermap.ISPYemenNet) {
 		t.Fatalf("fmdiscover output missing the requested target:\n%s", out)
+	}
+}
+
+// TestStoreDedupesAcrossRecorders: -store records under the ConfigHash
+// of the run's world options, so the same crawl recorded the way fmhist
+// record -run and fmserve snapshots record it (plan.Execute on a fresh
+// world, fingerprinted by its options) dedupes onto fmdiscover's record.
+func TestStoreDedupesAcrossRecorders(t *testing.T) {
+	dir := t.TempDir()
+	flag.CommandLine = flag.NewFlagSet("fmdiscover", flag.ExitOnError)
+	captureStdout(t, func() {
+		os.Args = []string{"fmdiscover", "-rounds", "1", "-budget", "5", "-isps", filtermap.ISPYemenNet, "-store", dir}
+		main()
+	})
+
+	req := plan.Request{Kind: plan.KindDiscover, Rounds: 1, Budget: 5, ISPs: []string{filtermap.ISPYemenNet}}
+	if err := plan.Normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	w, err := filtermap.NewWorld(req.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p, _ := plan.ForStoreKind(longitudinal.KindDiscovery)
+	w.Clock.Advance(p.Advance)
+	doc, _, err := plan.Execute(context.Background(), w, nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := filtermap.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	meta, err := s.Append(filtermap.Snapshot{
+		Kind:   longitudinal.KindDiscovery,
+		At:     w.Clock.Now(),
+		Config: filtermap.ConfigHash(req.World),
+		Body:   body,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !meta.Deduped || meta.Seq != 1 {
+		t.Fatalf("second append = seq %d (deduped %v), want a dedupe onto fmdiscover's seq 1", meta.Seq, meta.Deduped)
 	}
 }
 

@@ -33,12 +33,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	l, err := ref.Listen(80)
-	if err != nil {
+	if _, err := ref.Serve(80, netsim.Public, &httpwire.Server{Handler: proxydetect.EchoHandler()}); err != nil {
 		log.Fatal(err)
 	}
-	srv := &httpwire.Server{Handler: proxydetect.EchoHandler()}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
 
 	// Probe from each case-study ISP plus the (unfiltered) lab network.
 	vantages := map[string]*netsim.Host{"UToronto (control)": w.Lab}

@@ -48,21 +48,19 @@ func newHarness(t *testing.T, blocked map[string]bool) (*measurement.Client, url
 			t.Fatal(err)
 		}
 		ip = ip.Next()
-		l, err := h.Listen(80)
-		if err != nil {
-			t.Fatal(err)
-		}
 		srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 			return httpwire.NewResponse(200, nil, []byte("origin content"))
 		})}
-		go srv.Serve(l) //nolint:errcheck // ends with listener
+		if _, err := h.Serve(80, netsim.Public, srv); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	isp.SetInterceptor(netsim.InterceptorFunc(func(info netsim.DialInfo) netsim.Handler {
 		if !blocked[info.Hostname] {
 			return nil
 		}
-		return netsim.HandlerFunc(func(conn net.Conn, _ netsim.DialInfo) {
+		return netsim.HandlerFunc(func(conn net.Conn) {
 			defer conn.Close()
 			body := []byte("<title>McAfee Web Gateway - Notification</title><h1>URL Blocked</h1>")
 			resp := httpwire.NewResponse(403, httpwire.NewHeader(

@@ -89,14 +89,12 @@ func (h *harness) site(t *testing.T, domain string) string {
 		t.Fatal(err)
 	}
 	h.nextIP = h.nextIP.Next()
-	l, err := host.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte("content of "+domain))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := host.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 	return "http://" + domain + "/"
 }
 

@@ -25,17 +25,15 @@ func BenchmarkFingerprintIdentify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := target.Listen(80)
-	if err != nil {
-		b.Fatal(err)
-	}
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, httpwire.NewHeader("Via-Proxy", "mwg.example"),
 			[]byte(`<html><head><title>McAfee Web Gateway - Notification</title></head>
 <body><h1>URL Blocked</h1><p>The requested page is not reachable from this network.</p>
 <p>Category: Anonymizers</p><p>Powered by policy, not by magic.</p></body></html>`))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := target.Serve(80, netsim.Public, srv); err != nil {
+		b.Fatal(err)
+	}
 
 	engine := &Engine{Vantage: vantage, Timeout: 10 * time.Second}
 	ctx := context.Background()

@@ -200,12 +200,13 @@ func TestEngineIdentify(t *testing.T) {
 	t.Cleanup(n.Close)
 	vantage, _ := n.AddHost(netip.MustParseAddr("198.108.1.10"), "", nil)
 	target, _ := n.AddHost(netip.MustParseAddr("192.0.2.1"), "mwg.example", nil)
-	l, _ := target.Listen(80)
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 		return resp(200, httpwire.NewHeader("Via-Proxy", "mwg.example"),
 			"<title>McAfee Web Gateway</title>")
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := target.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 
 	engine := &Engine{Vantage: vantage, Timeout: 2 * time.Second}
 	products, err := engine.Products(context.Background(), target.Addr())

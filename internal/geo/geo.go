@@ -4,9 +4,9 @@
 //
 // The paper maps each validated URL-filter IP to a country (MaxMind) and
 // an autonomous system (Team Cymru whois). We implement both sides: the
-// databases, a line-oriented whois protocol server that can be mounted on
-// a simulated (or real) TCP listener, and the client the identification
-// pipeline uses.
+// databases, a line-oriented whois protocol server that serves one TCP
+// connection per session (a simulated port binds it directly), and the
+// client the identification pipeline uses.
 //
 // Both tables are keyed by masked prefix, grouped by prefix length: a
 // lookup probes one map per distinct length, most specific first, so

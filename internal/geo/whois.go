@@ -14,8 +14,8 @@ import (
 // WhoisPort is the conventional whois TCP port.
 const WhoisPort = 43
 
-// WhoisServer serves the Team Cymru bulk IP-to-ASN protocol over a raw TCP
-// listener:
+// WhoisServer serves the Team Cymru bulk IP-to-ASN protocol, one session
+// per TCP connection:
 //
 //	client: begin
 //	        verbose
@@ -28,17 +28,6 @@ type WhoisServer struct {
 	Table *ASTable
 	// Banner is the first line sent in bulk mode.
 	Banner string
-}
-
-// Serve accepts connections until the listener closes.
-func (s *WhoisServer) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return nil //nolint:nilerr // closed listener is normal shutdown
-		}
-		go s.ServeConn(conn)
-	}
 }
 
 // ServeConn handles one whois session.

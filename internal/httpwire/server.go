@@ -25,7 +25,9 @@ type HandlerFunc func(*Request) *Response
 // Handle implements Handler.
 func (f HandlerFunc) Handle(req *Request) *Response { return f(req) }
 
-// Server serves HTTP/1.1 over any net.Listener with keep-alive support.
+// Server serves HTTP/1.1 with keep-alive support. ServeConn serves one
+// connection, which is all a simulated port needs; Serve runs an accept
+// loop over a real net.Listener.
 type Server struct {
 	Handler Handler
 	// ReadTimeout bounds reading one request (default 30s).

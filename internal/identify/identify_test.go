@@ -50,12 +50,10 @@ func newFixture(t *testing.T) *fixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := host.Listen(port)
-		if err != nil {
+		srv := &httpwire.Server{Handler: h}
+		if _, err := host.Serve(port, netsim.Public, srv); err != nil {
 			t.Fatal(err)
 		}
-		srv := &httpwire.Server{Handler: h}
-		go srv.Serve(l) //nolint:errcheck // ends with listener
 	}
 	static := func(hdr *httpwire.Header, body string) httpwire.Handler {
 		return httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
@@ -78,12 +76,10 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := whoisHost.Listen(43)
-	if err != nil {
+	wsrv := &geo.WhoisServer{Table: asTable}
+	if _, err := whoisHost.Serve(43, netsim.Public, wsrv); err != nil {
 		t.Fatal(err)
 	}
-	wsrv := &geo.WhoisServer{Table: asTable}
-	go wsrv.Serve(wl) //nolint:errcheck // ends with listener
 
 	sc := scanner.New(vantage, engine.WithTimeout(2*time.Second))
 	index, err := sc.ScanNetwork(context.Background())

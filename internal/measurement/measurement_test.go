@@ -46,14 +46,12 @@ func newFixture(t *testing.T) *fixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := h.Listen(80)
-		if err != nil {
-			t.Fatal(err)
-		}
 		srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
 			return httpwire.NewResponse(200, nil, []byte("content of "+name))
 		})}
-		go srv.Serve(l) //nolint:errcheck // ends with listener
+		if _, err := h.Serve(80, netsim.Public, srv); err != nil {
+			t.Fatal(err)
+		}
 	}
 	serve("192.0.2.1", "allowed.example")
 	serve("192.0.2.2", "banned.example")
@@ -64,14 +62,12 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, err := denyHost.Listen(8080)
-	if err != nil {
-		t.Fatal(err)
-	}
 	denySrv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte("<p>This page has been denied</p><p>Powered by Netsweeper</p>"))
 	})}
-	go denySrv.Serve(dl) //nolint:errcheck // ends with listener
+	if _, err := denyHost.Serve(8080, netsim.Public, denySrv); err != nil {
+		t.Fatal(err)
+	}
 
 	// Interceptor: block banned.example with a deny redirect; drop
 	// flaky.example connections silently (an unattributable anomaly).
@@ -91,7 +87,7 @@ type blockInterceptor struct{}
 func (blockInterceptor) Intercept(info netsim.DialInfo) netsim.Handler {
 	switch info.Hostname {
 	case "banned.example":
-		return netsim.HandlerFunc(func(conn net.Conn, _ netsim.DialInfo) {
+		return netsim.HandlerFunc(func(conn net.Conn) {
 			defer conn.Close()
 			resp := httpwire.NewResponse(302, httpwire.NewHeader(
 				"Location", "http://filter.yemen.example:8080/webadmin/deny/index.php?cat=23&url=http%3A%2F%2Fbanned.example%2F",
@@ -99,7 +95,7 @@ func (blockInterceptor) Intercept(info netsim.DialInfo) netsim.Handler {
 			resp.WriteTo(conn) //nolint:errcheck // test
 		})
 	case "flaky.example":
-		return netsim.HandlerFunc(func(conn net.Conn, _ netsim.DialInfo) {
+		return netsim.HandlerFunc(func(conn net.Conn) {
 			conn.Close() // RST-style failure, no block page
 		})
 	}

@@ -28,36 +28,24 @@ const (
 
 func serveDNS(t testing.TB, h *netsim.Host, resolve mechanism.Resolve) {
 	t.Helper()
-	l, err := h.Listen(53)
-	if err != nil {
+	if _, err := h.Serve(53, netsim.Public, resolve); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go mechanism.ServeDNSConn(c, resolve)
-		}
-	}()
 }
 
 func serveHTTP(t testing.TB, h *netsim.Host, body string) {
 	t.Helper()
-	l, err := h.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte(body))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := h.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func serveTLS(t testing.TB, h *netsim.Host) {
 	t.Helper()
-	if _, err := h.Serve(443, netsim.Public, netsim.HandlerFunc(func(c net.Conn, _ netsim.DialInfo) {
+	if _, err := h.Serve(443, netsim.Public, netsim.HandlerFunc(func(c net.Conn) {
 		defer c.Close()
 		buf := make([]byte, 4096)
 		total := 0

@@ -43,14 +43,12 @@ func newReuseFixture(tb testing.TB) *Client {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l, err := origin.Listen(80)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte("content of "+req.Target))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := origin.Serve(80, netsim.Public, srv); err != nil {
+		tb.Fatal(err)
+	}
 
 	return &Client{
 		Field: &Vantage{Name: "field:BenchNet", Host: field},

@@ -64,10 +64,10 @@ func BuildClientHello(serverName string) []byte {
 	for i := 0; i < 32; i += 8 {
 		body = binary.BigEndian.AppendUint64(body, splitmix64(seed+uint64(i)))
 	}
-	body = append(body, 0)                            // session_id length
-	body = append(body, 0x00, 0x04)                   // cipher_suites length
-	body = append(body, 0xc0, 0x2f, 0x00, 0x9c)       // two suites
-	body = append(body, 0x01, 0x00)                   // null compression
+	body = append(body, 0)                      // session_id length
+	body = append(body, 0x00, 0x04)             // cipher_suites length
+	body = append(body, 0xc0, 0x2f, 0x00, 0x9c) // two suites
+	body = append(body, 0x01, 0x00)             // null compression
 	var exts []byte
 	if serverName != "" {
 		name := []byte(serverName)

@@ -276,9 +276,10 @@ func ReadTCP(r io.Reader) ([]byte, error) {
 // returns the RCODE and answers of the response.
 type Resolve func(name string) (rcode int, answers []Answer)
 
-// ServeDNSConn answers length-prefixed DNS queries on one connection
-// until read error or EOF — the handler body of a simulated resolver.
-func ServeDNSConn(conn net.Conn, resolve Resolve) {
+// ServeConn answers length-prefixed DNS queries on one connection with
+// resolve until read error or EOF, so a Resolve serves a simulated
+// resolver's port as it is.
+func (resolve Resolve) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	for {
 		raw, err := ReadTCP(conn)

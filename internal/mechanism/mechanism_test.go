@@ -172,12 +172,12 @@ func TestServeDNSConn(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ServeDNSConn(server, func(name string) (int, []Answer) {
+		Resolve(func(name string) (int, []Answer) {
 			if name == "blocked.example" {
 				return RCodeNoError, []Answer{{TTL: 300, Addr: netip.MustParseAddr("203.0.113.40")}}
 			}
 			return RCodeNXDomain, nil
-		})
+		}).ServeConn(server)
 	}()
 	q, _ := BuildQuery(1, "blocked.example")
 	if err := WriteTCP(client, q); err != nil {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"io"
+	"net"
 	"net/netip"
 	"strings"
 	"testing"
@@ -25,21 +26,12 @@ func benchNet(b *testing.B) (*Network, *Host, *Host) {
 
 func BenchmarkDialRoundTrip(b *testing.B) {
 	_, srv, cli := benchNet(b)
-	l, _ := srv.Listen(80)
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				buf := make([]byte, 4)
-				io.ReadFull(c, buf) //nolint:errcheck // bench
-				c.Write(buf)        //nolint:errcheck // bench
-				c.Close()
-			}()
-		}
-	}()
+	serve(b, srv, 80, func(c net.Conn) {
+		buf := make([]byte, 4)
+		io.ReadFull(c, buf) //nolint:errcheck // bench
+		c.Write(buf)        //nolint:errcheck // bench
+		c.Close()
+	})
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -59,20 +51,11 @@ func BenchmarkDialRoundTrip(b *testing.B) {
 
 func BenchmarkPipeThroughput(b *testing.B) {
 	_, srv, cli := benchNet(b)
-	l, _ := srv.Listen(80)
 	const chunk = 64 << 10
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				io.Copy(io.Discard, c) //nolint:errcheck // bench
-				c.Close()
-			}()
-		}
-	}()
+	serve(b, srv, 80, func(c net.Conn) {
+		io.Copy(io.Discard, c) //nolint:errcheck // bench
+		c.Close()
+	})
 	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
 	if err != nil {
 		b.Fatal(err)

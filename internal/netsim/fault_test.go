@@ -24,22 +24,10 @@ func faultPair(t *testing.T, plan *FaultPlan) (*Network, *Host, *Host) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "client.test", nil)
-	l, err := srv.Listen(80)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				io.Copy(c, c) //nolint:errcheck // echo until close
-			}(c)
-		}
-	}()
+	serve(t, srv, 80, func(c net.Conn) {
+		defer c.Close()
+		io.Copy(c, c) //nolint:errcheck // echo until close
+	})
 	n.SetFaultPlan(plan)
 	return n, srv, cli
 }
@@ -199,16 +187,7 @@ func TestFaultFlapWindows(t *testing.T) {
 	t.Cleanup(n.Close)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "client.test", nil)
-	l, _ := srv.Listen(80)
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Close()
-		}
-	}()
+	serve(t, srv, 80, func(c net.Conn) { c.Close() })
 	n.SetFaultPlan(&FaultPlan{Seed: 1, Rules: []FaultRule{
 		{Kind: FaultFlap, Period: 4 * time.Hour, Down: time.Hour},
 	}})
@@ -239,9 +218,7 @@ func TestFaultRuleScoping(t *testing.T) {
 	}}
 	n, srv, cli := faultPair(t, plan)
 	blocked, _ := n.AddHost(mustAddr(t, "198.51.100.9"), "blocked.test", nil)
-	if _, err := blocked.Listen(80); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
+	serve(t, blocked, 80, func(c net.Conn) { c.Close() })
 
 	// In-scope dials fail.
 	if _, err := cli.Dial(context.Background(), blocked.Addr(), 80); !errors.Is(err, ErrConnTimeout) {
@@ -278,20 +255,10 @@ func TestFaultDeterminismAcrossConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AddHost: %v", err)
 		}
-		l, err := h.Listen(80)
-		if err != nil {
-			t.Fatalf("Listen: %v", err)
-		}
-		go func() {
-			for {
-				c, err := l.Accept()
-				if err != nil {
-					return
-				}
-				c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")) //nolint:errcheck // test server
-				c.Close()
-			}
-		}()
+		serve(t, h, 80, func(c net.Conn) {
+			c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")) //nolint:errcheck // test server
+			c.Close()
+		})
 		addrs[i] = h
 	}
 	n.SetFaultPlan(plan)

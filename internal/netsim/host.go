@@ -24,7 +24,7 @@ type Host struct {
 	// (proxied) connections are not re-intercepted in a loop.
 	bypassIntercept bool
 	// pending marks a realm host whose materialization is still running:
-	// its listeners may not be bound yet, so a dial waits for the
+	// its ports may not be bound yet, so a dial waits for the
 	// materialization instead of being refused.
 	pending atomic.Bool
 
@@ -54,95 +54,46 @@ func ephemeralPort(h *Host) uint16 {
 	return uint16(32768 + h.nextPort.Add(1)%28000)
 }
 
-// listener is a port bound on a host.
+// listener is a bound port: who may connect, and the handler every
+// inbound connection is dispatched to.
 type listener struct {
-	host       *Host
-	port       uint16
 	visibility Visibility
-	handler    Handler // non-nil: direct dispatch, no accept loop (ServeHandler)
-	mu         sync.Mutex
-	closed     bool
-	backlog    chan net.Conn
-	done       chan struct{} // closed with the listener; unblocks queued dialers
+	handler    Handler
 }
 
-// Listen binds port with Public visibility.
-func (h *Host) Listen(port uint16) (net.Listener, error) {
-	return h.ListenVisibility(port, Public)
-}
-
-// ListenVisibility binds port with the given visibility. ISPOnly listeners
-// refuse connections originating outside the host's ISP, modelling a
-// properly firewalled device (Table 5's first evasion tactic).
-func (h *Host) ListenVisibility(port uint16, vis Visibility) (net.Listener, error) {
-	l, err := h.bind(port, vis, nil)
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// bind registers a listener; a non-nil handler makes it direct-dispatch.
-func (h *Host) bind(port uint16, vis Visibility, handler Handler) (*listener, error) {
+// Serve binds port and serves each inbound connection with handler in a
+// goroutine of its own, spawned from the dialer's delivery path. No
+// goroutine runs while the port is idle, so a bound port costs one map
+// entry, which keeps the ~100k-host nation-scale world cheap.
+// ISPOnly ports refuse connections originating outside the host's ISP,
+// modelling a properly firewalled device (Table 5's first evasion
+// tactic). The returned function unbinds the port.
+func (h *Host) Serve(port uint16, vis Visibility, handler Handler) (unbind func(), err error) {
 	if port == 0 {
-		return nil, fmt.Errorf("netsim: cannot listen on port 0")
+		return nil, fmt.Errorf("netsim: cannot bind port 0")
 	}
+	if handler == nil {
+		return nil, fmt.Errorf("netsim: Serve requires a handler")
+	}
+	l := &listener{visibility: vis, handler: handler}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, dup := h.listeners[port]; dup {
 		return nil, fmt.Errorf("%w: %s:%d", ErrAddrInUse, h.addr, port)
 	}
-	l := &listener{host: h, port: port, visibility: vis, handler: handler, done: make(chan struct{})}
-	if handler == nil {
-		// Direct-dispatch listeners never queue: skipping the backlog
-		// channel keeps an idle nation-scale listener to one map entry.
-		l.backlog = make(chan net.Conn, 64)
-	}
 	h.listeners[port] = l
-	return l, nil
-}
-
-// Serve binds port and serves each accepted connection with handler in its
-// own goroutine. It returns the listener for later shutdown.
-func (h *Host) Serve(port uint16, vis Visibility, handler Handler) (net.Listener, error) {
-	l, err := h.ListenVisibility(port, vis)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			info := DialInfo{Src: AddrOf(c.RemoteAddr()), Dst: h.addr, Port: port}
-			go handler.ServeConn(c, info)
+	return func() {
+		h.mu.Lock()
+		if h.listeners[port] == l {
+			delete(h.listeners, port)
 		}
-	}()
-	return l, nil
+		h.mu.Unlock()
+	}, nil
 }
 
-// ServeHandler binds port and serves each inbound connection with
-// handler, dispatched directly from the dialer's delivery path: no
-// accept-loop goroutine exists while the port is idle. At nation
-// scale (~100k hosts × a few ports each) the per-listener goroutine
-// Serve spawns would cost gigabytes of stacks; ServeHandler listeners
-// cost one map entry. A goroutine still runs per active connection,
-// so handlers keep ordinary blocking semantics.
-func (h *Host) ServeHandler(port uint16, vis Visibility, handler Handler) (net.Listener, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("netsim: ServeHandler requires a handler")
-	}
-	l, err := h.bind(port, vis, handler)
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// OpenPorts returns the ports with active listeners, sorted, regardless of
-// visibility. Scanners must not use this shortcut; it exists for world
-// assembly and debugging.
+// OpenPorts returns the bound ports, sorted, regardless of visibility.
+// Scanners must not use this shortcut; it exists for world assembly and
+// debugging.
 func (h *Host) OpenPorts() []uint16 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -158,101 +109,25 @@ func (h *Host) OpenPorts() []uint16 {
 	return out
 }
 
-func (h *Host) closeAll() {
+func (h *Host) unbindAll() {
 	h.mu.Lock()
-	ls := make([]*listener, 0, len(h.listeners))
-	for _, l := range h.listeners {
-		ls = append(ls, l)
-	}
-	h.listeners = make(map[uint16]*listener)
+	clear(h.listeners)
 	h.mu.Unlock()
-	for _, l := range ls {
-		l.close()
-	}
 }
 
-// deliver routes an inbound connection attempt to the host's listener.
-func (h *Host) deliver(src *Host, port uint16, info DialInfo) (net.Conn, error) {
+// deliver routes an inbound connection attempt to the handler bound on
+// port.
+func (h *Host) deliver(src *Host, port uint16) (net.Conn, error) {
 	h.mu.Lock()
 	l := h.listeners[port]
 	h.mu.Unlock()
-	if l == nil {
+	if l == nil || l.visibility == ISPOnly && (src.isp != h.isp || h.isp == nil) {
+		// An ISPOnly device is invisible to the outside world:
+		// indistinguishable from a closed port.
 		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
 	}
-	if l.visibility == ISPOnly && (src == nil || src.isp != h.isp || h.isp == nil) {
-		// The device is invisible to the outside world: indistinguishable
-		// from a closed port.
-		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
-	}
-	client, server := newConnPair(
-		simAddr{addr: info.Src, port: ephemeralPort(src)},
-		simAddr{addr: h.addr, port: port},
-	)
-	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
-	}
-	// Direct dispatch: ServeHandler listeners have no accept loop; the
-	// handler runs in a per-connection goroutine spawned here, exactly
-	// where Serve's accept loop would have spawned it.
-	if l.handler != nil {
-		go l.handler.ServeConn(server, DialInfo{Src: info.Src, Dst: h.addr, Port: port})
-		return client, nil
-	}
-	// A full accept queue parks the dialer until the listener drains it,
-	// the way SYN retransmission rides out a transient backlog overflow.
-	// Only a closed listener refuses outright.
-	select {
-	case l.backlog <- server:
-		return client, nil
-	case <-l.done:
-		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
-	}
+	return connect(src, h.addr, port, l.handler), nil
 }
-
-// Accept implements net.Listener.
-func (l *listener) Accept() (net.Conn, error) {
-	// Drain connections queued before close so no accepted dial is lost.
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	default:
-	}
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-// Close implements net.Listener.
-func (l *listener) Close() error {
-	l.close()
-	l.host.mu.Lock()
-	if l.host.listeners[l.port] == l {
-		delete(l.host.listeners, l.port)
-	}
-	l.host.mu.Unlock()
-	return nil
-}
-
-func (l *listener) close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.closed {
-		l.closed = true
-		// The backlog channel is never closed: dialers may be blocked
-		// sending into it. Closing done unblocks them with ErrConnRefused
-		// and wakes Accept once the queue drains.
-		close(l.done)
-	}
-}
-
-// Addr implements net.Listener.
-func (l *listener) Addr() net.Addr { return simAddr{addr: l.host.addr, port: l.port} }
 
 // Dial opens a connection from this host to dst:port. The connection is
 // subject to interception by the host's ISP when dst lies outside it.

@@ -50,10 +50,13 @@ func newMechWorld(t *testing.T) *mechWorld {
 	return &mechWorld{net: n, isp: isp, subscriber: sub, site: site, sink: sink}
 }
 
-// echoHead serves one connection: read until CRLFCRLF, echo the head back.
+// echoHead serves each connection: read until CRLFCRLF, answer, then
+// keep the server half open until the client closes. Closing right after
+// the answer would race a test's later one-sided write past an injected
+// reset, which then fails on the closed pipe.
 func echoHead(t *testing.T, h *Host, port uint16) {
 	t.Helper()
-	if _, err := h.Serve(port, Public, HandlerFunc(func(c net.Conn, _ DialInfo) {
+	if _, err := h.Serve(port, Public, HandlerFunc(func(c net.Conn) {
 		defer c.Close()
 		buf := make([]byte, 4096)
 		total := 0
@@ -65,6 +68,7 @@ func echoHead(t *testing.T, h *Host, port uint16) {
 			}
 		}
 		c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"))
+		io.Copy(io.Discard, c)
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +259,7 @@ func TestSNIFilterResetAndDrop(t *testing.T) {
 			return StreamVerdict{Action: StreamPass}
 		}),
 	})
-	if _, err := w.site.Serve(443, Public, HandlerFunc(func(c net.Conn, _ DialInfo) {
+	if _, err := w.site.Serve(443, Public, HandlerFunc(func(c net.Conn) {
 		defer c.Close()
 		buf := make([]byte, 4096)
 		total := 0
@@ -337,7 +341,7 @@ func TestSNIFilterESNIOmission(t *testing.T) {
 			return StreamVerdict{Action: StreamReset, TTL: 64, Window: 4096}
 		}),
 	})
-	if _, err := w.site.Serve(443, Public, HandlerFunc(func(c net.Conn, _ DialInfo) {
+	if _, err := w.site.Serve(443, Public, HandlerFunc(func(c net.Conn) {
 		defer c.Close()
 		buf := make([]byte, 1024)
 		c.Read(buf)
@@ -423,7 +427,7 @@ func TestMechConnDeadlinesDelegate(t *testing.T) {
 			return StreamVerdict{Action: StreamPass}
 		}),
 	})
-	if _, err := w.site.Serve(80, Public, HandlerFunc(func(c net.Conn, _ DialInfo) {
+	if _, err := w.site.Serve(80, Public, HandlerFunc(func(c net.Conn) {
 		// Never respond; hold the conn open until the peer goes away.
 		defer c.Close()
 		io.Copy(io.Discard, c)

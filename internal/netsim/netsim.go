@@ -8,8 +8,10 @@
 // on the ISP's egress path. netsim reproduces exactly those observables:
 //
 //   - an IPv4 address space with registered Hosts,
-//   - per-host listeners with Public or ISPOnly visibility (an ISPOnly
+//   - per-host ports with Public or ISPOnly visibility (an ISPOnly
 //     admin console is the paper's "not visible on the global Internet"),
+//     each served by direct dispatch: a dial hands its connection to the
+//     port's Handler in a fresh goroutine, so an idle port runs nothing,
 //   - in-memory net.Conn transport with deadlines and half-close,
 //   - autonomous systems and ISPs, so IP→ASN mapping has ground truth,
 //   - transparent egress interception: when a host inside an ISP dials an
@@ -45,14 +47,14 @@ var (
 	ErrNetworkClosed = errors.New("netsim: network shut down")
 )
 
-// Visibility controls who may connect to a listener.
+// Visibility controls who may connect to a bound port.
 type Visibility int
 
 const (
-	// Public listeners accept connections from any host. This is the
+	// Public ports accept connections from any host. This is the
 	// misconfiguration the paper's identification method depends on.
 	Public Visibility = iota
-	// ISPOnly listeners accept connections only from hosts within the same
+	// ISPOnly ports accept connections only from hosts within the same
 	// ISP. This models a correctly firewalled management interface and is
 	// the evasion tactic in Table 5 row 1.
 	ISPOnly
@@ -132,21 +134,24 @@ type DialInfo struct {
 // Returning a non-nil Handler terminates the TCP connection at the
 // middlebox: the Handler is served the client side of the connection and
 // may answer directly (block page) or open its own onward connection
-// (transparent proxy). Returning nil lets the connection through untouched.
+// (transparent proxy) to the destination in info. Returning nil lets the
+// connection through untouched.
 type Interceptor interface {
 	Intercept(info DialInfo) Handler
 }
 
-// Handler serves one intercepted or accepted connection.
+// Handler serves one connection: an inbound connection to a bound port,
+// or the subscriber side of one an Interceptor terminated.
+// *httpwire.Server and *geo.WhoisServer are Handlers.
 type Handler interface {
-	ServeConn(conn net.Conn, info DialInfo)
+	ServeConn(conn net.Conn)
 }
 
 // HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(conn net.Conn, info DialInfo)
+type HandlerFunc func(conn net.Conn)
 
 // ServeConn implements Handler.
-func (f HandlerFunc) ServeConn(conn net.Conn, info DialInfo) { f(conn, info) }
+func (f HandlerFunc) ServeConn(conn net.Conn) { f(conn) }
 
 // InterceptorFunc adapts a function to the Interceptor interface.
 type InterceptorFunc func(info DialInfo) Handler
@@ -303,7 +308,7 @@ func (n *Network) AddHost(addr netip.Addr, name string, isp *ISP) (*Host, error)
 	return h, nil
 }
 
-// RemoveHost deregisters the host at addr, closing its listeners.
+// RemoveHost deregisters the host at addr, unbinding its ports.
 func (n *Network) RemoveHost(addr netip.Addr) {
 	n.mu.Lock()
 	h := n.hosts[addr]
@@ -316,7 +321,7 @@ func (n *Network) RemoveHost(addr netip.Addr) {
 	}
 	n.mu.Unlock()
 	if h != nil {
-		h.closeAll()
+		h.unbindAll()
 	}
 }
 
@@ -414,7 +419,7 @@ func (n *Network) DNSNames() []string {
 	return out
 }
 
-// Close shuts the network down: all listeners close and future dials fail.
+// Close shuts the network down: every port unbinds and future dials fail.
 func (n *Network) Close() {
 	n.mu.Lock()
 	n.closed = true
@@ -424,7 +429,7 @@ func (n *Network) Close() {
 	}
 	n.mu.Unlock()
 	for _, h := range hosts {
-		h.closeAll()
+		h.unbindAll()
 	}
 }
 
@@ -485,12 +490,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	if src.isp != nil && !src.bypassIntercept {
 		if ic := src.isp.Interceptor(); ic != nil && !sameISP(src.isp, dstHost) {
 			if h := ic.Intercept(info); h != nil {
-				client, server := newConnPair(
-					simAddr{addr: src.addr, port: ephemeralPort(src)},
-					simAddr{addr: dst, port: port},
-				)
-				go h.ServeConn(server, info)
-				return wrapConn(client), nil
+				return wrapConn(connect(src, dst, port, h)), nil
 			}
 		}
 	}
@@ -498,7 +498,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	if dstHost == nil {
 		return nil, fmt.Errorf("%w: %s", ErrHostUnreach, dst)
 	}
-	c, err := dstHost.deliver(src, port, info)
+	c, err := dstHost.deliver(src, port)
 	if err != nil {
 		return nil, err
 	}
@@ -512,6 +512,19 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 		conn = &mechConn{Conn: conn, info: info, mech: m}
 	}
 	return conn, nil
+}
+
+// connect opens a fresh pipe from src to dst:port and serves its far end
+// with handler in a goroutine of its own, returning the dialer's end. A
+// middlebox terminating a connection and a bound port accepting one both
+// take this step.
+func connect(src *Host, dst netip.Addr, port uint16, handler Handler) net.Conn {
+	client, server := newConnPair(
+		simAddr{addr: src.addr, port: ephemeralPort(src)},
+		simAddr{addr: dst, port: port},
+	)
+	go handler.ServeConn(server)
+	return client
 }
 
 func sameISP(isp *ISP, dst *Host) bool {

@@ -39,6 +39,15 @@ func newTestNet(t testing.TB) *Network {
 	return n
 }
 
+// serve binds a Public port on h that runs f per connection, failing the
+// test if the bind fails.
+func serve(t testing.TB, h *Host, port uint16, f func(net.Conn)) {
+	t.Helper()
+	if _, err := h.Serve(port, Public, HandlerFunc(f)); err != nil {
+		t.Fatalf("Serve %d: %v", port, err)
+	}
+}
+
 func TestAddHostAndResolve(t *testing.T) {
 	n := newTestNet(t)
 	addr := mustAddr(t, "192.0.2.10")
@@ -85,18 +94,10 @@ func TestDialEcho(t *testing.T) {
 	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cliHost, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "client.test", nil)
 
-	l, err := srvHost.Listen(7)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, srvHost, 7, func(c net.Conn) {
 		defer c.Close()
 		io.Copy(c, c) //nolint:errcheck // echo until close
-	}()
+	})
 
 	conn, err := cliHost.Dial(context.Background(), srvHost.Addr(), 7)
 	if err != nil {
@@ -120,15 +121,10 @@ func TestDialByHostname(t *testing.T) {
 	n := newTestNet(t)
 	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cliHost, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srvHost.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, srvHost, 80, func(c net.Conn) {
 		c.Write([]byte("ok")) //nolint:errcheck // test server
 		c.Close()
-	}()
+	})
 	conn, err := cliHost.DialHost(context.Background(), "server.test", 80)
 	if err != nil {
 		t.Fatalf("DialHost: %v", err)
@@ -167,20 +163,12 @@ func TestISPOnlyVisibility(t *testing.T) {
 	inside, _ := n.AddHost(mustAddr(t, "198.51.100.2"), "", isp)
 	outside, _ := n.AddHost(mustAddr(t, "192.0.2.9"), "", nil)
 
-	l, err := filter.ListenVisibility(8080, ISPOnly)
-	if err != nil {
-		t.Fatalf("ListenVisibility: %v", err)
+	if _, err := filter.Serve(8080, ISPOnly, HandlerFunc(func(c net.Conn) {
+		c.Write([]byte("admin")) //nolint:errcheck // test server
+		c.Close()
+	})); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Write([]byte("admin")) //nolint:errcheck // test server
-			c.Close()
-		}
-	}()
 
 	// Inside the ISP: reachable.
 	conn, err := inside.Dial(context.Background(), filter.Addr(), 8080)
@@ -223,7 +211,7 @@ func TestAddASDuplicateNumber(t *testing.T) {
 // staticHandler terminates intercepted conns with a fixed payload.
 type staticHandler string
 
-func (s staticHandler) ServeConn(conn net.Conn, info DialInfo) {
+func (s staticHandler) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	conn.Write([]byte(s)) //nolint:errcheck // test helper
 }
@@ -234,17 +222,10 @@ func TestInterceptorSeesEgressTraffic(t *testing.T) {
 	isp, _ := n.AddISP("YemenNet", as)
 	inside, _ := n.AddHost(mustAddr(t, "82.114.160.5"), "", isp)
 	outsideSrv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "origin.test", nil)
-	l, _ := outsideSrv.Listen(80)
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Write([]byte("origin")) //nolint:errcheck // test server
-			c.Close()
-		}
-	}()
+	serve(t, outsideSrv, 80, func(c net.Conn) {
+		c.Write([]byte("origin")) //nolint:errcheck // test server
+		c.Close()
+	})
 
 	var seen []DialInfo
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler {
@@ -276,15 +257,10 @@ func TestInterceptorPassThrough(t *testing.T) {
 	isp, _ := n.AddISP("YemenNet", as)
 	inside, _ := n.AddHost(mustAddr(t, "82.114.160.5"), "", isp)
 	outsideSrv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
-	l, _ := outsideSrv.Listen(22)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, outsideSrv, 22, func(c net.Conn) {
 		c.Write([]byte("ssh")) //nolint:errcheck // test server
 		c.Close()
-	}()
+	})
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler { return nil }))
 	conn, err := inside.Dial(context.Background(), outsideSrv.Addr(), 22)
 	if err != nil {
@@ -303,15 +279,10 @@ func TestInterceptorSkipsSameISPTraffic(t *testing.T) {
 	isp, _ := n.AddISP("ISP", as)
 	inside, _ := n.AddHost(mustAddr(t, "10.1.0.5"), "", isp)
 	filter, _ := n.AddHost(mustAddr(t, "10.1.0.1"), "", isp)
-	l, _ := filter.Listen(8080)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, filter, 8080, func(c net.Conn) {
 		c.Write([]byte("console")) //nolint:errcheck // test server
 		c.Close()
-	}()
+	})
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler {
 		return staticHandler("intercepted")
 	}))
@@ -333,15 +304,10 @@ func TestBypassInterceptHost(t *testing.T) {
 	mb, _ := n.AddHost(mustAddr(t, "10.1.0.1"), "", isp)
 	mb.SetBypassIntercept(true)
 	origin, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
-	l, _ := origin.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, origin, 80, func(c net.Conn) {
 		c.Write([]byte("origin")) //nolint:errcheck // test server
 		c.Close()
-	}()
+	})
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler {
 		return staticHandler("intercepted")
 	}))
@@ -359,13 +325,17 @@ func TestBypassInterceptHost(t *testing.T) {
 func TestRemoveHostDropsDNSAndListeners(t *testing.T) {
 	n := newTestNet(t)
 	h, _ := n.AddHost(mustAddr(t, "192.0.2.3"), "gone.test", nil)
-	l, _ := h.Listen(80)
+	cli, _ := n.AddHost(mustAddr(t, "192.0.2.4"), "", nil)
+	serve(t, h, 80, func(c net.Conn) { c.Close() })
 	n.RemoveHost(h.Addr())
 	if _, err := n.Resolve("gone.test"); err == nil {
 		t.Fatal("DNS record survived RemoveHost")
 	}
-	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("Accept err = %v, want net.ErrClosed", err)
+	if ports := h.OpenPorts(); len(ports) != 0 {
+		t.Fatalf("ports %v still bound after RemoveHost", ports)
+	}
+	if _, err := cli.Dial(context.Background(), h.Addr(), 80); !errors.Is(err, ErrHostUnreach) {
+		t.Fatalf("dial err = %v, want ErrHostUnreach", err)
 	}
 }
 
@@ -398,16 +368,11 @@ func TestConnDeadline(t *testing.T) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srv.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, srv, 80, func(c net.Conn) {
 		// Hold the connection open without writing.
 		time.Sleep(2 * time.Second)
 		c.Close()
-	}()
+	})
 	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -429,13 +394,8 @@ func TestPipeLargeTransfer(t *testing.T) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srv.Listen(80)
 	const size = 3 << 20 // larger than the pipe buffer
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, srv, 80, func(c net.Conn) {
 		defer c.Close()
 		chunk := strings.Repeat("x", 64<<10)
 		sent := 0
@@ -446,7 +406,7 @@ func TestPipeLargeTransfer(t *testing.T) {
 			}
 			sent += m
 		}
-	}()
+	})
 	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -465,18 +425,13 @@ func TestCloseWriteHalfClose(t *testing.T) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srv.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve(t, srv, 80, func(c net.Conn) {
 		defer c.Close()
 		// Read everything the client sent, then respond.
 		br := bufio.NewReader(c)
 		b, _ := io.ReadAll(br)
 		c.Write([]byte("got:" + string(b))) //nolint:errcheck // test server
-	}()
+	})
 	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

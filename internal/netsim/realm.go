@@ -11,7 +11,7 @@ import (
 // (~100k hosts) that eager build dominates start-up cost and memory,
 // so the synthetic bulk of the world instead lives behind a Realm:
 // the network knows which addresses exist and what names they carry
-// (all pure functions of the address), but a Host object — listeners,
+// (all pure functions of the address), but a Host object — bound ports,
 // banners, ISP membership — is only constructed the first time the
 // address is dialed.
 //
@@ -41,7 +41,7 @@ type Realm interface {
 	ReverseLookup(addr netip.Addr) (string, bool)
 	// Materialize constructs and registers the host at addr (and may
 	// register its whole ISP in one call). Hosts it registers stay
-	// undialable until it returns, so it may bind their listeners after
+	// undialable until it returns, so it may bind their ports after
 	// AddHost.
 	Materialize(addr netip.Addr) error
 }
@@ -66,7 +66,7 @@ type realmState struct {
 	// realm hosts AddHost registers meanwhile (both guarded by
 	// Network.mu). A staged host is pending: registered so the
 	// materializer can wire it, but not dialable until Materialize
-	// returns and its listeners exist.
+	// returns and its ports are bound.
 	building bool
 	staged   []*Host
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -62,7 +63,7 @@ func (r *toyRealm) Materialize(addr netip.Addr) error {
 		return err
 	}
 	banner := fmt.Sprintf("BANNER %s\n", addr)
-	_, err = h.ServeHandler(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
+	_, err = h.Serve(80, Public, HandlerFunc(func(conn net.Conn) {
 		defer conn.Close()
 		io.WriteString(conn, banner)
 	}))
@@ -179,7 +180,7 @@ func (r *pairRealm) Materialize(netip.Addr) error {
 	<-r.release
 	for _, h := range hosts {
 		banner := fmt.Sprintf("BANNER %s\n", h.Addr())
-		if _, err := h.ServeHandler(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
+		if _, err := h.Serve(80, Public, HandlerFunc(func(conn net.Conn) {
 			defer conn.Close()
 			io.WriteString(conn, banner)
 		})); err != nil {
@@ -316,7 +317,10 @@ func TestRealmRemoveHostStaysRemoved(t *testing.T) {
 	}
 }
 
-func TestServeHandlerDirectDispatch(t *testing.T) {
+// TestServeDirectDispatch: a dial runs the port's handler on the server
+// end of a fresh pipe addressed src → dst:port, and unbinding the port
+// refuses later dials.
+func TestServeDirectDispatch(t *testing.T) {
 	nw := New(nil)
 	defer nw.Close()
 	srv, err := nw.AddHost(netip.MustParseAddr("203.0.113.1"), "direct.test", nil)
@@ -327,11 +331,11 @@ func TestServeHandlerDirectDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotInfo DialInfo
+	var local, remote net.Addr
 	var mu sync.Mutex
-	l, err := srv.ServeHandler(8080, Public, HandlerFunc(func(conn net.Conn, info DialInfo) {
+	unbind, err := srv.Serve(8080, Public, HandlerFunc(func(conn net.Conn) {
 		mu.Lock()
-		gotInfo = info
+		local, remote = conn.LocalAddr(), conn.RemoteAddr()
 		mu.Unlock()
 		io.WriteString(conn, "direct\n")
 		conn.Close()
@@ -347,13 +351,16 @@ func TestServeHandlerDirectDispatch(t *testing.T) {
 		t.Fatalf("banner = %q", got)
 	}
 	mu.Lock()
-	info := gotInfo
+	from, to := remote, local
 	mu.Unlock()
-	if info.Src != src.Addr() || info.Dst != srv.Addr() || info.Port != 8080 {
-		t.Fatalf("handler DialInfo = %+v", info)
+	if AddrOf(from) != src.Addr() || to.String() != "203.0.113.1:8080" {
+		t.Fatalf("handler conn %v -> %v", from, to)
 	}
-	l.Close()
-	if _, err := src.Dial(context.Background(), srv.Addr(), 8080); err == nil {
-		t.Fatal("dial after Close succeeded")
+	if _, err := srv.Serve(8080, Public, HandlerFunc(func(net.Conn) {})); !errors.Is(err, ErrAddrInUse) {
+		t.Fatalf("second bind err = %v, want ErrAddrInUse", err)
+	}
+	unbind()
+	if _, err := src.Dial(context.Background(), srv.Addr(), 8080); !errors.Is(err, ErrConnRefused) {
+		t.Fatalf("dial after unbind err = %v, want ErrConnRefused", err)
 	}
 }

@@ -208,9 +208,10 @@ func TestSiteReviewSubmissionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := portal.Listen(80)
 	srv := &httpwire.Server{Handler: SiteReviewHandler(db)}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := portal.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 
 	lab, err := n.AddHost(netip.MustParseAddr("128.100.50.10"), "", nil)
 	if err != nil {

@@ -185,17 +185,19 @@ func gatewayFixture(t *testing.T, gwMut func(*Gateway)) (*netsim.Network, *netsi
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := origin.Listen(80)
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, httpwire.NewHeader("Server", "origin/1.0"), []byte("origin content"))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := origin.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 	blockedOrigin, err := n.AddHost(netip.MustParseAddr("192.0.2.2"), "bad.example", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, _ := blockedOrigin.Listen(80)
-	go srv.Serve(bl) //nolint:errcheck // ends with listener
+	if _, err := blockedOrigin.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 
 	gw := &Gateway{Host: mb, Engine: &fakeEngine{blockHost: "bad.example"}, ViaToken: "1.1 filter.example (FakeFilter)"}
 	if gwMut != nil {
@@ -314,12 +316,10 @@ func TestExplicitProxyHandler(t *testing.T) {
 	// Rebuild a gateway for the explicit test (the fixture's interceptor
 	// is inaccessible); engine blocks bad.example.
 	gw = &Gateway{Host: mb, Engine: &fakeEngine{blockHost: "bad.example"}, ViaToken: "1.1 explicit (FakeFilter)"}
-	l, err := mb.Listen(3128)
-	if err != nil {
+	srv := &httpwire.Server{Handler: gw.ExplicitProxyHandler()}
+	if _, err := mb.Serve(3128, netsim.Public, srv); err != nil {
 		t.Fatal(err)
 	}
-	srv := &httpwire.Server{Handler: gw.ExplicitProxyHandler()}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
 
 	outside, err := n.AddHost(netip.MustParseAddr("198.51.100.9"), "", nil)
 	if err != nil {

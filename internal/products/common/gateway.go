@@ -91,7 +91,7 @@ func (g *Gateway) Intercept(info netsim.DialInfo) netsim.Handler {
 		// than forward so not even Via headers are added.
 		return nil
 	}
-	return netsim.HandlerFunc(g.serveTransparent)
+	return netsim.HandlerFunc(func(conn net.Conn) { g.serveTransparent(conn, info) })
 }
 
 // serveTransparent handles one intercepted subscriber connection.

@@ -323,11 +323,9 @@ func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
 	if cfg.Scrub {
 		srv = &httpwire.Server{Handler: common.ScrubHandler(mux, BrandTokens)}
 	}
-	wl, err := host.ListenVisibility(WebAdminPort, cfg.WebAdminVisibility)
-	if err != nil {
+	if _, err := host.Serve(WebAdminPort, cfg.WebAdminVisibility, srv); err != nil {
 		return nil, err
 	}
-	go srv.Serve(wl) //nolint:errcheck // ends with listener
 
 	return dep, nil
 }

@@ -136,14 +136,16 @@ func installFixture(t *testing.T, mut func(*Config)) *fixture {
 	outside, _ := n.AddHost(netip.MustParseAddr("198.51.100.9"), "", nil)
 
 	origin, _ := n.AddHost(netip.MustParseAddr("192.0.2.1"), "proxy-site.net", nil)
-	l, _ := origin.Listen(80)
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte("glype page"))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := origin.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 	fresh, _ := n.AddHost(netip.MustParseAddr("192.0.2.2"), "fresh.info", nil)
-	fl, _ := fresh.Listen(80)
-	go srv.Serve(fl) //nolint:errcheck // ends with listener
+	if _, err := fresh.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 
 	cfg := Config{
 		Name: "ns1.example",
@@ -257,9 +259,10 @@ func TestTestASiteClassifiesAndReportsExisting(t *testing.T) {
 		return "", false
 	}))
 	portal, _ := n.AddHost(netip.MustParseAddr("66.207.1.10"), "netsweeper.example", nil)
-	l, _ := portal.Listen(80)
 	srv := &httpwire.Server{Handler: TestASiteHandler(db)}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := portal.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 	lab, _ := n.AddHost(netip.MustParseAddr("128.100.50.10"), "", nil)
 	client := &httpwire.Client{Dial: lab.Dialer(), Timeout: 5 * time.Second}
 	ctx := context.Background()

@@ -108,11 +108,12 @@ func TestEngineRunsOnBlueCoatChassis(t *testing.T) {
 	inside, _ := n.AddHost(netip.MustParseAddr("94.56.2.2"), "", isp)
 
 	origin, _ := n.AddHost(netip.MustParseAddr("192.0.2.1"), "adult-site.net", nil)
-	l, _ := origin.Listen(80)
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte("adult content"))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := origin.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 
 	gw := &common.Gateway{Host: mb, Engine: engine, ViaToken: "1.1 proxy1.example (Blue Coat ProxySG 6.5)"}
 	isp.SetInterceptor(gw)
@@ -189,9 +190,10 @@ func TestSubmissionPortal(t *testing.T) {
 	db.AddDomain("adult-site.net", CatPornography) //nolint:errcheck // category exists
 
 	portal, _ := n.AddHost(netip.MustParseAddr("161.69.1.10"), "trustedsource.example", nil)
-	l, _ := portal.Listen(80)
 	srv := &httpwire.Server{Handler: SubmissionPortalHandler(db)}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := portal.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 	lab, _ := n.AddHost(netip.MustParseAddr("128.100.50.10"), "", nil)
 	client := &httpwire.Client{Dial: lab.Dialer(), Timeout: 5 * time.Second}
 	ctx := context.Background()

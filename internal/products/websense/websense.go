@@ -227,18 +227,14 @@ func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
 	if cfg.Scrub {
 		srv = &httpwire.Server{Handler: common.ScrubHandler(mux, BrandTokens)}
 	}
-	bl, err := host.ListenVisibility(BlockPagePort, cfg.ConsoleVisibility)
-	if err != nil {
+	if _, err := host.Serve(BlockPagePort, cfg.ConsoleVisibility, srv); err != nil {
 		return nil, err
 	}
-	go srv.Serve(bl) //nolint:errcheck // ends with listener
 
 	// Port 80 serves the same console face.
-	fl, err := host.ListenVisibility(80, cfg.ConsoleVisibility)
-	if err != nil {
+	if _, err := host.Serve(80, cfg.ConsoleVisibility, srv); err != nil {
 		return nil, err
 	}
-	go srv.Serve(fl) //nolint:errcheck // ends with listener
 
 	return dep, nil
 }

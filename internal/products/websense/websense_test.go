@@ -113,11 +113,12 @@ func installFixture(t *testing.T, mut func(*Config)) *fixture {
 	outside, _ := n.AddHost(netip.MustParseAddr("198.51.100.9"), "", nil)
 
 	origin, _ := n.AddHost(netip.MustParseAddr("192.0.2.1"), "adult-site.net", nil)
-	l, _ := origin.Listen(80)
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte("adult content"))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := origin.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 
 	cfg := Config{
 		Name: "wsg1.example",

@@ -32,12 +32,10 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := ref.Listen(80)
-	if err != nil {
+	srv := &httpwire.Server{Handler: EchoHandler()}
+	if _, err := ref.Serve(80, netsim.Public, srv); err != nil {
 		t.Fatal(err)
 	}
-	srv := &httpwire.Server{Handler: EchoHandler()}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
 
 	mkISP := func(name string, asn int, cidr, hostIP string, ic netsim.Interceptor) *netsim.Host {
 		as, err := n.AddAS(asn, name, "XX", netip.MustParsePrefix(cidr))
@@ -76,7 +74,7 @@ func (p viaProxy) Intercept(info netsim.DialInfo) netsim.Handler {
 	if info.Port != 80 {
 		return nil
 	}
-	return netsim.HandlerFunc(func(conn net.Conn, info netsim.DialInfo) {
+	return netsim.HandlerFunc(func(conn net.Conn) {
 		defer conn.Close()
 		req, err := httpwire.ReadRequest(bufio.NewReader(conn))
 		if err != nil {
@@ -113,7 +111,7 @@ func (blockAll) Intercept(info netsim.DialInfo) netsim.Handler {
 	if info.Port != 80 {
 		return nil
 	}
-	return netsim.HandlerFunc(func(conn net.Conn, _ netsim.DialInfo) {
+	return netsim.HandlerFunc(func(conn net.Conn) {
 		defer conn.Close()
 		resp := httpwire.NewResponse(403, httpwire.NewHeader("Connection", "close"), []byte("<h1>blocked</h1>"))
 		resp.WriteTo(conn) //nolint:errcheck // test

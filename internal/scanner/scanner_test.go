@@ -29,14 +29,12 @@ func fixture(t *testing.T) (*netsim.Network, *Scanner) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := h.Listen(port)
-		if err != nil {
-			t.Fatal(err)
-		}
 		srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 			return resp.Clone()
 		})}
-		go srv.Serve(l) //nolint:errcheck // ends with listener
+		if _, err := h.Serve(port, netsim.Public, srv); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	serve("192.0.2.1", "ns1.filter.qa", 8080, httpwire.NewResponse(200,
@@ -189,7 +187,6 @@ func TestBodyExcerptBounded(t *testing.T) {
 	t.Cleanup(n.Close)
 	vantage, _ := n.AddHost(netip.MustParseAddr("198.108.1.10"), "", nil)
 	big, _ := n.AddHost(netip.MustParseAddr("192.0.2.9"), "big.example", nil)
-	l, _ := big.Listen(80)
 	huge := make([]byte, 100<<10)
 	for i := range huge {
 		huge[i] = 'x'
@@ -197,7 +194,9 @@ func TestBodyExcerptBounded(t *testing.T) {
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, huge)
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := big.Serve(80, netsim.Public, srv); err != nil {
+		t.Fatal(err)
+	}
 
 	s := &Scanner{Vantage: vantage, BodyExcerptLen: 512}
 	idx, err := s.ScanAddrs(context.Background(), []netip.Addr{big.Addr()})

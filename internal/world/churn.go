@@ -49,8 +49,8 @@ func (w *World) AddBackgroundInstall(product string, asn int, asName, country, c
 	return w.installBackgroundProduct(product, host)
 }
 
-// RemoveInstallation takes the host at ip off the network (listeners
-// closed, DNS withdrawn). The next identification run no longer finds it.
+// RemoveInstallation takes the host at ip off the network (ports
+// unbound, DNS withdrawn). The next identification run no longer finds it.
 func (w *World) RemoveInstallation(ip string) error {
 	addr, err := netip.ParseAddr(ip)
 	if err != nil {
@@ -64,7 +64,7 @@ func (w *World) RemoveInstallation(ip string) error {
 }
 
 // UpgradeInstallation swaps the product mounted at ip for newProduct in
-// place: the host is torn down (listeners closed, DNS withdrawn) and
+// place: the host is torn down (ports unbound, DNS withdrawn) and
 // stood back up at the same address, hostname and ISP with the new
 // product's network faces. The next identification run sees the old
 // product vanish and the new one appear on the same box — a vendor

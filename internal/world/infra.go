@@ -57,12 +57,9 @@ func (w *World) buildInfrastructure() error {
 	if err != nil {
 		return err
 	}
-	whoisL, err := whoisHost.Listen(geo.WhoisPort)
-	if err != nil {
+	if _, err := whoisHost.Serve(geo.WhoisPort, netsim.Public, &geo.WhoisServer{Table: w.ASTable}); err != nil {
 		return err
 	}
-	whoisSrv := &geo.WhoisServer{Table: w.ASTable}
-	go whoisSrv.Serve(whoisL) //nolint:errcheck // ends with listener
 
 	// Vendor cloud services.
 	if _, err := w.addAS(64497, "BLUECOAT-CLOUD", "US", "199.91.0.0/16"); err != nil {
@@ -113,13 +110,8 @@ func (w *World) serveVendorHost(ip, name string, handler httpwire.Handler) error
 	if err != nil {
 		return err
 	}
-	l, err := h.Listen(80)
-	if err != nil {
-		return err
-	}
-	srv := &httpwire.Server{Handler: handler}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
-	return nil
+	_, err = h.Serve(80, netsim.Public, &httpwire.Server{Handler: handler})
+	return err
 }
 
 // allocSiteIP hands out sequential hosting addresses.
@@ -143,12 +135,9 @@ func (w *World) HostProfile(profile urllist.Profile) error {
 	if err != nil {
 		return fmt.Errorf("host %s: %w", profile.Domain, err)
 	}
-	l, err := h.Listen(80)
-	if err != nil {
+	if _, err := h.Serve(80, netsim.Public, &httpwire.Server{Handler: urllist.Handler(profile)}); err != nil {
 		return err
 	}
-	srv := &httpwire.Server{Handler: urllist.Handler(profile)}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
 	if w.Opts.Mechanisms != nil {
 		// SNI probing needs a TLS first-flight responder on 443; gated so
 		// mechanism-free worlds keep their exact port surface.

@@ -389,10 +389,6 @@ func (w *World) serveSinkhole(sig mechanism.DNSSignature, catFor map[string]stri
 	if err != nil {
 		return err
 	}
-	l, err := h.Listen(80)
-	if err != nil {
-		return err
-	}
 	product := sig.Product
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
 		host := strings.ToLower(req.Host())
@@ -403,8 +399,8 @@ func (w *World) serveSinkhole(sig mechanism.DNSSignature, catFor map[string]stri
 		hdr := httpwire.NewHeader("Content-Type", "text/html")
 		return httpwire.NewResponse(403, hdr, []byte(body))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
-	return nil
+	_, err = h.Serve(80, netsim.Public, srv)
+	return err
 }
 
 // sinkholePage renders the product-marked block page a sinkhole serves —
@@ -437,15 +433,11 @@ func sinkholePage(product, domain, category string) string {
 // it answers honestly; otherwise blocked names get the deployment's
 // forged answer and everything else the truth.
 func (w *World) serveResolver(h *netsim.Host, blocked netsim.DomainSet, assign MechAssignment) error {
-	l, err := h.Listen(53)
-	if err != nil {
-		return err
-	}
 	var sig mechanism.DNSSignature
 	if blocked != nil {
 		sig, _ = dnsSigFor(assign.Product)
 	}
-	resolve := func(name string) (int, []mechanism.Answer) {
+	resolve := mechanism.Resolve(func(name string) (int, []mechanism.Answer) {
 		name = strings.ToLower(strings.TrimSuffix(name, "."))
 		if blocked != nil && blocked.Contains(name) {
 			if sig.NXDomain {
@@ -458,17 +450,9 @@ func (w *World) serveResolver(h *netsim.Host, blocked netsim.DomainSet, assign M
 			return mechanism.RCodeNXDomain, nil
 		}
 		return mechanism.RCodeNoError, []mechanism.Answer{{Name: name, TTL: cleanDNSTTL, Addr: addr}}
-	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go mechanism.ServeDNSConn(c, resolve)
-		}
-	}()
-	return nil
+	})
+	_, err := h.Serve(53, netsim.Public, resolve)
+	return err
 }
 
 // serveTLSResponder runs the minimal TLS first-flight responder the SNI
@@ -476,7 +460,7 @@ func (w *World) serveResolver(h *netsim.Host, blocked netsim.DomainSet, assign M
 // Anything that is not TLS is closed immediately (the banner scanner's
 // HTTP probes must not hang here).
 func serveTLSResponder(h *netsim.Host) error {
-	_, err := h.Serve(443, netsim.Public, netsim.HandlerFunc(func(c net.Conn, _ netsim.DialInfo) {
+	_, err := h.Serve(443, netsim.Public, netsim.HandlerFunc(func(c net.Conn) {
 		defer c.Close()
 		var buf []byte
 		tmp := make([]byte, 2048)

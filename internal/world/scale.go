@@ -340,7 +340,7 @@ func (r *scaleRealm) materializeISP(i int) error {
 			// Dark generic host: exists, answers nothing.
 		default:
 			resp := r.templates[r.genericTemplate(i, j)]
-			if _, err := host.ServeHandler(r.genericPort(i, j), netsim.Public, cannedHandler(resp)); err != nil {
+			if _, err := host.Serve(r.genericPort(i, j), netsim.Public, cannedHandler(resp)); err != nil {
 				return err
 			}
 		}
@@ -353,7 +353,7 @@ func (r *scaleRealm) materializeISP(i int) error {
 // stage exists to absorb.
 func (r *scaleRealm) serveDecoy(host *netsim.Host) error {
 	resp := cannedResponse("nginx/1.2.1", "Filtering field notes", r.decoyBody)
-	_, err := host.ServeHandler(80, netsim.Public, cannedHandler(resp))
+	_, err := host.Serve(80, netsim.Public, cannedHandler(resp))
 	return err
 }
 
@@ -439,14 +439,14 @@ func cannedResponse(server, title, body string) []byte {
 }
 
 // cannedHandler serves a fixed response to every connection: the
-// cheapest possible listener for the generic synthetic population.
+// cheapest possible handler for the generic synthetic population.
 // The in-memory pipe buffers writes, so the response can be written
 // without draining the request first. It then half-closes rather than
 // closes: the prober sees EOF after the response, and a request that
 // lands after the handler returned is still accepted instead of failing
 // on a closed pipe.
 func cannedHandler(resp []byte) netsim.Handler {
-	return netsim.HandlerFunc(func(conn net.Conn, _ netsim.DialInfo) {
+	return netsim.HandlerFunc(func(conn net.Conn) {
 		conn.Write(resp) //nolint:errcheck // peer may already be gone
 		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
 			cw.CloseWrite() //nolint:errcheck // cannot fail in memory

@@ -223,8 +223,8 @@ func TestCannedHandlerLateRequest(t *testing.T) {
 	resp := cannedResponse("nginx/1.2.1", "Welcome to nginx!", "<h1>Welcome to nginx!</h1>")
 	canned := cannedHandler(resp)
 	returned := make(chan struct{})
-	if _, err := srv.ServeHandler(80, netsim.Public, netsim.HandlerFunc(func(conn net.Conn, info netsim.DialInfo) {
-		canned.ServeConn(conn, info)
+	if _, err := srv.Serve(80, netsim.Public, netsim.HandlerFunc(func(conn net.Conn) {
+		canned.ServeConn(conn)
 		close(returned)
 	})); err != nil {
 		t.Fatal(err)

@@ -273,8 +273,8 @@ func MustBuild(opts Options) *World {
 }
 
 // Close shuts the simulated network down, first closing every pooled
-// keep-alive connection its measurement clients parked: closing the
-// listeners alone leaves those connections, and the product goroutines
+// keep-alive connection its measurement clients parked: unbinding the
+// ports alone leaves those connections, and the product goroutines
 // serving them, alive.
 func (w *World) Close() {
 	w.clientsMu.Lock()

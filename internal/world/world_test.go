@@ -278,12 +278,47 @@ func TestCloseReleasesPooledConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
+	if n := goroutinesSettle(baseline); n > baseline {
+		t.Fatalf("%d goroutines after Close, baseline %d", n, baseline)
+	}
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), baseline)
-		}
+// TestIdleWorldParksNoGoroutines: every simulated port dispatches its
+// connections directly, so a built world nobody dials runs no
+// goroutine at all, and Close leaves none behind.
+func TestIdleWorldParksNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"mechanisms", Options{Mechanisms: &MechanismOptions{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			w, err := Build(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := goroutinesSettle(baseline); n > baseline {
+				w.Close()
+				t.Fatalf("idle world parks %d goroutines (%d, baseline %d)", n-baseline, n, baseline)
+			}
+			w.Close()
+			if n := goroutinesSettle(baseline); n > baseline {
+				t.Fatalf("%d goroutines after Close, baseline %d", n, baseline)
+			}
+		})
+	}
+}
+
+// goroutinesSettle waits up to five seconds for the goroutine count to
+// fall to want, so goroutines a build, a run or Close started may
+// finish, and returns the last count.
+func goroutinesSettle(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
 		time.Sleep(10 * time.Millisecond)
 	}
+	return n
 }
