@@ -158,10 +158,11 @@ bench-cluster:
 	./scripts/bench_json.sh 10x cluster
 
 # Fail when a pinned hot path (ClassifyBytes, SearchBytes,
-# ExtractTitleBytes, the match detectors) allocates in steady state.
+# ExtractTitleBytes, the match detectors, the engine's per-item
+# dispatch) allocates in steady state.
 .PHONY: alloc-gate
 alloc-gate:
-	go test -run 'TestZeroAlloc' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/
+	go test -run 'TestZeroAlloc' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/
 
 # The benchmark harness is its own module (bench/go.mod, replacing
 # filtermap with ../) that compiles against internal packages, so the

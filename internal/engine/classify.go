@@ -151,11 +151,20 @@ func WithBreaker(b *Breaker) Option { return func(c *Config) { c.Breaker = b } }
 type attemptKey struct{}
 
 // WithAttempt returns a context annotated with the 1-based attempt
-// number. runItem stamps every attempt's context; transports (the
-// simulated network's fault injector) read it back so per-attempt fault
-// decisions depend only on (key, attempt), never on scheduling.
+// number. The engine's retry loop stamps every attempt whose number
+// AttemptFromContext would otherwise misreport: every retry, and a first
+// attempt whose context already carries an outer stage's number.
+// Transports (the simulated network's fault injector) read it back so
+// per-attempt fault decisions depend only on (key, attempt), never on
+// scheduling.
 func WithAttempt(ctx context.Context, attempt int) context.Context {
 	return context.WithValue(ctx, attemptKey{}, attempt)
+}
+
+// hasAttempt reports whether ctx carries an attempt number.
+func hasAttempt(ctx context.Context) bool {
+	_, ok := ctx.Value(attemptKey{}).(int)
+	return ok
 }
 
 // AttemptFromContext returns the attempt number stamped by WithAttempt,

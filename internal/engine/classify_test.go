@@ -143,6 +143,24 @@ func TestWithAttemptThreading(t *testing.T) {
 	if len(seen) != 3 || seen[0] != 1 || seen[1] != 2 || seen[2] != 3 {
 		t.Fatalf("attempts seen = %v, want [1 2 3]", seen)
 	}
+
+	// A stage nested inside attempt 2 of an outer item numbers its own
+	// attempts: its first attempt is 1, not the outer 2.
+	var outer, inner []int
+	MapResults(context.Background(), cfg, "outer", []int{0}, func(ctx context.Context, _ int) (int, error) {
+		outer = append(outer, AttemptFromContext(ctx))
+		if len(outer) < 2 {
+			return 0, errors.New("again")
+		}
+		MapResults(ctx, Config{}, "inner", []int{0}, func(ctx context.Context, _ int) (int, error) {
+			inner = append(inner, AttemptFromContext(ctx))
+			return 0, nil
+		})
+		return 0, nil
+	})
+	if len(outer) != 2 || outer[1] != 2 || len(inner) != 1 || inner[0] != 1 {
+		t.Fatalf("outer attempts = %v, inner attempts = %v, want [1 2] and [1]", outer, inner)
+	}
 }
 
 func TestWithBreakerOption(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -253,7 +254,9 @@ func ForEach[T any](ctx context.Context, cfg Config, stage string, items []T, fn
 	return err
 }
 
-// mapResults is the pool core shared by Map/MapResults/ForEach.
+// mapResults is the pool core shared by Map/MapResults/ForEach. Workers
+// claim the next unclaimed index from one shared counter, so handing an
+// item over costs an atomic add rather than a channel exchange.
 func mapResults[T, R any](ctx context.Context, cfg Config, stage string, items []T, fn func(context.Context, T) (R, error), failFast bool) []Result[R] {
 	results := make([]Result[R], len(items))
 	if len(items) == 0 {
@@ -270,45 +273,62 @@ func mapResults[T, R any](ctx context.Context, cfg Config, stage string, items [
 		poolCtx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
+	run := stageRun[T, R]{
+		cfg:        cfg,
+		name:       stage,
+		st:         cfg.Stats.stage(stage),
+		fn:         fn,
+		stampFirst: hasAttempt(poolCtx),
+	}
+	done := poolCtx.Done()
 
-	jobs := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range jobs {
-				results[idx] = runItem(poolCtx, cfg, stage, idx, items[idx], fn)
+			for {
+				idx := int(next.Add(1) - 1)
+				if idx >= len(items) {
+					return
+				}
+				select {
+				case <-done:
+					// Drain cleanly: an item claimed after the pool is
+					// done never starts; in-flight items finish.
+					results[idx] = Result[R]{Err: context.Cause(poolCtx)}
+					continue
+				default:
+				}
+				results[idx] = run.item(poolCtx, idx, items[idx])
 				if failFast && results[idx].Err != nil {
 					cancel()
 				}
 			}
 		}()
 	}
-
-dispatch:
-	for i := range items {
-		select {
-		case jobs <- i:
-		case <-poolCtx.Done():
-			// Drain cleanly: stop dispatching, let in-flight items finish.
-			for j := i; j < len(items); j++ {
-				if results[j].Attempts == 0 && results[j].Err == nil {
-					results[j] = Result[R]{Err: context.Cause(poolCtx)}
-				}
-			}
-			break dispatch
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	return results
 }
 
-// runItem executes one item's attempt/retry loop.
-func runItem[T, R any](ctx context.Context, cfg Config, stage string, idx int, item T, fn func(context.Context, T) (R, error)) Result[R] {
+// stageRun is what every worker of one mapResults call shares, resolved
+// once per call rather than once per item.
+type stageRun[T, R any] struct {
+	cfg  Config
+	name string
+	st   *StageStats
+	fn   func(context.Context, T) (R, error)
+	// stampFirst stamps attempt 1 as well: the pool context already
+	// carries an outer stage's attempt number, which this stage's items
+	// must not inherit.
+	stampFirst bool
+}
+
+// item executes one item's attempt/retry loop.
+func (s *stageRun[T, R]) item(ctx context.Context, idx int, item T) Result[R] {
 	var res Result[R]
-	st := cfg.Stats.stage(stage)
+	cfg, stage, st := &s.cfg, s.name, s.st
 	attempts := cfg.Retry.attempts()
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -318,13 +338,16 @@ func runItem[T, R any](ctx context.Context, cfg Config, stage string, idx int, i
 		res.Attempts = attempt
 		cfg.observe(Event{Stage: stage, Kind: EventStart, Item: idx, Attempt: attempt})
 
-		attemptCtx := WithAttempt(ctx, attempt)
+		attemptCtx := ctx
+		if attempt > 1 || s.stampFirst {
+			attemptCtx = WithAttempt(ctx, attempt)
+		}
 		cancel := context.CancelFunc(func() {})
 		if cfg.Timeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(attemptCtx, cfg.Timeout)
 		}
 		start := time.Now()
-		v, err := fn(attemptCtx, item)
+		v, err := s.fn(attemptCtx, item)
 		elapsed := time.Since(start)
 		cancel()
 

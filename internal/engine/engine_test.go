@@ -281,3 +281,24 @@ func TestConfigOptionHelpers(t *testing.T) {
 		t.Fatal("worker defaults wrong")
 	}
 }
+
+// TestZeroAllocEngineItem pins the per-item cost of the pool at zero
+// allocations: with stats attached and no timeout, doubling the items
+// at a fixed worker count must not add a single allocation.
+func TestZeroAllocEngineItem(t *testing.T) {
+	cfg := NewConfig(WithWorkers(4), WithStats(NewStats()))
+	allocs := func(n int) float64 {
+		items := make([]int, n)
+		return testing.AllocsPerRun(50, func() {
+			if err := ForEach(context.Background(), cfg, "noop", items, func(context.Context, int) error {
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2048), allocs(4096)
+	if large != small {
+		t.Fatalf("ForEach allocates %v over 2048 items and %v over 4096: want no per-item allocation", small, large)
+	}
+}

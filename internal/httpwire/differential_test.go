@@ -134,7 +134,7 @@ func TestReadResponseBufferedSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 12 {
-		t.Errorf("buffered read allocates %v/op steady-state, want <= 12 (arena reuse broken?)", n)
+	if n > 7 {
+		t.Errorf("buffered read allocates %v/op steady-state, want <= 7 (arena reuse broken?)", n)
 	}
 }

@@ -383,10 +383,16 @@ func readLineRaw(br *bufio.Reader, raw *bytes.Buffer) (string, error) {
 	var b []byte
 	for {
 		chunk, err := br.ReadSlice('\n')
-		b = append(b, chunk...)
 		if raw != nil {
 			raw.Write(chunk)
 		}
+		if err == nil && b == nil {
+			// The whole line sat in the buffer: the string conversion
+			// below is its only copy.
+			b = chunk
+			break
+		}
+		b = append(b, chunk...)
 		if err == nil {
 			break
 		}
@@ -404,8 +410,7 @@ func readLineRaw(br *bufio.Reader, raw *bytes.Buffer) (string, error) {
 	if len(b) > maxStartLine {
 		return "", ErrHeaderTooLarge
 	}
-	s := strings.TrimRight(string(b), "\r\n")
-	return s, nil
+	return string(bytes.TrimRight(b, "\r\n")), nil
 }
 
 func readHeaderBlock(br *bufio.Reader) (*Header, error) {

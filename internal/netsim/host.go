@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -124,10 +125,24 @@ func (h *Host) deliver(src *Host, port uint16) (net.Conn, error) {
 	if l == nil || l.visibility == ISPOnly && (src.isp != h.isp || h.isp == nil) {
 		// An ISPOnly device is invisible to the outside world:
 		// indistinguishable from a closed port.
-		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
+		return nil, &refusedError{addr: h.addr, port: port}
 	}
 	return connect(src, h.addr, port, l.handler), nil
 }
+
+// refusedError is a dial refused at addr:port. Most of a scan's probes
+// meet a closed port and drop the error unread, so the message is
+// formatted only when asked for.
+type refusedError struct {
+	addr netip.Addr
+	port uint16
+}
+
+func (e *refusedError) Error() string {
+	return ErrConnRefused.Error() + ": " + e.addr.String() + ":" + strconv.Itoa(int(e.port))
+}
+
+func (e *refusedError) Unwrap() error { return ErrConnRefused }
 
 // Dial opens a connection from this host to dst:port. The connection is
 // subject to interception by the host's ISP when dst lies outside it.

@@ -136,13 +136,45 @@ func TestDialByHostname(t *testing.T) {
 	}
 }
 
+// TestDialClosedPortRefused checks a refused dial, to a closed port or to
+// an ISPOnly port from outside the ISP: it wraps ErrConnRefused, names
+// the address and port, and costs at most one allocation, since a scan
+// meets far more closed ports than open ones.
 func TestDialClosedPortRefused(t *testing.T) {
 	n := newTestNet(t)
+	as, _ := n.AddAS(64500, "TEST-AS", "qa", mustPrefix(t, "198.51.100.0/24"))
+	isp, _ := n.AddISP("TestISP", as)
 	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
+	filter, _ := n.AddHost(mustAddr(t, "198.51.100.1"), "", isp)
 	cliHost, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	_, err := cliHost.Dial(context.Background(), srvHost.Addr(), 81)
-	if !errors.Is(err, ErrConnRefused) {
-		t.Fatalf("err = %v, want ErrConnRefused", err)
+	if _, err := filter.Serve(8080, ISPOnly, HandlerFunc(func(c net.Conn) { c.Close() })); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	for _, c := range []struct {
+		dst  *Host
+		port uint16
+		want string
+	}{
+		{srvHost, 81, "netsim: connection refused: 192.0.2.1:81"},
+		{filter, 8080, "netsim: connection refused: 198.51.100.1:8080"},
+	} {
+		_, err := cliHost.Dial(ctx, c.dst.Addr(), c.port)
+		if !errors.Is(err, ErrConnRefused) {
+			t.Fatalf("dial %s:%d err = %v, want ErrConnRefused", c.dst.Addr(), c.port, err)
+		}
+		if err.Error() != c.want {
+			t.Fatalf("dial %s:%d err = %q, want %q", c.dst.Addr(), c.port, err, c.want)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := cliHost.Dial(ctx, c.dst.Addr(), c.port); err == nil {
+				t.Fatal("dial succeeded")
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("refused dial to %s:%d allocates %v, want <= 1", c.dst.Addr(), c.port, allocs)
+		}
 	}
 }
 

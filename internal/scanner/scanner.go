@@ -105,12 +105,14 @@ func (s *Scanner) excerptLen() int {
 	return DefaultBodyExcerptLen
 }
 
-// engineConfig resolves the effective execution config: Config values
-// win over the scan defaults.
+// engineConfig resolves the scan pool: Config.Workers wins over the scan
+// default. The engine imposes no per-item timeout: each probe bounds
+// itself with a connection deadline from Config.Timeout (default 5s),
+// so a probe that meets a closed port costs no context and no timer.
 func (s *Scanner) engineConfig() engine.Config {
 	cfg := s.Config
 	cfg.Workers = cfg.WorkersOr(DefaultScanWorkers)
-	cfg.Timeout = cfg.TimeoutOr(DefaultProbeTimeout)
+	cfg.Timeout = 0
 	return cfg
 }
 
@@ -133,8 +135,9 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, er
 		}
 	}
 	idx := NewIndex()
+	timeout := s.Config.TimeoutOr(DefaultProbeTimeout)
 	err := engine.ForEach(ctx, s.engineConfig(), "scan", jobs, func(ctx context.Context, j job) error {
-		if banner, ok := s.probe(ctx, j.addr, j.port); ok {
+		if banner, ok := s.probe(ctx, j.addr, j.port, time.Now().Add(timeout)); ok {
 			idx.Add(banner)
 		}
 		return nil
@@ -163,16 +166,19 @@ func (s *Scanner) ScanPrefix(ctx context.Context, prefix netip.Prefix, maxAddrs 
 }
 
 // probe performs one banner grab: TCP connect, plain GET /, read response.
-// The per-probe timeout arrives as the engine-imposed ctx deadline.
-func (s *Scanner) probe(ctx context.Context, addr netip.Addr, port uint16) (Banner, bool) {
+// deadline bounds the whole probe, dial included: it is taken when the
+// item starts, so a dial that outlasts it fails the first write. A
+// caller's earlier ctx deadline still wins.
+func (s *Scanner) probe(ctx context.Context, addr netip.Addr, port uint16, deadline time.Time) (Banner, bool) {
 	conn, err := s.Vantage.Dial(ctx, addr, port)
 	if err != nil {
 		return Banner{}, false
 	}
 	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl) //nolint:errcheck // best-effort
+	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
+		deadline = dl
 	}
+	conn.SetDeadline(deadline) //nolint:errcheck // best-effort
 
 	req := &httpwire.Request{
 		Method: "GET",

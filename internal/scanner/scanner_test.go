@@ -2,6 +2,8 @@ package scanner
 
 import (
 	"context"
+	"io"
+	"net"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -173,6 +175,49 @@ func TestScanRespectsContext(t *testing.T) {
 	// Either a context error or an empty index is acceptable; it must not
 	// hang.
 	_ = err
+}
+
+// TestProbeBoundedAtConnection scans a port that accepts and never
+// answers: the probe bound, applied as the connection deadline, must end
+// the probe well inside the test's own deadline and index nothing for
+// it, while the answering service beside it is still indexed.
+func TestProbeBoundedAtConnection(t *testing.T) {
+	n, _ := fixture(t)
+	vantage, _ := n.Host(netip.MustParseAddr("198.108.1.10"))
+	tarpit, err := n.AddHost(netip.MustParseAddr("192.0.2.4"), "tarpit.example", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read the request and never answer; return once the prober hangs up.
+	if _, err := tarpit.Serve(80, netsim.Public, netsim.HandlerFunc(func(c net.Conn) {
+		io.Copy(io.Discard, c) //nolint:errcheck // test server
+		c.Close()
+	})); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(vantage, engine.WithTimeout(50*time.Millisecond))
+	type scan struct {
+		idx *Index
+		err error
+	}
+	done := make(chan scan, 1)
+	go func() {
+		idx, err := s.ScanAddrs(context.Background(), []netip.Addr{tarpit.Addr(), netip.MustParseAddr("192.0.2.1")})
+		done <- scan{idx, err}
+	}()
+	select {
+	case got := <-done:
+		if got.err != nil {
+			t.Fatalf("ScanAddrs: %v", got.err)
+		}
+		all := got.idx.All()
+		if len(all) != 1 || all[0].Addr.String() != "192.0.2.1" {
+			t.Fatalf("indexed %v, want only the 192.0.2.1 banner", all)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("scan of a silent port did not finish within 2s under a 50ms probe bound")
+	}
 }
 
 func TestScannerNoVantage(t *testing.T) {

@@ -33,6 +33,11 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-20x}"
 SUITE="${2:-classify}"
+# Every suite's JSON records the cores it ran on and the GOMAXPROCS its
+# benchmarks saw; pinning GOMAXPROCS here makes the stamp exact.
+NPROC=$(nproc)
+GOMAXPROCS="${GOMAXPROCS:-$NPROC}"
+export GOMAXPROCS
 
 run() { # run <package> <benchmark regex>
 	go test -run xxx -bench "$2" -benchtime "$BENCHTIME" -benchmem "$1" 2>&1 |
@@ -102,5 +107,5 @@ if [ -z "$out" ]; then
 	exit 1
 fi
 
-printf '{\n"comment": "%s",\n"benchtime": "%s",\n"benchmarks": [\n%s\n]\n}\n' \
-	"$COMMENT" "$BENCHTIME" "$(printf '%s' "$out" | sed '$ s/,$//')"
+printf '{\n"comment": "%s",\n"benchtime": "%s",\n"nproc": %s,\n"gomaxprocs": %s,\n"benchmarks": [\n%s\n]\n}\n' \
+	"$COMMENT" "$BENCHTIME" "$NPROC" "$GOMAXPROCS" "$(printf '%s' "$out" | sed '$ s/,$//')"
