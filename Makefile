@@ -81,7 +81,7 @@ cluster-golden:
 .PHONY: world-golden
 world-golden:
 	go test -race -run 'TestScale|TestRealm|TestServeDirectDispatch' -count=1 . ./internal/world/ ./internal/netsim/
-	go test -run 'TestScaleNationLazyMemoryCeiling' -count=1 ./internal/world/
+	go test -run 'TestScaleNationLazyMemoryCeiling|TestScaleIdentifyGroundTruth' -count=1 ./internal/world/
 
 # The world-scaling benchmarks (DESIGN.md §16) as JSON: cold whole-ISP
 # materialization via dial, live heap per 10k materialized hosts, and

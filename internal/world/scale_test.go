@@ -3,12 +3,15 @@ package world
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/netip"
 	"strings"
 	"testing"
 
+	"filtermap/internal/fingerprint"
+	"filtermap/internal/identify"
 	"filtermap/internal/netsim"
 )
 
@@ -203,6 +206,102 @@ func TestScaleDerivationStability(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seed 7 derived the identical synthetic population")
+	}
+}
+
+// scaleProductNames maps a console product key to the display name
+// fingerprint validation reports it under.
+var scaleProductNames = map[string]string{
+	"bluecoat":    fingerprint.ProductBlueCoat,
+	"netsweeper":  fingerprint.ProductNetsweeper,
+	"websense":    fingerprint.ProductWebsense,
+	"smartfilter": fingerprint.ProductSmartFilter,
+}
+
+// installationLine flattens the fields the ground truth pins.
+func installationLine(inst identify.Installation) string {
+	return fmt.Sprintf("%s name=%s products=%s cc=%s asn=%d",
+		inst.Addr, inst.Hostname, strings.Join(inst.Products, ","), inst.Country, inst.ASN)
+}
+
+// TestScaleIdentifyGroundTruth is the identification oracle at scale
+// (§3, Table 2): the report must hold exactly the default world's
+// installations plus one per synthetic console, each validated as the
+// console's product and mapped to its ISP's country and ASN. Keyword
+// decoys surface in search, so none of them may survive validation.
+// The nation run takes about a second; it is skipped only under the
+// race detector.
+func TestScaleIdentifyGroundTruth(t *testing.T) {
+	ctx := context.Background()
+	base := buildScaleWorld(t, Options{})
+	baseRep, err := base.RunIdentification(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []struct {
+		name     string
+		consoles int
+	}{{ScaleCity, 4}, {ScaleNation, 35}} {
+		t.Run(scale.name, func(t *testing.T) {
+			if scale.name == ScaleNation && raceEnabled {
+				t.Skip("nation identify is too slow under the race detector")
+			}
+			w := buildScaleWorld(t, Options{Scale: scale.name})
+			rep, err := w.RunIdentification(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Degraded {
+				t.Fatalf("identify degraded: %+v %+v", rep.QueryErrors, rep.Errors)
+			}
+			r := w.scale
+			want := make(map[netip.Addr]string)
+			for _, inst := range baseRep.Installations {
+				want[inst.Addr] = installationLine(inst)
+			}
+			decoys := make(map[netip.Addr]bool)
+			consoles := 0
+			for i := 0; i < r.profile.isps; i++ {
+				if r.hasConsole(i) {
+					consoles++
+					addr := r.hostAddr(i, 1)
+					want[addr] = installationLine(identify.Installation{
+						Addr:     addr,
+						Hostname: r.hostName(i, 1),
+						Products: []string{scaleProductNames[r.consoleProduct(i)]},
+						Country:  r.ispCountry(i),
+						ASN:      r.ispASN(i),
+					})
+				}
+				if r.hasDecoy(i) {
+					decoys[r.hostAddr(i, 2)] = true
+				}
+			}
+			if consoles != scale.consoles {
+				t.Fatalf("%d console ISPs, want %d", consoles, scale.consoles)
+			}
+			for _, inst := range rep.Installations {
+				if decoys[inst.Addr] {
+					t.Errorf("keyword decoy %s validated as %v", inst.Addr, inst.Products)
+				}
+				line, ok := want[inst.Addr]
+				if !ok {
+					t.Errorf("unexpected installation %s", installationLine(inst))
+					continue
+				}
+				if got := installationLine(inst); got != line {
+					t.Errorf("installation diverged:\n  got:  %s\n  want: %s", got, line)
+				}
+				delete(want, inst.Addr)
+			}
+			for _, line := range want {
+				t.Errorf("missing installation %s", line)
+			}
+			if got, wantN := len(rep.Installations), len(baseRep.Installations)+scale.consoles; got != wantN {
+				t.Fatalf("%d installations, want %d (%d handcrafted + %d consoles)",
+					got, wantN, len(baseRep.Installations), scale.consoles)
+			}
+		})
 	}
 }
 

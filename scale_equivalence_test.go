@@ -8,7 +8,6 @@ package filtermap_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -194,27 +193,6 @@ func TestScaleCityLazyEagerEquivalence(t *testing.T) {
 	}
 }
 
-// TestScaleCityFindsSyntheticInstallations guards that the city battery
-// is not vacuous: the synthetic population plants real product consoles
-// (every 12th ISP), and identification must find more installations
-// than the handcrafted world alone.
-func TestScaleCityFindsSyntheticInstallations(t *testing.T) {
-	base := scaleWorld(t, filtermap.Options{}, scaleBuild{workers: 8})
-	baseRep, err := base.RunIdentification(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	city := scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleCity}, scaleBuild{workers: 8})
-	cityRep, err := city.RunIdentification(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cityRep.Installations) <= len(baseRep.Installations) {
-		t.Fatalf("city identify found %d installations, handcrafted world alone found %d — synthetic consoles invisible",
-			len(cityRep.Installations), len(baseRep.Installations))
-	}
-}
-
 // TestScaleConfigHash pins the cache-key plumbing: the scale profile
 // must flow into ConfigHash, so fmserve cache entries and snapshot IDs
 // never mix worlds of different scales.
@@ -224,30 +202,5 @@ func TestScaleConfigHash(t *testing.T) {
 	nation := filtermap.ConfigHash(filtermap.Options{Scale: filtermap.ScaleNation})
 	if def == city || city == nation {
 		t.Fatalf("scale missing from config hash: default %s, city %s, nation %s", def, city, nation)
-	}
-}
-
-// TestScaleNationFullScan is the acceptance run: a nation-scale world
-// (>= 100k hosts) completes a full identify scan in one process. It
-// costs ~10s, so it only runs when FILTERMAP_SCALE_NATION is set (the
-// population-size and memory contracts are covered unconditionally in
-// internal/world).
-func TestScaleNationFullScan(t *testing.T) {
-	if os.Getenv("FILTERMAP_SCALE_NATION") == "" {
-		t.Skip("set FILTERMAP_SCALE_NATION=1 to run the full nation-scale scan")
-	}
-	w := scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleNation}, scaleBuild{workers: 8})
-	if got := w.ScaleHosts(); got < 100_000 {
-		t.Fatalf("nation world has %d synthetic hosts, want >= 100000", got)
-	}
-	start := time.Now()
-	rep, err := w.RunIdentification(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("nation identify: %d hosts scanned in %v, %d installations",
-		w.ScaleHosts(), time.Since(start), len(rep.Installations))
-	if len(rep.Installations) == 0 {
-		t.Fatal("nation-scale identify found no installations")
 	}
 }
