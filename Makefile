@@ -72,21 +72,24 @@ cluster-golden:
 	go test -race -run 'TestGoldenClusterScanOut|TestClusterWorker|TestClusterReplication' -count=1 .
 	go test -race -run 'TestClusterByteIdentity' -count=1 ./internal/server/
 
-# The world-scaling determinism check (DESIGN.md §16): the lazily
-# materialized synthetic population must be byte-identical to an eager
-# build for every artifact at any worker count and access order, the
-# default profile must reproduce every committed golden, and a 1%-probed
-# nation world must stay under its heap ceiling (the ceiling runs
-# without -race; shadow memory would drown it).
+# The world-scaling determinism check (DESIGN.md §16): the synthetic
+# population the scale realm answers must be byte-identical to the
+# test-only reference build for every artifact at any worker count and
+# access order, the default profile must reproduce every committed
+# golden, and identification must match the ground truth at city scale.
+# The second run, without -race, holds the nation ground-truth oracle
+# and the dial-every-address memory guard (shadow memory would drown
+# the heap ceiling, and nation identify is slow under -race).
 .PHONY: world-golden
 world-golden:
 	go test -race -run 'TestScale|TestRealm|TestServeDirectDispatch' -count=1 . ./internal/world/ ./internal/netsim/
 	go test -run 'TestScaleNationLazyMemoryCeiling|TestScaleIdentifyGroundTruth' -count=1 ./internal/world/
 
-# The world-scaling benchmarks (DESIGN.md §16) as JSON: cold whole-ISP
-# materialization via dial, live heap per 10k materialized hosts, and
-# the full city identify scan lazy vs eager at 1/8 workers. Compare
-# against the committed BENCH_world.json.
+# The world-scaling benchmarks (DESIGN.md §16) as JSON: a dial into a
+# never-touched synthetic ISP vs one already dialed, live heap per 10k
+# probed hosts, and the full city identify scan over the realm vs the
+# reference build at 1/8 workers. Compare against the committed
+# BENCH_world.json.
 .PHONY: bench-world
 bench-world:
 	./scripts/bench_json.sh 10x world

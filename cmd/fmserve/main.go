@@ -80,7 +80,7 @@ func main() {
 	clusterToken := flag.String("cluster-token", "", "shared secret protecting /v1/cluster/*; workers and followers must send it (empty = open)")
 	follow := flag.String("follow", "", "replicate: tail this coordinator's /v1/cluster/log into the local store")
 	followInterval := flag.Duration("follow-interval", 0, "replication poll interval (with -follow; 0 = 2s)")
-	scale := flag.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a lazily-materialized synthetic population; part of cache keys and snapshot config hashes")
+	scale := flag.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a synthetic population answered from seeded derivations; part of cache keys and snapshot config hashes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 	checkVersion := version.Flag(flag.CommandLine, "fmserve")
 	flag.Parse()

@@ -321,8 +321,8 @@ func ConfigHash(v any) string { return store.ConfigHash(v) }
 
 // Scale profile names accepted by Options.Scale. The default ("" or
 // ScaleSmall) is the handcrafted paper world alone; ScaleCity and
-// ScaleNation add lazily-materialized synthetic populations (see
-// DESIGN.md §16).
+// ScaleNation add synthetic populations answered from seeded
+// derivations (see DESIGN.md §16).
 const (
 	ScaleSmall  = world.ScaleSmall
 	ScaleCity   = world.ScaleCity

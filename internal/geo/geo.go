@@ -13,9 +13,9 @@
 // cost is O(distinct lengths) instead of O(records). That keeps whois
 // and geolocation flat-cost as the synthetic world grows to thousands
 // of prefixes. Addresses outside every stored prefix can be answered
-// by a fallback function (SetFallback), which is how lazily-generated
-// realm address space gets whois/geo answers without materializing a
-// record per synthetic ISP.
+// by a fallback function (SetFallback), which is how the derived realm
+// address space gets whois/geo answers without storing a record per
+// synthetic ISP.
 package geo
 
 import (
@@ -77,8 +77,8 @@ func (db *DB) AddCIDR(cidr, country string) error {
 
 // SetFallback installs a function consulted for addresses no stored
 // prefix contains. The synthetic world's realm answers here with a
-// country derived purely from the address, so unmaterialized hosts
-// geolocate identically to materialized ones.
+// country derived purely from the address, so every synthetic host
+// geolocates without a stored record.
 func (db *DB) SetFallback(fn func(netip.Addr) (string, bool)) {
 	db.mu.Lock()
 	db.fallback = fn

@@ -24,10 +24,6 @@ type Host struct {
 	// interceptor. The filtering middlebox itself needs this so its onward
 	// (proxied) connections are not re-intercepted in a loop.
 	bypassIntercept bool
-	// pending marks a realm host whose materialization is still running:
-	// its ports may not be bound yet, so a dial waits for the
-	// materialization instead of being refused.
-	pending atomic.Bool
 
 	mu        sync.Mutex
 	listeners map[uint16]*listener
@@ -65,7 +61,8 @@ type listener struct {
 // Serve binds port and serves each inbound connection with handler in a
 // goroutine of its own, spawned from the dialer's delivery path. No
 // goroutine runs while the port is idle, so a bound port costs one map
-// entry, which keeps the ~100k-host nation-scale world cheap.
+// entry. (A realm's ports cost nothing at all: they are answered by
+// Realm.Port without a Host.)
 // ISPOnly ports refuse connections originating outside the host's ISP,
 // modelling a properly firewalled device (Table 5's first evasion
 // tactic). The returned function unbinds the port.
@@ -90,24 +87,6 @@ func (h *Host) Serve(port uint16, vis Visibility, handler Handler) (unbind func(
 		}
 		h.mu.Unlock()
 	}, nil
-}
-
-// OpenPorts returns the bound ports, sorted, regardless of visibility.
-// Scanners must not use this shortcut; it exists for world assembly and
-// debugging.
-func (h *Host) OpenPorts() []uint16 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]uint16, 0, len(h.listeners))
-	for p := range h.listeners {
-		out = append(out, p)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 func (h *Host) unbindAll() {

@@ -7,7 +7,8 @@
 // vantage points *inside* censored ISPs, because filtering middleboxes sit
 // on the ISP's egress path. netsim reproduces exactly those observables:
 //
-//   - an IPv4 address space with registered Hosts,
+//   - an IPv4 address space with registered Hosts, plus at most one Realm
+//     whose addresses are answered from derivations rather than Hosts,
 //   - per-host ports with Public or ISPOnly visibility (an ISPOnly
 //     admin console is the paper's "not visible on the global Internet"),
 //     each served by direct dispatch: a dial hands its connection to the
@@ -169,7 +170,8 @@ type Network struct {
 	rdns        map[netip.Addr]string
 	ases        map[int]*AS
 	isps        map[string]*ISP
-	realm       *realmState
+	realm       Realm
+	tombstones  map[netip.Addr]bool // realm addresses RemoveHost dropped
 	dialLatency time.Duration
 	faults      *FaultPlan
 	closed      bool
@@ -241,42 +243,6 @@ func (n *Network) ISPByName(name string) (*ISP, bool) {
 	return isp, ok
 }
 
-// ISPs returns all registered ISPs sorted by name.
-func (n *Network) ISPs() []*ISP {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]*ISP, 0, len(n.isps))
-	for _, isp := range n.isps {
-		out = append(out, isp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// LookupAS returns the AS containing addr, if any.
-func (n *Network) LookupAS(addr netip.Addr) (*AS, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for _, as := range n.ases {
-		if as.Contains(addr) {
-			return as, true
-		}
-	}
-	return nil, false
-}
-
-// ASes returns all registered ASes sorted by number.
-func (n *Network) ASes() []*AS {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]*AS, 0, len(n.ases))
-	for _, as := range n.ases {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
-
 // AddHost registers a host at addr. isp may be nil for a host that belongs
 // to no simulated ISP (e.g. the researchers' lab server or web hosting).
 // name, if non-empty, is registered as the host's primary DNS name.
@@ -290,10 +256,6 @@ func (n *Network) AddHost(addr netip.Addr, name string, isp *ISP) (*Host, error)
 		return nil, ErrHostExists
 	}
 	h := &Host{network: n, addr: addr, name: strings.ToLower(name), isp: isp, listeners: make(map[uint16]*listener)}
-	if rs := n.realm; rs != nil && rs.building && rs.realm.Contains(addr) {
-		h.pending.Store(true)
-		rs.staged = append(rs.staged, h)
-	}
 	n.hosts[addr] = h
 	if h.name != "" {
 		n.dns[h.name] = addr
@@ -308,11 +270,19 @@ func (n *Network) AddHost(addr netip.Addr, name string, isp *ISP) (*Host, error)
 	return h, nil
 }
 
-// RemoveHost deregisters the host at addr, unbinding its ports.
+// RemoveHost deregisters the host at addr, unbinding its ports. A realm
+// address stays removed whether or not it was ever dialed: it is
+// unreachable and drops out of Addrs.
 func (n *Network) RemoveHost(addr netip.Addr) {
 	n.mu.Lock()
 	h := n.hosts[addr]
 	delete(n.hosts, addr)
+	if n.realm != nil && n.realm.Contains(addr) {
+		if n.tombstones == nil {
+			n.tombstones = make(map[netip.Addr]bool)
+		}
+		n.tombstones[addr] = true
+	}
 	if name, ok := n.rdns[addr]; ok {
 		delete(n.rdns, addr)
 		if n.dns[name] == addr {
@@ -348,9 +318,8 @@ func (n *Network) Hosts() []*Host {
 }
 
 // Addrs returns the addresses of all hosts, sorted: every registered
-// host plus every not-yet-materialized realm address, so a scanner
-// sweeping the world sees lazy hosts exactly where an eager build
-// would put them.
+// host plus every realm address, so a scanner sweeping the world sees
+// realm hosts exactly where registered ones would be.
 func (n *Network) Addrs() []netip.Addr {
 	hosts := n.Hosts()
 	out := make([]netip.Addr, len(hosts))
@@ -360,27 +329,7 @@ func (n *Network) Addrs() []netip.Addr {
 	return mergeSortedAddrs(out, n.realmAddrs())
 }
 
-// RegisterDNS adds an additional forward DNS record. Multiple names may
-// point at one address (virtual hosting).
-func (n *Network) RegisterDNS(name string, addr netip.Addr) {
-	name = strings.ToLower(name)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dns[name] = addr
-	if _, ok := n.rdns[addr]; !ok {
-		n.rdns[addr] = name
-	}
-}
-
-// UnregisterDNS removes a forward DNS record.
-func (n *Network) UnregisterDNS(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.dns, strings.ToLower(name))
-}
-
-// Resolve looks up a hostname. Realm-owned names resolve without
-// materializing their host; the host builds on first dial.
+// Resolve looks up a hostname, registered names first, then the realm's.
 func (n *Network) Resolve(name string) (netip.Addr, error) {
 	lower := strings.ToLower(name)
 	n.mu.RLock()
@@ -396,7 +345,6 @@ func (n *Network) Resolve(name string) (netip.Addr, error) {
 }
 
 // ReverseLookup returns the primary DNS name for addr, if any.
-// Realm-owned addresses answer without materializing.
 func (n *Network) ReverseLookup(addr netip.Addr) (string, bool) {
 	n.mu.RLock()
 	name, ok := n.rdns[addr]
@@ -405,18 +353,6 @@ func (n *Network) ReverseLookup(addr netip.Addr) (string, bool) {
 		return name, true
 	}
 	return n.realmReverse(addr)
-}
-
-// DNSNames returns all registered forward DNS names, sorted.
-func (n *Network) DNSNames() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.dns))
-	for name := range n.dns {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close shuts the network down: every port unbinds and future dials fail.
@@ -437,6 +373,7 @@ func (n *Network) Close() {
 func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint16, hostname string) (net.Conn, error) {
 	n.mu.RLock()
 	closed := n.closed
+	realm, gone := n.realm, n.tombstones[dst]
 	dstHost := n.hosts[dst]
 	latency := n.dialLatency
 	n.mu.RUnlock()
@@ -446,12 +383,19 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if dstHost == nil || dstHost.pending.Load() {
-		// Cold realm address, or one a running materialization is still
-		// wiring: build it, or wait for the build, on first contact. This
-		// must happen before the interception decision so a lazy dial
-		// sees the same sameISP answer an eager build would.
-		dstHost = n.materializeIfRealm(dst)
+	// A realm answers for its own addresses before the hosts table, so a
+	// realm host it is still building is never reached half-wired. This
+	// happens before the interception decision, so the dial sees the
+	// same sameISP answer a registered host would give.
+	var realmHandler Handler
+	realmOwned := false
+	if gone {
+		dstHost = nil
+	} else if realm != nil {
+		var h *Host
+		if h, realmHandler, realmOwned = realm.Port(dst, port); realmOwned {
+			dstHost = h
+		}
 	}
 	if latency > 0 {
 		t := time.NewTimer(latency)
@@ -495,12 +439,20 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 		}
 	}
 
-	if dstHost == nil {
+	var c net.Conn
+	switch {
+	case realmHandler != nil:
+		c = connect(src, dst, port, realmHandler)
+	case dstHost != nil:
+		var err error
+		if c, err = dstHost.deliver(src, port); err != nil {
+			return nil, err
+		}
+	case realmOwned:
+		// A realm address with nothing bound on port: a closed port.
+		return nil, &refusedError{addr: dst, port: port}
+	default:
 		return nil, fmt.Errorf("%w: %s", ErrHostUnreach, dst)
-	}
-	c, err := dstHost.deliver(src, port)
-	if err != nil {
-		return nil, err
 	}
 	conn := wrapConn(c)
 	// Off-path stream injection: when the subscriber's ISP runs a Host or

@@ -3,199 +3,95 @@ package netsim
 import (
 	"net/netip"
 	"sort"
-	"sync"
 )
 
-// A Realm is a lazily-materialized region of the address space. The
-// handcrafted world registers every host up front; at nation scale
-// (~100k hosts) that eager build dominates start-up cost and memory,
-// so the synthetic bulk of the world instead lives behind a Realm:
-// the network knows which addresses exist and what names they carry
-// (all pure functions of the address), but a Host object — bound ports,
-// banners, ISP membership — is only constructed the first time the
-// address is dialed.
+// A Realm is a region of the address space answered from derivations
+// instead of registered hosts. The handcrafted world registers every
+// host up front; at nation scale (~100k hosts) the synthetic bulk of the
+// world instead lives behind a Realm: the network knows which addresses
+// exist, what names they carry and what answers a dial to each port,
+// all as pure functions of the address. Only the few realm hosts that
+// need real state (a product console) become Hosts, on their first
+// dial.
 //
-// The determinism contract: every answer a Realm gives, and every
-// host it materializes, must be a pure function of the address and
-// the realm's own seed. Then a fully-lazy network is byte-identical
-// to an eagerly-built one regardless of access order or worker count.
+// The determinism contract: every answer a Realm gives must be a pure
+// function of the address, the port and the realm's own seed. Then a
+// realm network is byte-identical to one with every host registered,
+// regardless of access order or worker count.
 //
-// Contains, Addrs, Resolve and ReverseLookup may be called
-// concurrently and must not mutate state. Materialize is always
-// called under the network's materialization lock (never twice
-// concurrently) and registers hosts via the ordinary AddHost /
-// AddISP / AddAS paths; it must be idempotent per address, because a
-// whole-ISP materializer will be re-entered for sibling addresses.
+// The network asks the realm about an address it owns before looking
+// at the hosts table, so a realm host the realm is still building is
+// never reached half-wired: Port returns it only once it is complete.
+// Every method may be called concurrently.
 type Realm interface {
 	// Contains reports whether addr belongs to the realm.
 	Contains(addr netip.Addr) bool
 	// Addrs returns every address in the realm, sorted. The scanner
-	// sees these as existing hosts whether or not they have been
-	// materialized.
+	// sees these as existing hosts.
 	Addrs() []netip.Addr
-	// Resolve answers forward DNS for realm-owned names without
-	// materializing anything.
+	// Resolve answers forward DNS for realm-owned names.
 	Resolve(name string) (netip.Addr, bool)
-	// ReverseLookup answers reverse DNS for realm-owned addresses
-	// without materializing anything.
+	// ReverseLookup answers reverse DNS for realm-owned addresses.
 	ReverseLookup(addr netip.Addr) (string, bool)
-	// Materialize constructs and registers the host at addr (and may
-	// register its whole ISP in one call). Hosts it registers stay
-	// undialable until it returns, so it may bind their ports after
-	// AddHost.
-	Materialize(addr netip.Addr) error
+	// Port answers a dial to addr:port. owned is false when addr lies
+	// outside the realm. Otherwise the dial is delivered to host (a
+	// realm host with real state, built and registered on first call),
+	// or served by handler (a Public port), or, when both are nil,
+	// refused like a closed port.
+	Port(addr netip.Addr, port uint16) (host *Host, handler Handler, owned bool)
 }
 
-// realmState is the network-side bookkeeping for a Realm.
-type realmState struct {
-	realm Realm
-
-	// matMu serializes materialization so two dialers racing for the
-	// same cold address build it exactly once. It is separate from
-	// Network.mu because Materialize re-enters AddHost/AddISP/AddAS,
-	// which take Network.mu themselves.
-	matMu sync.Mutex
-
-	// materialized records addresses whose Materialize has completed,
-	// including hosts later dropped with RemoveHost — a removed host
-	// must stay removed, not quietly regenerate on the next dial.
-	mu           sync.Mutex
-	materialized map[netip.Addr]bool
-
-	// building is set while Materialize runs, and staged collects the
-	// realm hosts AddHost registers meanwhile (both guarded by
-	// Network.mu). A staged host is pending: registered so the
-	// materializer can wire it, but not dialable until Materialize
-	// returns and its ports are bound.
-	building bool
-	staged   []*Host
-}
-
-func (rs *realmState) done(addr netip.Addr) bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.materialized[addr]
-}
-
-func (rs *realmState) markDone(addr netip.Addr) {
-	rs.mu.Lock()
-	rs.materialized[addr] = true
-	rs.mu.Unlock()
-}
-
-// SetRealm attaches a lazily-materialized address region to the
-// network. At most one realm may be attached; passing nil detaches.
+// SetRealm attaches a derived address region to the network. At most
+// one realm may be attached; passing nil detaches it.
 func (n *Network) SetRealm(r Realm) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if r == nil {
-		n.realm = nil
-		return
-	}
-	n.realm = &realmState{realm: r, materialized: make(map[netip.Addr]bool)}
+	n.realm = r
+	n.tombstones = nil
 }
 
-// Realm returns the attached realm, or nil.
-func (n *Network) Realm() Realm {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.realm == nil {
-		return nil
-	}
-	return n.realm.realm
-}
-
-// materializeIfRealm ensures the host at addr exists if the realm
-// owns the address, returning the host (nil when addr is outside the
-// realm, was removed, or failed to materialize). Exactly one caller
-// runs Materialize for a given address; concurrent dialers for the
-// same cold address, or for a pending sibling the running
-// materialization registered, queue on matMu and find the host wired.
-func (n *Network) materializeIfRealm(addr netip.Addr) *Host {
-	n.mu.RLock()
-	rs := n.realm
-	closed := n.closed
-	n.mu.RUnlock()
-	if rs == nil || closed || !rs.realm.Contains(addr) {
-		return nil
-	}
-	rs.matMu.Lock()
-	defer rs.matMu.Unlock()
-	n.mu.RLock()
-	h := n.hosts[addr]
-	n.mu.RUnlock()
-	if h != nil || rs.done(addr) {
-		return h
-	}
-	n.mu.Lock()
-	rs.building = true
-	n.mu.Unlock()
-	err := rs.realm.Materialize(addr)
-	n.mu.Lock()
-	rs.building = false
-	staged := rs.staged
-	rs.staged = nil
-	h = n.hosts[addr]
-	n.mu.Unlock()
-	for _, s := range staged {
-		s.pending.Store(false)
-	}
-	if err != nil {
-		return nil
-	}
-	rs.markDone(addr)
-	return h
-}
-
-// realmResolve answers forward DNS from the realm without
-// materializing the target.
+// realmResolve answers forward DNS from the realm.
 func (n *Network) realmResolve(name string) (netip.Addr, bool) {
 	n.mu.RLock()
-	rs := n.realm
+	r := n.realm
 	n.mu.RUnlock()
-	if rs == nil {
+	if r == nil {
 		return netip.Addr{}, false
 	}
-	return rs.realm.Resolve(name)
+	return r.Resolve(name)
 }
 
-// realmReverse answers reverse DNS from the realm without
-// materializing the target.
+// realmReverse answers reverse DNS from the realm.
 func (n *Network) realmReverse(addr netip.Addr) (string, bool) {
 	n.mu.RLock()
-	rs := n.realm
+	r := n.realm
 	n.mu.RUnlock()
-	if rs == nil || !rs.realm.Contains(addr) {
+	if r == nil {
 		return "", false
 	}
-	return rs.realm.ReverseLookup(addr)
+	return r.ReverseLookup(addr)
 }
 
 // realmAddrs returns the realm addresses that should appear in a
-// scan sweep: everything the realm owns except hosts that were
-// materialized and later removed. Registered realm hosts are
-// excluded too (the caller already has them from the hosts map).
+// scan sweep: everything the realm owns except removed addresses.
+// Registered realm hosts are excluded too (the caller already has them
+// from the hosts map).
 func (n *Network) realmAddrs() []netip.Addr {
 	n.mu.RLock()
-	rs := n.realm
+	r := n.realm
 	n.mu.RUnlock()
-	if rs == nil {
+	if r == nil {
 		return nil
 	}
-	all := rs.realm.Addrs()
+	all := r.Addrs()
 	out := make([]netip.Addr, 0, len(all))
 	n.mu.RLock()
-	rs.mu.Lock()
 	for _, a := range all {
-		if _, reg := n.hosts[a]; reg {
-			continue // already counted among registered hosts
-		}
-		if rs.materialized[a] {
-			continue // materialized then removed: stays gone
+		if _, reg := n.hosts[a]; reg || n.tombstones[a] {
+			continue
 		}
 		out = append(out, a)
 	}
-	rs.mu.Unlock()
 	n.mu.RUnlock()
 	return out
 }

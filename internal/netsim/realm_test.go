@@ -14,13 +14,26 @@ import (
 	"time"
 )
 
-// toyRealm owns 240.0.0.1 .. 240.0.0.N and materializes each host
-// with a one-line banner derived from its address. It counts
-// Materialize calls so tests can prove single-flight materialization.
+// toyRealm owns 240.0.0.1 .. 240.0.0.N. Each address serves a one-line
+// banner derived from it on port 80 and refuses every other port,
+// without becoming a Host — except the console address, which is a real
+// Host in the realm's own ISP, built on its first dial with port 80
+// bound at visibility vis. builds counts console builds, so tests can
+// prove they happen once.
 type toyRealm struct {
-	net   *Network
-	n     int
-	calls atomic.Int64
+	net     *Network
+	n       int
+	console int // host index of the console; 0 for none
+	vis     Visibility
+
+	// added and release, when set, park the console build between
+	// registering the host and binding its port: added is closed once
+	// the host is registered, and the build waits for release.
+	added, release chan struct{}
+
+	once   sync.Once
+	host   *Host
+	builds atomic.Int64
 }
 
 func (r *toyRealm) addr(i int) netip.Addr {
@@ -55,25 +68,59 @@ func (r *toyRealm) ReverseLookup(addr netip.Addr) (string, bool) {
 	return fmt.Sprintf("lazy-%d.realm.test", addr.As4()[3]), true
 }
 
-func (r *toyRealm) Materialize(addr netip.Addr) error {
-	r.calls.Add(1)
-	name, _ := r.ReverseLookup(addr)
-	h, err := r.net.AddHost(addr, name, nil)
-	if err != nil {
-		return err
+func (r *toyRealm) Port(addr netip.Addr, port uint16) (*Host, Handler, bool) {
+	if !r.Contains(addr) {
+		return nil, nil, false
 	}
-	banner := fmt.Sprintf("BANNER %s\n", addr)
-	_, err = h.Serve(80, Public, HandlerFunc(func(conn net.Conn) {
-		defer conn.Close()
-		io.WriteString(conn, banner)
-	}))
-	return err
+	if int(addr.As4()[3]) == r.console {
+		return r.buildConsole(), nil, true
+	}
+	if port != 80 {
+		return nil, nil, true
+	}
+	return nil, bannerHandler(addr), true
 }
 
-func newRealmNet(t *testing.T, n int) (*Network, *toyRealm, *Host) {
+func (r *toyRealm) buildConsole() *Host {
+	r.once.Do(func() {
+		r.builds.Add(1)
+		as, err := r.net.AddAS(64999, "TOY-REALM", "ZZ", netip.MustParsePrefix("240.0.0.0/24"))
+		if err != nil {
+			return
+		}
+		isp, err := r.net.AddISP("Toy Realm", as)
+		if err != nil {
+			return
+		}
+		addr := r.addr(r.console)
+		name, _ := r.ReverseLookup(addr)
+		h, err := r.net.AddHost(addr, name, isp)
+		if err != nil {
+			return
+		}
+		if r.added != nil {
+			close(r.added)
+			<-r.release
+		}
+		if _, err := h.Serve(80, r.vis, bannerHandler(addr)); err == nil {
+			r.host = h
+		}
+	})
+	return r.host
+}
+
+func bannerHandler(addr netip.Addr) Handler {
+	banner := fmt.Sprintf("BANNER %s\n", addr)
+	return HandlerFunc(func(conn net.Conn) {
+		defer conn.Close()
+		io.WriteString(conn, banner)
+	})
+}
+
+func newRealmNet(t *testing.T, r *toyRealm) (*Network, *toyRealm, *Host) {
 	t.Helper()
 	nw := New(nil)
-	r := &toyRealm{net: nw, n: n}
+	r.net = nw
 	nw.SetRealm(r)
 	src, err := nw.AddHost(netip.MustParseAddr("198.51.100.1"), "probe.test", nil)
 	if err != nil {
@@ -92,121 +139,75 @@ func readBanner(t *testing.T, c net.Conn) string {
 	return line
 }
 
-func TestRealmMaterializeOnDial(t *testing.T) {
-	nw, r, src := newRealmNet(t, 4)
+// TestRealmDialAnswers: a realm address serves a banner with no Host
+// behind it, refuses a closed port, and delivers to its ISPOnly console
+// host, built once on first dial, only from inside the console's ISP.
+// An address outside the realm stays unreachable.
+func TestRealmDialAnswers(t *testing.T) {
+	nw, r, src := newRealmNet(t, &toyRealm{n: 4, console: 4, vis: ISPOnly})
 	defer nw.Close()
+	ctx := context.Background()
 
-	dst := r.addr(3)
-	if _, ok := nw.Host(dst); ok {
-		t.Fatal("host materialized before first dial")
-	}
-	c, err := src.Dial(context.Background(), dst, 80)
+	c, err := src.Dial(ctx, r.addr(3), 80)
 	if err != nil {
-		t.Fatalf("dial cold realm host: %v", err)
+		t.Fatalf("dial realm banner: %v", err)
 	}
 	if got, want := readBanner(t, c), "BANNER 240.0.0.3\n"; got != want {
 		t.Fatalf("banner = %q, want %q", got, want)
 	}
-	if _, ok := nw.Host(dst); !ok {
-		t.Fatal("host not registered after dial")
+	if _, ok := nw.Host(r.addr(3)); ok {
+		t.Fatal("a banner address became a Host")
 	}
-	if got := r.calls.Load(); got != 1 {
-		t.Fatalf("Materialize calls = %d, want 1", got)
+	if _, err := src.Dial(ctx, r.addr(3), 8080); !errors.Is(err, ErrConnRefused) {
+		t.Fatalf("dial closed realm port: %v, want ErrConnRefused", err)
 	}
-	// Second dial must not re-materialize.
-	c, err = src.Dial(context.Background(), dst, 80)
+
+	// The console refuses outsiders like a closed port, but its first
+	// dial still builds it.
+	if _, err := src.Dial(ctx, r.addr(4), 80); !errors.Is(err, ErrConnRefused) {
+		t.Fatalf("outside dial to ISPOnly console: %v, want ErrConnRefused", err)
+	}
+	if _, ok := nw.Host(r.addr(4)); !ok {
+		t.Fatal("console not registered after its first dial")
+	}
+	isp, ok := nw.ISPByName("Toy Realm")
+	if !ok {
+		t.Fatal("console ISP not registered")
+	}
+	inside, err := nw.AddHost(netip.MustParseAddr("240.0.0.200"), "", isp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
-	if got := r.calls.Load(); got != 1 {
-		t.Fatalf("Materialize calls after warm dial = %d, want 1", got)
+	c, err = inside.Dial(ctx, r.addr(4), 80)
+	if err != nil {
+		t.Fatalf("inside dial to ISPOnly console: %v", err)
+	}
+	if got, want := readBanner(t, c), "BANNER 240.0.0.4\n"; got != want {
+		t.Fatalf("console banner = %q, want %q", got, want)
+	}
+	if got := r.builds.Load(); got != 1 {
+		t.Fatalf("console built %d times, want 1", got)
+	}
+
+	if _, err := src.Dial(ctx, r.addr(9), 80); !errors.Is(err, ErrHostUnreach) {
+		t.Fatalf("dial outside the realm: %v, want ErrHostUnreach", err)
 	}
 }
 
+// TestRealmConcurrentDialSingleFlight dials a console while its build
+// has registered the host but not yet bound its port. Every concurrent
+// dial to the address must wait for the one build and connect; none may
+// see the half-wired host and be refused.
 func TestRealmConcurrentDialSingleFlight(t *testing.T) {
-	nw, r, src := newRealmNet(t, 1)
+	nw, r, src := newRealmNet(t, &toyRealm{
+		n: 1, console: 1, vis: Public,
+		added: make(chan struct{}), release: make(chan struct{}),
+	})
 	defer nw.Close()
-
-	const dialers = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, dialers)
-	for i := 0; i < dialers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := src.Dial(context.Background(), r.addr(1), 80)
-			if err != nil {
-				errs <- err
-				return
-			}
-			c.Close()
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent dial: %v", err)
-	}
-	if got := r.calls.Load(); got != 1 {
-		t.Fatalf("Materialize calls = %d, want exactly 1 under %d concurrent dialers", got, dialers)
-	}
-}
-
-// pairRealm materializes its two addresses together, like a whole-ISP
-// materializer, and parks between registering the hosts and binding
-// their listeners until release is closed.
-type pairRealm struct {
-	toyRealm
-	added, release chan struct{}
-	built          bool
-}
-
-func (r *pairRealm) Materialize(netip.Addr) error {
-	if r.built {
-		return nil
-	}
-	r.built = true
-	var hosts []*Host
-	for i := 1; i <= r.n; i++ {
-		name, _ := r.ReverseLookup(r.addr(i))
-		h, err := r.net.AddHost(r.addr(i), name, nil)
-		if err != nil {
-			return err
-		}
-		hosts = append(hosts, h)
-	}
-	close(r.added)
-	<-r.release
-	for _, h := range hosts {
-		banner := fmt.Sprintf("BANNER %s\n", h.Addr())
-		if _, err := h.Serve(80, Public, HandlerFunc(func(conn net.Conn) {
-			defer conn.Close()
-			io.WriteString(conn, banner)
-		})); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestRealmHostNotDialableMidMaterialize dials while a materialization
-// has registered its hosts but not yet bound their listeners. A second
-// dial to the address being built, and one to its sibling, must wait
-// for the materialization and connect instead of being refused.
-func TestRealmHostNotDialableMidMaterialize(t *testing.T) {
-	nw := New(nil)
-	defer nw.Close()
-	r := &pairRealm{toyRealm: toyRealm{net: nw, n: 2}, added: make(chan struct{}), release: make(chan struct{})}
-	nw.SetRealm(r)
-	src, err := nw.AddHost(netip.MustParseAddr("198.51.100.1"), "probe.test", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dial := func(dst netip.Addr) <-chan error {
+	dial := func() <-chan error {
 		done := make(chan error, 1)
 		go func() {
-			c, err := src.Dial(context.Background(), dst, 80)
+			c, err := src.Dial(context.Background(), r.addr(1), 80)
 			if err == nil {
 				_, err = bufio.NewReader(c).ReadString('\n')
 				c.Close()
@@ -219,29 +220,31 @@ func TestRealmHostNotDialableMidMaterialize(t *testing.T) {
 	release := sync.OnceFunc(func() { close(r.release) })
 	defer release() // a failed check must not leave the builder parked
 
-	first := dial(r.addr(1))
+	dials := []<-chan error{dial()}
 	<-r.added
-	same, sibling := dial(r.addr(1)), dial(r.addr(2))
-	select {
-	case err := <-same:
-		t.Fatalf("dial to the address being materialized returned mid-materialization: %v", err)
-	case err := <-sibling:
-		t.Fatalf("dial to a sibling returned mid-materialization: %v", err)
-	case <-time.After(100 * time.Millisecond):
+	for i := 0; i < 8; i++ {
+		dials = append(dials, dial())
+	}
+	for i, done := range dials {
+		select {
+		case err := <-done:
+			t.Fatalf("dial %d returned mid-build: %v", i, err)
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 	release()
-	for _, d := range []struct {
-		name string
-		done <-chan error
-	}{{"first", first}, {"same", same}, {"sibling", sibling}} {
-		if err := <-d.done; err != nil {
-			t.Errorf("%s dial: %v", d.name, err)
+	for i, done := range dials {
+		if err := <-done; err != nil {
+			t.Errorf("dial %d: %v", i, err)
 		}
+	}
+	if got := r.builds.Load(); got != 1 {
+		t.Fatalf("console built %d times under %d concurrent dialers, want 1", got, len(dials))
 	}
 }
 
 func TestRealmResolveWithoutMaterializing(t *testing.T) {
-	nw, r, _ := newRealmNet(t, 4)
+	nw, r, _ := newRealmNet(t, &toyRealm{n: 4, console: 2})
 	defer nw.Close()
 
 	addr, err := nw.Resolve("lazy-2.realm.test")
@@ -255,8 +258,8 @@ func TestRealmResolveWithoutMaterializing(t *testing.T) {
 	if !ok || name != "lazy-2.realm.test" {
 		t.Fatalf("ReverseLookup = %q,%v", name, ok)
 	}
-	if got := r.calls.Load(); got != 0 {
-		t.Fatalf("DNS lookups materialized %d hosts; want 0", got)
+	if got := r.builds.Load(); got != 0 {
+		t.Fatalf("DNS lookups built the console %d times; want 0", got)
 	}
 	if _, err := nw.Resolve("nonexistent.realm.test"); err == nil {
 		t.Fatal("Resolve of unknown realm name succeeded")
@@ -264,7 +267,7 @@ func TestRealmResolveWithoutMaterializing(t *testing.T) {
 }
 
 func TestRealmAddrsMergedAndSorted(t *testing.T) {
-	nw, r, src := newRealmNet(t, 3)
+	nw, r, src := newRealmNet(t, &toyRealm{n: 3, console: 2})
 	defer nw.Close()
 
 	addrs := nw.Addrs()
@@ -280,40 +283,47 @@ func TestRealmAddrsMergedAndSorted(t *testing.T) {
 			t.Fatalf("Addrs[%d] = %s, want %s", i, addrs[i], want[i])
 		}
 	}
-	// Materializing one host must not duplicate its address.
+	// Building the console registers it; its address must not repeat.
 	c, err := src.Dial(context.Background(), r.addr(2), 80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	if got := nw.Addrs(); len(got) != len(want) {
-		t.Fatalf("Addrs after materialization has %d entries, want %d: %v", len(got), len(want), got)
+		t.Fatalf("Addrs after the console build has %d entries, want %d: %v", len(got), len(want), got)
 	}
 }
 
+// TestRealmRemoveHostStaysRemoved: a removed realm address stays
+// unreachable and out of Addrs, whether it was a built console, a
+// banner address already dialed, or an address never dialed.
 func TestRealmRemoveHostStaysRemoved(t *testing.T) {
-	nw, r, src := newRealmNet(t, 2)
+	nw, r, src := newRealmNet(t, &toyRealm{n: 4, console: 1})
 	defer nw.Close()
+	ctx := context.Background()
 
-	dst := r.addr(1)
-	c, err := src.Dial(context.Background(), dst, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	nw.RemoveHost(dst)
-
-	if _, err := src.Dial(context.Background(), dst, 80); err == nil {
-		t.Fatal("dial to removed realm host succeeded")
-	}
-	if got := r.calls.Load(); got != 1 {
-		t.Fatalf("removed host re-materialized: %d calls", got)
-	}
-	// The removed address must also vanish from scan sweeps.
-	for _, a := range nw.Addrs() {
-		if a == dst {
-			t.Fatalf("Addrs still lists removed realm host %s", a)
+	for _, i := range []int{1, 2} { // the console, then a banner address
+		c, err := src.Dial(ctx, r.addr(i), 80)
+		if err != nil {
+			t.Fatal(err)
 		}
+		c.Close()
+	}
+	for _, i := range []int{1, 2, 3} { // 3 was never dialed
+		nw.RemoveHost(r.addr(i))
+	}
+	for _, i := range []int{1, 2, 3} {
+		if _, err := src.Dial(ctx, r.addr(i), 80); !errors.Is(err, ErrHostUnreach) {
+			t.Fatalf("dial to removed realm address %s: %v, want ErrHostUnreach", r.addr(i), err)
+		}
+	}
+	if got := r.builds.Load(); got != 1 {
+		t.Fatalf("console built %d times, want 1: a removed console must not rebuild", got)
+	}
+	// The removed addresses must also vanish from scan sweeps.
+	got := nw.Addrs()
+	if len(got) != 2 || got[1] != r.addr(4) {
+		t.Fatalf("Addrs = %v, want the probe and %s", got, r.addr(4))
 	}
 }
 

@@ -400,8 +400,8 @@ func TestHTMLHelpers(t *testing.T) {
 	if !strings.Contains(page, "<title>A&lt;B</title>") {
 		t.Fatalf("title not escaped: %s", page)
 	}
-	if HTMLEscape(`<a href="x">&`) != "&lt;a href=&quot;x&quot;&gt;&amp;" {
-		t.Fatalf("escape = %q", HTMLEscape(`<a href="x">&`))
+	if htmlEscape(`<a href="x">&`) != "&lt;a href=&quot;x&quot;&gt;&amp;" {
+		t.Fatalf("escape = %q", htmlEscape(`<a href="x">&`))
 	}
 	if Para("n=%d", 7) != "<p>n=7</p>" {
 		t.Fatalf("para = %q", Para("n=%d", 7))

@@ -18,13 +18,11 @@ func HTMLPage(title, body string) []byte {
 	return []byte(b.String())
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// htmlEscaper is built once: a Replacer is safe for concurrent use.
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
-// HTMLEscape escapes text for inclusion in an HTML document.
-func HTMLEscape(s string) string { return htmlEscape(s) }
+// htmlEscape escapes text for inclusion in an HTML document.
+func htmlEscape(s string) string { return htmlEscaper.Replace(s) }
 
 // Para renders one HTML paragraph with escaped text.
 func Para(format string, args ...any) string {

@@ -160,10 +160,10 @@ func (g *Generator) Domains(n int) []string {
 }
 
 // SyntheticDomain is the pure-function counterpart of Generator for
-// lazily-generated worlds: it returns the deterministic two-word
-// .info domain for index i under seed, derivable without generating
-// domains 0..i-1 (Generator must walk its RNG sequentially, which a
-// lazy world materializing hosts in arbitrary order cannot do).
+// derived worlds: it returns the deterministic two-word .info domain
+// for index i under seed, derivable without generating domains 0..i-1
+// (Generator must walk its RNG sequentially, which a world answering
+// hosts in arbitrary order cannot do).
 // Unlike Generator it does not guarantee uniqueness across indices;
 // collisions are fine for the banner/decoy text it seasons.
 func SyntheticDomain(seed uint64, i int) string {

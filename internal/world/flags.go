@@ -16,7 +16,7 @@ import (
 // no engine option.
 func Flags(fs *flag.FlagSet) func(base Options) (Options, []engine.Option) {
 	workers := fs.Int("workers", 0, "engine worker-pool size (0 = default)")
-	scale := fs.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a lazily-materialized synthetic population")
+	scale := fs.String("scale", "", "world scale profile: small (default), city, nation — city/nation add a synthetic population answered from seeded derivations")
 	chaos := fs.Uint64("chaos", 0, "nonzero: install the deterministic fault-injection plan with this seed")
 	faultProfile := fs.String("fault-profile", "",
 		fmt.Sprintf("fault profile for -chaos, one of %s (default %q)",

@@ -18,7 +18,8 @@ const (
 	// "" and "small" are synonyms, byte-identical to every golden.
 	ScaleSmall = "small"
 	// ScaleCity adds ~1.5k synthetic hosts across 48 ISPs: large enough
-	// to exercise lazy materialization, small enough for -race CI runs.
+	// to exercise the scale realm and its consoles, small enough for
+	// -race CI runs.
 	ScaleCity = "city"
 	// ScaleNation adds ~100k synthetic hosts across 2200 ISPs: the
 	// population scale the paper's method targets in the wild.
@@ -87,21 +88,27 @@ func splitmix64(x uint64) uint64 {
 }
 
 // scaleRealm implements netsim.Realm: the synthetic population as a
-// pure function of (worldSeed, ispIndex, hostIndex). Everything an
-// unmaterialized host exposes — its existence, names, whois and geo
-// records — is answered from these derivations; dialing an address
-// materializes its whole ISP through the ordinary world-construction
-// paths.
+// pure function of (worldSeed, ispIndex, hostIndex). Everything a
+// synthetic host exposes — its existence, names, open ports and
+// banners, whois and geo records — is answered from these derivations.
+// Generic hosts and decoys never become netsim Hosts; only a product
+// console does, built on its first dial through the ordinary
+// world-construction paths.
 type scaleRealm struct {
 	w       *World
 	profile scaleProfile
 	seed    uint64
 
-	mu      sync.Mutex
-	ispDone []bool
+	templates []netsim.Handler // canned banners every generic host shares
+	decoy     netsim.Handler   // the keyword decoy page
+	consoles  []scaleConsole   // one per console ISP, i/consoleEvery
+}
 
-	templates [][]byte // canned HTTP responses for generic hosts
-	decoyBody string
+// scaleConsole is a console ISP's product host, built once on first
+// dial (nil if the build failed, which then answers nothing).
+type scaleConsole struct {
+	once sync.Once
+	host *netsim.Host
 }
 
 // mix derives an independent hash stream from the world seed and the
@@ -116,17 +123,22 @@ func (r *scaleRealm) mix(parts ...uint64) uint64 {
 
 func newScaleRealm(w *World, profile scaleProfile) *scaleRealm {
 	r := &scaleRealm{
-		w:       w,
-		profile: profile,
-		seed:    uint64(w.Opts.Seed),
-		ispDone: make([]bool, profile.isps),
+		w:        w,
+		profile:  profile,
+		seed:     uint64(w.Opts.Seed),
+		consoles: make([]scaleConsole, (profile.isps+profile.consoleEvery-1)/profile.consoleEvery),
 	}
-	r.templates = buildScaleTemplates()
-	r.decoyBody = fmt.Sprintf(`<h1>Filtering field notes</h1>
+	for _, resp := range buildScaleTemplates() {
+		r.templates = append(r.templates, cannedHandler(resp))
+	}
+	// The keyword decoy page: product vocabulary with no product behind
+	// it, the false-positive pressure §3.1's validation stage exists to
+	// absorb.
+	r.decoy = cannedHandler(cannedResponse("nginx/1.2.1", "Filtering field notes", fmt.Sprintf(`<h1>Filtering field notes</h1>
 <p>Lab notes comparing ProxySG consoles, the webadmin deny flow and
 blockpage.cgi styles across campus deployments. Sample captures from
 %s and %s are archived for the methods class.</p>`,
-		urllist.SyntheticDomain(r.seed, 0), urllist.SyntheticDomain(r.seed, 1))
+		urllist.SyntheticDomain(r.seed, 0), urllist.SyntheticDomain(r.seed, 1))))
 	return r
 }
 
@@ -288,79 +300,63 @@ func (r *scaleRealm) ReverseLookup(addr netip.Addr) (string, bool) {
 	return "", false
 }
 
-// Materialize implements netsim.Realm: one call builds the whole ISP
-// the address belongs to (AS, ISP, every host, listeners), through
-// the same registration paths the handcrafted world uses. Called
-// under the network's materialization lock.
-func (r *scaleRealm) Materialize(addr netip.Addr) error {
-	i, _, ok := r.indexOf(addr)
+// Port implements netsim.Realm. A host's role decides the answer: the
+// gateway and dark generic hosts answer nothing, a console is delivered
+// to its product host, a decoy serves its page on port 80, and a
+// generic host serves its banner on its one port.
+func (r *scaleRealm) Port(addr netip.Addr, port uint16) (*netsim.Host, netsim.Handler, bool) {
+	i, j, ok := r.indexOf(addr)
 	if !ok {
-		return fmt.Errorf("world: %s outside scale realm", addr)
+		return nil, nil, false
 	}
-	r.mu.Lock()
-	done := r.ispDone[i]
-	if !done {
-		r.ispDone[i] = true
+	switch {
+	case j == 0:
+		// Gateway: named but dark, like most infrastructure routers.
+	case j == 1 && r.hasConsole(i):
+		return r.console(i), nil, true
+	case j == 2 && r.hasDecoy(i):
+		if port == 80 {
+			return nil, r.decoy, true
+		}
+	case r.genericDark(i, j):
+		// Dark generic host: exists, answers nothing.
+	case port == r.genericPort(i, j):
+		return nil, r.templates[r.genericTemplate(i, j)], true
 	}
-	r.mu.Unlock()
-	if done {
-		return nil
-	}
-	return r.materializeISP(i)
+	return nil, nil, true
 }
 
-func (r *scaleRealm) materializeISP(i int) error {
-	w := r.w
-	as, err := w.Net.AddAS(r.ispASN(i), r.ispName(i), r.ispCountry(i), r.ispPrefix(i))
-	if err != nil {
-		return err
-	}
-	isp, err := w.Net.AddISP(r.ispName(i), as)
-	if err != nil {
-		return err
-	}
-	n := r.hostCount(i)
-	for j := 0; j < n; j++ {
-		host, err := w.Net.AddHost(r.hostAddr(i, j), r.hostName(i, j), isp)
+// console returns ISP i's product console, building it on first call
+// through the same registration paths the handcrafted world uses: the
+// ISP's AS, the ISP, the console host and the product's ports.
+// Concurrent first dials wait for the one build.
+func (r *scaleRealm) console(i int) *netsim.Host {
+	c := &r.consoles[i/r.profile.consoleEvery]
+	c.once.Do(func() {
+		w := r.w
+		as, err := w.Net.AddAS(r.ispASN(i), r.ispName(i), r.ispCountry(i), r.ispPrefix(i))
 		if err != nil {
-			return err
+			return
 		}
-		switch {
-		case j == 0:
-			// Gateway: named but dark, like most infrastructure routers.
-		case j == 1 && r.hasConsole(i):
-			if err := w.installBackgroundProduct(r.consoleProduct(i), host); err != nil {
-				return err
-			}
-		case j == 2 && r.hasDecoy(i):
-			if err := r.serveDecoy(host); err != nil {
-				return err
-			}
-		case r.genericDark(i, j):
-			// Dark generic host: exists, answers nothing.
-		default:
-			resp := r.templates[r.genericTemplate(i, j)]
-			if _, err := host.Serve(r.genericPort(i, j), netsim.Public, cannedHandler(resp)); err != nil {
-				return err
-			}
+		isp, err := w.Net.AddISP(r.ispName(i), as)
+		if err != nil {
+			return
 		}
-	}
-	return nil
-}
-
-// serveDecoy mounts the keyword decoy page: product vocabulary with
-// no product behind it, the false-positive pressure §3.1's validation
-// stage exists to absorb.
-func (r *scaleRealm) serveDecoy(host *netsim.Host) error {
-	resp := cannedResponse("nginx/1.2.1", "Filtering field notes", r.decoyBody)
-	_, err := host.Serve(80, netsim.Public, cannedHandler(resp))
-	return err
+		host, err := w.Net.AddHost(r.hostAddr(i, 1), r.hostName(i, 1), isp)
+		if err != nil {
+			return
+		}
+		if w.installBackgroundProduct(r.consoleProduct(i), host) == nil {
+			c.host = host
+		}
+	})
+	return c.host
 }
 
 // --- whois / geo fallbacks ----------------------------------------------
 
-// whoisFallback answers IP→ASN queries for unmaterialized synthetic
-// space, identical to the record materialization would register.
+// whoisFallback answers IP→ASN queries for the synthetic space from
+// the same derivations that name each ISP.
 func (r *scaleRealm) whoisFallback(addr netip.Addr) (geo.ASRecord, bool) {
 	i, _, ok := r.indexOf(addr)
 	if !ok {
@@ -375,7 +371,7 @@ func (r *scaleRealm) whoisFallback(addr netip.Addr) (geo.ASRecord, bool) {
 	}, true
 }
 
-// geoFallback answers geolocation for unmaterialized synthetic space.
+// geoFallback answers geolocation for the synthetic space.
 func (r *scaleRealm) geoFallback(addr netip.Addr) (string, bool) {
 	i, _, ok := r.indexOf(addr)
 	if !ok {
@@ -403,8 +399,8 @@ func (w *World) buildScale() error {
 	w.scale = r
 	w.Net.SetRealm(r)
 	// Whois and geolocation answer for the whole synthetic space from
-	// the same pure derivations, so an unmaterialized host geolocates
-	// exactly like a materialized one.
+	// the same pure derivations, so a console host built on first dial
+	// geolocates exactly like every other synthetic host.
 	w.GeoDB.SetFallback(r.geoFallback)
 	w.ASTable.SetFallback(r.whoisFallback)
 	return nil

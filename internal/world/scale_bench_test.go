@@ -6,55 +6,67 @@ import (
 	"testing"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/scanner"
 )
 
 // The world-scaling benchmarks behind BENCH_world.json (DESIGN.md §16):
-// cold-dial materialization cost, live-heap per 10k materialized hosts,
-// and the full identify scan lazy vs eager at 1 and 8 workers.
+// a dial into a never-touched synthetic ISP against a dial into one
+// already dialed, live heap per 10k probed hosts, and the full identify
+// scan over the realm vs the reference build at 1 and 8 workers.
 // Regenerate the committed JSON with `make bench-world`.
 
-// BenchmarkScaleColdDial measures whole-ISP materialization through the
-// dial path: each iteration dials the gateway of a never-touched
-// nation-profile ISP, registering its ~48 hosts, listeners and AS. The
-// world is rebuilt (outside the timer) when a run exhausts the 2200
-// cold ISPs.
+// BenchmarkScaleColdDial dials the gateway of a never-touched
+// nation-profile ISP each iteration. The realm answers it from
+// derivations, so a cold dial costs what a warm one does. Every world
+// the run needs (one per 2200 dials) is built before the timer starts.
 func BenchmarkScaleColdDial(b *testing.B) {
 	ctx := context.Background()
-	var w *World
-	probeIdx := 0
-	rebuild := func() {
-		if w != nil {
-			w.Close()
-		}
-		var err error
-		w, err = Build(Options{Scale: ScaleNation})
+	isps := scaleProfiles[ScaleNation].isps
+	worlds := make([]*World, (b.N+isps-1)/isps)
+	for k := range worlds {
+		w, err := Build(Options{Scale: ScaleNation})
 		if err != nil {
 			b.Fatal(err)
 		}
-		probeIdx = 0
+		b.Cleanup(w.Close)
+		worlds[k] = w
 	}
-	rebuild()
-	defer func() { w.Close() }()
-	probe := w.Net.Hosts()[0]
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if probeIdx >= w.scale.profile.isps {
-			b.StopTimer()
-			rebuild()
-			probe = w.Net.Hosts()[0]
-			b.StartTimer()
-		}
-		if c, err := probe.Dial(ctx, w.scale.hostAddr(probeIdx, 0), 80); err == nil {
+		w := worlds[i/isps]
+		if c, err := w.ScanVantage.Dial(ctx, w.scale.hostAddr(i%isps, 0), 80); err == nil {
 			c.Close()
 		}
-		probeIdx++
 	}
 }
 
-// BenchmarkScaleMemoryPer10kHosts materializes nation-profile ISPs
-// until 10k hosts are live and reports the live-heap growth, the
-// number the interned index and compact geo tables exist to keep flat.
+// BenchmarkScaleWarmDial is BenchmarkScaleColdDial's baseline: every
+// iteration dials the gateway of the same, already-dialed ISP.
+func BenchmarkScaleWarmDial(b *testing.B) {
+	ctx := context.Background()
+	w, err := Build(Options{Scale: ScaleNation})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(w.Close)
+	gw := w.scale.hostAddr(0, 0)
+	if c, err := w.ScanVantage.Dial(ctx, gw, 80); err == nil {
+		c.Close()
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c, err := w.ScanVantage.Dial(ctx, gw, 80); err == nil {
+			c.Close()
+		}
+	}
+}
+
+// BenchmarkScaleMemoryPer10kHosts probes nation-profile hosts on every
+// scan port, ISP by ISP, until 10k hosts are probed, and reports the
+// live-heap growth per 10k probed hosts: what a sweep leaves behind,
+// which the realm keeps to its product consoles.
 func BenchmarkScaleMemoryPer10kHosts(b *testing.B) {
 	ctx := context.Background()
 	var perTenK float64
@@ -64,20 +76,23 @@ func BenchmarkScaleMemoryPer10kHosts(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		probe := w.Net.Hosts()[0]
 		before := measuredHeap()
 		b.StartTimer()
 
 		hosts := 0
 		for isp := 0; hosts < 10_000; isp++ {
-			if c, err := probe.Dial(ctx, w.scale.hostAddr(isp, 0), 80); err == nil {
-				c.Close()
+			for j := 0; j < w.scale.hostCount(isp); j++ {
+				for _, port := range scanner.DefaultPorts {
+					if c, err := w.ScanVantage.Dial(ctx, w.scale.hostAddr(isp, j), port); err == nil {
+						c.Close()
+					}
+				}
+				hosts++
 			}
-			hosts += w.scale.hostCount(isp)
 		}
 
 		b.StopTimer()
-		perTenK = float64(measuredHeap()-before) / float64(hosts) * 10_000
+		perTenK = float64(int64(measuredHeap())-int64(before)) / float64(hosts) * 10_000
 		w.Close()
 		b.StartTimer()
 	}
@@ -85,15 +100,15 @@ func BenchmarkScaleMemoryPer10kHosts(b *testing.B) {
 }
 
 // BenchmarkScaleFullScan runs the full identify pipeline over the city
-// profile (handcrafted world + 1526 synthetic hosts), lazy vs eager at
-// 1 and 8 workers. Lazy pays materialization inside the scan; eager
-// pays it at build time (outside the timer) — the gap is the cost the
-// on-demand path amortizes.
+// profile (handcrafted world + 1526 synthetic hosts) at 1 and 8
+// workers: "lazy" answers the synthetic population from the realm,
+// "reference" registers every synthetic host before the timer starts
+// (BuildScaleReference).
 func BenchmarkScaleFullScan(b *testing.B) {
 	for _, mode := range []struct {
-		name  string
-		eager bool
-	}{{"lazy", false}, {"eager", true}} {
+		name      string
+		reference bool
+	}{{"lazy", false}, {"reference", true}} {
 		for _, workers := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
 				ctx := context.Background()
@@ -103,12 +118,9 @@ func BenchmarkScaleFullScan(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if mode.eager {
-						r := w.Net.Realm()
-						for _, a := range r.Addrs() {
-							if err := r.Materialize(a); err != nil {
-								b.Fatal(err)
-							}
+					if mode.reference {
+						if err := BuildScaleReference(w); err != nil {
+							b.Fatal(err)
 						}
 					}
 					b.StartTimer()

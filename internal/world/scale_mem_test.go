@@ -4,13 +4,15 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"filtermap/internal/scanner"
 )
 
-// TestScaleNationLazyMemoryCeiling is the accidental-eager regression
-// guard: probing 1% of a nation-scale world must materialize only the
-// ISPs those addresses belong to, and the heap growth must stay under a
-// pinned ceiling. A full eager build of the same world costs hundreds
-// of MB; the lazy 1% costs a few.
+// TestScaleNationLazyMemoryCeiling is the no-materialization guard:
+// dialing every nation address on every scan port must register
+// exactly the product consoles, and the live heap must not grow with
+// the population. Registering the ~106k synthetic hosts as netsim Hosts
+// instead costs ~37 MB.
 func TestScaleNationLazyMemoryCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap ceiling is meaningless under the race detector's shadow memory")
@@ -18,39 +20,40 @@ func TestScaleNationLazyMemoryCeiling(t *testing.T) {
 
 	w := buildScaleWorld(t, Options{Scale: ScaleNation})
 	baseHosts := len(w.Net.Hosts())
-	probe := w.Net.Hosts()[0]
-
+	consoles := 0
+	for i := 0; i < w.scale.profile.isps; i++ {
+		if w.scale.hasConsole(i) {
+			consoles++
+		}
+	}
+	if consoles != 35 {
+		t.Fatalf("nation world has %d console ISPs, want 35 at seed 0", consoles)
+	}
 	addrs := w.scale.Addrs()
-	n := len(addrs) / 100 // 1% of the population, first ISPs first
 
 	heapBefore := measuredHeap()
 	ctx := context.Background()
-	for _, addr := range addrs[:n] {
-		if c, err := probe.Dial(ctx, addr, 80); err == nil {
-			c.Close()
+	for _, addr := range addrs {
+		for _, port := range scanner.DefaultPorts {
+			if c, err := w.ScanVantage.Dial(ctx, addr, port); err == nil {
+				c.Close()
+			}
 		}
 	}
 	heapAfter := measuredHeap()
 
-	// Materialization is whole-ISP, so the registered population may
-	// overshoot the probed prefix by at most one ISP's worth of hosts.
-	registered := len(w.Net.Hosts()) - baseHosts
-	if max := n + w.scale.profile.hostMax; registered > max {
-		t.Fatalf("probing %d addresses registered %d hosts (max %d): materialization is not lazy",
-			n, registered, max)
+	if registered := len(w.Net.Hosts()) - baseHosts; registered != consoles {
+		t.Fatalf("dialing all %d synthetic addresses registered %d hosts, want the %d consoles",
+			len(addrs), registered, consoles)
 	}
-	if registered < n {
-		t.Fatalf("probing %d addresses registered only %d hosts", n, registered)
+	// Pinned ceiling: the 35 consoles and allocator noise measure well
+	// under 1 MB.
+	const ceiling = 4 << 20
+	grew := int64(heapAfter) - int64(heapBefore)
+	if grew > ceiling {
+		t.Fatalf("heap grew %d bytes dialing every nation address, ceiling %d", grew, int64(ceiling))
 	}
-
-	// Pinned ceiling: ~1.1k materialized hosts plus listener and realm
-	// bookkeeping measure ~2-3 MB in practice; 32 MB leaves room for
-	// allocator noise while still failing fast if the whole 105k-host
-	// population materializes (hundreds of MB).
-	const ceiling = 32 << 20
-	if grew := int64(heapAfter) - int64(heapBefore); grew > ceiling {
-		t.Fatalf("heap grew %d bytes materializing 1%% of the nation world, ceiling %d", grew, int64(ceiling))
-	}
+	t.Logf("dialing %d addresses on %d ports grew the heap %d bytes", len(addrs), len(scanner.DefaultPorts), grew)
 }
 
 // measuredHeap returns HeapAlloc after a forced collection, so the two

@@ -1,8 +1,10 @@
 package world
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -65,8 +67,8 @@ func TestScaleUnknownProfileFails(t *testing.T) {
 }
 
 // TestScaleCityPopulation pins the city profile's derived population
-// and confirms construction is lazy: the synthetic addresses appear in
-// scan sweeps, but no synthetic host is registered before first dial.
+// and confirms the realm registers nothing at Build: the synthetic
+// addresses appear in scan sweeps, but no synthetic host is registered.
 func TestScaleCityPopulation(t *testing.T) {
 	base := buildScaleWorld(t, Options{})
 	city := buildScaleWorld(t, Options{Scale: ScaleCity})
@@ -80,7 +82,7 @@ func TestScaleCityPopulation(t *testing.T) {
 	if got, want := len(city.Net.Addrs()), len(base.Net.Addrs())+cityHostsSeed0; got != want {
 		t.Fatalf("city Addrs = %d entries, want %d (handcrafted + synthetic)", got, want)
 	}
-	// Lazy: enumerating addresses must not register hosts.
+	// Enumerating addresses must not register hosts.
 	for _, addr := range city.scale.Addrs()[:8] {
 		if _, ok := city.Net.Host(addr); ok {
 			t.Fatalf("synthetic host %s registered before first dial", addr)
@@ -90,7 +92,7 @@ func TestScaleCityPopulation(t *testing.T) {
 
 // TestScaleNationPopulation pins the acceptance-scale population:
 // >= 100k hosts across 2200 ISPs, and a construction cheap enough to
-// run in every test pass because nothing is materialized.
+// run in every test pass because no synthetic host is registered.
 func TestScaleNationPopulation(t *testing.T) {
 	w := buildScaleWorld(t, Options{Scale: ScaleNation})
 	if got := w.ScaleISPs(); got != 2200 {
@@ -104,13 +106,16 @@ func TestScaleNationPopulation(t *testing.T) {
 	}
 }
 
-// TestScaleAnswersBeforeMaterialization is the lazy-world contract for
-// the non-dial surfaces: DNS, reverse DNS, geolocation and whois answer
-// identically for a synthetic host whether or not its ISP has been
-// materialized.
+// TestScaleAnswersBeforeMaterialization is the realm contract: DNS,
+// reverse DNS, geolocation and whois answer for a synthetic host from
+// derivations, a dial to a generic host registers nothing, and the
+// first dial to a console registers exactly the console, whose ISP
+// and AS match what whois answered before it existed.
 func TestScaleAnswersBeforeMaterialization(t *testing.T) {
 	w := buildScaleWorld(t, Options{Scale: ScaleCity})
 	r := w.scale
+	ctx := context.Background()
+	registered := len(w.Net.Hosts())
 
 	// ISP 0 carries every role: gateway, console (0%12==0) and decoy
 	// (0%8==0).
@@ -119,57 +124,71 @@ func TestScaleAnswersBeforeMaterialization(t *testing.T) {
 	if name == "" || !strings.HasPrefix(name, "gw.synth0000.example.") {
 		t.Fatalf("gateway name = %q", name)
 	}
-
-	// Cold answers, no host registered.
 	addr, err := w.Net.Resolve(name)
 	if err != nil || addr != gw {
-		t.Fatalf("cold Resolve(%s) = %s, %v; want %s", name, addr, err, gw)
-	}
-	rev, ok := w.Net.ReverseLookup(gw)
-	if !ok || rev != name {
-		t.Fatalf("cold ReverseLookup(%s) = %q, %v", gw, rev, ok)
-	}
-	coldCountry, ok := w.GeoDB.Country(gw)
-	if !ok || coldCountry != r.ispCountry(0) {
-		t.Fatalf("cold Country(%s) = %q, %v; want %q", gw, coldCountry, ok, r.ispCountry(0))
-	}
-	coldAS, ok := w.ASTable.Lookup(gw)
-	if !ok || coldAS.ASN != r.ispASN(0) || coldAS.Country != r.ispCountry(0) {
-		t.Fatalf("cold whois(%s) = %+v, %v", gw, coldAS, ok)
-	}
-	if _, registered := w.Net.Host(gw); registered {
-		t.Fatal("lookups materialized the host")
-	}
-
-	// Materialize ISP 0 through the dial path (the gateway is dark, so
-	// the dial itself fails — materialization must still happen first).
-	src := w.Net.Hosts()[0]
-	if c, err := src.Dial(context.Background(), gw, 80); err == nil {
-		c.Close()
-		t.Fatal("dial to the dark gateway succeeded")
-	}
-	host, registered := w.Net.Host(gw)
-	if !registered {
-		t.Fatal("dial did not materialize the gateway's ISP")
-	}
-	if host.Name() != name {
-		t.Fatalf("materialized name = %q, want %q", host.Name(), name)
-	}
-	if got := host.ISP().AS.Number; got != coldAS.ASN {
-		t.Fatalf("materialized ASN = %d, whois said %d", got, coldAS.ASN)
-	}
-
-	// Warm answers must be byte-identical to the cold ones.
-	warmCountry, ok := w.GeoDB.Country(gw)
-	if !ok || warmCountry != coldCountry {
-		t.Fatalf("warm Country = %q, cold was %q", warmCountry, coldCountry)
-	}
-	warmAS, ok := w.ASTable.Lookup(gw)
-	if !ok || warmAS != coldAS {
-		t.Fatalf("warm whois = %+v, cold was %+v", warmAS, coldAS)
+		t.Fatalf("Resolve(%s) = %s, %v; want %s", name, addr, err, gw)
 	}
 	if rev, ok := w.Net.ReverseLookup(gw); !ok || rev != name {
-		t.Fatalf("warm ReverseLookup = %q, %v", rev, ok)
+		t.Fatalf("ReverseLookup(%s) = %q, %v", gw, rev, ok)
+	}
+	country, ok := w.GeoDB.Country(gw)
+	if !ok || country != r.ispCountry(0) {
+		t.Fatalf("Country(%s) = %q, %v; want %q", gw, country, ok, r.ispCountry(0))
+	}
+	as, ok := w.ASTable.Lookup(gw)
+	if !ok || as.ASN != r.ispASN(0) || as.Country != r.ispCountry(0) {
+		t.Fatalf("whois(%s) = %+v, %v", gw, as, ok)
+	}
+
+	// Generic hosts: the dark gateway refuses, an open host serves its
+	// banner, and neither becomes a Host.
+	if _, err := w.ScanVantage.Dial(ctx, gw, 80); !errors.Is(err, netsim.ErrConnRefused) {
+		t.Fatalf("dial to the dark gateway: %v, want refused", err)
+	}
+	j := 3
+	for r.genericDark(0, j) {
+		j++
+	}
+	c, err := w.ScanVantage.Dial(ctx, r.hostAddr(0, j), r.genericPort(0, j))
+	if err != nil {
+		t.Fatalf("dial generic host %s: %v", r.hostAddr(0, j), err)
+	}
+	line, err := bufio.NewReader(c).ReadString('\n')
+	c.Close()
+	if err != nil || line != "HTTP/1.0 200 OK\r\n" {
+		t.Fatalf("generic banner = %q, %v", line, err)
+	}
+	if got := len(w.Net.Hosts()); got != registered {
+		t.Fatalf("generic dials registered %d hosts", got-registered)
+	}
+
+	// The console: its first dial registers exactly one host.
+	console := r.hostAddr(0, 1)
+	c, err = w.ScanVantage.Dial(ctx, console, 80)
+	if err != nil {
+		t.Fatalf("dial console %s: %v", console, err)
+	}
+	c.Close()
+	if got := len(w.Net.Hosts()); got != registered+1 {
+		t.Fatalf("console dial registered %d hosts, want 1", got-registered)
+	}
+	host, ok := w.Net.Host(console)
+	if !ok {
+		t.Fatal("console dial did not register the console")
+	}
+	if host.Name() != r.hostName(0, 1) {
+		t.Fatalf("console name = %q, want %q", host.Name(), r.hostName(0, 1))
+	}
+	if got := host.ISP().AS.Number; got != as.ASN {
+		t.Fatalf("console ASN = %d, whois said %d", got, as.ASN)
+	}
+
+	// Whois and geolocation answer the same once the console exists.
+	if got, ok := w.GeoDB.Country(console); !ok || got != country {
+		t.Fatalf("console Country = %q, gateway was %q", got, country)
+	}
+	if got, ok := w.ASTable.Lookup(console); !ok || got != as {
+		t.Fatalf("console whois = %+v, gateway was %+v", got, as)
 	}
 }
 

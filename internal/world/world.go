@@ -159,8 +159,8 @@ type World struct {
 	nextSiteIP netip.Addr
 	hostingISP *netsim.ISP
 
-	// scale is the lazily-materialized synthetic population (nil at the
-	// default profile).
+	// scale is the synthetic population, answered from derivations (nil
+	// at the default profile).
 	scale *scaleRealm
 
 	// clients records every measurement client MeasureClient handed out,

@@ -1,13 +1,11 @@
-// The scale equivalence battery (DESIGN.md §16): a lazily-materialized
-// world must be byte-identical to an eagerly-built one for every
-// rendered artifact, at any worker count — and the default profile must
-// leave every committed golden untouched. `make world-golden` pins
-// these under -race.
+// The scale compatibility battery (DESIGN.md §16): the default profile
+// must leave every committed golden untouched at any worker count. The
+// city realm-vs-reference battery lives in internal/world, next to the
+// reference builder. `make world-golden` pins both under -race.
 package filtermap_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -17,40 +15,24 @@ import (
 	"filtermap/internal/report"
 )
 
-// scaleBuild says how the battery builds a world: the engine worker
-// count, and whether the synthetic population is materialized eagerly
-// right after Build instead of on first dial.
-type scaleBuild struct {
-	workers int
-	eager   bool
-}
-
-// scaleWorld builds a world with the given scale options, torn down with
-// the test.
-func scaleWorld(t *testing.T, opts filtermap.Options, b scaleBuild) *filtermap.World {
+// scaleWorld builds a world with the given options and engine worker
+// count, torn down with the test.
+func scaleWorld(t *testing.T, opts filtermap.Options, workers int) *filtermap.World {
 	t.Helper()
-	w, err := filtermap.NewWorld(opts, filtermap.WithWorkers(b.workers))
+	w, err := filtermap.NewWorld(opts, filtermap.WithWorkers(workers))
 	if err != nil {
 		t.Fatalf("NewWorld(%+v): %v", opts, err)
 	}
 	t.Cleanup(w.Close)
-	if b.eager {
-		r := w.Net.Realm()
-		for _, a := range r.Addrs() {
-			if err := r.Materialize(a); err != nil {
-				t.Fatalf("eager materialize %s: %v", a, err)
-			}
-		}
-	}
 	return w
 }
 
 // The artifact renderers, each reproducing one fmrepro step byte for
 // byte on a fresh world.
 
-func identifyArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
+func identifyArtifact(t *testing.T, opts filtermap.Options, workers int) string {
 	t.Helper()
-	w := scaleWorld(t, opts, b)
+	w := scaleWorld(t, opts, workers)
 	rep, err := w.RunIdentification(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +41,9 @@ func identifyArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) string
 	return r.Figure1(rep) + "\n" + r.Installations(rep)
 }
 
-func table3Artifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
+func table3Artifact(t *testing.T, opts filtermap.Options, workers int) string {
 	t.Helper()
-	w := scaleWorld(t, opts, b)
+	w := scaleWorld(t, opts, workers)
 	outcomes, err := w.RunTable3(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +51,9 @@ func table3Artifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
 	return filtermap.Reporter{}.Table3(outcomes)
 }
 
-func table4Artifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
+func table4Artifact(t *testing.T, opts filtermap.Options, workers int) string {
 	t.Helper()
-	w := scaleWorld(t, opts, b)
+	w := scaleWorld(t, opts, workers)
 	w.Clock.Advance(8 * time.Hour)
 	reports, err := w.RunCharacterization(context.Background())
 	if err != nil {
@@ -80,9 +62,9 @@ func table4Artifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
 	return filtermap.Reporter{}.Table4(reports) + "\n(cells reconstructed from §5 prose; see EXPERIMENTS.md)"
 }
 
-func discoveryArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
+func discoveryArtifact(t *testing.T, opts filtermap.Options, workers int) string {
 	t.Helper()
-	w := scaleWorld(t, opts, b)
+	w := scaleWorld(t, opts, workers)
 	w.Clock.Advance(8 * time.Hour)
 	targets, err := w.RunDiscovery(context.Background(), filtermap.DiscoveryOptions{})
 	if err != nil {
@@ -91,10 +73,10 @@ func discoveryArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) strin
 	return filtermap.Reporter{}.Discovery(0, 0, targets)
 }
 
-func mechanismsArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) string {
+func mechanismsArtifact(t *testing.T, opts filtermap.Options, workers int) string {
 	t.Helper()
 	opts.Mechanisms = &filtermap.MechanismOptions{}
-	w := scaleWorld(t, opts, b)
+	w := scaleWorld(t, opts, workers)
 	targets, err := w.RunMechanismSurvey(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +88,7 @@ func mechanismsArtifact(t *testing.T, opts filtermap.Options, b scaleBuild) stri
 // scaleArtifacts names every world-backed artifact in the battery.
 var scaleArtifacts = []struct {
 	name   string
-	render func(*testing.T, filtermap.Options, scaleBuild) string
+	render func(*testing.T, filtermap.Options, int) string
 }{
 	{"identify", identifyArtifact},
 	{"table3", table3Artifact},
@@ -139,7 +121,7 @@ func diffArtifacts(t *testing.T, label, a, b string) {
 }
 
 // TestScaleSmallProfileMatchesGoldens pins the compatibility half of
-// the lazy-world contract: Options.Scale "small" (the explicit default)
+// the scale contract: Options.Scale "small" (the explicit default)
 // reproduces every committed golden byte for byte, at 1 and 8 workers.
 // Table 1 and 2 ride along even though no world backs them, completing
 // the Table 1/2/3/4 battery.
@@ -161,35 +143,12 @@ func TestScaleSmallProfileMatchesGoldens(t *testing.T) {
 			if !ok {
 				continue // mechanisms.golden carries extra Table 2 framing, pinned below
 			}
-			compareGolden(t, golden, art.render(t, opts, scaleBuild{workers: workers}))
+			compareGolden(t, golden, art.render(t, opts, workers))
 		}
 		got := report.Table2WithMechanisms(fingerprint.ShodanKeywords(), sigDescs,
 			fingerprint.MechanismSignatureDescriptions()) + "\n" +
-			mechanismsArtifact(t, opts, scaleBuild{workers: workers})
+			mechanismsArtifact(t, opts, workers)
 		compareGolden(t, "mechanisms.golden", got)
-	}
-}
-
-// TestScaleCityLazyEagerEquivalence is the determinism tentpole: at the
-// city profile every artifact must be byte-identical whether the
-// synthetic population is materialized on demand (scan order and worker
-// count decide when each ISP appears) or eagerly at build time.
-func TestScaleCityLazyEagerEquivalence(t *testing.T) {
-	for _, art := range scaleArtifacts {
-		t.Run(art.name, func(t *testing.T) {
-			var baseline string
-			for _, workers := range []int{1, 8} {
-				city := filtermap.Options{Scale: filtermap.ScaleCity}
-				lazy := art.render(t, city, scaleBuild{workers: workers})
-				eager := art.render(t, city, scaleBuild{workers: workers, eager: true})
-				diffArtifacts(t, fmt.Sprintf("%s lazy-vs-eager at %d workers", art.name, workers), lazy, eager)
-				if baseline == "" {
-					baseline = lazy
-				} else {
-					diffArtifacts(t, art.name+" across worker counts", baseline, lazy)
-				}
-			}
-		})
 	}
 }
 

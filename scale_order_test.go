@@ -1,19 +1,25 @@
-// Satellite property test for generation-order independence: dialing a
+// Satellite property test for access-order independence: probing a
 // seeded random permutation of the synthetic population across
-// goroutines must yield exactly the world — hosts, names, whois, open
-// ports, engine counters, and the scan report — that strictly
-// sequential address-order access yields.
+// goroutines must observe exactly the world — dial outcomes, banners,
+// names, whois and geolocation, engine counters, and the scan report —
+// that strictly sequential address-order probing observes.
 package filtermap_test
 
 import (
+	"bufio"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"filtermap"
+	"filtermap/internal/netsim"
+	"filtermap/internal/scanner"
 )
 
 // syntheticAddrs returns the realm-backed (class E) addresses of a
@@ -28,24 +34,46 @@ func syntheticAddrs(w *filtermap.World) []netip.Addr {
 	return out
 }
 
-// dialAll materializes addrs through the ordinary dial path using the
-// given number of goroutines (1 = strictly sequential, in slice order).
-func dialAll(t *testing.T, w *filtermap.World, addrs []netip.Addr, goroutines int) {
-	t.Helper()
-	src := w.Net.Hosts()[0]
-	ctx := context.Background()
-	dial := func(addr netip.Addr) {
-		// Dark hosts refuse the dial after materializing; that is the
-		// normal sweep experience, not an error.
-		if c, err := src.Dial(ctx, addr, 80); err == nil {
-			c.Close()
-		}
+// probeOutcome dials addr:port from src and reports what a scanner
+// sees: the refusal, or the first line answering a GET.
+func probeOutcome(src *netsim.Host, addr netip.Addr, port uint16) string {
+	c, err := src.Dial(context.Background(), addr, port)
+	switch {
+	case errors.Is(err, netsim.ErrConnRefused):
+		return "refused"
+	case err != nil:
+		return "error " + err.Error()
 	}
-	if goroutines <= 1 {
-		for _, addr := range addrs {
-			dial(addr)
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // in-memory pipe
+	fmt.Fprintf(c, "GET / HTTP/1.0\r\nHost: %s\r\nConnection: close\r\n\r\n", addr)
+	line, err := bufio.NewReader(c).ReadString('\n')
+	if err != nil {
+		return "read error " + err.Error()
+	}
+	return "open " + strings.TrimSpace(line)
+}
+
+// worldFingerprint probes addrs in the given order across goroutines
+// (1 = strictly sequential) and flattens what each address exposes into
+// one line, returned in address order: reverse name, whois, country and
+// the outcome on every scan port.
+func worldFingerprint(w *filtermap.World, addrs []netip.Addr, goroutines int) []string {
+	sorted := syntheticAddrs(w)
+	pos := make(map[netip.Addr]int, len(sorted))
+	for i, a := range sorted {
+		pos[a] = i
+	}
+	lines := make([]string, len(sorted))
+	probe := func(addr netip.Addr) {
+		name, _ := w.Net.ReverseLookup(addr)
+		as, _ := w.ASTable.Lookup(addr)
+		cc, _ := w.GeoDB.Country(addr)
+		line := fmt.Sprintf("%s name=%s asn=%d as=%s cc=%s", addr, name, as.ASN, as.Name, cc)
+		for _, port := range scanner.DefaultPorts {
+			line += fmt.Sprintf(" %d=%s", port, probeOutcome(w.ScanVantage, addr, port))
 		}
-		return
+		lines[pos[addr]] = line
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -53,66 +81,43 @@ func dialAll(t *testing.T, w *filtermap.World, addrs []netip.Addr, goroutines in
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(addrs); i += goroutines {
-				dial(addrs[i])
+				probe(addrs[i])
 			}
 		}(g)
 	}
 	wg.Wait()
-}
-
-// worldFingerprint flattens the observable state of every synthetic
-// host into comparable lines: address, reverse name, ISP, ASN, country,
-// and open ports.
-func worldFingerprint(t *testing.T, w *filtermap.World) []string {
-	t.Helper()
-	var lines []string
-	for _, addr := range syntheticAddrs(w) {
-		h, ok := w.Net.Host(addr)
-		if !ok {
-			t.Fatalf("synthetic host %s not materialized", addr)
-		}
-		as, ok := w.Net.LookupAS(addr)
-		if !ok {
-			t.Fatalf("no AS for %s", addr)
-		}
-		line := addr.String() + " name=" + h.Name() + " isp=" + h.ISP().Name +
-			" asn=" + as.Name + " cc=" + as.Country
-		ports := h.OpenPorts()
-		sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-		for _, p := range ports {
-			line += " port=" + netip.AddrPortFrom(addr, p).String()
-		}
-		lines = append(lines, line)
-	}
 	return lines
 }
 
 func TestScaleOrderIndependence(t *testing.T) {
 	build := func() *filtermap.World {
-		return scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleCity}, scaleBuild{workers: 8})
+		return scaleWorld(t, filtermap.Options{Scale: filtermap.ScaleCity}, 8)
 	}
 
-	// Reference: strict sequential materialization in address order.
+	// Reference: strict sequential probing in address order.
 	seq := build()
-	addrs := syntheticAddrs(seq)
-	dialAll(t, seq, addrs, 1)
+	seqFP := worldFingerprint(seq, syntheticAddrs(seq), 1)
 
-	// Property run: a seeded random permutation, eight dialers.
+	// Property run: a seeded random permutation, eight probers.
 	perm := build()
-	shuffled := append([]netip.Addr(nil), syntheticAddrs(perm)...)
+	shuffled := syntheticAddrs(perm)
 	rng := rand.New(rand.NewSource(0xfee1))
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	dialAll(t, perm, shuffled, 8)
+	permFP := worldFingerprint(perm, shuffled, 8)
 
-	// World state must be identical host for host.
-	seqFP, permFP := worldFingerprint(t, seq), worldFingerprint(t, perm)
+	// Every address must look identical.
 	if len(seqFP) != len(permFP) {
-		t.Fatalf("materialized %d vs %d synthetic hosts", len(seqFP), len(permFP))
+		t.Fatalf("probed %d vs %d synthetic hosts", len(seqFP), len(permFP))
 	}
+	open := 0
 	for i := range seqFP {
 		if seqFP[i] != permFP[i] {
 			t.Fatalf("host %d diverged:\n  sequential: %s\n  permuted:   %s", i, seqFP[i], permFP[i])
 		}
+		open += strings.Count(seqFP[i], "=open ")
+	}
+	if open == 0 {
+		t.Fatal("no synthetic port answered: the fingerprint is vacuous")
 	}
 
 	// The scan report over the two worlds must be byte-identical...
@@ -125,7 +130,7 @@ func TestScaleOrderIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r filtermap.Reporter
-	diffArtifacts(t, "identify report after permuted materialization",
+	diffArtifacts(t, "identify report after permuted probing",
 		r.Figure1(seqRep)+"\n"+r.Installations(seqRep),
 		r.Figure1(permRep)+"\n"+r.Installations(permRep))
 

@@ -24,10 +24,10 @@
 # mechanism survey through a coordinator with 1, 2 and 4 local workers,
 # showing the shard fan-out speedup.
 #
-# The world suite covers lazy world generation (DESIGN.md §16): cold
-# whole-ISP materialization through the dial path, live heap per 10k
-# materialized hosts, and the full identify scan lazy vs eager at 1 and
-# 8 workers.
+# The world suite covers the scale realm (DESIGN.md §16): a dial into a
+# never-touched synthetic ISP against one into an ISP already dialed,
+# live heap per 10k probed hosts, and the full identify scan over the
+# realm ("lazy") vs the test-only reference build at 1 and 8 workers.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,9 +39,11 @@ NPROC=$(nproc)
 GOMAXPROCS="${GOMAXPROCS:-$NPROC}"
 export GOMAXPROCS
 
-run() { # run <package> <benchmark regex>
-	go test -run xxx -bench "$2" -benchtime "$BENCHTIME" -benchmem "$1" 2>&1 |
-		awk '/^Benchmark/ {
+run() { # run <package> <benchmark regex> [benchtime]
+	# A benchtime given here overrides the suite's for benchmarks whose
+	# op is too short to time in a few iterations; the entry records it.
+	go test -run xxx -bench "$2" -benchtime "${3:-$BENCHTIME}" -benchmem "$1" 2>&1 |
+		awk -v bt="${3:-}" '/^Benchmark/ {
 			name = $1
 			sub(/-[0-9]+$/, "", name)
 			ns = "null"; bytes = "null"; allocs = "null"; heap = ""
@@ -53,6 +55,7 @@ run() { # run <package> <benchmark regex>
 				else if ($i == "heapB/10khosts") heap = $(i - 1)
 			}
 			extra = (heap != "") ? sprintf(", \"heap_bytes_per_10k_hosts\": %s", heap) : ""
+			if (bt != "") extra = extra sprintf(", \"benchtime\": \"%s\"", bt)
 			printf "  { \"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s },\n",
 				name, ns, bytes, allocs, extra
 		}'
@@ -90,9 +93,10 @@ cluster)
 	)
 	;;
 world)
-	COMMENT="lazy world generation: cold-dial ISP materialization, heap per 10k hosts, full city identify scan lazy vs eager (DESIGN.md §16)"
+	COMMENT="scale realm: cold vs warm synthetic dial, heap per 10k probed hosts, full city identify scan realm (lazy) vs reference build (DESIGN.md §16)"
 	out=$(
-		run ./internal/world/ '^BenchmarkScaleColdDial$'
+		run ./internal/world/ '^BenchmarkScaleColdDial$' 20000x
+		run ./internal/world/ '^BenchmarkScaleWarmDial$' 20000x
 		run ./internal/world/ '^BenchmarkScaleMemoryPer10kHosts$'
 		run ./internal/world/ '^BenchmarkScaleFullScan$'
 	)
