@@ -85,14 +85,12 @@ func (a *AS) Contains(addr netip.Addr) bool {
 // every connection its subscriber hosts open to destinations outside the
 // ISP — the position a URL-filtering middlebox occupies.
 type ISP struct {
-	Name    string
-	AS      *AS
-	network *Network
+	Name string
+	AS   *AS
 
 	mu          sync.RWMutex
 	interceptor Interceptor
 	mechanisms  *Mechanisms
-	hosts       []*Host
 }
 
 // SetInterceptor installs (or, with nil, removes) the ISP's egress
@@ -109,18 +107,6 @@ func (i *ISP) Interceptor() Interceptor {
 	defer i.mu.RUnlock()
 	return i.interceptor
 }
-
-// Hosts returns the ISP's registered hosts in registration order.
-func (i *ISP) Hosts() []*Host {
-	i.mu.RLock()
-	defer i.mu.RUnlock()
-	out := make([]*Host, len(i.hosts))
-	copy(out, i.hosts)
-	return out
-}
-
-// Country returns the ISP's country code.
-func (i *ISP) Country() string { return i.AS.Country }
 
 // DialInfo describes an intercepted connection attempt.
 type DialInfo struct {
@@ -230,7 +216,7 @@ func (n *Network) AddISP(name string, as *AS) (*ISP, error) {
 	if _, dup := n.isps[name]; dup {
 		return nil, fmt.Errorf("netsim: ISP %q already registered", name)
 	}
-	isp := &ISP{Name: name, AS: as, network: n}
+	isp := &ISP{Name: name, AS: as}
 	n.isps[name] = isp
 	return isp, nil
 }
@@ -262,11 +248,6 @@ func (n *Network) AddHost(addr netip.Addr, name string, isp *ISP) (*Host, error)
 		n.rdns[addr] = h.name
 	}
 	n.mu.Unlock()
-	if isp != nil {
-		isp.mu.Lock()
-		isp.hosts = append(isp.hosts, h)
-		isp.mu.Unlock()
-	}
 	return h, nil
 }
 
@@ -373,7 +354,7 @@ func (n *Network) Close() {
 func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint16, hostname string) (net.Conn, error) {
 	n.mu.RLock()
 	closed := n.closed
-	realm, gone := n.realm, n.tombstones[dst]
+	realm, removed := n.realm, n.tombstones[dst]
 	dstHost := n.hosts[dst]
 	latency := n.dialLatency
 	n.mu.RUnlock()
@@ -388,10 +369,8 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	// happens before the interception decision, so the dial sees the
 	// same sameISP answer a registered host would give.
 	var realmHandler Handler
-	realmOwned := false
-	if gone {
-		dstHost = nil
-	} else if realm != nil {
+	var realmOwned bool
+	if realm != nil && !removed {
 		var h *Host
 		if h, realmHandler, realmOwned = realm.Port(dst, port); realmOwned {
 			dstHost = h

@@ -105,7 +105,7 @@ type scaleRealm struct {
 }
 
 // scaleConsole is a console ISP's product host, built once on first
-// dial (nil if the build failed, which then answers nothing).
+// dial.
 type scaleConsole struct {
 	once sync.Once
 	host *netsim.Host
@@ -134,11 +134,12 @@ func newScaleRealm(w *World, profile scaleProfile) *scaleRealm {
 	// The keyword decoy page: product vocabulary with no product behind
 	// it, the false-positive pressure §3.1's validation stage exists to
 	// absorb.
-	r.decoy = cannedHandler(cannedResponse("nginx/1.2.1", "Filtering field notes", fmt.Sprintf(`<h1>Filtering field notes</h1>
+	decoyBody := fmt.Sprintf(`<h1>Filtering field notes</h1>
 <p>Lab notes comparing ProxySG consoles, the webadmin deny flow and
 blockpage.cgi styles across campus deployments. Sample captures from
 %s and %s are archived for the methods class.</p>`,
-		urllist.SyntheticDomain(r.seed, 0), urllist.SyntheticDomain(r.seed, 1))))
+		urllist.SyntheticDomain(r.seed, 0), urllist.SyntheticDomain(r.seed, 1))
+	r.decoy = cannedHandler(cannedResponse("nginx/1.2.1", "Filtering field notes", decoyBody))
 	return r
 }
 
@@ -195,7 +196,7 @@ func (r *scaleRealm) hostName(i, j int) string {
 	}
 }
 
-// ispIndexOf maps a realm address back to (ispIndex, hostIndex).
+// indexOf maps a realm address back to (ispIndex, hostIndex).
 func (r *scaleRealm) indexOf(addr netip.Addr) (i, j int, ok bool) {
 	if !addr.Is4() {
 		return 0, 0, false
@@ -333,24 +334,32 @@ func (r *scaleRealm) Port(addr netip.Addr, port uint16) (*netsim.Host, netsim.Ha
 func (r *scaleRealm) console(i int) *netsim.Host {
 	c := &r.consoles[i/r.profile.consoleEvery]
 	c.once.Do(func() {
-		w := r.w
-		as, err := w.Net.AddAS(r.ispASN(i), r.ispName(i), r.ispCountry(i), r.ispPrefix(i))
+		host, err := r.buildConsole(i)
 		if err != nil {
-			return
+			// The console's ASN, ISP name and address are unique by
+			// derivation, so only a bug can make its build fail.
+			panic(fmt.Sprintf("world: build console of synthetic ISP %d: %v", i, err))
 		}
-		isp, err := w.Net.AddISP(r.ispName(i), as)
-		if err != nil {
-			return
-		}
-		host, err := w.Net.AddHost(r.hostAddr(i, 1), r.hostName(i, 1), isp)
-		if err != nil {
-			return
-		}
-		if w.installBackgroundProduct(r.consoleProduct(i), host) == nil {
-			c.host = host
-		}
+		c.host = host
 	})
 	return c.host
+}
+
+func (r *scaleRealm) buildConsole(i int) (*netsim.Host, error) {
+	w := r.w
+	as, err := w.Net.AddAS(r.ispASN(i), r.ispName(i), r.ispCountry(i), r.ispPrefix(i))
+	if err != nil {
+		return nil, err
+	}
+	isp, err := w.Net.AddISP(r.ispName(i), as)
+	if err != nil {
+		return nil, err
+	}
+	host, err := w.Net.AddHost(r.hostAddr(i, 1), r.hostName(i, 1), isp)
+	if err != nil {
+		return nil, err
+	}
+	return host, w.installBackgroundProduct(r.consoleProduct(i), host)
 }
 
 // --- whois / geo fallbacks ----------------------------------------------
