@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"filtermap/internal/engine"
@@ -17,24 +18,25 @@ import (
 
 // BenchmarkScaleColdDial dials the gateway of a never-touched
 // nation-profile ISP each iteration. The realm answers it from
-// derivations, so a cold dial costs what a warm one does. Every world
-// the run needs (one per 2200 dials) is built before the timer starts.
+// derivations, so a cold dial costs what a warm one does. A fresh world
+// is built every 2200 dials, outside the timer and followed by a
+// collection, so the timed loop carries only one world, as the warm
+// benchmark does.
 func BenchmarkScaleColdDial(b *testing.B) {
 	ctx := context.Background()
 	isps := scaleProfiles[ScaleNation].isps
-	worlds := make([]*World, (b.N+isps-1)/isps)
-	for k := range worlds {
-		w, err := Build(Options{Scale: ScaleNation})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(w.Close)
-		worlds[k] = w
-	}
-
+	var w *World
+	b.Cleanup(func() { w.Close() })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := worlds[i/isps]
+		if i%isps == 0 {
+			b.StopTimer()
+			if w != nil {
+				w.Close()
+			}
+			w = scaleBenchWorld(b)
+			b.StartTimer()
+		}
 		if c, err := w.ScanVantage.Dial(ctx, w.scale.hostAddr(i%isps, 0), 80); err == nil {
 			c.Close()
 		}
@@ -45,10 +47,7 @@ func BenchmarkScaleColdDial(b *testing.B) {
 // iteration dials the gateway of the same, already-dialed ISP.
 func BenchmarkScaleWarmDial(b *testing.B) {
 	ctx := context.Background()
-	w, err := Build(Options{Scale: ScaleNation})
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := scaleBenchWorld(b)
 	b.Cleanup(w.Close)
 	gw := w.scale.hostAddr(0, 0)
 	if c, err := w.ScanVantage.Dial(ctx, gw, 80); err == nil {
@@ -61,6 +60,17 @@ func BenchmarkScaleWarmDial(b *testing.B) {
 			c.Close()
 		}
 	}
+}
+
+// scaleBenchWorld builds a nation world and collects the garbage the
+// build left, so a timed loop starts from the same heap either way.
+func scaleBenchWorld(b *testing.B) *World {
+	w, err := Build(Options{Scale: ScaleNation})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	return w
 }
 
 // BenchmarkScaleMemoryPer10kHosts probes nation-profile hosts on every
