@@ -12,7 +12,7 @@ import (
 // dialing every nation address on every scan port must register
 // exactly the product consoles, and the live heap must not grow with
 // the population. Registering the ~106k synthetic hosts as netsim Hosts
-// instead costs ~37 MB.
+// instead costs ~35 MB.
 func TestScaleNationLazyMemoryCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap ceiling is meaningless under the race detector's shadow memory")
