@@ -194,20 +194,52 @@ func TestRealmDialAnswers(t *testing.T) {
 	}
 }
 
-// TestRealmConcurrentDialSingleFlight dials a console while its build
-// has registered the host but not yet bound its port. Every concurrent
-// dial to the address must wait for the one build and connect; none may
-// see the half-wired host and be refused.
+// TestRealmConcurrentDialSingleFlight: concurrent first dials to a
+// console all connect, and the console is built once.
 func TestRealmConcurrentDialSingleFlight(t *testing.T) {
+	nw, r, src := newRealmNet(t, &toyRealm{n: 1, console: 1, vis: Public})
+	defer nw.Close()
+
+	const dialers = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, dialers)
+	for i := 0; i < dialers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := src.Dial(context.Background(), r.addr(1), 80)
+			if err != nil {
+				errs <- err
+				return
+			}
+			c.Close()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent dial: %v", err)
+	}
+	if got := r.builds.Load(); got != 1 {
+		t.Fatalf("console built %d times under %d concurrent dialers, want 1", got, dialers)
+	}
+}
+
+// TestRealmHostNotDialableMidMaterialize dials a console while its build
+// has registered the host but not yet bound its port. Every dial to the
+// console must wait for the one build and connect; none may see the
+// half-wired host and be refused. A sibling banner address is no part of
+// the build and answers while it is parked.
+func TestRealmHostNotDialableMidMaterialize(t *testing.T) {
 	nw, r, src := newRealmNet(t, &toyRealm{
-		n: 1, console: 1, vis: Public,
+		n: 2, console: 1, vis: Public,
 		added: make(chan struct{}), release: make(chan struct{}),
 	})
 	defer nw.Close()
-	dial := func() <-chan error {
+	dial := func(dst netip.Addr) <-chan error {
 		done := make(chan error, 1)
 		go func() {
-			c, err := src.Dial(context.Background(), r.addr(1), 80)
+			c, err := src.Dial(context.Background(), dst, 80)
 			if err == nil {
 				_, err = bufio.NewReader(c).ReadString('\n')
 				c.Close()
@@ -220,10 +252,13 @@ func TestRealmConcurrentDialSingleFlight(t *testing.T) {
 	release := sync.OnceFunc(func() { close(r.release) })
 	defer release() // a failed check must not leave the builder parked
 
-	dials := []<-chan error{dial()}
+	dials := []<-chan error{dial(r.addr(1))}
 	<-r.added
+	if err := <-dial(r.addr(2)); err != nil {
+		t.Fatalf("sibling dial mid-build: %v", err)
+	}
 	for i := 0; i < 8; i++ {
-		dials = append(dials, dial())
+		dials = append(dials, dial(r.addr(1)))
 	}
 	for i, done := range dials {
 		select {
