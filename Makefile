@@ -162,10 +162,12 @@ bench-cluster:
 
 # Fail when a pinned hot path (ClassifyBytes, SearchBytes,
 # ExtractTitleBytes, the match detectors, the engine's per-item
-# dispatch) allocates in steady state.
+# dispatch, the head-only response read) allocates in steady state, or
+# a scanner probe exceeds its allocation budget (one for a closed port,
+# eight for a canned banner).
 .PHONY: alloc-gate
 alloc-gate:
-	go test -run 'TestZeroAlloc' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/
+	go test -run 'TestZeroAlloc|TestAllocsProbe' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/ ./internal/httpwire/
 
 # The benchmark harness is its own module (bench/go.mod, replacing
 # filtermap with ../) that compiles against internal packages, so the

@@ -1,7 +1,6 @@
 package httpwire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -122,7 +121,9 @@ func (c *Client) exchange(ctx context.Context, req *Request, conn net.Conn, key 
 		conn.Close()
 		return nil, fmt.Errorf("httpwire: write request: %w", err)
 	}
-	resp, err := ReadResponse(bufio.NewReader(conn), req.Method == "HEAD")
+	buf := GetReadBuffer()
+	resp, err := ReadResponse(buf.Reader(conn), req.Method == "HEAD")
+	buf.Release()
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("httpwire: read response: %w", err)

@@ -69,15 +69,38 @@ func wireCases(t *testing.T) []corpustest.Entry {
 	return entries
 }
 
+// checkReadRaw pins the head-only read to the owning reader on wire, a
+// reply to a non-HEAD request: ReadRaw must fail exactly when
+// ReadResponse fails, and otherwise return its RawHead and Body byte for
+// byte.
+func checkReadRaw(t *testing.T, buf *ReadBuffer, name string, wire []byte) {
+	t.Helper()
+	want, wantErr := ReadResponse(bufio.NewReader(bytes.NewReader(wire)), false)
+	head, body, gotErr := buf.ReadRaw(bytes.NewReader(wire))
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: ReadResponse err=%v, ReadRaw err=%v", name, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if !bytes.Equal(want.RawHead, head) || !bytes.Equal(want.Body, body) {
+		t.Errorf("%s: ReadRaw differs from ReadResponse:\n  head %q vs %q\n  body %q vs %q", name, head, want.RawHead, body, want.Body)
+	}
+}
+
 // TestDifferentialReadResponse replays the wire corpus through the owning
 // reader and the pooled buffered reader: both must produce identical parse
 // outcomes (same error presence, field-identical responses), and buffer
 // reuse across iterations must not leak one message's bytes into the next.
+// Every non-HEAD entry also goes through the head-only ReadRaw.
 func TestDifferentialReadResponse(t *testing.T) {
 	buf := GetReadBuffer()
 	defer buf.Release()
 	for _, e := range wireCases(t) {
 		wire, isHEAD := e.Bytes(0), e.Bool(1)
+		if !isHEAD {
+			checkReadRaw(t, buf, e.Name, wire)
+		}
 		want, wantErr := ReadResponse(bufio.NewReader(bytes.NewReader(wire)), isHEAD)
 		got, gotErr := ReadResponseBuffered(buf, strings.NewReader(string(wire)), isHEAD)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -136,5 +159,25 @@ func TestReadResponseBufferedSteadyStateAllocs(t *testing.T) {
 	})
 	if n > 7 {
 		t.Errorf("buffered read allocates %v/op steady-state, want <= 7 (arena reuse broken?)", n)
+	}
+}
+
+// TestZeroAllocReadRaw pins the head-only read at zero allocations once
+// its buffer is warm. CI runs this.
+func TestZeroAllocReadRaw(t *testing.T) {
+	wire := "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\nServer: nginx/1.2.1\r\nContent-Length: 1024\r\nConnection: close\r\n\r\n" + strings.Repeat("x", 1024)
+	buf := GetReadBuffer()
+	defer buf.Release()
+	r := strings.NewReader(wire)
+	if _, _, err := buf.ReadRaw(r); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		r.Reset(wire)
+		if _, _, err := buf.ReadRaw(r); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm ReadRaw allocates %v/op, want 0", n)
 	}
 }

@@ -48,7 +48,8 @@ func FuzzReadRequest(f *testing.F) {
 
 // FuzzReadResponse does the same for the response parser — the path
 // every scanned banner, block page and vendor portal reply flows
-// through.
+// through — and holds the head-only ReadRaw to the same parse on every
+// input.
 func FuzzReadResponse(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"), false)
 	f.Add([]byte("HTTP/1.1 302 Found\r\nLocation: http://deny.example/?cat=23\r\n\r\n"), false)
@@ -58,6 +59,9 @@ func FuzzReadResponse(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200\r\n\r\n"), false)
 	f.Add([]byte("junk"), false)
 	f.Fuzz(func(t *testing.T, data []byte, isHEAD bool) {
+		buf := GetReadBuffer()
+		checkReadRaw(t, buf, "input", data)
+		buf.Release()
 		resp, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)), isHEAD)
 		if err != nil {
 			return

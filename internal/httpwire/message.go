@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/url"
 	"strconv"
@@ -202,7 +203,8 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	if !ok || !strings.HasPrefix(proto, "HTTP/") || method == "" || target == "" {
 		return nil, fmt.Errorf("%w: %q", ErrMalformedStartLine, line)
 	}
-	hdr, err := readHeaderBlock(br)
+	hdr := &Header{}
+	frame, err := readFields(br, nil, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -224,11 +226,11 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		req.URL = u
 	}
 
-	body, err := readBody(br, hdr, method == "HEAD", true)
-	if err != nil {
-		return nil, err
+	if method != "HEAD" {
+		if req.Body, err = readBody(br, frame, true, nil); err != nil {
+			return nil, err
+		}
 	}
-	req.Body = body
 	return req, nil
 }
 
@@ -322,146 +324,209 @@ func (r *Response) WriteTo(w io.Writer) (int64, error) {
 // ReadResponseBuffered, which reuses pooled buffers.
 func ReadResponse(br *bufio.Reader, isHEAD bool) (*Response, error) {
 	var raw bytes.Buffer
-	resp, _, err := readResponseCore(br, isHEAD, &raw, nil)
+	hdr := &Header{}
+	head, body, _, err := readResponse(br, isHEAD, &raw, hdr, nil)
 	if err != nil {
 		return nil, err
 	}
+	resp := newResponse(raw.Bytes(), head, hdr, body)
 	resp.RawHead = bytes.Clone(resp.RawHead)
 	return resp, nil
 }
 
-// readResponseCore parses a response. raw accumulates the head bytes and
-// the returned response's RawHead ALIASES raw's storage (callers that
-// hand out the response must clone it). When arena is non-nil the body is
-// read into it (the response borrows it; the grown arena is returned for
-// reuse); when nil the body is freshly allocated and owned.
-func readResponseCore(br *bufio.Reader, isHEAD bool, raw *bytes.Buffer, arena []byte) (*Response, []byte, error) {
-	line, err := readLineRaw(br, raw)
-	if err != nil {
-		return nil, arena, err
+// newResponse builds a Response from a head read into raw. Its RawHead
+// aliases raw.
+func newResponse(raw []byte, head responseHead, hdr *Header, body []byte) *Response {
+	status := string(raw[:head.statusLen])
+	return &Response{
+		Proto:      status[:head.protoEnd],
+		StatusCode: head.code,
+		Reason:     status[head.reasonAt:],
+		Header:     hdr,
+		Body:       body,
+		RawHead:    raw,
 	}
-	proto, rest, ok := strings.Cut(line, " ")
-	if !ok || !strings.HasPrefix(proto, "HTTP/") {
-		return nil, arena, fmt.Errorf("%w: %q", ErrMalformedStartLine, line)
-	}
-	codeStr, reason, _ := strings.Cut(rest, " ")
-	code, err := strconv.Atoi(codeStr)
-	if err != nil || code < 100 || code > 999 {
-		return nil, arena, fmt.Errorf("%w: bad status %q", ErrMalformedStartLine, rest)
-	}
-	hdr, err := readHeaderBlockRaw(br, raw)
-	if err != nil {
-		return nil, arena, err
-	}
-	resp := &Response{Proto: proto, StatusCode: code, Reason: reason, Header: hdr, RawHead: raw.Bytes()}
+}
 
-	noBody := isHEAD || code == 204 || code == 304 || (code >= 100 && code < 200)
-	if noBody {
-		return resp, arena, nil
+// responseHead is what readResponseHead learns from a response head: where
+// the status line's fields lie in the head bytes, the status code, and
+// the body framing.
+type responseHead struct {
+	statusLen int // the status line, without its line ending, is head[:statusLen]
+	protoEnd  int // the protocol is head[:protoEnd]
+	reasonAt  int // the reason phrase is head[reasonAt:statusLen]
+	code      int
+	framing
+}
+
+// hasBody reports whether a body follows the head.
+func (h responseHead) hasBody(isHEAD bool) bool {
+	return !isHEAD && h.code != 204 && h.code != 304 && h.code >= 200
+}
+
+// readResponse reads one response: its head through readResponseHead
+// (adding each field to hdr when hdr is non-nil) and then, unless isHEAD
+// or the status rules one out, the body its framing declares. raw
+// accumulates the head bytes. When arena is non-nil the body is read into
+// it (the body borrows it; the grown arena is returned for reuse); when
+// nil the body is freshly allocated and owned.
+func readResponse(br *bufio.Reader, isHEAD bool, raw *bytes.Buffer, hdr *Header, arena []byte) (responseHead, []byte, []byte, error) {
+	head, err := readResponseHead(br, raw, hdr)
+	if err != nil || !head.hasBody(isHEAD) {
+		return head, nil, arena, err
 	}
 	var dst []byte
 	if arena != nil {
 		dst = arena[:0]
 	}
-	body, err := readBodyInto(br, hdr, false, dst)
+	body, err := readBody(br, head.framing, false, dst)
 	if arena != nil && cap(body) > cap(arena) {
 		arena = body[:0]
 	}
+	return head, body, arena, err
+}
+
+// readResponseHead is the one response-head parser. It reads the status
+// line and the header fields from br into raw, bounding every line,
+// validating the status line and each field and enforcing the header
+// limits, and records what the body framing needs. Each field is added to
+// hdr when hdr is non-nil; with a nil hdr the walk allocates nothing.
+func readResponseHead(br *bufio.Reader, raw *bytes.Buffer, hdr *Header) (responseHead, error) {
+	var head responseHead
+	line, err := readLineRaw(br, raw)
 	if err != nil {
-		return nil, arena, err
+		return head, err
 	}
-	resp.Body = body
-	return resp, arena, nil
+	proto, rest, ok := bytes.Cut(line, []byte(" "))
+	if !ok || !bytes.HasPrefix(proto, []byte("HTTP/")) {
+		return head, fmt.Errorf("%w: %q", ErrMalformedStartLine, line)
+	}
+	codeStr, reason, _ := bytes.Cut(rest, []byte(" "))
+	code := parseDecimal(codeStr)
+	if code < 100 || code > 999 {
+		return head, fmt.Errorf("%w: bad status %q", ErrMalformedStartLine, rest)
+	}
+	head.statusLen = len(line)
+	head.protoEnd = len(proto)
+	head.reasonAt = len(line) - len(reason)
+	head.code = int(code)
+	head.framing, err = readFields(br, raw, hdr)
+	return head, err
 }
 
-// readLine reads one CRLF- (or LF-) terminated line, bounded.
-func readLine(br *bufio.Reader) (string, error) {
-	return readLineRaw(br, nil)
-}
-
-func readLineRaw(br *bufio.Reader, raw *bytes.Buffer) (string, error) {
+// readLineRaw reads one CRLF- (or LF-) terminated line, bounded, and
+// returns it without its line ending. With a non-nil raw the line is
+// appended to raw and the result aliases raw; otherwise it may alias
+// br's buffer and is valid only until the next read on br.
+func readLineRaw(br *bufio.Reader, raw *bytes.Buffer) ([]byte, error) {
 	var b []byte
+	start := 0
+	if raw != nil {
+		start = raw.Len()
+	}
 	for {
 		chunk, err := br.ReadSlice('\n')
-		if raw != nil {
+		switch {
+		case raw != nil:
 			raw.Write(chunk)
-		}
-		if err == nil && b == nil {
-			// The whole line sat in the buffer: the string conversion
-			// below is its only copy.
+			b = raw.Bytes()[start:]
+		case err == nil && b == nil:
+			// The whole line sat in the buffer: no copy.
 			b = chunk
-			break
+		default:
+			b = append(b, chunk...)
 		}
-		b = append(b, chunk...)
 		if err == nil {
 			break
 		}
 		if err == bufio.ErrBufferFull {
 			if len(b) > maxStartLine {
-				return "", ErrHeaderTooLarge
+				return nil, ErrHeaderTooLarge
 			}
 			continue
 		}
 		if err == io.EOF && len(b) > 0 {
-			return "", io.ErrUnexpectedEOF
+			return nil, io.ErrUnexpectedEOF
 		}
-		return "", err
+		return nil, err
 	}
 	if len(b) > maxStartLine {
-		return "", ErrHeaderTooLarge
+		return nil, ErrHeaderTooLarge
 	}
-	return string(bytes.TrimRight(b, "\r\n")), nil
+	return bytes.TrimRight(b, "\r\n"), nil
 }
 
-func readHeaderBlock(br *bufio.Reader) (*Header, error) {
-	return readHeaderBlockRaw(br, nil)
+// readLine reads one CRLF- (or LF-) terminated line, bounded.
+func readLine(br *bufio.Reader) (string, error) {
+	b, err := readLineRaw(br, nil)
+	return string(b), err
 }
 
-func readHeaderBlockRaw(br *bufio.Reader, raw *bytes.Buffer) (*Header, error) {
-	hdr := &Header{}
-	total := 0
+// framing is how a message delimits its body, taken from its first
+// Transfer-Encoding and first Content-Length fields.
+type framing struct {
+	chunked bool  // chunked transfer coding, which wins over a length
+	sized   bool  // a non-empty Content-Length was sent
+	length  int64 // its value, or -1 when it is not a non-negative integer
+}
+
+// readFields reads header fields through the blank line that ends a head,
+// appending them to raw when raw is non-nil. It bounds their count and
+// total size, validates each field, adds it to hdr when hdr is non-nil,
+// and returns the framing the fields declare.
+func readFields(br *bufio.Reader, raw *bytes.Buffer, hdr *Header) (framing, error) {
+	var frame framing
+	var sawTE, sawCL bool
+	total, count := 0, 0
 	for {
 		line, err := readLineRaw(br, raw)
 		if err != nil {
-			return nil, err
+			return frame, err
 		}
-		if line == "" {
-			return hdr, nil
+		if len(line) == 0 {
+			return frame, nil
 		}
 		total += len(line)
-		if total > maxHeaderBytes || hdr.Len() >= maxHeaderCount {
-			return nil, ErrHeaderTooLarge
+		if total > maxHeaderBytes || count >= maxHeaderCount {
+			return frame, ErrHeaderTooLarge
 		}
-		name, value, ok := strings.Cut(line, ":")
-		if !ok || name == "" || strings.ContainsAny(name, " \t") {
-			return nil, fmt.Errorf("%w: %q", ErrMalformedHeader, line)
+		name, value, ok := bytes.Cut(line, []byte(":"))
+		if !ok || len(name) == 0 || bytes.ContainsAny(name, " \t") {
+			return frame, fmt.Errorf("%w: %q", ErrMalformedHeader, line)
 		}
-		hdr.Add(name, strings.TrimSpace(value))
+		count++
+		value = bytes.TrimSpace(value)
+		switch {
+		case !sawTE && bytes.EqualFold(name, []byte("Transfer-Encoding")):
+			sawTE = true
+			frame.chunked = bytes.EqualFold(value, []byte("chunked"))
+		case !sawCL && bytes.EqualFold(name, []byte("Content-Length")):
+			sawCL = true
+			if len(value) > 0 {
+				frame.sized, frame.length = true, parseDecimal(value)
+			}
+		}
+		if hdr != nil {
+			// One copy per field; name and value are its substrings.
+			field := string(line)
+			hdr.Add(field[:len(name)], strings.TrimSpace(field[len(name)+1:]))
+		}
 	}
 }
 
-// readBody consumes the message body per Content-Length / chunked /
-// read-to-EOF framing rules. isRequest selects the request rule: a request
-// without explicit framing has no body (RFC 7230 §3.3.3), whereas an
-// unframed response is delimited by connection close.
-func readBody(br *bufio.Reader, hdr *Header, suppress, isRequest bool) ([]byte, error) {
-	if suppress {
-		return nil, nil
-	}
-	return readBodyInto(br, hdr, isRequest, nil)
-}
-
-// readBodyInto is readBody with the destination supplied by the caller:
-// the body is appended into dst (grown as needed), so pooled arenas can
-// absorb the read. A nil dst allocates fresh storage, preserving the
-// owned-path behavior.
-func readBodyInto(br *bufio.Reader, hdr *Header, isRequest bool, dst []byte) ([]byte, error) {
-	if strings.EqualFold(hdr.Get("Transfer-Encoding"), "chunked") {
+// readBody consumes a message body per its chunked, Content-Length or
+// read-to-EOF framing, appending it into dst (grown as needed) so pooled
+// arenas can absorb the read; a nil dst allocates fresh storage.
+// isRequest selects the request rule: a request without explicit framing
+// has no body (RFC 7230 §3.3.3), whereas an unframed response is
+// delimited by connection close.
+func readBody(br *bufio.Reader, frame framing, isRequest bool, dst []byte) ([]byte, error) {
+	if frame.chunked {
 		return readChunkedInto(br, dst)
 	}
-	if cl := hdr.Get("Content-Length"); cl != "" {
-		n, err := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if err != nil || n < 0 {
+	if frame.sized {
+		n := frame.length
+		if n < 0 {
 			return nil, ErrBadContentLength
 		}
 		if n > MaxBodyBytes {
@@ -502,8 +567,33 @@ func readBodyInto(br *bufio.Reader, hdr *Header, isRequest bool, dst []byte) ([]
 	}
 }
 
-func readChunked(br *bufio.Reader) ([]byte, error) {
-	return readChunkedInto(br, nil)
+// parseDecimal parses a base-10 integer the way strconv.ParseInt(s, 10,
+// 64) accepts one (an optional sign, then at least one digit, within
+// int64 range) without converting s to a string. It returns -1 for
+// anything else and for negative values, which no caller accepts.
+func parseDecimal(s []byte) int64 {
+	neg := false
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return -1
+	}
+	var n uint64
+	for _, c := range s {
+		if c < '0' || c > '9' || n > math.MaxInt64/10+1 {
+			return -1
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	switch {
+	case neg && n == 0:
+		return 0
+	case neg || n > math.MaxInt64:
+		return -1
+	}
+	return int64(n)
 }
 
 func readChunkedInto(br *bufio.Reader, out []byte) ([]byte, error) {

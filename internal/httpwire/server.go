@@ -1,7 +1,6 @@
 package httpwire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -55,7 +54,9 @@ func (s *Server) Serve(l net.Listener) error {
 // exchanges until close, error, or "Connection: close".
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	buf := GetReadBuffer()
+	defer buf.Release()
+	br := buf.Reader(conn)
 	rt := s.ReadTimeout
 	if rt == 0 {
 		rt = 30 * time.Second

@@ -257,12 +257,12 @@ func (n *Network) injectFault(ctx context.Context, info DialInfo) (net.Conn, err
 		}
 		return nil, nil, nil
 	case FaultHTTP5xx:
-		client, server := newConnPair(
+		p := newConnPair(
 			simAddr{addr: info.Src, port: 0},
 			simAddr{addr: info.Dst, port: info.Port},
 		)
-		go serveUnavailable(server)
-		return client, nil, nil
+		go serveUnavailable(&p.b)
+		return &p.a, nil, nil
 	case FaultReset, FaultTruncate, FaultGarble:
 		r := rule
 		return nil, nil, func(c net.Conn) net.Conn {

@@ -13,7 +13,12 @@
 //     admin console is the paper's "not visible on the global Internet"),
 //     each served by direct dispatch: a dial hands its connection to the
 //     port's Handler in a fresh goroutine, so an idle port runs nothing,
-//   - in-memory net.Conn transport with deadlines and half-close,
+//   - in-memory net.Conn transport with deadlines and half-close; a
+//     connection is one allocation, and a deadline arms its timer only
+//     once a Read or Write waits on it (keeping it until the deadline is
+//     set again) and stops it when that direction closes, so a closed
+//     connection is garbage at once, not when its deadline passes,
+//     while a deadline error still fires at the deadline,
 //   - autonomous systems and ISPs, so IP→ASN mapping has ground truth,
 //   - transparent egress interception: when a host inside an ISP dials an
 //     outside address, the ISP's Interceptor (a URL-filtering product) may
@@ -450,19 +455,20 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 // middlebox terminating a connection and a bound port accepting one both
 // take this step.
 func connect(src *Host, dst netip.Addr, port uint16, handler Handler) net.Conn {
-	client, server := newConnPair(
+	p := newConnPair(
 		simAddr{addr: src.addr, port: ephemeralPort(src)},
 		simAddr{addr: dst, port: port},
 	)
-	go handler.ServeConn(server)
-	return client
+	go handler.ServeConn(&p.b)
+	return &p.a
 }
 
 func sameISP(isp *ISP, dst *Host) bool {
 	return dst != nil && dst.isp == isp
 }
 
-// simAddr implements net.Addr for simulated endpoints.
+// simAddr is a simulated endpoint address. A connection's addresses live
+// in its connPair, so its endpoints hand out *simAddr as their net.Addr.
 type simAddr struct {
 	addr netip.Addr
 	port uint16
@@ -478,7 +484,7 @@ func (a simAddr) Addr() netip.Addr { return a.addr }
 // AddrOf extracts the simulated IP from a net.Addr produced by this
 // package. It returns the zero Addr if the value is foreign.
 func AddrOf(a net.Addr) netip.Addr {
-	if sa, ok := a.(simAddr); ok {
+	if sa, ok := a.(*simAddr); ok {
 		return sa.addr
 	}
 	return netip.Addr{}

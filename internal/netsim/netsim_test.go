@@ -488,7 +488,7 @@ func TestCloseWriteHalfClose(t *testing.T) {
 }
 
 func TestAddrOf(t *testing.T) {
-	a := simAddr{addr: mustAddr(t, "1.2.3.4"), port: 80}
+	a := &simAddr{addr: mustAddr(t, "1.2.3.4"), port: 80}
 	if got := AddrOf(a); got != a.addr {
 		t.Fatalf("AddrOf = %v, want %v", got, a.addr)
 	}
@@ -508,7 +508,8 @@ func TestPipeStreamIntegrityProperty(t *testing.T) {
 		if total > 1<<20 { // stay under the pipe buffer for a sync test
 			return true
 		}
-		a, b := newConnPair(simAddr{}, simAddr{})
+		p := newConnPair(simAddr{}, simAddr{})
+		a, b := &p.a, &p.b
 		defer a.Close()
 		defer b.Close()
 		done := make(chan []byte)
@@ -538,7 +539,8 @@ func TestPipeStreamIntegrityProperty(t *testing.T) {
 // TestPipeWriteAfterPeerCloseErrors: writes to a closed peer fail rather
 // than block.
 func TestPipeWriteAfterPeerCloseErrors(t *testing.T) {
-	a, b := newConnPair(simAddr{}, simAddr{})
+	p := newConnPair(simAddr{}, simAddr{})
+	a, b := &p.a, &p.b
 	b.Close()
 	if _, err := a.Write([]byte("x")); err == nil {
 		t.Fatal("write to closed peer succeeded")

@@ -19,25 +19,19 @@ const pipeBufferLimit = 1 << 20 // per-direction buffer cap, like a TCP window
 // halfPipe is one direction of a duplex conn: one side writes, the other reads.
 type halfPipe struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond // L is &mu
 	buf      []byte
 	wclosed  bool // write side closed: readers drain then see io.EOF
 	rclosed  bool // read side closed: writers see io.ErrClosedPipe
 	rdl, wdl deadline
 }
 
-func newHalfPipe() *halfPipe {
-	h := &halfPipe{}
-	h.cond = sync.NewCond(&h.mu)
-	h.rdl.cond = h.cond
-	h.wdl.cond = h.cond
-	return h
-}
-
-// deadline wakes the cond when the timer fires so blocked readers/writers
-// can observe expiry.
+// deadline is a read or write deadline. Its timer is armed only once a
+// call actually waits on the cond (wait), so a call that never blocks
+// costs no timer. An armed timer is kept until the deadline is set again
+// and stopped when the half closes: nobody waits on a closed half, and a
+// stopped timer no longer holds the pipe reachable.
 type deadline struct {
-	cond  *sync.Cond
 	t     time.Time
 	timer *time.Timer
 }
@@ -45,26 +39,38 @@ type deadline struct {
 // set must be called with the halfPipe mutex held.
 func (d *deadline) set(t time.Time) {
 	d.t = t
+	d.stop()
+}
+
+// stop must be called with the halfPipe mutex held.
+func (d *deadline) stop() {
 	if d.timer != nil {
 		d.timer.Stop()
 		d.timer = nil
-	}
-	if t.IsZero() {
-		return
-	}
-	if dur := time.Until(t); dur > 0 {
-		cond := d.cond
-		d.timer = time.AfterFunc(dur, func() {
-			cond.L.Lock()
-			cond.Broadcast()
-			cond.L.Unlock()
-		})
 	}
 }
 
 // expired must be called with the halfPipe mutex held.
 func (d *deadline) expired() bool {
 	return !d.t.IsZero() && !time.Now().Before(d.t)
+}
+
+// wait blocks on h's cond until something changes, first arming d's
+// timer so the wait ends by the deadline. Callers hold h.mu and have
+// checked that d has not expired.
+func (h *halfPipe) wait(d *deadline) {
+	if !d.t.IsZero() && d.timer == nil {
+		d.timer = time.AfterFunc(time.Until(d.t), h.wake)
+	}
+	h.cond.Wait()
+}
+
+// wake is the deadline timer's callback: blocked readers and writers
+// recheck their deadline.
+func (h *halfPipe) wake() {
+	h.mu.Lock()
+	h.cond.Broadcast()
+	h.mu.Unlock()
 }
 
 func (h *halfPipe) read(p []byte) (int, error) {
@@ -89,7 +95,7 @@ func (h *halfPipe) read(p []byte) (int, error) {
 		if h.wclosed {
 			return 0, io.EOF
 		}
-		h.cond.Wait()
+		h.wait(&h.rdl)
 	}
 }
 
@@ -115,38 +121,58 @@ func (h *halfPipe) write(p []byte) (int, error) {
 			h.cond.Broadcast()
 			continue
 		}
-		h.cond.Wait()
+		h.wait(&h.wdl)
 	}
 }
 
+// closeWrite and closeRead end every wait on the half: a reader of a
+// write-closed half drains and sees io.EOF, and a writer to a
+// read-closed half sees io.ErrClosedPipe, so neither deadline's timer
+// is needed again.
 func (h *halfPipe) closeWrite() {
 	h.mu.Lock()
 	h.wclosed = true
-	h.cond.Broadcast()
+	h.closed()
 	h.mu.Unlock()
 }
 
 func (h *halfPipe) closeRead() {
 	h.mu.Lock()
 	h.rclosed = true
-	h.cond.Broadcast()
+	h.closed()
 	h.mu.Unlock()
+}
+
+// closed must be called with the halfPipe mutex held.
+func (h *halfPipe) closed() {
+	h.rdl.stop()
+	h.wdl.stop()
+	h.cond.Broadcast()
 }
 
 // conn is one endpoint of a duplex pipe. It implements net.Conn.
 type conn struct {
 	rd, wr        *halfPipe // rd: peer writes, we read; wr: we write, peer reads
-	local, remote net.Addr
+	local, remote *simAddr
 	closeOnce     sync.Once
 }
 
-// newConnPair returns the two endpoints of a fresh duplex connection.
-func newConnPair(a, b net.Addr) (*conn, *conn) {
-	ab := newHalfPipe() // a writes -> b reads
-	ba := newHalfPipe() // b writes -> a reads
-	ca := &conn{rd: ba, wr: ab, local: a, remote: b}
-	cb := &conn{rd: ab, wr: ba, local: b, remote: a}
-	return ca, cb
+// connPair is one duplex connection: both endpoints, both directions and
+// both addresses in a single allocation.
+type connPair struct {
+	a, b         conn     // a is the dialer's end, b the far end
+	ab, ba       halfPipe // ab: a writes, b reads; ba: b writes, a reads
+	addrA, addrB simAddr
+}
+
+// newConnPair returns a fresh duplex connection between addresses a and b.
+func newConnPair(a, b simAddr) *connPair {
+	p := &connPair{addrA: a, addrB: b}
+	p.ab.cond.L = &p.ab.mu
+	p.ba.cond.L = &p.ba.mu
+	p.a = conn{rd: &p.ba, wr: &p.ab, local: &p.addrA, remote: &p.addrB}
+	p.b = conn{rd: &p.ab, wr: &p.ba, local: &p.addrB, remote: &p.addrA}
+	return p
 }
 
 func (c *conn) Read(p []byte) (int, error)  { return c.rd.read(p) }
@@ -176,18 +202,21 @@ func (c *conn) SetDeadline(t time.Time) error {
 	return nil
 }
 
+// SetReadDeadline and SetWriteDeadline wake any call blocked on the
+// deadline's half, which rechecks it and, if it waits again, arms a
+// timer for the new deadline.
 func (c *conn) SetReadDeadline(t time.Time) error {
 	c.rd.mu.Lock()
 	c.rd.rdl.set(t)
-	c.rd.mu.Unlock()
 	c.rd.cond.Broadcast()
+	c.rd.mu.Unlock()
 	return nil
 }
 
 func (c *conn) SetWriteDeadline(t time.Time) error {
 	c.wr.mu.Lock()
 	c.wr.wdl.set(t)
-	c.wr.mu.Unlock()
 	c.wr.cond.Broadcast()
+	c.wr.mu.Unlock()
 	return nil
 }

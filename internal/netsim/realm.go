@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"net/netip"
-	"sort"
-)
+import "net/netip"
 
 // A Realm is a region of the address space answered from derivations
 // instead of registered hosts. The handcrafted world registers every
@@ -102,8 +99,13 @@ func mergeSortedAddrs(a, b []netip.Addr) []netip.Addr {
 		return a
 	}
 	out := make([]netip.Addr, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].Less(a[0]) {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
 	out = append(out, a...)
-	out = append(out, b...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return append(out, b...)
 }

@@ -1,7 +1,6 @@
 package common
 
 import (
-	"bufio"
 	"context"
 	"net"
 	"strings"
@@ -97,7 +96,9 @@ func (g *Gateway) Intercept(info netsim.DialInfo) netsim.Handler {
 // serveTransparent handles one intercepted subscriber connection.
 func (g *Gateway) serveTransparent(conn net.Conn, info netsim.DialInfo) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	buf := httpwire.GetReadBuffer()
+	defer buf.Release()
+	br := buf.Reader(conn)
 	for {
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck // best-effort
 		req, err := httpwire.ReadRequest(br)
@@ -190,7 +191,9 @@ func (g *Gateway) forward(req *httpwire.Request, info netsim.DialInfo) (*httpwir
 	if _, err := out.WriteTo(up); err != nil {
 		return nil, err
 	}
-	resp, err := httpwire.ReadResponse(bufio.NewReader(up), out.Method == "HEAD")
+	buf := httpwire.GetReadBuffer()
+	resp, err := httpwire.ReadResponse(buf.Reader(up), out.Method == "HEAD")
+	buf.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -12,10 +12,8 @@ import (
 // lowered banner text per banner per query and run matchKeyword over it.
 // The cached-text/CompiledQuery path must agree with it everywhere.
 func referenceSearch(x *Index, q Query) []Banner {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
 	var out []Banner
-	for _, b := range x.banners {
+	for _, b := range x.All() {
 		if q.Port != 0 && b.Port != q.Port {
 			continue
 		}

@@ -16,6 +16,7 @@ package scanner
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"net/netip"
@@ -137,9 +138,7 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, er
 	idx := NewIndex()
 	timeout := s.Config.TimeoutOr(DefaultProbeTimeout)
 	err := engine.ForEach(ctx, s.engineConfig(), "scan", jobs, func(ctx context.Context, j job) error {
-		if banner, ok := s.probe(ctx, j.addr, j.port, time.Now().Add(timeout)); ok {
-			idx.Add(banner)
-		}
+		s.probe(ctx, idx, j.addr, j.port, time.Now().Add(timeout))
 		return nil
 	})
 	return idx, err
@@ -165,14 +164,14 @@ func (s *Scanner) ScanPrefix(ctx context.Context, prefix netip.Prefix, maxAddrs 
 	return s.ScanAddrs(ctx, addrs)
 }
 
-// probe performs one banner grab: TCP connect, plain GET /, read response.
-// deadline bounds the whole probe, dial included: it is taken when the
-// item starts, so a dial that outlasts it fails the first write. A
-// caller's earlier ctx deadline still wins.
-func (s *Scanner) probe(ctx context.Context, addr netip.Addr, port uint16, deadline time.Time) (Banner, bool) {
+// probe performs one banner grab into x: TCP connect, plain GET /, read
+// response. deadline bounds the whole probe, dial included: it is taken
+// when the item starts, so a dial that outlasts it fails the first write.
+// A caller's earlier ctx deadline still wins.
+func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uint16, deadline time.Time) {
 	conn, err := s.Vantage.Dial(ctx, addr, port)
 	if err != nil {
-		return Banner{}, false
+		return
 	}
 	defer conn.Close()
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
@@ -180,42 +179,50 @@ func (s *Scanner) probe(ctx context.Context, addr netip.Addr, port uint16, deadl
 	}
 	conn.SetDeadline(deadline) //nolint:errcheck // best-effort
 
-	req := &httpwire.Request{
-		Method: "GET",
-		Target: "/",
-		Proto:  "HTTP/1.0",
-		Header: httpwire.NewHeader("Host", addr.String(), "Connection", "close"),
+	req := probeRequests.Get().(*[]byte)
+	*req = appendProbeRequest((*req)[:0], addr)
+	_, err = conn.Write(*req)
+	probeRequests.Put(req)
+	if err != nil {
+		return
 	}
-	if _, err := req.WriteTo(conn); err != nil {
-		return Banner{}, false
-	}
-	// The banner copies what it keeps (head string, excerpt string), so
-	// the pooled read buffer can be released before returning.
+	// The head and body borrow the pooled read buffer; the banner keeps
+	// interned copies of the head and of the excerpt alone, so neither
+	// the buffer nor the rest of the body outlives the probe.
 	buf := httpwire.GetReadBuffer()
 	defer buf.Release()
-	resp, err := httpwire.ReadResponseBuffered(buf, conn, false)
+	head, body, err := buf.ReadRaw(conn)
 	if err != nil {
-		return Banner{}, false
+		return
 	}
+	body = body[:min(len(body), s.excerptLen())]
 
 	network := s.Vantage.Network()
 	hostname, _ := network.ReverseLookup(addr)
-	excerpt := string(resp.Body)
-	if len(excerpt) > s.excerptLen() {
-		excerpt = excerpt[:s.excerptLen()]
-	}
-	head := string(resp.RawHead)
-	statusLine, _, _ := strings.Cut(head, "\r\n")
-	return Banner{
+	b := Banner{
 		Addr:        addr,
 		Port:        port,
-		Hostname:    hostname,
-		Country:     CountryFromHostname(hostname),
-		StatusLine:  statusLine,
-		RawHead:     head,
-		BodyExcerpt: excerpt,
+		Hostname:    x.strs.String(hostname),
+		Country:     x.strs.String(CountryFromHostname(hostname)),
+		RawHead:     x.strs.Bytes(head),
+		BodyExcerpt: x.strs.Bytes(body),
 		ScannedAt:   network.Clock().Now(),
-	}, true
+	}
+	b.StatusLine, _, _ = strings.Cut(b.RawHead, "\r\n")
+	x.insert(b)
+}
+
+// probeRequests recycles the probe's request bytes: Write copies them
+// out before returning, so one buffer serves every probe in turn.
+var probeRequests = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendProbeRequest appends the banner grab's request for addr to dst:
+// exactly the bytes Request.WriteTo writes for a GET / over HTTP/1.0
+// with a Host header and Connection: close.
+func appendProbeRequest(dst []byte, addr netip.Addr) []byte {
+	dst = append(dst, "GET / HTTP/1.0\r\nHost: "...)
+	dst = addr.AppendTo(dst)
+	return append(dst, "\r\nConnection: close\r\n\r\n"...)
 }
 
 // CountryFromHostname derives an upper-case country code from a ccTLD
@@ -244,70 +251,100 @@ func isAlpha(s string) bool {
 
 // Index is a searchable collection of banners: the Shodan stand-in.
 //
-// The searchable text of each banner (Banner.Text) is computed once at
-// Add time and cached as bytes, so queries scan cached slices instead of
-// lowercasing every banner on every search.
-//
 // Banner strings are interned at Add time: at nation scale tens of
 // thousands of synthetic hosts answer from a handful of templates, and
-// interning folds every duplicate hostname, header block, body excerpt
-// and cached search text onto one backing copy, so index memory grows
-// with distinct templates instead of host count.
+// interning folds every duplicate hostname, header block and body
+// excerpt onto one backing copy, so index memory grows with distinct
+// templates instead of host count.
+//
+// The searchable text of a banner (Banner.Text) depends only on its
+// interned (hostname, head, excerpt) triple, so the index keeps one
+// lowered text per distinct triple with the banners that carry it. A
+// query tests each distinct text once and visits only the banners whose
+// text matched.
+//
+// Banners are stored in chunks that are never reallocated, so the index
+// grows without copying what it already holds. An Index must be made
+// with NewIndex.
 type Index struct {
-	mu        sync.RWMutex
-	banners   []Banner
-	texts     [][]byte // texts[i] == []byte(banners[i].Text()), cached at Add
-	strs      *intern.Table
-	textBytes map[string][]byte // interned text → shared cached byte form
+	mu     sync.RWMutex
+	chunks [][]Banner // every banner, in insertion order
+	n      int
+	texts  []indexText
+	textOf map[textKey]int // a triple's position in texts
+	strs   *intern.Table
 }
+
+// textKey is the interned triple a banner's search text is built from.
+type textKey struct{ hostname, head, excerpt string }
+
+// indexText is one distinct search text and the banners that carry it.
+type indexText struct {
+	text    []byte    // Banner.Text() of each of banners
+	banners []*Banner // into Index.chunks
+}
+
+// maxChunk caps a banner chunk. Chunks start small and double up to it,
+// so a small index stays small.
+const maxChunk = 4096
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{strs: intern.NewTable(), textBytes: make(map[string][]byte)}
+	return &Index{strs: intern.NewTable(), textOf: make(map[textKey]int)}
 }
 
 // Add inserts a banner.
 func (x *Index) Add(b Banner) {
+	b.Hostname = x.strs.String(b.Hostname)
+	b.Country = x.strs.String(b.Country)
+	b.StatusLine = x.strs.String(b.StatusLine)
+	b.RawHead = x.strs.String(b.RawHead)
+	b.BodyExcerpt = x.strs.String(b.BodyExcerpt)
+	x.insert(b)
+}
+
+// insert indexes a banner whose strings are already interned in x.strs.
+func (x *Index) insert(b Banner) {
+	key := textKey{b.Hostname, b.RawHead, b.BodyExcerpt}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.strs != nil {
-		b.Hostname = x.strs.String(b.Hostname)
-		b.Country = x.strs.String(b.Country)
-		b.StatusLine = x.strs.String(b.StatusLine)
-		b.RawHead = x.strs.String(b.RawHead)
-		b.BodyExcerpt = x.strs.String(b.BodyExcerpt)
-	}
-	text := b.Text()
-	tb, ok := x.textBytes[text]
+	id, ok := x.textOf[key]
 	if !ok {
-		tb = []byte(text)
-		if x.textBytes != nil {
-			x.textBytes[text] = tb
-		}
+		id = len(x.texts)
+		x.texts = append(x.texts, indexText{text: []byte(b.Text())})
+		x.textOf[key] = id
 	}
-	x.banners = append(x.banners, b)
-	x.texts = append(x.texts, tb)
+	last := len(x.chunks) - 1
+	if last < 0 || len(x.chunks[last]) == cap(x.chunks[last]) {
+		size := 16
+		if last >= 0 {
+			size = min(2*cap(x.chunks[last]), maxChunk)
+		}
+		x.chunks = append(x.chunks, make([]Banner, 0, size))
+		last++
+	}
+	x.chunks[last] = append(x.chunks[last], b)
+	x.n++
+	t := &x.texts[id]
+	t.banners = append(t.banners, &x.chunks[last][len(x.chunks[last])-1])
 }
 
 // Len returns the number of indexed banners.
 func (x *Index) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return len(x.banners)
+	return x.n
 }
 
 // All returns every banner sorted by (addr, port).
 func (x *Index) All() []Banner {
 	x.mu.RLock()
-	out := make([]Banner, len(x.banners))
-	copy(out, x.banners)
+	out := make([]Banner, 0, x.n)
+	for _, c := range x.chunks {
+		out = append(out, c...)
+	}
 	x.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr.Less(out[j].Addr)
-		}
-		return out[i].Port < out[j].Port
-	})
+	slices.SortFunc(out, compareBanners)
 	return out
 }
 
@@ -404,64 +441,71 @@ func (q Query) Compile() *CompiledQuery {
 // Query returns the query the compiled form was built from.
 func (cq *CompiledQuery) Query() Query { return cq.query }
 
-// matchText reports whether a banner satisfies every keyword.
-func (cq *CompiledQuery) matchText(port uint16, text []byte) bool {
+// matchText reports whether a search text holds every keyword, a
+// port-qualified one by its path.
+func (cq *CompiledQuery) matchText(text []byte) bool {
 	for _, kw := range cq.plain {
 		if !bytes.Contains(text, kw) {
 			return false
 		}
 	}
 	for _, pk := range cq.ports {
-		if port != pk.port || !bytes.Contains(text, pk.path) {
+		if !bytes.Contains(text, pk.path) {
 			return false
 		}
 	}
 	return true
 }
 
-// SearchBytes runs a compiled query over the cached banner text, appends
-// matches to dst and returns it, with the appended region sorted by
-// (addr, port). With a pre-compiled query and a reused dst of sufficient
-// capacity it performs zero heap allocations. Typical use:
+// matchBanner checks what a banner's text cannot decide: the port and
+// country filters and the port of each port-qualified keyword.
+func (cq *CompiledQuery) matchBanner(b *Banner) bool {
+	q := &cq.query
+	if q.Port != 0 && b.Port != q.Port || q.Country != "" && b.Country != q.Country {
+		return false
+	}
+	for _, pk := range cq.ports {
+		if b.Port != pk.port {
+			return false
+		}
+	}
+	return true
+}
+
+// SearchBytes runs a compiled query over the index, appends matches to
+// dst and returns it, with the appended region sorted by (addr, port).
+// With a pre-compiled query and a reused dst of sufficient capacity it
+// performs zero heap allocations. Typical use:
 //
 //	cq := q.Compile()
 //	for ... {
 //		hits = idx.SearchBytes(cq, hits[:0])
 //	}
 func (x *Index) SearchBytes(cq *CompiledQuery, dst []Banner) []Banner {
-	q := &cq.query
 	start := len(dst)
 	x.mu.RLock()
-	for i := range x.banners {
-		b := &x.banners[i]
-		if q.Port != 0 && b.Port != q.Port {
+	for i := range x.texts {
+		t := &x.texts[i]
+		if !cq.matchText(t.text) {
 			continue
 		}
-		if q.Country != "" && b.Country != q.Country {
-			continue
-		}
-		if cq.matchText(b.Port, x.texts[i]) {
-			dst = append(dst, *b)
+		for _, b := range t.banners {
+			if cq.matchBanner(b) {
+				dst = append(dst, *b)
+			}
 		}
 	}
 	x.mu.RUnlock()
-	slices.SortFunc(dst[start:], func(a, b Banner) int {
-		if a.Addr != b.Addr {
-			if a.Addr.Less(b.Addr) {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Port < b.Port:
-			return -1
-		case a.Port > b.Port:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(dst[start:], compareBanners)
 	return dst
+}
+
+// compareBanners orders banners by (addr, port).
+func compareBanners(a, b Banner) int {
+	if c := a.Addr.Compare(b.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Port, b.Port)
 }
 
 // SearchString parses and runs q.
@@ -489,9 +533,11 @@ func (x *Index) Countries() []string {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	set := make(map[string]bool)
-	for _, b := range x.banners {
-		if b.Country != "" {
-			set[b.Country] = true
+	for _, c := range x.chunks {
+		for i := range c {
+			if c[i].Country != "" {
+				set[c[i].Country] = true
+			}
 		}
 	}
 	out := make([]string, 0, len(set))

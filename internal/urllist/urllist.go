@@ -19,6 +19,7 @@ package urllist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -208,57 +209,61 @@ const (
 // category the paper references (the Table 4 columns, "gambling",
 // "human rights") and fills the remainder with ONI-style categories.
 func Categories() []ResearchCategory {
-	return []ResearchCategory{
-		// Political.
-		{CatHumanRights, "Human Rights", ThemePolitical},
-		{CatPoliticalReform, "Political Reform", ThemePolitical},
-		{"opposition-parties", "Opposition Parties", ThemePolitical},
-		{CatMediaFreedom, "Media Freedom / Independent Media", ThemePolitical},
-		{"government-criticism", "Criticism of Government", ThemePolitical},
-		{"foreign-relations", "Foreign Relations", ThemePolitical},
-		{"womens-rights", "Women's Rights", ThemePolitical},
-		{CatMinorityRights, "Minority Groups and Religions", ThemePolitical},
-		{"political-satire", "Political Satire", ThemePolitical},
-		{"elections", "Elections", ThemePolitical},
-		// Social.
-		{"pornography", "Pornography", ThemeSocial},
-		{"gambling", "Gambling", ThemeSocial},
-		{"alcohol-drugs", "Alcohol and Drugs", ThemeSocial},
-		{CatLGBT, "Gay, Lesbian, Bisexual and Transgender", ThemeSocial},
-		{"dating", "Dating", ThemeSocial},
-		{"sex-education", "Sex Education", ThemeSocial},
-		{CatReligiousCriticism, "Religious Criticism / Discussion", ThemeSocial},
-		{"minority-faiths", "Minority Faiths", ThemeSocial},
-		{"entertainment", "Entertainment", ThemeSocial},
-		{"public-health", "Public Health", ThemeSocial},
-		// Internet tools.
-		{"anonymizers", "Anonymizers", ThemeTools},
-		{"proxy-tools", "Web Proxies", ThemeTools},
-		{"vpn", "VPN Services", ThemeTools},
-		{"translation", "Translation Tools", ThemeTools},
-		{"free-email", "Free Email", ThemeTools},
-		{"search-engines", "Search Engines", ThemeTools},
-		{"hosting", "Hosting and Blogging Platforms", ThemeTools},
-		{"p2p", "Peer-to-Peer File Sharing", ThemeTools},
-		{"voip", "Voice over IP", ThemeTools},
-		{"circumvention-info", "Circumvention Information", ThemeTools},
-		// Conflict and security.
-		{"militant-groups", "Militant Groups", ThemeConflict},
-		{"extremism", "Extremism", ThemeConflict},
-		{"separatists", "Separatist Movements", ThemeConflict},
-		{"conflict-news", "Conflict Reporting", ThemeConflict},
-		{"weapons", "Weapons", ThemeConflict},
-		{"hacking", "Hacking Tools", ThemeConflict},
-		{"terrorism-analysis", "Terrorism Commentary", ThemeConflict},
-		{"border-disputes", "Border Disputes", ThemeConflict},
-		{"armed-opposition", "Armed Opposition", ThemeConflict},
-		{"security-analysis", "Security Analysis", ThemeConflict},
-	}
+	return slices.Clone(categories)
+}
+
+// categories is the scheme Categories copies out; CategoryByCode reads it
+// in place, so a lookup allocates nothing.
+var categories = []ResearchCategory{
+	// Political.
+	{CatHumanRights, "Human Rights", ThemePolitical},
+	{CatPoliticalReform, "Political Reform", ThemePolitical},
+	{"opposition-parties", "Opposition Parties", ThemePolitical},
+	{CatMediaFreedom, "Media Freedom / Independent Media", ThemePolitical},
+	{"government-criticism", "Criticism of Government", ThemePolitical},
+	{"foreign-relations", "Foreign Relations", ThemePolitical},
+	{"womens-rights", "Women's Rights", ThemePolitical},
+	{CatMinorityRights, "Minority Groups and Religions", ThemePolitical},
+	{"political-satire", "Political Satire", ThemePolitical},
+	{"elections", "Elections", ThemePolitical},
+	// Social.
+	{"pornography", "Pornography", ThemeSocial},
+	{"gambling", "Gambling", ThemeSocial},
+	{"alcohol-drugs", "Alcohol and Drugs", ThemeSocial},
+	{CatLGBT, "Gay, Lesbian, Bisexual and Transgender", ThemeSocial},
+	{"dating", "Dating", ThemeSocial},
+	{"sex-education", "Sex Education", ThemeSocial},
+	{CatReligiousCriticism, "Religious Criticism / Discussion", ThemeSocial},
+	{"minority-faiths", "Minority Faiths", ThemeSocial},
+	{"entertainment", "Entertainment", ThemeSocial},
+	{"public-health", "Public Health", ThemeSocial},
+	// Internet tools.
+	{"anonymizers", "Anonymizers", ThemeTools},
+	{"proxy-tools", "Web Proxies", ThemeTools},
+	{"vpn", "VPN Services", ThemeTools},
+	{"translation", "Translation Tools", ThemeTools},
+	{"free-email", "Free Email", ThemeTools},
+	{"search-engines", "Search Engines", ThemeTools},
+	{"hosting", "Hosting and Blogging Platforms", ThemeTools},
+	{"p2p", "Peer-to-Peer File Sharing", ThemeTools},
+	{"voip", "Voice over IP", ThemeTools},
+	{"circumvention-info", "Circumvention Information", ThemeTools},
+	// Conflict and security.
+	{"militant-groups", "Militant Groups", ThemeConflict},
+	{"extremism", "Extremism", ThemeConflict},
+	{"separatists", "Separatist Movements", ThemeConflict},
+	{"conflict-news", "Conflict Reporting", ThemeConflict},
+	{"weapons", "Weapons", ThemeConflict},
+	{"hacking", "Hacking Tools", ThemeConflict},
+	{"terrorism-analysis", "Terrorism Commentary", ThemeConflict},
+	{"border-disputes", "Border Disputes", ThemeConflict},
+	{"armed-opposition", "Armed Opposition", ThemeConflict},
+	{"security-analysis", "Security Analysis", ThemeConflict},
 }
 
 // CategoryByCode returns the research category with the given code.
 func CategoryByCode(code string) (ResearchCategory, bool) {
-	for _, c := range Categories() {
+	for _, c := range categories {
 		if c.Code == code {
 			return c, true
 		}

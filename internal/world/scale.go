@@ -183,17 +183,18 @@ func (r *scaleRealm) consoleProduct(i int) string {
 // hostName returns the DNS name for host j of ISP i ("" for the
 // unnamed generic population).
 func (r *scaleRealm) hostName(i, j int) string {
-	cc := strings.ToLower(r.ispCountry(i))
+	var role string
 	switch {
 	case j == 0:
-		return fmt.Sprintf("gw.synth%04d.example.%s", i, cc)
+		role = "gw"
 	case j == 1 && r.hasConsole(i):
-		return fmt.Sprintf("proxy.synth%04d.example.%s", i, cc)
+		role = "proxy"
 	case j == 2 && r.hasDecoy(i):
-		return fmt.Sprintf("www.synth%04d.example.%s", i, cc)
+		role = "www"
 	default:
 		return ""
 	}
+	return fmt.Sprintf("%s.synth%04d.example.%s", role, i, strings.ToLower(r.ispCountry(i)))
 }
 
 // indexOf maps a realm address back to (ispIndex, hostIndex).
