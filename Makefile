@@ -134,7 +134,7 @@ bench-serve:
 
 # The classification-core headline benchmarks (DESIGN.md §12) as JSON.
 # Compare against the committed BENCH_classify.json "after" block; the
-# zero-alloc contract itself is enforced by the TestZeroAlloc* tests.
+# allocation budgets themselves are enforced by `make alloc-gate`.
 .PHONY: bench-classify
 bench-classify:
 	./scripts/bench_json.sh
@@ -160,14 +160,15 @@ bench-monitor:
 bench-cluster:
 	./scripts/bench_json.sh 10x cluster
 
-# Fail when a pinned hot path (ClassifyBytes, SearchBytes,
-# ExtractTitleBytes, the match detectors, the engine's per-item
-# dispatch, the head-only response read) allocates in steady state, or
-# a scanner probe exceeds its allocation budget (one for a closed port,
-# eight for a canned banner).
+# Fail when a pinned hot path (SearchBytes, ExtractTitleBytes, the
+# match detectors, the engine's per-item dispatch, the head-only
+# response read) allocates in steady state, or a path exceeds its
+# allocation budget: a scanner probe (one for a closed port, eight for a
+# canned banner) or ClassifyResponse (none on a miss, at most one on a
+# hit, the Category string).
 .PHONY: alloc-gate
 alloc-gate:
-	go test -run 'TestZeroAlloc|TestAllocsProbe' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/ ./internal/httpwire/
+	go test -run 'TestZeroAlloc|TestAllocs' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/ ./internal/httpwire/
 
 # The benchmark harness is its own module (bench/go.mod, replacing
 # filtermap with ../) that compiles against internal packages, so the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"filtermap/internal/httpwire"
+	"filtermap/internal/match"
 )
 
 func htmlResp(status int, hdr *httpwire.Header, body string) *httpwire.Response {
@@ -136,11 +137,11 @@ func TestDeriveBodyRegexp(t *testing.T) {
 	}
 	re := derivedRegexp(t, pat)
 	// The derived pattern matches a fresh page from the same product...
-	if _, ok := pat.Detector.Match(samplePage("http://fresh.example/zzz")); !ok {
+	if !pat.Detector.Match(samplePage("http://fresh.example/zzz")) {
 		t.Fatalf("derived pattern missed a fresh sample: %s", re)
 	}
 	// ...and not an unrelated page.
-	if _, ok := pat.Detector.Match([]byte("<html><body><p>hello world, nothing restricted</p></body></html>")); ok {
+	if pat.Detector.Match([]byte("<html><body><p>hello world, nothing restricted</p></body></html>")) {
 		t.Fatalf("derived pattern overmatches: %s", re)
 	}
 	// The varying URL line must not have been baked in.
@@ -176,6 +177,34 @@ func TestDerivedPatternPluggableIntoClassifier(t *testing.T) {
 	m, ok := c.ClassifyResponse(htmlResp(200, nil, string(samplePage("http://c.example/"))), 0)
 	if !ok || m.Product != "MysteryFilter" {
 		t.Fatalf("derived pattern classify = %+v, %v", m, ok)
+	}
+}
+
+// TestAddKeepsCorporaApart builds two classifiers from one slice with
+// spare capacity and adds a different pattern to each: neither Add may
+// write into the other classifier's corpus.
+func TestAddKeepsCorporaApart(t *testing.T) {
+	shared := make([]Pattern, 0, 1)
+	a := NewClassifier(shared)
+	a.Add(Pattern{Product: "A", Name: "marker-a", Where: InBody, Detector: match.NewLiteral("marker-a")})
+	b := NewClassifier(shared)
+	b.Add(Pattern{Product: "B", Name: "marker-b", Where: InBody, Detector: match.NewLiteral("marker-b")})
+	for _, tc := range []struct {
+		name    string
+		c       *Classifier
+		body    string
+		product string
+	}{
+		{"a", a, "marker-a", "A"},
+		{"b", b, "marker-b", "B"},
+	} {
+		m, ok := tc.c.ClassifyResponse(htmlResp(200, nil, tc.body), 0)
+		if !ok || m.Product != tc.product {
+			t.Errorf("classifier %s on %q = %+v, %v; want product %s", tc.name, tc.body, m, ok, tc.product)
+		}
+	}
+	if m, ok := a.ClassifyResponse(htmlResp(200, nil, "marker-b"), 0); ok {
+		t.Errorf("classifier a matched the pattern added to b: %+v", m)
 	}
 }
 

@@ -1,8 +1,8 @@
 package blockpage
 
 import (
-	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,11 +30,16 @@ var categoryLine = regexp.MustCompile(`(?i)<p>category:\s*([^<]+)</p>`)
 
 // referenceClassifyResponse is the seed implementation, frozen: a
 // corpus-order loop running each pattern's seed regexp, with the
-// regexp-based category extraction. The staged classifier must agree
-// with it everywhere the differential corpus reaches.
+// regexp-based category extraction. A pattern with no seed regexp must
+// carry a match.Regexp detector, whose regexp it runs instead. The
+// classifier must agree with it everywhere the differential corpus
+// reaches.
 func referenceClassifyResponse(c *Classifier, resp *httpwire.Response, hop int) (Match, bool) {
 	for _, p := range c.patterns {
 		re := seedRegexps[p.Name]
+		if re == nil {
+			re = p.Detector.(*match.Regexp).Pattern() // a non-seed pattern replays its own regexp
+		}
 		switch p.Where {
 		case InBody:
 			if re.Match(resp.Body) {
@@ -84,7 +89,7 @@ func referenceCategoryFromResponse(resp *httpwire.Response) string {
 
 // differentialCases assembles the inputs both implementations are run
 // over: the committed fuzz corpus plus a constructed battery aimed at the
-// category extractor's and the automaton's edge cases.
+// category extractor's and the detectors' edge cases.
 func differentialCases(t *testing.T) []*httpwire.Response {
 	t.Helper()
 	mk := func(status int, location string, body []byte) *httpwire.Response {
@@ -138,10 +143,10 @@ func differentialCases(t *testing.T) []*httpwire.Response {
 	return cases
 }
 
-// TestDifferentialClassify replays the corpus through the staged
-// classifier and the frozen reference, serially and from 8 goroutines
-// sharing one classifier (the automaton and its scratch handling must be
-// concurrency-safe; run under -race via `make race`).
+// TestDifferentialClassify replays the corpus through the classifier
+// and the frozen reference, serially and from 8 goroutines sharing one
+// classifier (classification must be concurrency-safe; run under -race
+// via `make race`).
 func TestDifferentialClassify(t *testing.T) {
 	cases := differentialCases(t)
 	c := NewClassifier(nil)
@@ -178,35 +183,49 @@ func TestDifferentialClassify(t *testing.T) {
 	})
 }
 
-// TestDifferentialClassifyBytes pins the byte entry point to the
-// *httpwire.Response path on the same corpus: same winner, same category,
-// and a wired raw header block must yield what the parsed header does.
-func TestDifferentialClassifyBytes(t *testing.T) {
-	c := NewClassifier(nil)
-	for _, resp := range differentialCases(t) {
-		loc := resp.Header.Get("Location")
-		var rawHead []byte
-		if loc != "" && !strings.ContainsAny(loc, "\r\n") {
-			rawHead = []byte(fmt.Sprintf("HTTP/1.1 %d X\r\nServer: x\r\nLocation: %s\r\n\r\n", resp.StatusCode, loc))
-		}
-		if loc != "" && rawHead == nil {
-			continue // not representable as a wire header line
-		}
-		bm, bmOK := c.ClassifyBytes(resp.StatusCode, rawHead, resp.Body, 3)
-		want, wantOK := c.ClassifyResponse(resp, 3)
-		if bmOK != wantOK {
-			t.Fatalf("ClassifyBytes ok=%v, ClassifyResponse ok=%v (loc=%q body=%q)", bmOK, wantOK, loc, resp.Body)
-		}
-		if !bmOK {
-			continue
-		}
-		got := Match{Product: bm.Product, Pattern: bm.Pattern, Category: string(bm.Category), Hop: bm.Hop}
-		if got != want {
-			t.Fatalf("ClassifyBytes %+v != ClassifyResponse %+v", got, want)
-		}
-		if bm.Hit.End < bm.Hit.Start || bm.Hit.Start < 0 {
-			t.Fatalf("bad hit span %+v", bm.Hit)
-		}
+// TestDifferentialCorpusOrder replays the differential cases through
+// corpora that interleave location, literal and regexp detectors in
+// other orders than the default one, against the frozen reference: the
+// first pattern in corpus order wins, whatever its detector kind.
+func TestDifferentialCorpusOrder(t *testing.T) {
+	reversed := DefaultPatterns()
+	slices.Reverse(reversed)
+	categoryThenDeny := Pattern{
+		Product:  "Regexp Product",
+		Name:     "category-then-deny",
+		Where:    InBody,
+		Detector: match.NewRegexp(regexp.MustCompile(`(?is)<p>category:.*powered by netsweeper`)),
+	}
+	corpora := []struct {
+		name     string
+		patterns []Pattern
+	}{
+		{"reversed", reversed},
+		{"regexp-first", append([]Pattern{categoryThenDeny}, DefaultPatterns()...)},
+	}
+	cases := differentialCases(t)
+	def := NewClassifier(nil)
+	for _, tc := range corpora {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClassifier(tc.patterns)
+			reordered := 0
+			for _, resp := range cases {
+				got, gotOK := c.ClassifyResponse(resp, 3)
+				want, wantOK := referenceClassifyResponse(c, resp, 3)
+				if gotOK != wantOK || got != want {
+					t.Errorf("status=%d loc=%q body=%q:\n  new: %+v %v\n  ref: %+v %v",
+						resp.StatusCode, resp.Header.Get("Location"), resp.Body, got, gotOK, want, wantOK)
+				}
+				if m, _ := def.ClassifyResponse(resp, 3); gotOK && got.Pattern != m.Pattern {
+					reordered++
+				}
+			}
+			// The corpus order must decide some case, or this test pins
+			// nothing the default corpus does not.
+			if reordered == 0 {
+				t.Fatal("no case classifies differently from the default corpus")
+			}
+		})
 	}
 }
 
@@ -245,32 +264,33 @@ func TestDifferentialDerived(t *testing.T) {
 	}
 }
 
-// TestZeroAllocClassifyBytes pins the zero-allocation contract of the
-// byte entry point: 0 allocs/op on the body-hit path (including category
-// extraction) and the miss path. CI runs this, so a regression that adds
-// an allocation to the hot loop fails the build.
-func TestZeroAllocClassifyBytes(t *testing.T) {
+// TestAllocsClassifyResponse pins the classifier's allocation budget:
+// 0 allocs/op on a body miss and a redirect miss, and at most 1 on a
+// body hit, the Category string. CI runs this via `make alloc-gate`, so
+// an allocation slipped into the loop fails the build.
+func TestAllocsClassifyResponse(t *testing.T) {
 	c := NewClassifier(nil)
-	hit := []byte(`<html><head><title>McAfee Web Gateway - Notification</title></head><body>
-<h1>URL Blocked</h1><p>Category: Pornography (23)</p></body></html>`)
-	miss := []byte(`<html><head><title>Weather</title></head><body>
-<p>Sunny with a chance of recipes. Nothing filtered here at all.</p></body></html>`)
-	redirectHead := []byte("HTTP/1.1 302 Found\r\nLocation: http://www.example.com/landing\r\n\r\n")
+	hit := httpwire.NewResponse(403, nil, []byte(`<html><head><title>McAfee Web Gateway - Notification</title></head><body>
+<h1>URL Blocked</h1><p>Category: Pornography (23)</p></body></html>`))
+	miss := httpwire.NewResponse(200, nil, []byte(`<html><head><title>Weather</title></head><body>
+<p>Sunny with a chance of recipes. Nothing filtered here at all.</p></body></html>`))
+	redirect := httpwire.NewResponse(302, httpwire.NewHeader("Location", "http://www.example.com/landing"), nil)
 
-	if m, ok := c.ClassifyBytes(403, nil, hit, 0); !ok || string(m.Category) != "Pornography" {
+	if m, ok := c.ClassifyResponse(hit, 0); !ok || m.Category != "Pornography" {
 		t.Fatalf("hit sanity: %+v %v", m, ok)
 	}
 	cases := []struct {
 		name string
-		f    func()
+		resp *httpwire.Response
+		max  float64
 	}{
-		{"body-hit", func() { c.ClassifyBytes(403, nil, hit, 0) }},
-		{"body-miss", func() { c.ClassifyBytes(200, nil, miss, 0) }},
-		{"redirect-miss", func() { c.ClassifyBytes(302, redirectHead, nil, 0) }},
+		{"body-hit", hit, 1},
+		{"body-miss", miss, 0},
+		{"redirect-miss", redirect, 0},
 	}
 	for _, tc := range cases {
-		if n := testing.AllocsPerRun(200, tc.f); n != 0 {
-			t.Errorf("ClassifyBytes %s allocates %v/op, want 0", tc.name, n)
+		if n := testing.AllocsPerRun(200, func() { c.ClassifyResponse(tc.resp, 0) }); n > tc.max {
+			t.Errorf("ClassifyResponse %s allocates %v/op, want at most %v", tc.name, n, tc.max)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func FuzzDeriveBodyRegexp(f *testing.F) {
 		}
 		re := derivedRegexp(t, p)
 		for _, sample := range [][]byte{a, b} {
-			if _, ok := p.Detector.Match(sample); !ok {
+			if !p.Detector.Match(sample) {
 				t.Fatalf("derived detector (%q) does not match its own sample %q", re, sample)
 			}
 			if !re.Match(sample) {

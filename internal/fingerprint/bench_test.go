@@ -60,7 +60,7 @@ func BenchmarkExtractTitle(b *testing.B) {
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := ExtractTitle(body); ok {
+		if _, ok := ExtractTitleBytes(body); ok {
 			b.Fatal("unexpected title")
 		}
 	}

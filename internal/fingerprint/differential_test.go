@@ -69,10 +69,6 @@ func titleCases(t *testing.T) [][]byte {
 func TestDifferentialExtractTitle(t *testing.T) {
 	for _, body := range titleCases(t) {
 		wantS, wantOK := referenceExtractTitle(body)
-		gotS, gotOK := ExtractTitle(body)
-		if gotOK != wantOK || gotS != wantS {
-			t.Errorf("ExtractTitle(%q) = %q,%v; reference %q,%v", body, gotS, gotOK, wantS, wantOK)
-		}
 		gotB, okB := ExtractTitleBytes(body)
 		if okB != wantOK || string(gotB) != wantS {
 			t.Errorf("ExtractTitleBytes(%q) = %q,%v; reference %q,%v", body, gotB, okB, wantS, wantOK)

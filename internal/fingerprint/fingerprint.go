@@ -5,10 +5,10 @@
 // The scanner stage is deliberately loose; this stage is the precision
 // filter ("we use the WhatWeb profiling tool to confirm the product that
 // is installed on a given host"). A Signature combines matchers over
-// status, headers (exact wire case available), HTML title, body, and
-// redirect Location — the observable classes Table 2 enumerates. The
-// engine probes a small set of paths and ports and evaluates every
-// registered signature against every response.
+// headers (exact wire case available), HTML title, body and redirect
+// Location — the observable classes Table 2 enumerates. The engine
+// probes a small set of paths and ports and evaluates every registered
+// signature against every response.
 package fingerprint
 
 import (
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -109,58 +108,6 @@ func (m BodyContains) Describe() string {
 	return fmt.Sprintf("body contains %q", m.Substr)
 }
 
-// BodyRegexp matches the body against a compiled pattern.
-type BodyRegexp struct {
-	Pattern *regexp.Regexp
-}
-
-// Match implements Matcher.
-func (m BodyRegexp) Match(resp *httpwire.Response) bool {
-	return m.Pattern.Match(resp.Body)
-}
-
-// Describe implements Matcher.
-func (m BodyRegexp) Describe() string {
-	return fmt.Sprintf("body matches /%s/", m.Pattern)
-}
-
-// BodyDetector matches the body with a compiled match.Detector — the
-// staged replacement for ad-hoc substring/regexp matchers. Desc is the
-// human-readable condition for reports.
-type BodyDetector struct {
-	Desc     string
-	Detector match.Detector
-}
-
-// Match implements Matcher.
-func (m BodyDetector) Match(resp *httpwire.Response) bool {
-	_, ok := m.Detector.Match(resp.Body)
-	return ok
-}
-
-// Describe implements Matcher.
-func (m BodyDetector) Describe() string { return "body " + m.Desc }
-
-// TitleDetector matches the extracted HTML title with a compiled
-// match.Detector.
-type TitleDetector struct {
-	Desc     string
-	Detector match.Detector
-}
-
-// Match implements Matcher.
-func (m TitleDetector) Match(resp *httpwire.Response) bool {
-	title, ok := ExtractTitleBytes(resp.Body)
-	if !ok {
-		return false
-	}
-	_, ok = m.Detector.Match(title)
-	return ok
-}
-
-// Describe implements Matcher.
-func (m TitleDetector) Describe() string { return "HTML title " + m.Desc }
-
 // LocationMatches matches 3xx responses whose Location satisfies the
 // predicate — the shape of the Blue Coat (cfauth.com) and Websense
 // (port 15871 + ws-session) signatures in Table 2.
@@ -183,17 +130,6 @@ func (m LocationMatches) Describe() string {
 	return "Location " + m.Desc
 }
 
-// StatusIs matches a specific status code.
-type StatusIs struct {
-	Code int
-}
-
-// Match implements Matcher.
-func (m StatusIs) Match(resp *httpwire.Response) bool { return resp.StatusCode == m.Code }
-
-// Describe implements Matcher.
-func (m StatusIs) Describe() string { return fmt.Sprintf("status is %d", m.Code) }
-
 // ExtractTitleBytes returns the contents of the first <title> element as
 // a trimmed sub-slice of body (no copy, nothing allocated — a miss is
 // free). The case-insensitive tag search folds ASCII byte-by-byte: a
@@ -206,16 +142,6 @@ func ExtractTitleBytes(body []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return bytes.TrimSpace(body[start:end]), true
-}
-
-// ExtractTitle returns the contents of the first <title> element as a
-// string. Hot paths should prefer ExtractTitleBytes, which does not copy.
-func ExtractTitle(body []byte) (string, bool) {
-	t, ok := ExtractTitleBytes(body)
-	if !ok {
-		return "", false
-	}
-	return string(t), true
 }
 
 // Probe describes one request the engine sends while profiling a host.

@@ -17,7 +17,8 @@ func FuzzExtractTitle(f *testing.F) {
 	f.Add([]byte("no markup at all"))
 	f.Add([]byte("<title></title><title>second</title>"))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		title, ok := ExtractTitle(body)
+		b, ok := ExtractTitleBytes(body)
+		title := string(b)
 		if !ok {
 			if title != "" {
 				t.Fatalf("no-title result carries text %q", title)

@@ -78,7 +78,7 @@ func MatchMechanismEvidence(kind mechanism.Kind, evidence string) (product strin
 		if kind != "" && s.Kind != kind {
 			continue
 		}
-		if _, hit := s.Matcher.Match(text); hit {
+		if s.Matcher.Match(text) {
 			return s.Product, true
 		}
 	}

@@ -1,31 +1,24 @@
-// Package match is the zero-allocation classification core shared by the
-// scanner index, the block-page classifier and the fingerprint engine.
+// Package match is the allocation-free byte-matching core shared by the
+// block-page classifier and the fingerprint signatures.
 //
-// Every probe in scans, discovery and fmserve traffic funnels through the
-// same inner loop — "does this banner/body/Location carry one of a small
-// set of vendor markers?" — and the per-response cost of answering it is
-// the system's scaling constant. This package answers it with staged,
-// cheapest-first byte matching:
+// Both ask the same question of a response: does this body, title or
+// Location carry one of a few vendor markers? This package answers it
+// without lowering a copy of the text. Literal finds one substring,
+// Ordered finds substrings left to right, and Regexp wraps a compiled
+// regexp for the rare pattern literals cannot express.
 //
-//  1. length/anchor/status gates that reject most inputs in O(1),
-//  2. a case-folded Aho-Corasick automaton (see Automaton) that finds
-//     every literal marker of a whole corpus in ONE pass over the input,
-//  3. only then, for the rare patterns that genuinely need one, a regexp
-//     behind a literal gate.
-//
-// All matching is ASCII-case-insensitive by default (WithCaseFold):
-// vendor block-page markers, banner keywords and HTML tags are ASCII, and
-// scanned bytes are hostile input, not UTF-8 documents — Unicode-aware
-// folding would re-encode invalid bytes and shift offsets. Steady-state
-// matching performs zero heap allocations: detectors precompile at
-// construction, scan state lives on the stack, and every returned
-// position (Hit) or extracted span aliases the input.
+// Literal matching is ASCII-case-insensitive: vendor block-page markers,
+// banner keywords and HTML tags are ASCII, and scanned bytes are hostile
+// input, not UTF-8 documents — Unicode-aware folding would re-encode
+// invalid bytes and shift offsets. Literal and ordered matching and the
+// span extractors allocate nothing, and every extracted span aliases the
+// input.
 //
 // Ownership rule: detectors never retain or mutate the text they are
 // handed, so callers may pass borrowed (pooled) slices — see
-// httpwire.ReadBuffer. Conversely, anything a detector or extractor
-// returns that aliases the input is only valid for the buffer's lifetime;
-// retain it by copying.
+// httpwire.ReadBuffer. Conversely, anything an extractor returns that
+// aliases the input is only valid for the buffer's lifetime; retain it by
+// copying.
 package match
 
 import (
@@ -35,67 +28,38 @@ import (
 	"unsafe"
 )
 
-// Hit locates the decisive occurrence a Detector matched.
-type Hit struct {
-	// ID is the pattern index within a multi-pattern detector (always 0
-	// for single-pattern detectors).
-	ID int
-	// Start and End bound the matched span in the scanned text. For an
-	// ordered detector the span runs from the start of the first literal
-	// to the end of the last; for a gated regexp it is the regexp match.
-	Start, End int
-}
-
-// Detector is the unified matching contract: one compiled pattern (or
-// pattern set) asked whether it occurs in a byte slice. Implementations
-// are safe for concurrent use and never retain text.
+// Detector is the unified matching contract: one compiled pattern asked
+// whether it occurs in a byte slice. Implementations are safe for
+// concurrent use and never retain text.
 type Detector interface {
-	Match(text []byte) (Hit, bool)
+	Match(text []byte) bool
 }
 
 // config carries the construction options shared by all detectors.
 type config struct {
-	caseFold bool
-	anchor   bool
-	maxScan  int
-	lineGap  bool
-	gate     string
+	anchor  bool
+	lineGap bool
 }
 
-func defaultConfig() config { return config{caseFold: true} }
-
-// clip applies WithMaxScan.
-func (c *config) clip(text []byte) []byte {
-	if c.maxScan > 0 && len(text) > c.maxScan {
-		return text[:c.maxScan]
+func newConfig(opts []Option) config {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
 	}
-	return text
+	return cfg
 }
 
 // Option configures detector construction, mirroring the functional
 // options style of internal/engine.
 type Option func(*config)
 
-// WithCaseFold selects ASCII-case-insensitive matching (the default).
-// Pass false for exact-byte matching.
-func WithCaseFold(on bool) Option { return func(c *config) { c.caseFold = on } }
-
 // WithAnchor requires the match to begin at offset 0 of the text.
 func WithAnchor(on bool) Option { return func(c *config) { c.anchor = on } }
-
-// WithMaxScan bounds how many leading bytes of the text are examined
-// (0, the default, scans everything).
-func WithMaxScan(n int) Option { return func(c *config) { c.maxScan = n } }
 
 // WithLineGap constrains an ordered detector's gaps to stay within one
 // line — the semantics of a `.*` join without the (?s) flag. Literals
 // must not themselves contain a newline.
 func WithLineGap(on bool) Option { return func(c *config) { c.lineGap = on } }
-
-// WithGate attaches a cheap literal prefilter to a Regexp detector: the
-// regexp only runs when the gate literal occurs in the text (folded per
-// WithCaseFold). The gate must be a literal every regexp match contains.
-func WithGate(lit string) Option { return func(c *config) { c.gate = lit } }
 
 // foldTable maps ASCII uppercase to lowercase and leaves every other
 // byte unchanged.
@@ -108,19 +72,6 @@ var foldTable = func() (t [256]byte) {
 	}
 	return
 }()
-
-// Fold returns the ASCII-lowercased form of c.
-func Fold(c byte) byte { return foldTable[c] }
-
-// FoldString returns the ASCII-lowercased copy of s.
-func FoldString(s string) string {
-	return strings.Map(func(r rune) rune {
-		if 'A' <= r && r <= 'Z' {
-			return r + ('a' - 'A')
-		}
-		return r
-	}, s)
-}
 
 // Bytes returns a read-only []byte view of s without copying. The result
 // aliases the string's storage and MUST NOT be modified or written
@@ -197,68 +148,28 @@ func ContainsFold(text []byte, pat string) bool { return IndexFold(text, pat) >=
 
 // Literal is a single-substring Detector.
 type Literal struct {
-	cfg  config
-	orig string
-	pat  string // folded when cfg.caseFold
-	raw  []byte // exact-byte form for the case-sensitive path
+	cfg config
+	pat string
 }
 
 // NewLiteral compiles a substring detector. The empty pattern matches
-// everything (at offset 0), mirroring bytes.Index.
+// everything, mirroring bytes.Contains.
 func NewLiteral(pattern string, opts ...Option) *Literal {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	l := &Literal{cfg: cfg, orig: pattern, pat: pattern}
-	if cfg.caseFold {
-		l.pat = FoldString(pattern)
-	}
-	l.raw = []byte(l.pat)
-	return l
+	return &Literal{cfg: newConfig(opts), pat: pattern}
 }
 
 // Pattern returns the literal as given to NewLiteral.
-func (l *Literal) Pattern() string { return l.orig }
-
-// CaseFold reports whether the detector folds case.
-func (l *Literal) CaseFold() bool { return l.cfg.caseFold }
-
-// Anchored reports whether the match must begin at offset 0.
-func (l *Literal) Anchored() bool { return l.cfg.anchor }
-
-// MaxScan returns the WithMaxScan bound (0 = unbounded).
-func (l *Literal) MaxScan() int { return l.cfg.maxScan }
+func (l *Literal) Pattern() string { return l.pat }
 
 // String implements fmt.Stringer.
-func (l *Literal) String() string { return "literal(" + l.orig + ")" }
+func (l *Literal) String() string { return "literal(" + l.pat + ")" }
 
 // Match implements Detector.
-func (l *Literal) Match(text []byte) (Hit, bool) {
-	text = l.cfg.clip(text)
+func (l *Literal) Match(text []byte) bool {
 	if l.cfg.anchor {
-		if len(text) < len(l.pat) {
-			return Hit{}, false
-		}
-		if l.cfg.caseFold {
-			if !hasFoldPrefix(text, l.pat) {
-				return Hit{}, false
-			}
-		} else if !bytes.HasPrefix(text, l.raw) {
-			return Hit{}, false
-		}
-		return Hit{Start: 0, End: len(l.pat)}, true
+		return HasFoldPrefix(text, l.pat)
 	}
-	var i int
-	if l.cfg.caseFold {
-		i = IndexFold(text, l.pat)
-	} else {
-		i = bytes.Index(text, l.raw)
-	}
-	if i < 0 {
-		return Hit{}, false
-	}
-	return Hit{Start: i, End: i + len(l.pat)}, true
+	return IndexFold(text, l.pat) >= 0
 }
 
 // Ordered is a Detector for a sequence of literals separated by arbitrary
@@ -266,153 +177,77 @@ func (l *Literal) Match(text []byte) (Hit, bool) {
 // (and therefore the whole match) must stay within a single line.
 type Ordered struct {
 	cfg  config
-	orig []string
-	lits []string // folded when cfg.caseFold
+	lits []string
 }
 
 // NewOrdered compiles an ordered-literal detector. It panics if literals
 // is empty, if any literal is empty, or if WithLineGap is combined with a
 // literal containing a newline (programmer error, like NewHeader).
 func NewOrdered(literals []string, opts ...Option) *Ordered {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	if len(literals) == 0 {
 		panic("match: NewOrdered requires at least one literal")
 	}
-	o := &Ordered{cfg: cfg, orig: append([]string(nil), literals...)}
-	o.lits = make([]string, len(literals))
-	for i, lit := range literals {
+	for _, lit := range literals {
 		if lit == "" {
 			panic("match: NewOrdered literal must be non-empty")
 		}
 		if cfg.lineGap && strings.ContainsRune(lit, '\n') {
 			panic("match: WithLineGap literal must not contain a newline")
 		}
-		if cfg.caseFold {
-			lit = FoldString(lit)
-		}
-		o.lits[i] = lit
 	}
-	return o
+	return &Ordered{cfg: cfg, lits: append([]string(nil), literals...)}
 }
 
 // Literals returns the literal sequence as given to NewOrdered.
-func (o *Ordered) Literals() []string { return o.orig }
-
-// CaseFold reports whether the detector folds case.
-func (o *Ordered) CaseFold() bool { return o.cfg.caseFold }
-
-// LineGap reports whether gaps are constrained to a single line.
-func (o *Ordered) LineGap() bool { return o.cfg.lineGap }
-
-// Anchored reports whether the match must begin at offset 0.
-func (o *Ordered) Anchored() bool { return o.cfg.anchor }
-
-// MaxScan returns the WithMaxScan bound (0 = unbounded).
-func (o *Ordered) MaxScan() int { return o.cfg.maxScan }
+func (o *Ordered) Literals() []string { return o.lits }
 
 // Match implements Detector.
-func (o *Ordered) Match(text []byte) (Hit, bool) {
-	text = o.cfg.clip(text)
+func (o *Ordered) Match(text []byte) bool {
 	if !o.cfg.lineGap {
-		return o.matchAnyGap(text, 0)
+		return o.matchAnyGap(text)
 	}
 	// Line-gap: every literal is newline-free, so a match lives entirely
 	// within one line. Scan line by line.
-	base := 0
 	for {
-		rest := text[base:]
-		nl := bytes.IndexByte(rest, '\n')
-		line := rest
-		if nl >= 0 {
-			line = rest[:nl]
-		}
-		if hit, ok := o.matchAnyGap(line, base); ok {
-			return hit, true
-		}
+		nl := bytes.IndexByte(text, '\n')
 		if nl < 0 {
-			return Hit{}, false
+			return o.matchAnyGap(text)
 		}
-		base += nl + 1
+		if o.matchAnyGap(text[:nl]) {
+			return true
+		}
+		text = text[nl+1:]
 	}
 }
 
 // matchAnyGap runs the greedy earliest-occurrence scan; taking the first
 // occurrence of each literal in turn is optimal for subsequence matching.
-// base offsets the returned Hit for line-gap callers.
-func (o *Ordered) matchAnyGap(text []byte, base int) (Hit, bool) {
-	pos := 0
-	start := -1
+func (o *Ordered) matchAnyGap(text []byte) bool {
 	for idx, lit := range o.lits {
-		var i int
-		if o.cfg.caseFold {
-			i = IndexFold(text[pos:], lit)
-		} else {
-			i = bytes.Index(text[pos:], Bytes(lit))
+		i := IndexFold(text, lit)
+		if i < 0 || (idx == 0 && o.cfg.anchor && i != 0) {
+			return false
 		}
-		if i < 0 {
-			return Hit{}, false
-		}
-		abs := pos + i
-		if idx == 0 {
-			if o.cfg.anchor && abs != 0 {
-				return Hit{}, false
-			}
-			start = abs
-		}
-		pos = abs + len(lit)
+		text = text[i+len(lit):]
 	}
-	return Hit{Start: base + start, End: base + pos}, true
+	return true
 }
 
 // Regexp wraps a compiled regexp as a Detector — the escape hatch for the
-// few patterns that genuinely need one. WithGate makes it cheap on the
-// common (non-match) path: the regexp only runs after a literal prefilter
-// hit.
+// few patterns that genuinely need one.
 type Regexp struct {
-	cfg  config
-	re   *regexp.Regexp
-	gate string // folded per cfg.caseFold
+	re *regexp.Regexp
 }
 
-// NewRegexp compiles a regexp-backed detector.
-func NewRegexp(re *regexp.Regexp, opts ...Option) *Regexp {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	r := &Regexp{cfg: cfg, re: re, gate: cfg.gate}
-	if cfg.caseFold {
-		r.gate = FoldString(cfg.gate)
-	}
-	return r
-}
+// NewRegexp wraps re as a detector.
+func NewRegexp(re *regexp.Regexp) *Regexp { return &Regexp{re: re} }
 
 // Pattern returns the wrapped regexp.
 func (r *Regexp) Pattern() *regexp.Regexp { return r.re }
 
 // Match implements Detector.
-func (r *Regexp) Match(text []byte) (Hit, bool) {
-	text = r.cfg.clip(text)
-	if r.gate != "" {
-		var hit bool
-		if r.cfg.caseFold {
-			hit = ContainsFold(text, r.gate)
-		} else {
-			hit = bytes.Contains(text, Bytes(r.gate))
-		}
-		if !hit {
-			return Hit{}, false
-		}
-	}
-	loc := r.re.FindIndex(text)
-	if loc == nil {
-		return Hit{}, false
-	}
-	return Hit{Start: loc[0], End: loc[1]}, true
-}
+func (r *Regexp) Match(text []byte) bool { return r.re.Match(text) }
 
 // Between locates the span between the first occurrence of open and the
 // next occurrence of close after it, ASCII-case-insensitively — the shape

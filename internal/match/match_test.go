@@ -93,57 +93,35 @@ func TestBytes(t *testing.T) {
 
 func TestLiteral(t *testing.T) {
 	l := NewLiteral("Blue Coat")
-	hit, ok := l.Match([]byte("welcome to the BLUE COAT appliance"))
-	if !ok || hit.Start != 15 || hit.End != 24 {
-		t.Errorf("hit = %+v, ok = %v", hit, ok)
+	if !l.Match([]byte("welcome to the BLUE COAT appliance")) {
+		t.Error("folded literal missed")
 	}
-	if _, ok := l.Match([]byte("nothing here")); ok {
+	if l.Match([]byte("nothing here")) {
 		t.Error("false positive")
 	}
 
-	exact := NewLiteral("Blue Coat", WithCaseFold(false))
-	if _, ok := exact.Match([]byte("blue coat")); ok {
-		t.Error("case-sensitive literal matched folded text")
-	}
-	if _, ok := exact.Match([]byte("xx Blue Coat xx")); !ok {
-		t.Error("case-sensitive literal missed exact text")
-	}
-
 	anchored := NewLiteral("http://", WithAnchor(true))
-	if _, ok := anchored.Match([]byte("HTTP://example.com")); !ok {
+	if !anchored.Match([]byte("HTTP://example.com")) {
 		t.Error("anchored fold miss")
 	}
-	if _, ok := anchored.Match([]byte(" http://example.com")); ok {
+	if anchored.Match([]byte(" http://example.com")) {
 		t.Error("anchored matched at offset 1")
-	}
-
-	clipped := NewLiteral("needle", WithMaxScan(10))
-	if _, ok := clipped.Match([]byte("0123456789needle")); ok {
-		t.Error("maxscan did not clip")
-	}
-	if _, ok := clipped.Match([]byte("0needle")); !ok {
-		t.Error("maxscan clipped too much")
 	}
 }
 
 func TestOrdered(t *testing.T) {
 	o := NewOrdered([]string{"McAfee", "Notification"})
-	text := []byte("<title>MCAFEE Web Gateway - notification</title>")
-	hit, ok := o.Match(text)
-	if !ok {
+	if !o.Match([]byte("<title>MCAFEE Web Gateway - notification</title>")) {
 		t.Fatal("missed")
 	}
-	if got := string(text[hit.Start:hit.End]); !strings.EqualFold(got[:6], "mcafee") || !strings.HasSuffix(strings.ToLower(got), "notification") {
-		t.Errorf("span = %q", got)
-	}
-	if _, ok := o.Match([]byte("Notification from McAfee")); ok {
+	if o.Match([]byte("Notification from McAfee")) {
 		t.Error("order not enforced")
 	}
-	if _, ok := o.Match([]byte("McAfee only")); ok {
+	if o.Match([]byte("McAfee only")) {
 		t.Error("partial sequence matched")
 	}
 	// Greedy earliest-occurrence must still find later viable starts.
-	if _, ok := o.Match([]byte("McAfee ... McAfee Notification")); !ok {
+	if !o.Match([]byte("McAfee ... McAfee Notification")) {
 		t.Error("greedy scan missed a match the first literal occurrence allows")
 	}
 }
@@ -151,22 +129,22 @@ func TestOrdered(t *testing.T) {
 func TestOrderedLineGap(t *testing.T) {
 	o := NewOrdered([]string{"Location:", "/webadmin/deny/"}, WithLineGap(true))
 	same := []byte("Server: x\r\nLocation: http://h:8080/WEBADMIN/deny/index.php\r\n")
-	if _, ok := o.Match(same); !ok {
+	if !o.Match(same) {
 		t.Error("same-line match missed")
 	}
 	split := []byte("Location: http://h/\nX: /webadmin/deny/\n")
-	if _, ok := o.Match(split); ok {
+	if o.Match(split) {
 		t.Error("line-gap matched across a newline")
 	}
 	// A later line can satisfy the whole sequence.
 	later := []byte("Location: http://h/\nLocation: http://h/webadmin/deny/a\n")
-	if _, ok := o.Match(later); !ok {
+	if !o.Match(later) {
 		t.Error("per-line rescan missed a later matching line")
 	}
 	// Equivalence with the regexp it replaces: (?i)A.*B without (?s).
 	re := regexp.MustCompile(`(?i)Location:.*?/webadmin/deny/`)
 	for _, text := range []string{string(same), string(split), string(later), "", "Location:", "location: /webadmin/deny/"} {
-		_, got := o.Match([]byte(text))
+		got := o.Match([]byte(text))
 		if want := re.MatchString(text); got != want {
 			t.Errorf("line-gap(%q) = %v, regexp = %v", text, got, want)
 		}
@@ -181,118 +159,12 @@ func TestOrderedLineGap(t *testing.T) {
 }
 
 func TestRegexpDetector(t *testing.T) {
-	re := regexp.MustCompile(`(?i)<title>\s*mcafee`)
-	r := NewRegexp(re, WithGate("mcafee"))
-	if _, ok := r.Match([]byte("nothing relevant at all")); ok {
-		t.Error("gated regexp matched without gate literal")
+	r := NewRegexp(regexp.MustCompile(`(?i)<title>\s*mcafee`))
+	if !r.Match([]byte("xx<TITLE> McAfee Web Gateway")) {
+		t.Error("regexp detector missed")
 	}
-	hit, ok := r.Match([]byte("xx<TITLE> McAfee Web Gateway"))
-	if !ok || hit.Start != 2 {
-		t.Errorf("hit = %+v, ok = %v", hit, ok)
-	}
-	// Gate present but regexp misses.
-	if _, ok := r.Match([]byte("mcafee but no title tag")); ok {
-		t.Error("gate alone should not match")
-	}
-}
-
-func TestAutomatonVsNaive(t *testing.T) {
-	patterns := []string{"abc", "bc", "c", "cab", "notification", "bca"}
-	a := NewAutomaton(patterns)
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(60)
-		text := make([]byte, n)
-		for j := range text {
-			text[j] = "aAbBcCnotifcation "[rng.Intn(18)]
-		}
-		type occ struct{ id, end int }
-		var got []occ
-		a.Scan(text, func(id, end int) bool {
-			got = append(got, occ{id, end})
-			return true
-		})
-		var want []occ
-		lower := strings.ToLower(string(text))
-		for end := 1; end <= len(lower); end++ {
-			for id, p := range patterns {
-				if end >= len(p) && lower[end-len(p):end] == p {
-					want = append(want, occ{id, end})
-				}
-			}
-		}
-		// Scan emits per position in increasing end order but output-list
-		// order within a position is construction-defined; sort both by
-		// (end, id) for comparison.
-		sortOccs := func(s []occ) {
-			for i := 1; i < len(s); i++ {
-				for j := i; j > 0 && (s[j].end < s[j-1].end || (s[j].end == s[j-1].end && s[j].id < s[j-1].id)); j-- {
-					s[j], s[j-1] = s[j-1], s[j]
-				}
-			}
-		}
-		sortOccs(got)
-		sortOccs(want)
-		if len(got) != len(want) {
-			t.Fatalf("text %q: got %v, want %v", text, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("text %q: got %v, want %v", text, got, want)
-			}
-		}
-		if a.Contains(text) != (len(want) > 0) {
-			t.Fatalf("Contains(%q) = %v, want %v", text, a.Contains(text), len(want) > 0)
-		}
-	}
-}
-
-func TestAutomatonCaseSensitive(t *testing.T) {
-	a := NewAutomaton([]string{"Via"}, WithCaseFold(false))
-	if a.Contains([]byte("via header")) {
-		t.Error("case-sensitive automaton folded")
-	}
-	if !a.Contains([]byte("Via header")) {
-		t.Error("case-sensitive automaton missed exact case")
-	}
-}
-
-func TestAutomatonEarlyStop(t *testing.T) {
-	a := NewAutomaton([]string{"a"})
-	calls := 0
-	a.Scan([]byte("aaaaa"), func(id, end int) bool {
-		calls++
-		return calls < 2
-	})
-	if calls != 2 {
-		t.Errorf("visit called %d times, want 2", calls)
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet([]string{"netsweeper", "websense", "blocked"})
-	hit, ok := s.Match([]byte("request BLOCKED by WebSense appliance"))
-	if !ok || hit.ID != 2 {
-		t.Errorf("hit = %+v, ok = %v", hit, ok)
-	}
-	if got := hit.End - hit.Start; got != len("blocked") {
-		t.Errorf("span length = %d", got)
-	}
-	if _, ok := s.Match([]byte("plain page")); ok {
-		t.Error("false positive")
-	}
-	// Earliest end wins even when a longer pattern also occurs later.
-	hit, ok = s.Match([]byte("xx websense then netsweeper"))
-	if !ok || hit.ID != 1 {
-		t.Errorf("hit = %+v", hit)
-	}
-	// Anchored set.
-	as := NewSet([]string{"http://", "https://"}, WithAnchor(true))
-	if hit, ok := as.Match([]byte("HTTPS://x")); !ok || hit.ID != 1 {
-		t.Errorf("anchored hit = %+v, ok = %v", hit, ok)
-	}
-	if _, ok := as.Match([]byte(" https://x")); ok {
-		t.Error("anchored set matched at offset 1")
+	if r.Match([]byte("mcafee but no title tag")) {
+		t.Error("regexp detector matched without its pattern")
 	}
 }
 
@@ -313,8 +185,6 @@ func TestBetween(t *testing.T) {
 func TestZeroAllocMatch(t *testing.T) {
 	lit := NewLiteral("powered by netsweeper")
 	ord := NewOrdered([]string{"mcafee", "notification"})
-	set := NewSet([]string{"netsweeper", "websense", "mcafee"})
-	auto := set.Automaton()
 	hitText := []byte("<title>McAfee Web Gateway - Notification</title> powered by netsweeper")
 	missText := bytes.Repeat([]byte("<p>nothing of note in this body</p>"), 20)
 	check := func(name string, f func()) {
@@ -327,9 +197,6 @@ func TestZeroAllocMatch(t *testing.T) {
 	check("Literal miss", func() { lit.Match(missText) })
 	check("Ordered hit", func() { ord.Match(hitText) })
 	check("Ordered miss", func() { ord.Match(missText) })
-	check("Set hit", func() { set.Match(hitText) })
-	check("Set miss", func() { set.Match(missText) })
-	check("Automaton.Contains", func() { auto.Contains(missText) })
 	check("IndexFold", func() { IndexFold(missText, "netsweeper") })
 	check("Between", func() { Between(hitText, "<title>", "</title>") })
 }

@@ -201,9 +201,9 @@ type vantagePool struct {
 	at   time.Time
 }
 
-// defaultClassifier is the shared default-corpus classifier: compiling
-// the corpus (regexes, automaton) per comparison was a measurable cost,
-// and the classifier is immutable and safe for concurrent use.
+// defaultClassifier is the shared default-corpus classifier, built once:
+// it is immutable and safe for concurrent use, so there is no reason to
+// rebuild the corpus's detectors per comparison.
 var (
 	defaultClassifierOnce sync.Once
 	defaultClassifier     *blockpage.Classifier
