@@ -1,14 +1,16 @@
 #!/bin/sh
-# bench_json.sh — run the classification-core headline benchmarks and emit
-# their ns/op, B/op and allocs/op as JSON on stdout.
+# bench_json.sh — run a suite of benchmarks and emit their ns/op, B/op and
+# allocs/op as JSON on stdout. Each benchmark runs COUNT (5) times; every
+# entry records the median run with the min and max beside it, so a
+# reader can tell a change from noise without benchstat.
 #
 # Usage:
 #   scripts/bench_json.sh [benchtime] [suite]   # default 20x classify
 #   scripts/bench_json.sh 100x > BENCH_classify.json
 #   scripts/bench_json.sh 100x mechanisms > BENCH_mechanisms.json
 #
-# The classify suite's three headline benchmarks cover the hot paths
-# rewired onto internal/match (see DESIGN.md §12): the redirect-chain
+# The classify suite's three headline benchmarks cover the
+# classification hot paths (see DESIGN.md §12): the redirect-chain
 # classifier, the banner-index search, and the fingerprint identify
 # sweep. ExtractTitle rides along as the smallest isolated extractor.
 #
@@ -39,25 +41,54 @@ NPROC=$(nproc)
 GOMAXPROCS="${GOMAXPROCS:-$NPROC}"
 export GOMAXPROCS
 
+# Runs per benchmark. Each JSON entry reports the median of its runs
+# (the middle one) and, beside it, the min and max.
+COUNT=5
+
 run() { # run <package> <benchmark regex> [benchtime]
 	# A benchtime given here overrides the suite's for benchmarks whose
 	# op is too short to time in a few iterations; the entry records it.
-	go test -run xxx -bench "$2" -benchtime "${3:-$BENCHTIME}" -benchmem "$1" 2>&1 |
-		awk -v bt="${3:-}" '/^Benchmark/ {
+	go test -run xxx -bench "$2" -benchtime "${3:-$BENCHTIME}" -count "$COUNT" -benchmem "$1" 2>&1 |
+		awk -v bt="${3:-}" '
+		function add(name, metric, v,    k) {
+			k = name SUBSEP metric
+			vals[k, ++n[k]] = v
+		}
+		# spread prints metric as "median, min, max" fields, or null
+		# when no run reported it.
+		function spread(name, metric,    k, m, i, j, t, v) {
+			k = name SUBSEP metric
+			m = n[k]
+			if (m == 0) return sprintf(", \"%s\": null", metric)
+			for (i = 1; i <= m; i++) v[i] = vals[k, i]
+			for (i = 2; i <= m; i++)
+				for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) {
+					t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+				}
+			return sprintf(", \"%s\": %s, \"%s_min\": %s, \"%s_max\": %s",
+				metric, v[int((m + 1) / 2)], metric, v[1], metric, v[m])
+		}
+		/^Benchmark/ {
 			name = $1
 			sub(/-[0-9]+$/, "", name)
-			ns = "null"; bytes = "null"; allocs = "null"; heap = ""
+			if (!(name in runs)) order[++names] = name
+			runs[name]++
 			# Columns vary (b.SetBytes adds MB/s), so key on unit labels.
 			for (i = 3; i <= NF; i++) {
-				if ($i == "ns/op") ns = $(i - 1)
-				else if ($i == "B/op") bytes = $(i - 1)
-				else if ($i == "allocs/op") allocs = $(i - 1)
-				else if ($i == "heapB/10khosts") heap = $(i - 1)
+				if ($i == "ns/op") add(name, "ns_per_op", $(i - 1))
+				else if ($i == "B/op") add(name, "bytes_per_op", $(i - 1))
+				else if ($i == "allocs/op") add(name, "allocs_per_op", $(i - 1))
+				else if ($i == "heapB/10khosts") add(name, "heap_bytes_per_10k_hosts", $(i - 1))
 			}
-			extra = (heap != "") ? sprintf(", \"heap_bytes_per_10k_hosts\": %s", heap) : ""
-			if (bt != "") extra = extra sprintf(", \"benchtime\": \"%s\"", bt)
-			printf "  { \"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s },\n",
-				name, ns, bytes, allocs, extra
+		}
+		END {
+			for (o = 1; o <= names; o++) {
+				name = order[o]
+				line = spread(name, "ns_per_op") spread(name, "bytes_per_op") spread(name, "allocs_per_op")
+				if (n[name SUBSEP "heap_bytes_per_10k_hosts"] > 0) line = line spread(name, "heap_bytes_per_10k_hosts")
+				if (bt != "") line = line sprintf(", \"benchtime\": \"%s\"", bt)
+				printf "  { \"name\": \"%s\", \"runs\": %d%s },\n", name, runs[name], line
+			}
 		}'
 }
 
@@ -111,5 +142,5 @@ if [ -z "$out" ]; then
 	exit 1
 fi
 
-printf '{\n"comment": "%s",\n"benchtime": "%s",\n"nproc": %s,\n"gomaxprocs": %s,\n"benchmarks": [\n%s\n]\n}\n' \
-	"$COMMENT" "$BENCHTIME" "$NPROC" "$GOMAXPROCS" "$(printf '%s' "$out" | sed '$ s/,$//')"
+printf '{\n"comment": "%s",\n"benchtime": "%s",\n"count": %s,\n"nproc": %s,\n"gomaxprocs": %s,\n"benchmarks": [\n%s\n]\n}\n' \
+	"$COMMENT" "$BENCHTIME" "$COUNT" "$NPROC" "$GOMAXPROCS" "$(printf '%s' "$out" | sed '$ s/,$//')"
