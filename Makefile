@@ -163,12 +163,13 @@ bench-cluster:
 # Fail when a pinned hot path (SearchBytes, ExtractTitleBytes, the
 # match detectors, the engine's per-item dispatch, the head-only
 # response read) allocates in steady state, or a path exceeds its
-# allocation budget: a scanner probe (one for a closed port, eight for a
-# canned banner) or ClassifyResponse (none on a miss, at most one on a
+# allocation budget: a scanner probe (one for a closed port, two for a
+# canned banner), a dial answered by a netsim.Response (one, the
+# connection pair) or ClassifyResponse (none on a miss, at most one on a
 # hit, the Category string).
 .PHONY: alloc-gate
 alloc-gate:
-	go test -run 'TestZeroAlloc|TestAllocs' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/ ./internal/httpwire/
+	go test -run 'TestZeroAlloc|TestAllocs' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/ ./internal/httpwire/ ./internal/netsim/
 
 # The benchmark harness is its own module (bench/go.mod, replacing
 # filtermap with ../) that compiles against internal packages, so the

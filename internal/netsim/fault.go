@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/netip"
+	"strconv"
 	"strings"
 	"time"
 
@@ -149,13 +149,46 @@ type FaultPlan struct {
 }
 
 // roll hashes the dial key for one rule into [0, 1). attempt < 0 keys
-// the sticky (per-dial-key) roll.
+// the sticky (per-dial-key) roll. The hash is FNV-64a over the key
+// "seed|rule|src|dst|port|hostname|attempt" in the bytes fmt's %d and %s
+// print, built on the stack: a dial under a plan rolls once per
+// matching rule and allocates for none of them.
 func (p *FaultPlan) roll(ruleIdx int, info DialInfo, attempt int) (uint64, float64) {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%s|%d|%s|%d",
-		p.Seed, ruleIdx, info.Src, info.Dst, info.Port, info.Hostname, attempt)
-	sum := h.Sum64()
+	var key [128]byte
+	b := strconv.AppendUint(key[:0], p.Seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(ruleIdx), 10)
+	b = append(b, '|')
+	b = appendAddrString(b, info.Src)
+	b = append(b, '|')
+	b = appendAddrString(b, info.Dst)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(info.Port), 10)
+	b = append(b, '|')
+	b = append(b, info.Hostname...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(attempt), 10)
+	sum := uint64(fnvOffset64)
+	for _, c := range b {
+		sum ^= uint64(c)
+		sum *= fnvPrime64
+	}
 	return sum, float64(sum%1000000) / 1000000.0
+}
+
+// The FNV-64a parameters, as hash/fnv uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// appendAddrString appends a.String() to b. AppendTo appends nothing
+// for the zero Addr, which String prints as "invalid IP".
+func appendAddrString(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, "invalid IP"...)
+	}
+	return a.AppendTo(b)
 }
 
 // evaluate returns the first firing rule for the dial, plus the hash
@@ -220,19 +253,12 @@ func (n *Network) SetFaultPlan(p *FaultPlan) {
 	n.mu.Unlock()
 }
 
-// FaultPlan returns the installed fault plan, or nil.
-func (n *Network) FaultPlan() *FaultPlan {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.faults
-}
-
-// injectFault applies the plan to one dial before routing. It returns
-// (nil, nil, wrap) to let the dial proceed — with wrap non-nil when the
-// established connection must be wrapped in a byte-level fault — or a
-// terminal (conn, err) pair for faults that decide the dial outright.
-func (n *Network) injectFault(ctx context.Context, info DialInfo) (net.Conn, error, func(net.Conn) net.Conn) {
-	plan := n.FaultPlan()
+// injectFault applies plan, the network's fault plan as the dial read
+// it, to one dial before routing. It returns (nil, nil, wrap) to let the
+// dial proceed — with wrap non-nil when the established connection must
+// be wrapped in a byte-level fault — or a terminal (conn, err) pair for
+// faults that decide the dial outright.
+func (n *Network) injectFault(ctx context.Context, plan *FaultPlan, info DialInfo) (net.Conn, error, func(net.Conn) net.Conn) {
 	if plan == nil {
 		return nil, nil, nil
 	}

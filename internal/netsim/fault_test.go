@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -337,6 +340,53 @@ func TestNewFaultProfileUnknown(t *testing.T) {
 	for _, name := range FaultProfiles() {
 		if _, err := NewFaultProfile(name, 1); err != nil {
 			t.Fatalf("profile %q: %v", name, err)
+		}
+	}
+}
+
+// fmtRoll hashes the fault roll's key as fmt prints it: the bytes roll
+// must hash, or every seeded fault decision (and every chaos golden)
+// moves.
+func fmtRoll(p *FaultPlan, ruleIdx int, info DialInfo, attempt int) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%d|%s|%s|%d|%s|%d",
+		p.Seed, ruleIdx, info.Src, info.Dst, info.Port, info.Hostname, attempt)
+	return h.Sum64()
+}
+
+// TestFaultRollMatchesFmtKey pins roll's stack-built key to the fmt
+// form across seeds, rule indexes, address forms (the zero Addr prints
+// "invalid IP", which AppendTo does not), ports, hostnames, a key too
+// long for the stack buffer, and sticky and numbered attempts.
+func TestFaultRollMatchesFmtKey(t *testing.T) {
+	addrs := []netip.Addr{
+		{},
+		mustAddr(t, "192.0.2.1"),
+		mustAddr(t, "240.0.16.17"),
+		mustAddr(t, "2001:db8::1"),
+		mustAddr(t, "::ffff:192.0.2.1"),
+		mustAddr(t, "fe80::1%eth0"),
+	}
+	hostnames := []string{"", "www.example.com", strings.Repeat("long-label.", 20) + "example"}
+	for _, seed := range []uint64{0, 42, math.MaxUint64} {
+		p := &FaultPlan{Seed: seed}
+		for _, rule := range []int{0, 7, 12} {
+			for _, src := range addrs {
+				for _, dst := range addrs {
+					for _, port := range []uint16{0, 80, 65535} {
+						for _, host := range hostnames {
+							for _, attempt := range []int{-1, 0, 1, 3} {
+								info := DialInfo{Src: src, Dst: dst, Port: port, Hostname: host}
+								got, frac := p.roll(rule, info, attempt)
+								want := fmtRoll(p, rule, info, attempt)
+								if got != want || frac != float64(want%1000000)/1000000.0 {
+									t.Fatalf("roll(%d, %+v, %d) = %#x, %v; fmt key hashes to %#x", rule, info, attempt, got, frac, want)
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -59,10 +59,11 @@ type listener struct {
 }
 
 // Serve binds port and serves each inbound connection with handler in a
-// goroutine of its own, spawned from the dialer's delivery path. No
-// goroutine runs while the port is idle, so a bound port costs one map
-// entry. (A realm's ports cost nothing at all: they are answered by
-// Realm.Port without a Host.)
+// goroutine of its own, spawned from the dialer's delivery path; a
+// Response handler is answered inside the dial instead, with no
+// goroutine. No goroutine runs while the port is idle, so a bound port
+// costs one map entry. (A realm's ports cost nothing at all: they are
+// answered by Realm.Port without a Host.)
 // ISPOnly ports refuse connections originating outside the host's ISP,
 // modelling a properly firewalled device (Table 5's first evasion
 // tactic). The returned function unbinds the port.

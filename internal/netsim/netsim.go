@@ -11,8 +11,10 @@
 //     whose addresses are answered from derivations rather than Hosts,
 //   - per-host ports with Public or ISPOnly visibility (an ISPOnly
 //     admin console is the paper's "not visible on the global Internet"),
-//     each served by direct dispatch: a dial hands its connection to the
-//     port's Handler in a fresh goroutine, so an idle port runs nothing,
+//     each served by direct dispatch, so an idle port runs nothing: a
+//     Response (a fixed answer) is answered inside the dial, with no
+//     goroutine, and every other Handler is handed its connection in a
+//     fresh goroutine,
 //   - in-memory net.Conn transport with deadlines and half-close; a
 //     connection is one allocation, and a deadline arms its timer only
 //     once a Read or Write waits on it (keeping it until the deadline is
@@ -144,6 +146,26 @@ type HandlerFunc func(conn net.Conn)
 
 // ServeConn implements Handler.
 func (f HandlerFunc) ServeConn(conn net.Conn) { f(conn) }
+
+// Response is a Handler that is a fixed answer: the same bytes for every
+// connection, whatever the client sends. A dial to a port it serves is
+// answered inside the dial (see connect), so a Response costs no
+// goroutine. It must not be modified once served.
+type Response []byte
+
+// ServeConn implements Handler: it writes the answer without reading
+// the request, which the pipe buffers, then half-closes rather than
+// closes. The client sees EOF after the answer, and a request that lands
+// after ServeConn returned is still accepted instead of failing on a
+// closed pipe.
+func (r Response) ServeConn(conn net.Conn) {
+	conn.Write(r) //nolint:errcheck // peer may already be gone
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite() //nolint:errcheck // cannot fail in memory
+		return
+	}
+	conn.Close()
+}
 
 // InterceptorFunc adapts a function to the Interceptor interface.
 type InterceptorFunc func(info DialInfo) Handler
@@ -320,25 +342,30 @@ func (n *Network) Resolve(name string) (netip.Addr, error) {
 	lower := strings.ToLower(name)
 	n.mu.RLock()
 	addr, ok := n.dns[lower]
+	realm := n.realm
 	n.mu.RUnlock()
 	if ok {
 		return addr, nil
 	}
-	if addr, ok := n.realmResolve(lower); ok {
-		return addr, nil
+	if realm != nil {
+		if addr, ok := realm.Resolve(lower); ok {
+			return addr, nil
+		}
 	}
 	return netip.Addr{}, fmt.Errorf("%w: %s", ErrNameNotFound, name)
 }
 
-// ReverseLookup returns the primary DNS name for addr, if any.
+// ReverseLookup returns the primary DNS name for addr, if any:
+// registered names first, then the realm's.
 func (n *Network) ReverseLookup(addr netip.Addr) (string, bool) {
 	n.mu.RLock()
 	name, ok := n.rdns[addr]
+	realm := n.realm
 	n.mu.RUnlock()
-	if ok {
-		return name, true
+	if ok || realm == nil {
+		return name, ok
 	}
-	return n.realmReverse(addr)
+	return realm.ReverseLookup(addr)
 }
 
 // Close shuts the network down: every port unbinds and future dials fail.
@@ -362,6 +389,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	realm, removed := n.realm, n.tombstones[dst]
 	dstHost := n.hosts[dst]
 	latency := n.dialLatency
+	faults := n.faults
 	n.mu.RUnlock()
 	if closed {
 		return nil, ErrNetworkClosed
@@ -397,7 +425,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	// dial outright (timeout, flap, synthetic 503), delay it (slow drip),
 	// or hand back a wrapper that mangles the byte stream once routing
 	// establishes the connection.
-	faultedConn, faultErr, wrap := n.injectFault(ctx, info)
+	faultedConn, faultErr, wrap := n.injectFault(ctx, faults, info)
 	if faultErr != nil {
 		return nil, faultErr
 	}
@@ -454,11 +482,23 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 // with handler in a goroutine of its own, returning the dialer's end. A
 // middlebox terminating a connection and a bound port accepting one both
 // take this step.
+//
+// A Response needs no goroutine: connect does what its ServeConn would,
+// putting the answer in the pipe and closing that direction's write side
+// before the dialer sees the connection, so the dialer's first Read finds
+// the bytes without waiting. The pipe reads the answer in place; its
+// capacity is capped at its length, so an append to the buffer can never
+// write into the answer.
 func connect(src *Host, dst netip.Addr, port uint16, handler Handler) net.Conn {
 	p := newConnPair(
 		simAddr{addr: src.addr, port: ephemeralPort(src)},
 		simAddr{addr: dst, port: port},
 	)
+	if r, ok := handler.(Response); ok {
+		p.ba.buf = r[:len(r):len(r)]
+		p.ba.wclosed = true
+		return &p.a
+	}
 	go handler.ServeConn(&p.b)
 	return &p.a
 }

@@ -47,28 +47,6 @@ func (n *Network) SetRealm(r Realm) {
 	n.tombstones = nil
 }
 
-// realmResolve answers forward DNS from the realm.
-func (n *Network) realmResolve(name string) (netip.Addr, bool) {
-	n.mu.RLock()
-	r := n.realm
-	n.mu.RUnlock()
-	if r == nil {
-		return netip.Addr{}, false
-	}
-	return r.Resolve(name)
-}
-
-// realmReverse answers reverse DNS from the realm.
-func (n *Network) realmReverse(addr netip.Addr) (string, bool) {
-	n.mu.RLock()
-	r := n.realm
-	n.mu.RUnlock()
-	if r == nil {
-		return "", false
-	}
-	return r.ReverseLookup(addr)
-}
-
 // realmAddrs returns the realm addresses that should appear in a
 // scan sweep: everything the realm owns except removed addresses.
 // Registered realm hosts are excluded too (the caller already has them

@@ -118,27 +118,22 @@ func (s *Scanner) engineConfig() engine.Config {
 }
 
 // ScanAddrs probes every addr×port combination and returns an Index of
-// services that answered. Probes run through the shared engine pool;
-// unanswered probes are normal (dark space, closed ports) and are not
-// failures.
+// services that answered. Each address is one item in the shared engine
+// pool, and the item probes the ports in order; unanswered probes are
+// normal (dark space, closed ports) and are not failures. Every probe
+// takes its own Config.Timeout bound when it starts, so a silent port
+// cannot use up the bound of the ports after it.
 func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, error) {
 	if s.Vantage == nil {
 		return nil, fmt.Errorf("scanner: no vantage host")
 	}
-	type job struct {
-		addr netip.Addr
-		port uint16
-	}
-	jobs := make([]job, 0, len(addrs)*len(s.ports()))
-	for _, a := range addrs {
-		for _, p := range s.ports() {
-			jobs = append(jobs, job{a, p})
-		}
-	}
+	ports := s.ports()
 	idx := NewIndex()
 	timeout := s.Config.TimeoutOr(DefaultProbeTimeout)
-	err := engine.ForEach(ctx, s.engineConfig(), "scan", jobs, func(ctx context.Context, j job) error {
-		s.probe(ctx, idx, j.addr, j.port, time.Now().Add(timeout))
+	err := engine.ForEach(ctx, s.engineConfig(), "scan", addrs, func(ctx context.Context, addr netip.Addr) error {
+		for _, port := range ports {
+			s.probe(ctx, idx, addr, port, time.Now().Add(timeout))
+		}
 		return nil
 	})
 	return idx, err
@@ -149,25 +144,10 @@ func (s *Scanner) ScanNetwork(ctx context.Context) (*Index, error) {
 	return s.ScanAddrs(ctx, s.Vantage.Network().Addrs())
 }
 
-// ScanPrefix sweeps every address of an IP prefix, census-style: unlike
-// ScanNetwork it does not know which addresses are allocated, so dark
-// space costs a (fast) refused connection per port. maxAddrs bounds the
-// sweep (0 means 65536, a /16).
-func (s *Scanner) ScanPrefix(ctx context.Context, prefix netip.Prefix, maxAddrs int) (*Index, error) {
-	if maxAddrs <= 0 {
-		maxAddrs = 1 << 16
-	}
-	var addrs []netip.Addr
-	for a := prefix.Addr(); prefix.Contains(a) && len(addrs) < maxAddrs; a = a.Next() {
-		addrs = append(addrs, a)
-	}
-	return s.ScanAddrs(ctx, addrs)
-}
-
 // probe performs one banner grab into x: TCP connect, plain GET /, read
 // response. deadline bounds the whole probe, dial included: it is taken
-// when the item starts, so a dial that outlasts it fails the first write.
-// A caller's earlier ctx deadline still wins.
+// when the probe starts, so a dial that outlasts it fails the first
+// write. A caller's earlier ctx deadline still wins.
 func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uint16, deadline time.Time) {
 	conn, err := s.Vantage.Dial(ctx, addr, port)
 	if err != nil {

@@ -180,7 +180,10 @@ func TestScanRespectsContext(t *testing.T) {
 // TestProbeBoundedAtConnection scans a port that accepts and never
 // answers: the probe bound, applied as the connection deadline, must end
 // the probe well inside the test's own deadline and index nothing for
-// it, while the answering service beside it is still indexed.
+// it, while the answering service beside it is still indexed. The
+// tarpit host also answers on 8080, which its item probes after the
+// silent port 80: that probe takes a bound of its own, so the silent
+// port cannot starve it and its banner is indexed too.
 func TestProbeBoundedAtConnection(t *testing.T) {
 	n, _ := fixture(t)
 	vantage, _ := n.Host(netip.MustParseAddr("198.108.1.10"))
@@ -193,6 +196,10 @@ func TestProbeBoundedAtConnection(t *testing.T) {
 		io.Copy(io.Discard, c) //nolint:errcheck // test server
 		c.Close()
 	})); err != nil {
+		t.Fatal(err)
+	}
+	banner := netsim.Response("HTTP/1.0 200 OK\r\nServer: tarpit-admin\r\nContent-Length: 0\r\n\r\n")
+	if _, err := tarpit.Serve(8080, netsim.Public, banner); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,8 +219,9 @@ func TestProbeBoundedAtConnection(t *testing.T) {
 			t.Fatalf("ScanAddrs: %v", got.err)
 		}
 		all := got.idx.All()
-		if len(all) != 1 || all[0].Addr.String() != "192.0.2.1" {
-			t.Fatalf("indexed %v, want only the 192.0.2.1 banner", all)
+		if len(all) != 2 || all[0].Addr.String() != "192.0.2.1" ||
+			all[1].Addr != tarpit.Addr() || all[1].Port != 8080 {
+			t.Fatalf("indexed %v, want the 192.0.2.1 banner and the tarpit's 8080 banner", all)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("scan of a silent port did not finish within 2s under a 50ms probe bound")
@@ -281,26 +289,5 @@ func TestSearchDeterministicOrder(t *testing.T) {
 	if hits[0].Addr.String() != "10.0.0.1" || hits[0].Port != 80 ||
 		hits[1].Port != 8080 || hits[2].Addr.String() != "10.0.0.2" {
 		t.Fatalf("order = %v", hits)
-	}
-}
-
-func TestScanPrefix(t *testing.T) {
-	_, s := fixture(t)
-	// The fixture services live in 192.0.2.0/24; a census-style prefix
-	// sweep finds them without knowing which addresses are allocated.
-	idx, err := s.ScanPrefix(context.Background(), netip.MustParsePrefix("192.0.2.0/28"), 0)
-	if err != nil {
-		t.Fatalf("ScanPrefix: %v", err)
-	}
-	if idx.Len() != 2 {
-		t.Fatalf("prefix sweep found %d banners, want 2", idx.Len())
-	}
-	// maxAddrs bounds the sweep below the first allocated address.
-	idx, err = s.ScanPrefix(context.Background(), netip.MustParsePrefix("192.0.2.0/28"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Len() != 0 {
-		t.Fatalf("bounded sweep found %d banners, want 0", idx.Len())
 	}
 }

@@ -2,7 +2,6 @@ package world
 
 import (
 	"fmt"
-	"net"
 	"net/netip"
 	"strings"
 	"sync"
@@ -99,9 +98,12 @@ type scaleRealm struct {
 	profile scaleProfile
 	seed    uint64
 
-	templates []netsim.Handler // canned banners every generic host shares
-	decoy     netsim.Handler   // the keyword decoy page
-	consoles  []scaleConsole   // one per console ISP, i/consoleEvery
+	// The canned banners every generic host shares and the keyword decoy
+	// page, each a netsim.Response stored as a Handler once, so a dial
+	// answered by one is served inside the dial and boxes nothing.
+	templates []netsim.Handler
+	decoy     netsim.Handler
+	consoles  []scaleConsole // one per console ISP, i/consoleEvery
 }
 
 // scaleConsole is a console ISP's product host, built once on first
@@ -129,7 +131,7 @@ func newScaleRealm(w *World, profile scaleProfile) *scaleRealm {
 		consoles: make([]scaleConsole, (profile.isps+profile.consoleEvery-1)/profile.consoleEvery),
 	}
 	for _, resp := range buildScaleTemplates() {
-		r.templates = append(r.templates, cannedHandler(resp))
+		r.templates = append(r.templates, netsim.Response(resp))
 	}
 	// The keyword decoy page: product vocabulary with no product behind
 	// it, the false-positive pressure §3.1's validation stage exists to
@@ -139,7 +141,7 @@ func newScaleRealm(w *World, profile scaleProfile) *scaleRealm {
 blockpage.cgi styles across campus deployments. Sample captures from
 %s and %s are archived for the methods class.</p>`,
 		urllist.SyntheticDomain(r.seed, 0), urllist.SyntheticDomain(r.seed, 1))
-	r.decoy = cannedHandler(cannedResponse("nginx/1.2.1", "Filtering field notes", decoyBody))
+	r.decoy = netsim.Response(cannedResponse("nginx/1.2.1", "Filtering field notes", decoyBody))
 	return r
 }
 
@@ -442,24 +444,6 @@ func cannedResponse(server, title, body string) []byte {
 	return []byte(fmt.Sprintf(
 		"HTTP/1.0 200 OK\r\nContent-Type: text/html; charset=utf-8\r\nServer: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
 		server, len(page), page))
-}
-
-// cannedHandler serves a fixed response to every connection: the
-// cheapest possible handler for the generic synthetic population.
-// The in-memory pipe buffers writes, so the response can be written
-// without draining the request first. It then half-closes rather than
-// closes: the prober sees EOF after the response, and a request that
-// lands after the handler returned is still accepted instead of failing
-// on a closed pipe.
-func cannedHandler(resp []byte) netsim.Handler {
-	return netsim.HandlerFunc(func(conn net.Conn) {
-		conn.Write(resp) //nolint:errcheck // peer may already be gone
-		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
-			cw.CloseWrite() //nolint:errcheck // cannot fail in memory
-			return
-		}
-		conn.Close()
-	})
 }
 
 // buildScaleTemplates renders the generic banner set: the ordinary

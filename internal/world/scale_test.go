@@ -2,12 +2,9 @@ package world
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/netip"
 	"strings"
 	"testing"
@@ -321,46 +318,5 @@ func TestScaleIdentifyGroundTruth(t *testing.T) {
 					got, wantN, len(baseRep.Installations), scale.consoles)
 			}
 		})
-	}
-}
-
-// TestCannedHandlerLateRequest writes the request only after the canned
-// handler has returned. The prober must still be able to send it and
-// read the whole response, whichever side moved first.
-func TestCannedHandlerLateRequest(t *testing.T) {
-	nw := netsim.New(nil)
-	defer nw.Close()
-	srv, err := nw.AddHost(netip.MustParseAddr("203.0.113.1"), "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := nw.AddHost(netip.MustParseAddr("203.0.113.2"), "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := cannedResponse("nginx/1.2.1", "Welcome to nginx!", "<h1>Welcome to nginx!</h1>")
-	canned := cannedHandler(resp)
-	returned := make(chan struct{})
-	if _, err := srv.Serve(80, netsim.Public, netsim.HandlerFunc(func(conn net.Conn) {
-		canned.ServeConn(conn)
-		close(returned)
-	})); err != nil {
-		t.Fatal(err)
-	}
-	c, err := src.Dial(context.Background(), srv.Addr(), 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	<-returned
-	if _, err := io.WriteString(c, "GET / HTTP/1.0\r\nHost: 203.0.113.1\r\n\r\n"); err != nil {
-		t.Fatalf("request written after the handler returned: %v", err)
-	}
-	got, err := io.ReadAll(c)
-	if err != nil {
-		t.Fatalf("read response: %v", err)
-	}
-	if !bytes.Equal(got, resp) {
-		t.Fatalf("response = %q, want %q", got, resp)
 	}
 }
