@@ -87,8 +87,9 @@ world-golden:
 
 # The world-scaling benchmarks (DESIGN.md §16) as JSON: a dial into a
 # never-touched synthetic ISP vs one already dialed, live heap per 10k
-# probed hosts, and the full city identify scan over the realm vs the
-# reference build at 1/8 workers. Compare against the committed
+# probed hosts, the full city identify scan over the realm vs the
+# reference build at 1/8 workers, and a nation identify pass at
+# GOMAXPROCS 1 and 2 (DESIGN.md §7). Compare against the committed
 # BENCH_world.json.
 .PHONY: bench-world
 bench-world:

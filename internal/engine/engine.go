@@ -331,9 +331,14 @@ func (s *stageRun[T, R]) item(ctx context.Context, idx int, item T) Result[R] {
 	cfg, stage, st := &s.cfg, s.name, s.st
 	attempts := cfg.Retry.attempts()
 	for attempt := 1; attempt <= attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			res.Err = err
-			return res
+		// The claim loop's receive on the pool's done channel is attempt
+		// 1's cancellation check. ctx.Err would repeat it and lock the
+		// pool context, which every worker shares.
+		if attempt > 1 {
+			if err := ctx.Err(); err != nil {
+				res.Err = err
+				return res
+			}
 		}
 		res.Attempts = attempt
 		cfg.observe(Event{Stage: stage, Kind: EventStart, Item: idx, Attempt: attempt})

@@ -249,12 +249,14 @@ func inDownWindow(now time.Time, period, down time.Duration) bool {
 // plan. The plan must not be mutated after installation.
 func (n *Network) SetFaultPlan(p *FaultPlan) {
 	n.mu.Lock()
-	n.faults = p
+	rt := n.editRoute()
+	rt.faults = p
+	n.route.Store(rt)
 	n.mu.Unlock()
 }
 
-// injectFault applies plan, the network's fault plan as the dial read
-// it, to one dial before routing. It returns (nil, nil, wrap) to let the
+// injectFault applies plan, the fault plan of the route the dial read,
+// to one dial before routing. It returns (nil, nil, wrap) to let the
 // dial proceed — with wrap non-nil when the established connection must
 // be wrapped in a byte-level fault — or a terminal (conn, err) pair for
 // faults that decide the dial outright.

@@ -15,6 +15,11 @@
 //     Response (a fixed answer) is answered inside the dial, with no
 //     goroutine, and every other Handler is handed its connection in a
 //     fresh goroutine,
+//   - routing state a dial reads with one atomic load: the realm, its
+//     tombstones, the dial latency, the fault plan and whether the
+//     network is closed form one immutable route that its rare writers
+//     republish, so a dial to a realm address takes no lock, and every
+//     other dial takes only the hosts table's read lock,
 //   - in-memory net.Conn transport with deadlines and half-close; a
 //     connection is one allocation, and a deadline arms its timer only
 //     once a Read or Write waits on it (keeping it until the deadline is
@@ -35,11 +40,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"filtermap/internal/simclock"
@@ -177,17 +184,32 @@ func (f InterceptorFunc) Intercept(info DialInfo) Handler { return f(info) }
 type Network struct {
 	clock simclock.Clock
 
-	mu          sync.RWMutex
-	hosts       map[netip.Addr]*Host
-	dns         map[string]netip.Addr
-	rdns        map[netip.Addr]string
-	ases        map[int]*AS
-	isps        map[string]*ISP
-	realm       Realm
-	tombstones  map[netip.Addr]bool // realm addresses RemoveHost dropped
-	dialLatency time.Duration
-	faults      *FaultPlan
-	closed      bool
+	// route is everything a dial reads except the hosts table, so that
+	// a dial reads it with one atomic load and writes nothing another
+	// core reads.
+	route atomic.Pointer[route]
+
+	mu    sync.RWMutex
+	hosts map[netip.Addr]*Host
+	dns   map[string]netip.Addr
+	rdns  map[netip.Addr]string
+	ases  map[int]*AS
+	isps  map[string]*ISP
+}
+
+// route is one published version of the network's routing state. It is
+// never changed once published: its writers (SetRealm, RemoveHost of a
+// realm address, SetDialLatency, SetFaultPlan, Close) hold Network.mu,
+// copy it, change the copy and publish that, and RemoveHost copies
+// tombstones before adding to it. They are rare; AddHost is not (a
+// default Build registers about 131 hosts), which is why the hosts table
+// is not part of the route.
+type route struct {
+	realm      Realm
+	tombstones map[netip.Addr]bool // realm addresses RemoveHost dropped
+	latency    time.Duration
+	faults     *FaultPlan
+	closed     bool
 }
 
 // New returns an empty simulated Internet. If clock is nil the system clock
@@ -196,7 +218,7 @@ func New(clock simclock.Clock) *Network {
 	if clock == nil {
 		clock = simclock.System{}
 	}
-	return &Network{
+	n := &Network{
 		clock: clock,
 		hosts: make(map[netip.Addr]*Host),
 		dns:   make(map[string]netip.Addr),
@@ -204,6 +226,16 @@ func New(clock simclock.Clock) *Network {
 		ases:  make(map[int]*AS),
 		isps:  make(map[string]*ISP),
 	}
+	n.route.Store(&route{})
+	return n
+}
+
+// editRoute returns a copy of the published route for a writer to change
+// and publish with n.route.Store. Callers hold n.mu, which orders the
+// writers.
+func (n *Network) editRoute() *route {
+	rt := *n.route.Load()
+	return &rt
 }
 
 // Clock returns the network's time source.
@@ -216,7 +248,9 @@ func (n *Network) Clock() simclock.Clock { return n.clock }
 // speedup they report reflects real scanning conditions.
 func (n *Network) SetDialLatency(d time.Duration) {
 	n.mu.Lock()
-	n.dialLatency = d
+	rt := n.editRoute()
+	rt.latency = d
+	n.route.Store(rt)
 	n.mu.Unlock()
 }
 
@@ -285,11 +319,12 @@ func (n *Network) RemoveHost(addr netip.Addr) {
 	n.mu.Lock()
 	h := n.hosts[addr]
 	delete(n.hosts, addr)
-	if n.realm != nil && n.realm.Contains(addr) {
-		if n.tombstones == nil {
-			n.tombstones = make(map[netip.Addr]bool)
-		}
-		n.tombstones[addr] = true
+	if rt := n.editRoute(); rt.realm != nil && rt.realm.Contains(addr) && !rt.tombstones[addr] {
+		published := rt.tombstones
+		rt.tombstones = make(map[netip.Addr]bool, len(published)+1)
+		maps.Copy(rt.tombstones, published)
+		rt.tombstones[addr] = true
+		n.route.Store(rt)
 	}
 	if name, ok := n.rdns[addr]; ok {
 		delete(n.rdns, addr)
@@ -342,12 +377,11 @@ func (n *Network) Resolve(name string) (netip.Addr, error) {
 	lower := strings.ToLower(name)
 	n.mu.RLock()
 	addr, ok := n.dns[lower]
-	realm := n.realm
 	n.mu.RUnlock()
 	if ok {
 		return addr, nil
 	}
-	if realm != nil {
+	if realm := n.route.Load().realm; realm != nil {
 		if addr, ok := realm.Resolve(lower); ok {
 			return addr, nil
 		}
@@ -360,18 +394,22 @@ func (n *Network) Resolve(name string) (netip.Addr, error) {
 func (n *Network) ReverseLookup(addr netip.Addr) (string, bool) {
 	n.mu.RLock()
 	name, ok := n.rdns[addr]
-	realm := n.realm
 	n.mu.RUnlock()
-	if ok || realm == nil {
+	if ok {
 		return name, ok
 	}
-	return realm.ReverseLookup(addr)
+	if realm := n.route.Load().realm; realm != nil {
+		return realm.ReverseLookup(addr)
+	}
+	return "", false
 }
 
 // Close shuts the network down: every port unbinds and future dials fail.
 func (n *Network) Close() {
 	n.mu.Lock()
-	n.closed = true
+	rt := n.editRoute()
+	rt.closed = true
+	n.route.Store(rt)
 	hosts := make([]*Host, 0, len(n.hosts))
 	for _, h := range n.hosts {
 		hosts = append(hosts, h)
@@ -383,33 +421,37 @@ func (n *Network) Close() {
 }
 
 // dial implements the routing decision for a connection attempt from src.
+// A dial to a realm address reads the published route and the realm and
+// takes no lock; any other dial takes the read lock for the hosts table.
 func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint16, hostname string) (net.Conn, error) {
-	n.mu.RLock()
-	closed := n.closed
-	realm, removed := n.realm, n.tombstones[dst]
-	dstHost := n.hosts[dst]
-	latency := n.dialLatency
-	faults := n.faults
-	n.mu.RUnlock()
-	if closed {
+	rt := n.route.Load()
+	if rt.closed {
 		return nil, ErrNetworkClosed
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// A receive on Done, not ctx.Err: Err locks the context, and every
+	// probe of a scan dials with its pool's one context, so that lock
+	// would be written from every core.
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	default:
 	}
 	// A realm answers for its own addresses before the hosts table, so a
 	// realm host it is still building is never reached half-wired. This
 	// happens before the interception decision, so the dial sees the
 	// same sameISP answer a registered host would give.
+	var dstHost *Host
 	var realmHandler Handler
 	var realmOwned bool
-	if realm != nil && !removed {
-		var h *Host
-		if h, realmHandler, realmOwned = realm.Port(dst, port); realmOwned {
-			dstHost = h
-		}
+	if rt.realm != nil && (rt.tombstones == nil || !rt.tombstones[dst]) {
+		dstHost, realmHandler, realmOwned = rt.realm.Port(dst, port)
 	}
-	if latency > 0 {
+	if !realmOwned {
+		n.mu.RLock()
+		dstHost = n.hosts[dst]
+		n.mu.RUnlock()
+	}
+	if latency := rt.latency; latency > 0 {
 		t := time.NewTimer(latency)
 		select {
 		case <-t.C:
@@ -425,7 +467,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	// dial outright (timeout, flap, synthetic 503), delay it (slow drip),
 	// or hand back a wrapper that mangles the byte stream once routing
 	// establishes the connection.
-	faultedConn, faultErr, wrap := n.injectFault(ctx, faults, info)
+	faultedConn, faultErr, wrap := n.injectFault(ctx, rt.faults, info)
 	if faultErr != nil {
 		return nil, faultErr
 	}

@@ -50,9 +50,12 @@ func (d *deadline) stop() {
 	}
 }
 
-// expired must be called with the halfPipe mutex held.
+// expired must be called with the halfPipe mutex held. time.Until reads
+// only the monotonic clock when t carries a monotonic reading, as every
+// deadline made with time.Now().Add does, and answers as
+// !time.Now().Before(t) would.
 func (d *deadline) expired() bool {
-	return !d.t.IsZero() && !time.Now().Before(d.t)
+	return !d.t.IsZero() && time.Until(d.t) <= 0
 }
 
 // wait blocks on h's cond until something changes, first arming d's

@@ -43,8 +43,10 @@ type Realm interface {
 func (n *Network) SetRealm(r Realm) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.realm = r
-	n.tombstones = nil
+	rt := n.editRoute()
+	rt.realm = r
+	rt.tombstones = nil
+	n.route.Store(rt)
 }
 
 // realmAddrs returns the realm addresses that should appear in a
@@ -52,17 +54,15 @@ func (n *Network) SetRealm(r Realm) {
 // Registered realm hosts are excluded too (the caller already has them
 // from the hosts map).
 func (n *Network) realmAddrs() []netip.Addr {
-	n.mu.RLock()
-	r := n.realm
-	n.mu.RUnlock()
-	if r == nil {
+	rt := n.route.Load()
+	if rt.realm == nil {
 		return nil
 	}
-	all := r.Addrs()
+	all := rt.realm.Addrs()
 	out := make([]netip.Addr, 0, len(all))
 	n.mu.RLock()
 	for _, a := range all {
-		if _, reg := n.hosts[a]; reg || n.tombstones[a] {
+		if _, reg := n.hosts[a]; reg || rt.tombstones[a] {
 			continue
 		}
 		out = append(out, a)

@@ -22,6 +22,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -120,9 +121,14 @@ func (s *Scanner) engineConfig() engine.Config {
 // ScanAddrs probes every addr×port combination and returns an Index of
 // services that answered. Each address is one item in the shared engine
 // pool, and the item probes the ports in order; unanswered probes are
-// normal (dark space, closed ports) and are not failures. Every probe
-// takes its own Config.Timeout bound when it starts, so a silent port
-// cannot use up the bound of the ports after it.
+// normal (dark space, closed ports) and are not failures.
+//
+// Each probe is bounded by Config.Timeout from the item's latest clock
+// reading, taken when the item starts and again after every probe whose
+// dial connected. So the bound starts before the probe's dial and is
+// never longer than Config.Timeout; a silent port cannot use up the
+// bound of the ports after it; and a probe refused at once (most of a
+// sweep) reads no clock.
 func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, error) {
 	if s.Vantage == nil {
 		return nil, fmt.Errorf("scanner: no vantage host")
@@ -131,8 +137,11 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, er
 	idx := NewIndex()
 	timeout := s.Config.TimeoutOr(DefaultProbeTimeout)
 	err := engine.ForEach(ctx, s.engineConfig(), "scan", addrs, func(ctx context.Context, addr netip.Addr) error {
+		now := time.Now()
 		for _, port := range ports {
-			s.probe(ctx, idx, addr, port, time.Now().Add(timeout))
+			if s.probe(ctx, idx, addr, port, now.Add(timeout)) {
+				now = time.Now()
+			}
 		}
 		return nil
 	})
@@ -146,12 +155,13 @@ func (s *Scanner) ScanNetwork(ctx context.Context) (*Index, error) {
 
 // probe performs one banner grab into x: TCP connect, plain GET /, read
 // response. deadline bounds the whole probe, dial included: it is taken
-// when the probe starts, so a dial that outlasts it fails the first
-// write. A caller's earlier ctx deadline still wins.
-func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uint16, deadline time.Time) {
+// before the dial, so a dial that outlasts it fails the first write. A
+// caller's earlier ctx deadline still wins. probe reports whether the
+// dial connected.
+func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uint16, deadline time.Time) bool {
 	conn, err := s.Vantage.Dial(ctx, addr, port)
 	if err != nil {
-		return
+		return false
 	}
 	defer conn.Close()
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
@@ -164,7 +174,7 @@ func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uin
 	_, err = conn.Write(*req)
 	probeRequests.Put(req)
 	if err != nil {
-		return
+		return true
 	}
 	// The head and body borrow the pooled read buffer; the banner keeps
 	// interned copies of the head and of the excerpt alone, so neither
@@ -173,7 +183,7 @@ func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uin
 	defer buf.Release()
 	head, body, err := buf.ReadRaw(conn)
 	if err != nil {
-		return
+		return true
 	}
 	body = body[:min(len(body), s.excerptLen())]
 
@@ -190,6 +200,7 @@ func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uin
 	}
 	b.StatusLine, _, _ = strings.Cut(b.RawHead, "\r\n")
 	x.insert(b)
+	return true
 }
 
 // probeRequests recycles the probe's request bytes: Write copies them
@@ -349,11 +360,11 @@ func ParseQuery(q string) (Query, error) {
 		case strings.HasPrefix(strings.ToLower(tok), "country:"):
 			out.Country = strings.ToUpper(tok[len("country:"):])
 		case strings.HasPrefix(strings.ToLower(tok), "port:"):
-			var p int
-			if _, err := fmt.Sscanf(tok[len("port:"):], "%d", &p); err != nil || p < 1 || p > 65535 {
+			p, err := parsePort(tok[len("port:"):])
+			if err != nil {
 				return Query{}, fmt.Errorf("scanner: bad port filter %q", tok)
 			}
-			out.Port = uint16(p)
+			out.Port = p
 		default:
 			out.Keywords = append(out.Keywords, strings.ToLower(tok))
 		}
@@ -497,13 +508,14 @@ func (x *Index) SearchString(q string) ([]Banner, error) {
 	return x.SearchBytes(parsed.Compile(), nil), nil
 }
 
+// parsePort parses a TCP port: decimal digits alone, 1 to 65535.
 func parsePort(s string) (uint16, error) {
-	var p int
-	if _, err := fmt.Sscanf(s, "%d", &p); err != nil {
+	p, err := strconv.ParseUint(s, 10, 16)
+	if err != nil {
 		return 0, err
 	}
-	if p < 1 || p > 65535 {
-		return 0, fmt.Errorf("out of range")
+	if p == 0 {
+		return 0, fmt.Errorf("port 0")
 	}
 	return uint16(p), nil
 }

@@ -2,6 +2,8 @@ package scanner
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -129,10 +131,24 @@ func TestParseQuery(t *testing.T) {
 	if len(q.Keywords) != 2 || q.Keywords[0] != "mcafee web gateway" || q.Keywords[1] != "extra" {
 		t.Fatalf("keywords = %v", q.Keywords)
 	}
+
+	// A keyword is port-qualified only when all of it before the first
+	// slash is a port: "8080x/webadmin/" is a plain substring.
+	q, err = ParseQuery("8080/webadmin/ 8080x/webadmin/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq := q.Compile()
+	if len(cq.ports) != 1 || cq.ports[0].port != 8080 || string(cq.ports[0].path) != "/webadmin/" {
+		t.Fatalf("port-qualified keywords = %+v, want 8080 /webadmin/", cq.ports)
+	}
+	if len(cq.plain) != 1 || string(cq.plain[0]) != "8080x/webadmin/" {
+		t.Fatalf("plain keywords = %q, want [8080x/webadmin/]", cq.plain)
+	}
 }
 
 func TestParseQueryBadPort(t *testing.T) {
-	for _, bad := range []string{"port:abc", "port:0", "port:70000"} {
+	for _, bad := range []string{"port:abc", "port:0", "port:70000", "port:80abc", "port:+80", "port:", "port:-1"} {
 		if _, err := ParseQuery(bad); err == nil {
 			t.Errorf("ParseQuery(%q) accepted", bad)
 		}
@@ -167,14 +183,72 @@ func TestCountries(t *testing.T) {
 	}
 }
 
+// TestScanRespectsContext: a scan whose context is already cancelled
+// probes nothing and reports the cancellation.
 func TestScanRespectsContext(t *testing.T) {
 	_, s := fixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.ScanAddrs(ctx, []netip.Addr{netip.MustParseAddr("192.0.2.1")})
-	// Either a context error or an empty index is acceptable; it must not
-	// hang.
-	_ = err
+	idx, err := s.ScanAddrs(ctx, []netip.Addr{netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanAddrs with a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if idx == nil || idx.Len() != 0 {
+		t.Fatalf("ScanAddrs with a cancelled context indexed %v, want an empty index", idx.All())
+	}
+}
+
+// TestScanStopsWithinOneHost cancels a one-worker scan from the handler
+// of host k: hosts before k are indexed, and no host after k yields a
+// banner, so a cancelled scan stops within one host.
+func TestScanStopsWithinOneHost(t *testing.T) {
+	const hosts, k = 8, 3
+	n := netsim.New(nil)
+	t.Cleanup(n.Close)
+	vantage, err := n.AddHost(netip.MustParseAddr("198.108.1.10"), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var addrs []netip.Addr
+	for i := 0; i < hosts; i++ {
+		h, err := n.AddHost(netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)}), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banner := netsim.Response(fmt.Sprintf("HTTP/1.0 200 OK\r\nServer: host-%d\r\nContent-Length: 0\r\n\r\n", i))
+		handler := netsim.Handler(banner)
+		if i == k {
+			handler = netsim.HandlerFunc(func(c net.Conn) {
+				cancel()
+				banner.ServeConn(c)
+			})
+		}
+		for _, port := range []uint16{80, 8080} {
+			if _, err := h.Serve(port, netsim.Public, handler); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addrs = append(addrs, h.Addr())
+	}
+	s := &Scanner{Vantage: vantage, Ports: []uint16{80, 8080}, Config: engine.NewConfig(engine.WithWorkers(1))}
+	idx, err := s.ScanAddrs(ctx, addrs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanAddrs cancelled mid-scan: err = %v, want context.Canceled", err)
+	}
+	seen := make(map[netip.Addr]int)
+	for _, b := range idx.All() {
+		seen[b.Addr]++
+	}
+	for i, a := range addrs {
+		switch {
+		case i < k && seen[a] != 2:
+			t.Errorf("host %d, before the cancel, yielded %d banners, want 2", i, seen[a])
+		case i > k && seen[a] != 0:
+			t.Errorf("host %d, after the cancel at host %d, yielded %d banners", i, k, seen[a])
+		}
+	}
 }
 
 // TestProbeBoundedAtConnection scans a port that accepts and never
@@ -225,6 +299,40 @@ func TestProbeBoundedAtConnection(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("scan of a silent port did not finish within 2s under a 50ms probe bound")
+	}
+}
+
+// TestProbeBoundCoversSlowDial: a probe's bound starts before its dial,
+// so a dial slower than the bound yields no banner, while a bound longer
+// than the dial still reads it.
+func TestProbeBoundCoversSlowDial(t *testing.T) {
+	n := netsim.New(nil)
+	t.Cleanup(n.Close)
+	vantage, err := n.AddHost(netip.MustParseAddr("198.108.1.10"), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := n.AddHost(netip.MustParseAddr("192.0.2.1"), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Serve(80, netsim.Public, netsim.Response("HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	n.SetDialLatency(100 * time.Millisecond)
+	for _, c := range []struct {
+		bound time.Duration
+		want  int
+	}{{50 * time.Millisecond, 0}, {2 * time.Second, 1}} {
+		s := New(vantage, engine.WithTimeout(c.bound))
+		s.Ports = []uint16{80}
+		idx, err := s.ScanAddrs(context.Background(), []netip.Addr{h.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Len() != c.want {
+			t.Errorf("bound %v over a 100ms dial indexed %d banners, want %d", c.bound, idx.Len(), c.want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package simclock
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,10 +47,12 @@ var Epoch = time.Date(2012, time.September, 1, 0, 0, 0, 0, time.UTC)
 // Manual is a deterministic, manually advanced Clock.
 //
 // The zero value is not usable; construct with NewManual. Manual is safe
-// for concurrent use.
+// for concurrent use. Now takes no lock: the current instant is
+// published whole, and the writers that move it (Advance, AdvanceTo)
+// hold the mutex that also guards the waiters.
 type Manual struct {
+	now     atomic.Pointer[time.Time]
 	mu      sync.Mutex
-	now     time.Time
 	waiters []waiter
 }
 
@@ -64,15 +67,13 @@ func NewManual(start time.Time) *Manual {
 	if start.IsZero() {
 		start = Epoch
 	}
-	return &Manual{now: start}
+	m := &Manual{}
+	m.now.Store(&start)
+	return m
 }
 
 // Now implements Clock.
-func (m *Manual) Now() time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.now
-}
+func (m *Manual) Now() time.Time { return *m.now.Load() }
 
 // After implements Clock. The returned channel fires when Advance moves the
 // clock to or past now+d. A non-positive d fires immediately.
@@ -80,11 +81,12 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch := make(chan time.Time, 1)
+	now := m.Now()
 	if d <= 0 {
-		ch <- m.now
+		ch <- now
 		return ch
 	}
-	m.waiters = append(m.waiters, waiter{at: m.now.Add(d), ch: ch})
+	m.waiters = append(m.waiters, waiter{at: now.Add(d), ch: ch})
 	return ch
 }
 
@@ -95,8 +97,31 @@ func (m *Manual) Advance(d time.Duration) {
 		panic("simclock: negative advance")
 	}
 	m.mu.Lock()
-	m.now = m.now.Add(d)
-	now := m.now
+	now, due := m.advance(d)
+	m.mu.Unlock()
+	fire(now, due)
+}
+
+// AdvanceTo moves the clock to t. It panics if t is earlier than Now.
+// The check and the move happen under one hold of the lock, so
+// concurrent AdvanceTo(t) calls leave the clock at t.
+func (m *Manual) AdvanceTo(t time.Time) {
+	m.mu.Lock()
+	d := t.Sub(m.Now())
+	if d < 0 {
+		m.mu.Unlock()
+		panic("simclock: AdvanceTo into the past")
+	}
+	now, due := m.advance(d)
+	m.mu.Unlock()
+	fire(now, due)
+}
+
+// advance publishes the instant d after the current one and takes the
+// waiters it makes due off the list. Callers hold m.mu.
+func (m *Manual) advance(d time.Duration) (time.Time, []waiter) {
+	now := m.Now().Add(d)
+	m.now.Store(&now)
 	var due, keep []waiter
 	for _, w := range m.waiters {
 		if !w.at.After(now) {
@@ -106,24 +131,15 @@ func (m *Manual) Advance(d time.Duration) {
 		}
 	}
 	m.waiters = keep
-	m.mu.Unlock()
+	return now, due
+}
 
+// fire delivers now to the due waiters, in deadline order.
+func fire(now time.Time, due []waiter) {
 	sort.Slice(due, func(i, j int) bool { return due[i].at.Before(due[j].at) })
 	for _, w := range due {
 		w.ch <- now
 	}
-}
-
-// AdvanceTo moves the clock to t. It panics if t is earlier than Now.
-func (m *Manual) AdvanceTo(t time.Time) {
-	m.mu.Lock()
-	now := m.now
-	m.mu.Unlock()
-	d := t.Sub(now)
-	if d < 0 {
-		panic("simclock: AdvanceTo into the past")
-	}
-	m.Advance(d)
 }
 
 // Days is a convenience for expressing the paper's multi-day waits.

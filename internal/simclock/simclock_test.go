@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -159,4 +160,55 @@ func TestManualConcurrentAccess(t *testing.T) {
 		_ = c.After(time.Hour)
 	}
 	<-done
+}
+
+// TestManualConcurrentAdvance races AdvanceTo, Advance and Now. Each
+// AdvanceTo(target) checks and moves the clock in one step, so however
+// the calls interleave the clock ends exactly at the target; Now never
+// runs backwards or past it, and a waiter due at the target fires. Run
+// it under -race -count=10.
+func TestManualConcurrentAdvance(t *testing.T) {
+	target := Epoch.Add(time.Hour)
+	for trial := 0; trial < 500; trial++ {
+		c := NewManual(time.Time{})
+		fired := c.After(time.Hour)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 10; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if g < 8 {
+					c.AdvanceTo(target)
+				} else {
+					c.Advance(0)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			last := Epoch
+			for i := 0; i < 50; i++ {
+				now := c.Now()
+				if now.Before(last) || now.After(target) {
+					t.Errorf("Now() = %v after %v, want it monotone and no later than %v", now, last, target)
+					return
+				}
+				last = now
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if got := c.Now(); !got.Equal(target) {
+			t.Fatalf("trial %d: clock at %v after concurrent AdvanceTo(%v)", trial, got, target)
+		}
+		select {
+		case <-fired:
+		default:
+			t.Fatalf("trial %d: the waiter due at the target did not fire", trial)
+		}
+	}
 }

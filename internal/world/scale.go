@@ -97,6 +97,14 @@ type scaleRealm struct {
 	w       *World
 	profile scaleProfile
 	seed    uint64
+	root    uint64 // the seed's hash round every derivation starts from
+
+	// counts holds each ISP's host count (a /20 holds fewer than 65536
+	// hosts). It is derived on first use, not by Build, so setup_s does
+	// not pay for it, and a dial then reads a count instead of deriving
+	// it again.
+	countsOnce sync.Once
+	counts     []uint16
 
 	// The canned banners every generic host shares and the keyword decoy
 	// page, each a netsim.Response stored as a Handler once, so a dial
@@ -116,7 +124,7 @@ type scaleConsole struct {
 // mix derives an independent hash stream from the world seed and the
 // given coordinates.
 func (r *scaleRealm) mix(parts ...uint64) uint64 {
-	h := splitmix64(r.seed ^ 0x66_69_6c_74_65_72_6d_61) // "filterma"
+	h := r.root
 	for _, p := range parts {
 		h = splitmix64(h ^ p)
 	}
@@ -130,6 +138,7 @@ func newScaleRealm(w *World, profile scaleProfile) *scaleRealm {
 		seed:     uint64(w.Opts.Seed),
 		consoles: make([]scaleConsole, (profile.isps+profile.consoleEvery-1)/profile.consoleEvery),
 	}
+	r.root = splitmix64(r.seed ^ 0x66_69_6c_74_65_72_6d_61) // "filterma"
 	for _, resp := range buildScaleTemplates() {
 		r.templates = append(r.templates, netsim.Response(resp))
 	}
@@ -167,8 +176,18 @@ func (r *scaleRealm) ispName(i int) string {
 }
 
 func (r *scaleRealm) hostCount(i int) int {
+	r.countsOnce.Do(r.deriveHostCounts)
+	return int(r.counts[i])
+}
+
+// deriveHostCounts fills counts: ISP i has hostMin hosts plus a derived
+// share of the span up to hostMax.
+func (r *scaleRealm) deriveHostCounts() {
 	span := uint64(r.profile.hostMax - r.profile.hostMin + 1)
-	return r.profile.hostMin + int(r.mix(tagHosts, uint64(i))%span)
+	r.counts = make([]uint16, r.profile.isps)
+	for i := range r.counts {
+		r.counts[i] = uint16(r.profile.hostMin + int(r.mix(tagHosts, uint64(i))%span))
+	}
 }
 
 func (r *scaleRealm) hostAddr(i, j int) netip.Addr {

@@ -109,6 +109,32 @@ func BenchmarkScaleMemoryPer10kHosts(b *testing.B) {
 	b.ReportMetric(perTenK, "heapB/10khosts")
 }
 
+// BenchmarkScaleNationScan runs one nation identify pass (seed 7) per
+// iteration, with Build outside the timer, at GOMAXPROCS 1 and 2: the
+// ratio of the two is the §3 scan's 1-vs-2-core scaling (DESIGN.md §7).
+func BenchmarkScaleNationScan(b *testing.B) {
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w, err := Build(Options{Scale: ScaleNation, Seed: 7})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := w.RunIdentification(ctx); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				w.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkScaleFullScan runs the full identify pipeline over the city
 // profile (handcrafted world + 1526 synthetic hosts) at 1 and 8
 // workers: "lazy" answers the synthetic population from the realm,

@@ -28,8 +28,10 @@
 #
 # The world suite covers the scale realm (DESIGN.md §16): a dial into a
 # never-touched synthetic ISP against one into an ISP already dialed,
-# live heap per 10k probed hosts, and the full identify scan over the
-# realm ("lazy") vs the test-only reference build at 1 and 8 workers.
+# live heap per 10k probed hosts, the full identify scan over the
+# realm ("lazy") vs the test-only reference build at 1 and 8 workers,
+# and a nation identify pass at GOMAXPROCS 1 and 2, whose ratio is the
+# scan's 1-vs-2-core scaling (DESIGN.md §7).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -124,12 +126,13 @@ cluster)
 	)
 	;;
 world)
-	COMMENT="scale realm: cold vs warm synthetic dial, heap per 10k probed hosts, full city identify scan realm (lazy) vs reference build (DESIGN.md §16)"
+	COMMENT="scale realm: cold vs warm synthetic dial, heap per 10k probed hosts, full city identify scan realm (lazy) vs reference build (DESIGN.md §16), nation identify pass at GOMAXPROCS 1 and 2 (DESIGN.md §7)"
 	out=$(
 		run ./internal/world/ '^BenchmarkScaleColdDial$' 20000x
 		run ./internal/world/ '^BenchmarkScaleWarmDial$' 20000x
 		run ./internal/world/ '^BenchmarkScaleMemoryPer10kHosts$'
 		run ./internal/world/ '^BenchmarkScaleFullScan$'
+		run ./internal/world/ '^BenchmarkScaleNationScan$'
 	)
 	;;
 *)
