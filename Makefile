@@ -18,10 +18,12 @@ golden:
 
 # The longitudinal end-to-end check: identify at two virtual times with
 # injected churn, persist through the snapshot store, and pin the fmhist
-# diff rendering (and fmserve's GET /v1/diff agreement) to its golden.
+# diff rendering (and fmserve's GET /v1/diff agreement) to its golden;
+# then pin every snapshot kind's diff JSON, diff text, monitor summary
+# and timeline over a hand-built pair to testdata/diff_kinds.golden.
 .PHONY: hist-golden
 hist-golden:
-	go test -run TestGoldenHistDiff -count=1 .
+	go test -run 'TestGoldenHistDiff|TestGoldenDiffKinds' -count=1 .
 
 # The discovery end-to-end check: the multi-round crawl must find novel
 # blocked URLs deterministically and match testdata/discovery.golden
