@@ -30,7 +30,7 @@ import (
 
 	"filtermap"
 
-	"filtermap/internal/longitudinal"
+	"filtermap/internal/plan"
 	"filtermap/internal/version"
 	"filtermap/internal/world"
 )
@@ -121,7 +121,7 @@ func record(dir string, w *filtermap.World, opts filtermap.Options, rounds, budg
 		log.Fatal(err)
 	}
 	meta, err := s.Append(filtermap.Snapshot{
-		Kind:   longitudinal.KindDiscovery,
+		Kind:   plan.StoreDiscovery,
 		At:     w.Clock.Now(),
 		Config: filtermap.ConfigHash(opts),
 		Body:   body,

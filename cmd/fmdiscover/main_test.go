@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"filtermap"
-	"filtermap/internal/longitudinal"
 	"filtermap/internal/plan"
 )
 
@@ -51,7 +50,7 @@ func TestStoreDedupesAcrossRecorders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	p, _ := plan.ForStoreKind(longitudinal.KindDiscovery)
+	p, _ := plan.Lookup(plan.KindDiscover)
 	w.Clock.Advance(p.Advance)
 	doc, _, err := plan.Execute(context.Background(), w, nil, req)
 	if err != nil {
@@ -68,7 +67,7 @@ func TestStoreDedupesAcrossRecorders(t *testing.T) {
 	}
 	defer s.Close()
 	meta, err := s.Append(filtermap.Snapshot{
-		Kind:   longitudinal.KindDiscovery,
+		Kind:   p.StoreKind,
 		At:     w.Clock.Now(),
 		Config: filtermap.ConfigHash(req.World),
 		Body:   body,

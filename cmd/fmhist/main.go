@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fmhist -dir DIR record [-kind identify|table4|discovery|mechanisms] [-note TEXT]
+//	fmhist -dir DIR record [-kind K] [-note TEXT]
 //	                       (-in report.json | -run) [-advance 168h]
 //	                       [-seed N] [-workers N] [-hide-consoles] [-scrub-headers]
 //	                       [-rounds N] [-budget N]
@@ -13,6 +13,7 @@
 //	fmhist -dir DIR timeline [-kind K] [-json]
 //	fmhist -dir DIR compact
 //
+// K is a snapshot kind from the plan registry (identify by default).
 // record either ingests a JSON document produced by fmscan/fmrepro -json
 // (-in) or builds the simulated world and runs the pipeline itself
 // (-run), optionally advancing the virtual clock first (-advance) so
@@ -37,10 +38,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"filtermap"
-	"filtermap/internal/longitudinal"
 	"filtermap/internal/plan"
 	"filtermap/internal/simclock"
 	"filtermap/internal/store"
@@ -92,8 +93,11 @@ func main() {
 	}
 }
 
+// storeKinds lists the registry's snapshot kinds for help text.
+var storeKinds = strings.Join(plan.StoreKinds(), ", ")
+
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: fmhist -dir DIR <subcommand> [flags]
+	fmt.Fprintf(os.Stderr, `usage: fmhist -dir DIR <subcommand> [flags]
 
 subcommands:
   record    persist a pipeline snapshot (-run to execute, -in FILE to ingest)
@@ -101,21 +105,23 @@ subcommands:
   show      print one snapshot
   diff      compare two snapshots (fmhist diff FROM TO)
   timeline  per-country counts across snapshots of one kind (-kind K,
-            default identify; table4, discovery and mechanisms also count)
+            default %s)
   compact   rewrite the log, deduplicating repeated content
+
+snapshot kinds: %s
 
 selectors (show, diff): every snapshot reference accepts
   N              a decimal sequence number          e.g.  3
   HEXPREFIX      a content-ID prefix, 4+ hex chars  e.g.  ac06d8
   latest         the newest snapshot of any kind
   latest:KIND    the newest snapshot of one kind    e.g.  latest:table4
-`)
+`, plan.StoreIdentify, storeKinds)
 }
 
 // record persists one snapshot, from a file or a fresh pipeline run.
 func record(s *store.Store, args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	kind := fs.String("kind", longitudinal.KindIdentify, "snapshot kind: identify, table4, discovery, or mechanisms")
+	kind := fs.String("kind", plan.StoreIdentify, "snapshot kind: "+storeKinds)
 	note := fs.String("note", "", "free-form annotation")
 	in := fs.String("in", "", "ingest a JSON document (fmscan/fmrepro -json output)")
 	run := fs.Bool("run", false, "build the world and run the pipeline")
@@ -129,7 +135,7 @@ func record(s *store.Store, args []string) error {
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	p, ok := plan.ForStoreKind(*kind)
 	if !ok {
-		return fmt.Errorf("unsupported kind %q (identify, table4, discovery, or mechanisms)", *kind)
+		return fmt.Errorf("unsupported kind %q (%s)", *kind, storeKinds)
 	}
 	if (*in == "") == !*run {
 		return fmt.Errorf("record needs exactly one of -in or -run")
@@ -278,7 +284,7 @@ func diff(s *store.Store, args []string) error {
 	return nil
 }
 
-func loadPair(s *store.Store, fromSel, toSel string) (from, to longitudinal.Input, err error) {
+func loadPair(s *store.Store, fromSel, toSel string) (from, to plan.Input, err error) {
 	fromMeta, fromBody, err := s.Get(fromSel)
 	if err != nil {
 		return from, to, fmt.Errorf("from: %w", err)
@@ -287,27 +293,26 @@ func loadPair(s *store.Store, fromSel, toSel string) (from, to longitudinal.Inpu
 	if err != nil {
 		return from, to, fmt.Errorf("to: %w", err)
 	}
-	return longitudinal.Input{Meta: fromMeta, Body: fromBody},
-		longitudinal.Input{Meta: toMeta, Body: toBody}, nil
+	return plan.Input{Meta: fromMeta, Body: fromBody},
+		plan.Input{Meta: toMeta, Body: toBody}, nil
 }
 
 func timeline(s *store.Store, args []string) error {
 	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit the timeline document as JSON")
-	kind := fs.String("kind", longitudinal.KindIdentify,
-		"snapshot kind to count: identify, table4, discovery, or mechanisms")
+	kind := fs.String("kind", plan.StoreIdentify, "snapshot kind to count: "+storeKinds)
 	fs.Parse(args) //nolint:errcheck
 	metas := s.List(store.Query{Kind: *kind})
 	if len(metas) == 0 {
 		return fmt.Errorf("no %q snapshots in store", *kind)
 	}
-	inputs := make([]longitudinal.Input, 0, len(metas))
+	inputs := make([]plan.Input, 0, len(metas))
 	for _, m := range metas {
 		_, body, err := s.Get(fmt.Sprint(m.Seq))
 		if err != nil {
 			return err
 		}
-		inputs = append(inputs, longitudinal.Input{Meta: m, Body: body})
+		inputs = append(inputs, plan.Input{Meta: m, Body: body})
 	}
 	tl, err := filtermap.NewDiffEngine().Timeline(context.Background(), inputs)
 	if err != nil {

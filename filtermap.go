@@ -41,9 +41,9 @@ import (
 	"filtermap/internal/discovery"
 	"filtermap/internal/engine"
 	"filtermap/internal/identify"
-	"filtermap/internal/longitudinal"
 	"filtermap/internal/monitor"
 	"filtermap/internal/netsim"
+	"filtermap/internal/plan"
 	"filtermap/internal/report"
 	"filtermap/internal/server"
 	"filtermap/internal/store"
@@ -258,13 +258,16 @@ type (
 	SnapshotMeta = store.Meta
 	// SnapshotQuery filters SnapshotStore.List.
 	SnapshotQuery = store.Query
-	// Diff is the churn between two snapshots (installation churn for
-	// identify snapshots, characterization drift for table4 snapshots).
-	Diff = longitudinal.Diff
-	// Timeline is per-country installation counts across snapshots.
-	Timeline = longitudinal.Timeline
+	// Diff is the churn between two snapshots of one kind. Its Section
+	// is the kind's own diff: installation churn for identify,
+	// characterization drift for table4, discovered-URL drift for
+	// discovery, mechanism migrations for mechanisms.
+	Diff = plan.Diff
+	// Timeline is per-country counts across snapshots of one kind, in
+	// the unit the kind counts (installations for identify).
+	Timeline = plan.Timeline
 	// DiffEngine computes diffs and timelines over stored snapshots.
-	DiffEngine = longitudinal.Engine
+	DiffEngine = plan.DiffEngine
 )
 
 // OpenStore opens (or creates) a snapshot store rooted at dir. An empty
@@ -312,7 +315,7 @@ func RenderMonitorSummary(c MonitorCounters) string { return monitor.RenderSumma
 
 // NewDiffEngine builds a longitudinal diff engine. Trailing options tune
 // the execution substrate exactly as in NewWorld.
-func NewDiffEngine(opts ...Option) *DiffEngine { return longitudinal.New(opts...) }
+func NewDiffEngine(opts ...Option) *DiffEngine { return plan.NewDiffEngine(opts...) }
 
 // ConfigHash fingerprints a configuration value (canonical JSON,
 // SHA-256, 16 hex chars) — the hash snapshot records and the fmserve

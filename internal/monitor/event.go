@@ -21,7 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"filtermap/internal/longitudinal"
+	"filtermap/internal/plan"
 )
 
 // Event types.
@@ -94,7 +94,7 @@ type Event struct {
 	Deduped    bool   `json:"deduped,omitempty"`
 	// Diff is the change against the previous snapshot of the same
 	// (kind, config); nil for the baseline snapshot and deduped appends.
-	Diff *longitudinal.Diff `json:"diff,omitempty"`
+	Diff *plan.Diff `json:"diff,omitempty"`
 
 	// Note explains an EventSkip.
 	Note string `json:"note,omitempty"`
@@ -113,58 +113,13 @@ func (e *Event) Summary() string {
 		if e.Deduped {
 			return s + " (unchanged)"
 		}
-		if d := diffSummary(e.Diff); d != "" {
-			return s + " (" + d + ")"
+		if e.Diff != nil {
+			return s + " (" + e.Diff.Summary() + ")"
 		}
 		return s + " (baseline)"
 	default:
 		return e.Type
 	}
-}
-
-// diffSummary compresses a longitudinal diff into a log phrase.
-func diffSummary(d *longitudinal.Diff) string {
-	if d == nil {
-		return ""
-	}
-	var parts []string
-	if id := d.Installs; id != nil {
-		if n := len(id.Added); n > 0 {
-			parts = append(parts, fmt.Sprintf("+%d installs", n))
-		}
-		if n := len(id.Removed); n > 0 {
-			parts = append(parts, fmt.Sprintf("-%d installs", n))
-		}
-		if n := len(id.Changed); n > 0 {
-			parts = append(parts, fmt.Sprintf("%d changed", n))
-		}
-	}
-	if dd := d.Discovery; dd != nil {
-		if n := len(dd.AddedDiscovered); n > 0 {
-			parts = append(parts, fmt.Sprintf("+%d discovered URLs", n))
-		}
-		if n := len(dd.RemovedDiscovered); n > 0 {
-			parts = append(parts, fmt.Sprintf("-%d discovered URLs", n))
-		}
-	}
-	if md := d.Mechanisms; md != nil {
-		if n := len(md.AddedISPs); n > 0 {
-			parts = append(parts, fmt.Sprintf("+%d mechanism ISPs", n))
-		}
-		if n := len(md.RemovedISPs); n > 0 {
-			parts = append(parts, fmt.Sprintf("-%d mechanism ISPs", n))
-		}
-		if n := len(md.Migrations); n > 0 {
-			parts = append(parts, fmt.Sprintf("%d mechanism migrations", n))
-		}
-	}
-	if mx := d.Matrix; mx != nil {
-		parts = append(parts, "matrix changed")
-	}
-	if len(parts) == 0 {
-		return "changed"
-	}
-	return strings.Join(parts, ", ")
 }
 
 // MarshalSSE renders the event as one Server-Sent Events frame:

@@ -12,26 +12,17 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
-	"filtermap/internal/longitudinal"
 	"filtermap/internal/plan"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
-)
-
-// Plan kinds of the standing rotation. A plan kind is the snapshot kind
-// the plan appends: any store kind in the internal/plan registry.
-const (
-	PlanIdentify   = longitudinal.KindIdentify
-	PlanDiscovery  = longitudinal.KindDiscovery
-	PlanMechanisms = longitudinal.KindMechanisms
 )
 
 // Plan is one recurring scan.
 type Plan struct {
 	// Name labels the plan in events (defaults to Kind).
 	Name string
-	// Kind selects the pipeline by its snapshot kind (PlanIdentify,
-	// PlanDiscovery, PlanMechanisms, ...).
+	// Kind selects the pipeline by the snapshot kind it appends: any
+	// store kind in the internal/plan registry (plan.StoreIdentify, ...).
 	Kind string
 	// Every is the virtual re-run period.
 	Every time.Duration
@@ -49,9 +40,9 @@ type Plan struct {
 // mechanism survey every other day, a discovery crawl twice a week.
 func DefaultPlans() []Plan {
 	return []Plan{
-		{Name: "identify", Kind: PlanIdentify, Every: 24 * time.Hour},
-		{Name: "mechanisms", Kind: PlanMechanisms, Every: 48 * time.Hour, JitterPct: 10},
-		{Name: "discovery", Kind: PlanDiscovery, Every: 96 * time.Hour, JitterPct: 10, Rounds: 2, Budget: 16},
+		{Name: "identify", Kind: plan.StoreIdentify, Every: 24 * time.Hour},
+		{Name: "mechanisms", Kind: plan.StoreMechanisms, Every: 48 * time.Hour, JitterPct: 10},
+		{Name: "discovery", Kind: plan.StoreDiscovery, Every: 96 * time.Hour, JitterPct: 10, Rounds: 2, Budget: 16},
 	}
 }
 
@@ -111,7 +102,7 @@ type Monitor struct {
 	opts  Options
 	w     *world.World
 	st    *store.Store
-	diff  *longitudinal.Engine
+	diff  *plan.DiffEngine
 	brk   *Broker
 	churn *churnDriver
 	cfg   string // store config hash of the monitored world's options
@@ -176,7 +167,7 @@ func New(o Options, st *store.Store) (*Monitor, error) {
 		opts:  o,
 		w:     w,
 		st:    st,
-		diff:  &longitudinal.Engine{Config: w.Engine},
+		diff:  &plan.DiffEngine{Config: w.Engine},
 		brk:   brk,
 		churn: newChurnDriver(o.Seed),
 		cfg:   store.ConfigHash(o.World),
@@ -356,8 +347,8 @@ func (m *Monitor) runPlan(ctx context.Context, tick int, ps *planState) (Event, 
 				return Event{}, fmt.Errorf("monitor: read previous %s snapshot: %w", p.Kind, err)
 			}
 			d, err := m.diff.Diff(ctx,
-				longitudinal.Input{Meta: prev, Body: prevBody},
-				longitudinal.Input{Meta: meta, Body: body})
+				plan.Input{Meta: prev, Body: prevBody},
+				plan.Input{Meta: meta, Body: body})
 			if err != nil {
 				return Event{}, fmt.Errorf("monitor: diff %s: %w", p.Kind, err)
 			}

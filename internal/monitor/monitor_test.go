@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/plan"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
 )
@@ -119,7 +120,7 @@ func runMonitor(t *testing.T, seed uint64, workers, n int) (string, Counters) {
 		Seed: seed,
 		Tick: 24 * time.Hour,
 		Plans: []Plan{
-			{Name: "identify", Kind: PlanIdentify, Every: 24 * time.Hour},
+			{Name: "identify", Kind: plan.StoreIdentify, Every: 24 * time.Hour},
 		},
 		Engine: []engine.Option{engine.WithWorkers(workers)},
 	}, st)
@@ -159,7 +160,7 @@ func TestMonitorDiffsAndDedupe(t *testing.T) {
 	m, err := New(Options{
 		Seed:    3,
 		NoChurn: true,
-		Plans:   []Plan{{Kind: PlanIdentify, Every: 24 * time.Hour}},
+		Plans:   []Plan{{Kind: plan.StoreIdentify, Every: 24 * time.Hour}},
 	}, st)
 	if err != nil {
 		t.Fatalf("new monitor: %v", err)
@@ -184,7 +185,7 @@ func TestMonitorDiffsAndDedupe(t *testing.T) {
 	st2, _ := store.Open("")
 	m2, err := New(Options{
 		Seed:  3,
-		Plans: []Plan{{Kind: PlanIdentify, Every: 24 * time.Hour}},
+		Plans: []Plan{{Kind: plan.StoreIdentify, Every: 24 * time.Hour}},
 	}, st2)
 	if err != nil {
 		t.Fatalf("new monitor: %v", err)
@@ -196,8 +197,10 @@ func TestMonitorDiffsAndDedupe(t *testing.T) {
 	}
 	var sawDiff bool
 	for _, e := range events2 {
-		if e.Type == EventSnapshot && e.Diff != nil && e.Diff.Installs != nil {
-			sawDiff = true
+		if e.Type == EventSnapshot && e.Diff != nil {
+			if _, ok := e.Diff.Section.(*plan.InstallDiff); ok {
+				sawDiff = true
+			}
 		}
 	}
 	if !sawDiff {
@@ -212,7 +215,7 @@ func TestMonitorOverlapSuppression(t *testing.T) {
 		Tick:    24 * time.Hour,
 		// Due every 6h but executed at 24h ticks: each tick runs once
 		// and suppresses the three overlapped firings.
-		Plans: []Plan{{Kind: PlanIdentify, Every: 6 * time.Hour}},
+		Plans: []Plan{{Kind: plan.StoreIdentify, Every: 6 * time.Hour}},
 	}, st)
 	if err != nil {
 		t.Fatalf("new monitor: %v", err)
@@ -245,10 +248,10 @@ func TestMonitorRejectsBadPlans(t *testing.T) {
 	if _, err := New(Options{Plans: []Plan{{Kind: "bogus", Every: time.Hour}}}, st); err == nil {
 		t.Fatal("unknown plan kind accepted")
 	}
-	if _, err := New(Options{Plans: []Plan{{Kind: PlanIdentify}}}, st); err == nil {
+	if _, err := New(Options{Plans: []Plan{{Kind: plan.StoreIdentify}}}, st); err == nil {
 		t.Fatal("zero period accepted")
 	}
-	if _, err := New(Options{Plans: []Plan{{Kind: PlanIdentify, Every: time.Hour, JitterPct: 90}}}, st); err == nil {
+	if _, err := New(Options{Plans: []Plan{{Kind: plan.StoreIdentify, Every: time.Hour, JitterPct: 90}}}, st); err == nil {
 		t.Fatal("out-of-range jitter accepted")
 	}
 	if _, err := New(Options{}, nil); err == nil {
@@ -263,7 +266,7 @@ func BenchmarkMonitorTick(b *testing.B) {
 	}
 	m, err := New(Options{
 		Seed:  1,
-		Plans: []Plan{{Kind: PlanIdentify, Every: 24 * time.Hour}},
+		Plans: []Plan{{Kind: plan.StoreIdentify, Every: 24 * time.Hour}},
 	}, st)
 	if err != nil {
 		b.Fatalf("new monitor: %v", err)
@@ -291,7 +294,7 @@ func BenchmarkWatchFanout(b *testing.B) {
 			}
 		}()
 	}
-	ev := Event{Type: EventSnapshot, Kind: PlanIdentify, Plan: "identify"}
+	ev := Event{Type: EventSnapshot, Kind: plan.StoreIdentify, Plan: "identify"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		brk.Publish(ev)

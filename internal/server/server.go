@@ -47,7 +47,6 @@ import (
 	"filtermap/internal/cluster"
 	"filtermap/internal/confirm"
 	"filtermap/internal/engine"
-	"filtermap/internal/longitudinal"
 	"filtermap/internal/monitor"
 	"filtermap/internal/plan"
 	"filtermap/internal/report"
@@ -136,7 +135,7 @@ type Server struct {
 	runner *plan.Runner // executes plan kinds; adopts base as a replica
 
 	snaps   *store.Store
-	diffEng *longitudinal.Engine
+	diffEng *plan.DiffEngine
 
 	broker *monitor.Broker
 	mon    *monitor.Monitor
@@ -200,7 +199,7 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 		base.Close()
 		return nil, fmt.Errorf("server: open snapshot store: %w", err)
 	}
-	s.diffEng = &longitudinal.Engine{Config: engine.NewConfig(s.engOpts...)}
+	s.diffEng = &plan.DiffEngine{Config: engine.NewConfig(s.engOpts...)}
 
 	// Delta-aware invalidation: a snapshot append for a (kind, config)
 	// pair kills cached reports for that pair immediately instead of

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"filtermap/internal/longitudinal"
 	"filtermap/internal/monitor"
 	"filtermap/internal/plan"
 	"filtermap/internal/store"
@@ -15,7 +14,7 @@ import (
 // This file is the longitudinal HTTP surface: POST /v1/snapshots runs a
 // pipeline and persists its document in the snapshot store, GET
 // /v1/snapshots[/{id}] reads the log back, and GET /v1/diff compares two
-// stored snapshots through the longitudinal engine. Pipeline execution
+// stored snapshots through the plan registry's diff engine. Pipeline execution
 // reuses the cache/singleflight path, diff results reuse the TTL result
 // cache (keyed by content IDs, so a changed world config — hence a new
 // snapshot ID — can never resurface a stale diff).
@@ -138,8 +137,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.cacheMiss()
 	d, err := s.diffEng.Diff(r.Context(),
-		longitudinal.Input{Meta: fromMeta, Body: fromBody},
-		longitudinal.Input{Meta: toMeta, Body: toBody},
+		plan.Input{Meta: fromMeta, Body: fromBody},
+		plan.Input{Meta: toMeta, Body: toBody},
 	)
 	if err != nil {
 		jsonError(w, errorStatus(err), err.Error())

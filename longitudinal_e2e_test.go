@@ -14,7 +14,7 @@ import (
 
 	"filtermap"
 
-	"filtermap/internal/longitudinal"
+	"filtermap/internal/plan"
 )
 
 // End-to-end longitudinal run: identify the same simulated Internet at
@@ -53,7 +53,7 @@ func TestGoldenHistDiff(t *testing.T) {
 			t.Fatal(err)
 		}
 		return filtermap.Snapshot{
-			Kind:   longitudinal.KindIdentify,
+			Kind:   plan.StoreIdentify,
 			At:     w.Clock.Now(),
 			Config: cfg,
 			Note:   note,
@@ -102,16 +102,16 @@ func TestGoldenHistDiff(t *testing.T) {
 	}
 	s.Close()
 	d, err := filtermap.NewDiffEngine().Diff(ctx,
-		longitudinal.Input{Meta: fromMeta, Body: fromBody},
-		longitudinal.Input{Meta: toMeta, Body: toBody},
+		plan.Input{Meta: fromMeta, Body: fromBody},
+		plan.Input{Meta: toMeta, Body: toBody},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Exactly the injected churn, nothing else.
-	inst := d.Installs
-	if inst == nil {
+	inst, ok := d.Section.(*plan.InstallDiff)
+	if !ok {
 		t.Fatal("diff has no installation section")
 	}
 	if len(inst.Added) != 1 || inst.Added[0].IP != "93.190.1.1" {
