@@ -106,7 +106,6 @@ fuzz-smoke:
 	go test -run xxx -fuzz FuzzReadRequest -fuzztime $(FUZZTIME) ./internal/httpwire/
 	go test -run xxx -fuzz FuzzReadResponse -fuzztime $(FUZZTIME) ./internal/httpwire/
 	go test -run xxx -fuzz FuzzClassifyResponse -fuzztime $(FUZZTIME) ./internal/blockpage/
-	go test -run xxx -fuzz FuzzDeriveBodyRegexp -fuzztime $(FUZZTIME) ./internal/blockpage/
 	go test -run xxx -fuzz FuzzExtractTitle -fuzztime $(FUZZTIME) ./internal/fingerprint/
 	go test -run xxx -fuzz FuzzParseDNSMessage -fuzztime $(FUZZTIME) ./internal/mechanism/
 	go test -run xxx -fuzz FuzzParseClientHello -fuzztime $(FUZZTIME) ./internal/mechanism/
@@ -191,6 +190,15 @@ deprecated-gate:
 		echo "deprecated-gate: delete the API instead of deprecating it" >&2; exit 1; \
 	fi
 
+# Fail when a package-level identifier or method under internal/ (or an
+# unexported one in a main package) is reached by no non-test file of
+# this module or of bench/; the root unused_test.go holds the checker,
+# its fixture test and the allowlist of cross-package test seams
+# (DESIGN.md §11). Delete what it lists.
+.PHONY: unused-gate
+unused-gate:
+	go test -run 'TestNoUnreachedAPI|TestUnreachedAPIFixture' -count=1 .
+
 # Fail when any Go file outside the benchmark build cache is not
 # gofmt-formatted; `gofmt -w` on the listed files fixes it.
 .PHONY: fmt-gate
@@ -201,4 +209,4 @@ fmt-gate:
 	fi
 
 .PHONY: ci
-ci: test-gate deprecated-gate fmt-gate test race chaos-golden monitor-golden cluster-golden world-golden bench-module
+ci: test-gate deprecated-gate fmt-gate unused-gate test race chaos-golden monitor-golden cluster-golden world-golden bench-module

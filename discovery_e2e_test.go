@@ -98,7 +98,7 @@ func TestDiscoverEndpointMatchesCLIDocument(t *testing.T) {
 		},
 		{
 			kind:    "discover",
-			body:    server.DiscoverRequest{ISPs: isps, Rounds: rounds, Budget: budget},
+			body:    server.PlanRequest{ISPs: isps, Rounds: rounds, Budget: budget},
 			advance: 8 * time.Hour,
 			render: func(w *filtermap.World) (any, error) {
 				targets, err := w.RunDiscovery(ctx, filtermap.DiscoveryOptions{

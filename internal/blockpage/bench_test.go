@@ -86,28 +86,3 @@ func benchChain() []*httpwire.Response {
 <h1>URL Blocked</h1><p>Category: Pornography (23)</p>`+string(filler)+`</body></html>`))
 	return []*httpwire.Response{ordinary("Portal"), redirect, ordinary("News"), blocked}
 }
-
-func BenchmarkDeriveBodyRegexp(b *testing.B) {
-	samples := [][]byte{
-		samplePageBench("http://one.example/"),
-		samplePageBench("http://two.example/"),
-		samplePageBench("http://three.example/"),
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DeriveBodyRegexp("X", samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func samplePageBench(url string) []byte {
-	return []byte(`<html>
-<head><title>Access Restricted</title></head>
-<body>
-<h1>This website is not available in your region</h1>
-<p>The page you requested has been restricted by national policy.</p>
-<p>URL: ` + url + `</p>
-</body>
-</html>`)
-}

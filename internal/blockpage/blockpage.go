@@ -15,21 +15,13 @@
 // pattern that matches wins. The corpus is a handful of patterns and a
 // block page is a few hundred bytes, so the loop is the whole algorithm —
 // see DESIGN.md §12.
-//
-// DeriveBodyRegexp mechanizes the "manual analysis" step: given sample
-// block pages for the same product captured for different URLs, it keeps
-// the lines stable across samples and emits a detector that matches
-// future instances.
 package blockpage
 
 import (
 	"bytes"
 	"fmt"
 	"net/url"
-	"regexp"
 	"slices"
-	"sort"
-	"strings"
 
 	"filtermap/internal/httpwire"
 	"filtermap/internal/match"
@@ -62,9 +54,8 @@ type Pattern struct {
 	Product string
 	Name    string
 	Where   Where
-	// Detector is the compiled matcher: match.NewLiteral or
-	// match.NewOrdered for literal markers, match.NewRegexp(re) for the
-	// rest. A nil Detector never matches.
+	// Detector is the compiled matcher, match.NewLiteral or
+	// match.NewOrdered. A nil Detector never matches.
 	Detector match.Detector
 }
 
@@ -141,16 +132,6 @@ func NewClassifier(patterns []Pattern) *Classifier {
 		patterns = DefaultPatterns()
 	}
 	return &Classifier{patterns: slices.Clone(patterns)}
-}
-
-// Patterns returns the classifier's corpus.
-func (c *Classifier) Patterns() []Pattern {
-	return slices.Clone(c.patterns)
-}
-
-// Add appends a pattern (e.g. one derived with DeriveBodyRegexp).
-func (c *Classifier) Add(p Pattern) {
-	c.patterns = append(c.patterns, p)
 }
 
 // ClassifyResponse checks one response against the corpus in order and
@@ -246,111 +227,4 @@ func annotationIndex(cat []byte) int {
 		k = d
 	}
 	return k
-}
-
-// DeriveBodyRegexp reproduces the paper's manual regex derivation: given
-// at least two block-page samples captured for different URLs, it keeps
-// the non-trivial lines common to all samples and joins them into a
-// single tolerant regexp. Lines that vary between samples (the blocked
-// URL, timestamps, session ids) drop out automatically. The returned
-// Pattern's Detector is the equivalent ordered-literal detector; only
-// when that detector misses a sample does it fall back to
-// match.NewRegexp(re).
-func DeriveBodyRegexp(product string, samples [][]byte) (Pattern, error) {
-	if len(samples) < 2 {
-		return Pattern{}, fmt.Errorf("blockpage: need at least 2 samples, got %d", len(samples))
-	}
-	common := lineSet(samples[0])
-	for _, s := range samples[1:] {
-		next := lineSet(s)
-		for line := range common {
-			if !next[line] {
-				delete(common, line)
-			}
-		}
-	}
-	// Keep surviving lines in the first sample's document order so the
-	// joined pattern matches real pages.
-	var lines []string
-	for _, line := range strings.Split(string(samples[0]), "\n") {
-		line = strings.TrimSpace(line)
-		if common[line] && len(line) >= 8 && !isMarkupOnly(line) {
-			lines = append(lines, line)
-			delete(common, line) // dedupe repeats
-		}
-	}
-	if len(lines) == 0 {
-		return Pattern{}, fmt.Errorf("blockpage: samples share no distinctive lines")
-	}
-	// Prefer the two longest stable lines, preserving document order.
-	if len(lines) > 2 {
-		idx := make([]int, len(lines))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(i, j int) bool { return len(lines[idx[i]]) > len(lines[idx[j]]) })
-		keep := idx[:2]
-		sort.Ints(keep)
-		lines = []string{lines[keep[0]], lines[keep[1]]}
-	}
-	parts := make([]string, len(lines))
-	for i, l := range lines {
-		parts[i] = regexp.QuoteMeta(l)
-	}
-	re, err := regexp.Compile(`(?is)` + strings.Join(parts, ".*"))
-	if err != nil {
-		return Pattern{}, fmt.Errorf("blockpage: derived regex failed to compile: %w", err)
-	}
-	// The kept lines are joined in the first sample's order; samples that
-	// order them differently would yield a pattern that cannot match its
-	// own evidence. Refuse rather than hand back a broken classifier.
-	for i, s := range samples {
-		if !re.Match(s) {
-			return Pattern{}, fmt.Errorf("blockpage: derived regex does not match sample %d", i)
-		}
-	}
-	// The ordered-literal detector is equivalent on ASCII input (the regex
-	// body is quoted literals joined by (?s).*, and ASCII folding mirrors
-	// (?i) there). Verify it against the evidence; if a sample exercises a
-	// divergence (exotic Unicode case pairs), keep the regexp as the
-	// detector instead — exactness beats speed.
-	pat := Pattern{Product: product, Name: "derived", Where: InBody, Detector: match.NewOrdered(lines)}
-	for _, s := range samples {
-		if !pat.Detector.Match(s) {
-			pat.Detector = match.NewRegexp(re)
-			break
-		}
-	}
-	return pat, nil
-}
-
-func lineSet(b []byte) map[string]bool {
-	set := make(map[string]bool)
-	for _, line := range strings.Split(string(b), "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" {
-			set[line] = true
-		}
-	}
-	return set
-}
-
-// isMarkupOnly reports whether a line carries no text outside HTML tags.
-func isMarkupOnly(line string) bool {
-	depth := 0
-	for _, r := range line {
-		switch r {
-		case '<':
-			depth++
-		case '>':
-			if depth > 0 {
-				depth--
-			}
-		default:
-			if depth == 0 && r != ' ' && r != '\t' {
-				return false
-			}
-		}
-	}
-	return true
 }

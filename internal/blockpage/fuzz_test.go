@@ -20,7 +20,7 @@ func FuzzClassifyResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, status int, location string, body []byte) {
 		products := make(map[string]bool)
 		c := NewClassifier(DefaultPatterns())
-		for _, p := range c.Patterns() {
+		for _, p := range c.patterns {
 			products[p.Product] = true
 		}
 		hdr := httpwire.NewHeader()
@@ -37,38 +37,6 @@ func FuzzClassifyResponse(f *testing.F) {
 		}
 		if m.Pattern == "" {
 			t.Fatal("match without a pattern name")
-		}
-	})
-}
-
-// FuzzDeriveBodyRegexp fuzzes the paper's regex-derivation step with two
-// block-page samples. A derived pattern's detector, and the regexp it
-// stands for, must match both samples it was derived from — the whole
-// point of keeping only their common lines.
-func FuzzDeriveBodyRegexp(f *testing.F) {
-	f.Add(
-		[]byte("<html>\nThis page is blocked by policy.\nCategory: pornography\nsession 123\n</html>"),
-		[]byte("<html>\nThis page is blocked by policy.\nCategory: pornography\nsession 456\n</html>"),
-	)
-	f.Add([]byte("same single line that is long enough\n"), []byte("same single line that is long enough\n"))
-	f.Add([]byte("a\nb\nc"), []byte("d\ne\nf"))
-	f.Add([]byte(""), []byte(""))
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		p, err := DeriveBodyRegexp("Fuzz Product", [][]byte{a, b})
-		if err != nil {
-			return
-		}
-		if p.Detector == nil {
-			t.Fatal("derived pattern without a detector")
-		}
-		re := derivedRegexp(t, p)
-		for _, sample := range [][]byte{a, b} {
-			if !p.Detector.Match(sample) {
-				t.Fatalf("derived detector (%q) does not match its own sample %q", re, sample)
-			}
-			if !re.Match(sample) {
-				t.Fatalf("derived regexp %q does not match its own sample %q", re, sample)
-			}
 		}
 	})
 }

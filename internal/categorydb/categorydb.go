@@ -171,9 +171,6 @@ func New(name string, clock simclock.Clock) *DB {
 // Name returns the vendor database name.
 func (db *DB) Name() string { return db.name }
 
-// Clock returns the database's time source.
-func (db *DB) Clock() simclock.Clock { return db.clock }
-
 // AddCategory registers a taxonomy entry.
 func (db *DB) AddCategory(c Category) {
 	db.mu.Lock()
@@ -376,22 +373,6 @@ func (db *DB) lookupLocked(domain string, at time.Time) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// VersionAt returns a monotone database version as of time at: the count
-// of shipped entries plus dated entries effective by then. Sync views use
-// it to detect staleness.
-func (db *DB) VersionAt(at time.Time) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	n := len(db.base)
-	for _, e := range db.decided {
-		if e.effectiveAt.After(at) {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 // Submissions returns copies of all submissions in id order.

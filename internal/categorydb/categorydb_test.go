@@ -243,20 +243,6 @@ func TestLookupAtTimeTravel(t *testing.T) {
 	}
 }
 
-func TestVersionAtMonotone(t *testing.T) {
-	db, clock := newTestDB(t)
-	db.AddDomain("a.com", "pornography") //nolint:errcheck // category exists
-	v0 := db.VersionAt(clock.Now())
-	db.Submit("http://b.info/", "pornography", netip.Addr{}, "") //nolint:errcheck // valid
-	if v := db.VersionAt(clock.Now()); v != v0 {
-		t.Fatalf("version changed before review: %d -> %d", v0, v)
-	}
-	clock.Advance(db.ReviewDelay)
-	if v := db.VersionAt(clock.Now()); v != v0+1 {
-		t.Fatalf("version after review = %d, want %d", v, v0+1)
-	}
-}
-
 func TestSubmissionStatus(t *testing.T) {
 	db, _ := newTestDB(t)
 	sub, _ := db.Submit("http://a.info/", "pornography", netip.Addr{}, "x@y.example")
@@ -363,7 +349,7 @@ func TestConcurrentSubmitAndLookup(t *testing.T) {
 	}()
 	for i := 0; i < 50; i++ {
 		db.Lookup("c1.info")
-		db.VersionAt(clock.Now())
+		db.LookupAt("c2.info", clock.Now())
 	}
 	<-done
 }

@@ -90,7 +90,7 @@ func TestReadSnapshotNilClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The adapter falls back to the system clock.
-	if loaded.Clock().Now().Before(time.Now().Add(-time.Minute)) {
+	if loaded.clock.Now().Before(time.Now().Add(-time.Minute)) {
 		t.Fatal("nil-clock adapter not using system time")
 	}
 }

@@ -72,37 +72,9 @@ func (r *Report) Products() []string {
 	return out
 }
 
-// BlockedCategories returns the sorted research category codes the given
-// product blocked in this run.
-func (r *Report) BlockedCategories(product string) []string {
-	set := r.blockedCats[product]
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Blocks reports whether product blocked the given research category.
 func (r *Report) Blocks(product, categoryCode string) bool {
 	return r.blockedCats[product][categoryCode]
-}
-
-// BlockedThemes rolls blocked categories up to themes for the product.
-func (r *Report) BlockedThemes(product string) []string {
-	set := make(map[string]bool)
-	for code := range r.blockedCats[product] {
-		if cat, ok := urllist.CategoryByCode(code); ok {
-			set[cat.Theme] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Characterize runs both lists and builds the report.

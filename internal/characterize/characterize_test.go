@@ -99,14 +99,8 @@ func TestCharacterizeAttributesBlockedCategories(t *testing.T) {
 	if rep.Blocks("McAfee SmartFilter", "public-health") {
 		t.Error("unblocked category recorded")
 	}
-	cats := rep.BlockedCategories("McAfee SmartFilter")
-	if len(cats) != 2 {
+	if cats := rep.blockedCats["McAfee SmartFilter"]; len(cats) != 2 {
 		t.Fatalf("blocked categories = %v", cats)
-	}
-	themes := rep.BlockedThemes("McAfee SmartFilter")
-	// media-freedom is political, lgbt is social.
-	if len(themes) != 2 || themes[0] != urllist.ThemePolitical || themes[1] != urllist.ThemeSocial {
-		t.Fatalf("themes = %v", themes)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestLeaseExpiryAndReassignment(t *testing.T) {
 	if len(leasesB) != n {
 		t.Fatalf("worker-b reassigned %d shards after expiry, want %d", len(leasesB), n)
 	}
-	if got := c.Counters().LeasesExpired; got != uint64(n) {
+	if got := c.Status().Counters.LeasesExpired; got != uint64(n) {
 		t.Fatalf("LeasesExpired = %d, want %d", got, n)
 	}
 
@@ -167,7 +167,7 @@ func TestLeaseExpiryAndReassignment(t *testing.T) {
 			t.Fatalf("merged entry %d = %s, want %s (shard order lost)", i, doc.Mechanisms[i].ISP, isp)
 		}
 	}
-	ctr := c.Counters()
+	ctr := c.Status().Counters
 	if ctr.JobsDone != 1 || ctr.ShardsDone != uint64(n) {
 		t.Fatalf("counters after completion: %+v", ctr)
 	}
@@ -221,7 +221,7 @@ func TestReleaseReturnsShardsImmediately(t *testing.T) {
 		refs[i] = l.Ref
 	}
 	c.Release("worker-a", refs)
-	if got := c.Counters().LeasesReleased; got != uint64(len(leases)) {
+	if got := c.Status().Counters.LeasesReleased; got != uint64(len(leases)) {
 		t.Fatalf("LeasesReleased = %d, want %d", got, len(leases))
 	}
 	// No clock advance needed: the shards are pending again.
@@ -255,7 +255,7 @@ func TestShardFailureBudget(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "failed 2 times") {
 		t.Fatalf("job error = %v, want shard-failure budget exhaustion", err)
 	}
-	ctr := c.Counters()
+	ctr := c.Status().Counters
 	if ctr.ShardsRetried != 2 || ctr.JobsFailed != 1 {
 		t.Fatalf("counters after failure: %+v", ctr)
 	}
@@ -293,7 +293,7 @@ func TestRunZeroShards(t *testing.T) {
 	if completed != 1 {
 		t.Fatalf("OnComplete fired %d times, want 1", completed)
 	}
-	ctr := c.Counters()
+	ctr := c.Status().Counters
 	if ctr.Jobs != 1 || ctr.JobsDone != 1 || ctr.Shards != 0 {
 		t.Fatalf("zero-shard counters: %+v", ctr)
 	}
@@ -345,7 +345,7 @@ func TestWorkerPostsGenuineFailure(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "failed 2 times") {
 		t.Fatalf("job error = %v, want shard-failure budget exhaustion", err)
 	}
-	if ctr := c.Counters(); ctr.ShardsRetried < 2 || ctr.JobsFailed != 1 {
+	if ctr := c.Status().Counters; ctr.ShardsRetried < 2 || ctr.JobsFailed != 1 {
 		t.Fatalf("counters after worker-reported failures: %+v", ctr)
 	}
 	cancel()

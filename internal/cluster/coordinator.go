@@ -442,13 +442,6 @@ func (c *Coordinator) Result(worker string, ref LeaseRef, frag *plan.Fragment, e
 	return ResultResponse{Accepted: true}
 }
 
-// Counters returns a copy of the event census.
-func (c *Coordinator) Counters() Counters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters
-}
-
 // Status builds the GET /v1/cluster document.
 func (c *Coordinator) Status() StatusDoc {
 	c.mu.Lock()

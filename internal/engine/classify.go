@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 )
 
@@ -121,31 +120,6 @@ func (b *Breaker) Record(key string, err error) {
 	}
 	b.fails[key]++
 }
-
-// Open reports whether the key's circuit has opened.
-func (b *Breaker) Open(key string) bool { return !b.Allow(key) }
-
-// Tripped returns the keys with open circuits, sorted — the degraded
-// targets a report or metrics endpoint can surface.
-func (b *Breaker) Tripped() []string {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for k, n := range b.fails {
-		if n >= b.limit {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WithBreaker installs a per-target circuit breaker for stages that
-// consult one (measurement URL tests, fingerprint validation).
-func WithBreaker(b *Breaker) Option { return func(c *Config) { c.Breaker = b } }
 
 // attemptKey carries the retry attempt number through the context.
 type attemptKey struct{}

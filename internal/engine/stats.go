@@ -44,17 +44,6 @@ func (s *Stats) stage(name string) *StageStats {
 // attempts outside the pool (e.g. a one-shot bulk lookup).
 func (s *Stats) Stage(name string) *StageStats { return s.stage(name) }
 
-// Reset drops every stage.
-func (s *Stats) Reset() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stages = make(map[string]*StageStats)
-	s.order = nil
-}
-
 // Snapshot captures every stage's current counters, sorted by stage name.
 func (s *Stats) Snapshot() Snapshot {
 	var snap Snapshot

@@ -10,10 +10,9 @@ import (
 // This file extends the signature layer beyond HTTP responses: matchers
 // over the evidence strings the per-mechanism probes emit (DNS sinkhole
 // quirks, injected-RST fingerprints, SNI-filter behaviour). Like the
-// Table 2 signatures, they attribute observations to products — but the
-// observation here is a wire-quirk summary, not a block page. They let
-// any consumer holding only a rendered report (a stored snapshot, a log
-// line) re-attribute mechanism evidence without the raw probe data.
+// Table 2 signatures, they name a product by its observations — but the
+// observation here is a wire-quirk summary, not a block page — and they
+// render Table 2's mechanism column.
 
 // MechanismSignature attributes one mechanism-probe evidence string to a
 // product via an internal/match detector.
@@ -68,21 +67,6 @@ func MechanismSignatures() []*MechanismSignature {
 		})
 	}
 	return sigs
-}
-
-// MatchMechanismEvidence attributes a probe evidence string to a product.
-// Kind narrows the candidate set ("" tries every signature).
-func MatchMechanismEvidence(kind mechanism.Kind, evidence string) (product string, ok bool) {
-	text := match.Bytes(evidence)
-	for _, s := range MechanismSignatures() {
-		if kind != "" && s.Kind != kind {
-			continue
-		}
-		if s.Matcher.Match(text) {
-			return s.Product, true
-		}
-	}
-	return "", false
 }
 
 // MechanismSignatureDescriptions groups signature descriptions by

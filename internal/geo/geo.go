@@ -19,18 +19,11 @@
 package geo
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"strings"
 	"sync"
 )
-
-// Record is one geolocation database entry.
-type Record struct {
-	Prefix  netip.Prefix
-	Country string // ISO 3166-1 alpha-2
-}
 
 // DB is a longest-prefix-match geolocation database. The zero value is an
 // empty database ready for Add. DB is safe for concurrent use.
@@ -38,7 +31,6 @@ type DB struct {
 	mu       sync.RWMutex
 	byBits   map[int]map[netip.Addr]string // prefix length → masked prefix addr → country
 	bits     []int                         // distinct lengths, descending (most specific first)
-	count    int
 	fallback func(netip.Addr) (string, bool)
 }
 
@@ -58,21 +50,7 @@ func (db *DB) Add(prefix netip.Prefix, country string) {
 		db.byBits[p.Bits()] = m
 		db.bits = insertBitsDesc(db.bits, p.Bits())
 	}
-	if _, dup := m[p.Addr()]; !dup {
-		db.count++
-	}
 	m[p.Addr()] = strings.ToUpper(country)
-}
-
-// AddCIDR parses cidr and inserts it. It returns an error on a malformed
-// prefix.
-func (db *DB) AddCIDR(cidr, country string) error {
-	p, err := netip.ParsePrefix(cidr)
-	if err != nil {
-		return fmt.Errorf("geo: bad prefix %q: %w", cidr, err)
-	}
-	db.Add(p, country)
-	return nil
 }
 
 // SetFallback installs a function consulted for addresses no stored
@@ -106,13 +84,6 @@ func (db *DB) Country(addr netip.Addr) (string, bool) {
 	return "", false
 }
 
-// Len returns the number of records.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.count
-}
-
 // ASRecord is one IP-to-ASN entry, mirroring the fields of a Team Cymru
 // verbose response.
 type ASRecord struct {
@@ -129,7 +100,6 @@ type ASTable struct {
 	mu       sync.RWMutex
 	byBits   map[int]map[netip.Addr]ASRecord
 	bits     []int
-	count    int
 	fallback func(netip.Addr) (ASRecord, bool)
 }
 
@@ -152,9 +122,6 @@ func (t *ASTable) Add(rec ASRecord) {
 		m = make(map[netip.Addr]ASRecord)
 		t.byBits[rec.Prefix.Bits()] = m
 		t.bits = insertBitsDesc(t.bits, rec.Prefix.Bits())
-	}
-	if _, dup := m[rec.Prefix.Addr()]; !dup {
-		t.count++
 	}
 	m[rec.Prefix.Addr()] = rec
 }
@@ -186,13 +153,6 @@ func (t *ASTable) Lookup(addr netip.Addr) (ASRecord, bool) {
 		return fn(addr)
 	}
 	return ASRecord{}, false
-}
-
-// Len returns the number of records.
-func (t *ASTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.count
 }
 
 // insertBitsDesc inserts b into the descending-sorted lengths slice.

@@ -12,9 +12,9 @@ import (
 
 func TestDBCountryLongestPrefixWins(t *testing.T) {
 	var db DB
-	db.AddCIDR("94.0.0.0/8", "eu")   //nolint:errcheck // valid
-	db.AddCIDR("94.56.0.0/16", "ae") //nolint:errcheck // valid
-	db.AddCIDR("94.56.1.0/24", "qa") //nolint:errcheck // valid
+	db.Add(netip.MustParsePrefix("94.0.0.0/8"), "eu")
+	db.Add(netip.MustParsePrefix("94.56.0.0/16"), "ae")
+	db.Add(netip.MustParsePrefix("94.56.1.0/24"), "qa")
 
 	cases := map[string]string{
 		"94.1.2.3":  "EU",
@@ -32,16 +32,9 @@ func TestDBCountryLongestPrefixWins(t *testing.T) {
 	}
 }
 
-func TestDBAddCIDRRejectsGarbage(t *testing.T) {
-	var db DB
-	if err := db.AddCIDR("not-a-prefix", "US"); err == nil {
-		t.Fatal("bad prefix accepted")
-	}
-}
-
 func TestDBCountryUppercased(t *testing.T) {
 	var db DB
-	db.AddCIDR("192.0.2.0/24", "ye") //nolint:errcheck // valid
+	db.Add(netip.MustParsePrefix("192.0.2.0/24"), "ye")
 	got, _ := db.Country(netip.MustParseAddr("192.0.2.1"))
 	if got != "YE" {
 		t.Fatalf("Country = %q, want YE", got)

@@ -24,7 +24,7 @@ func respEqual(a, b *Response) (string, bool) {
 		return "RawHead", false
 	case (a.Body == nil) != (b.Body == nil) || !bytes.Equal(a.Body, b.Body):
 		return "Body", false
-	case a.Header.Len() != b.Header.Len():
+	case len(a.Header.fields) != len(b.Header.fields):
 		return "Header.Len", false
 	}
 	af, bf := a.Header.Fields(), b.Header.Fields()

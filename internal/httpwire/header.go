@@ -124,9 +124,6 @@ func (h *Header) RawName(name string) (string, bool) {
 // returned slice.
 func (h *Header) Fields() []HeaderField { return h.fields }
 
-// Len returns the number of fields.
-func (h *Header) Len() int { return len(h.fields) }
-
 // Clone returns a deep copy.
 func (h *Header) Clone() *Header {
 	c := &Header{fields: make([]HeaderField, len(h.fields))}

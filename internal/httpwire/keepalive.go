@@ -102,17 +102,6 @@ func (p *ConnPool) Stats() (reused, pooled uint64) {
 	return p.reused, p.pooled
 }
 
-// IdleCount reports the total idle connections currently pooled.
-func (p *ConnPool) IdleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, conns := range p.idle {
-		n += len(conns)
-	}
-	return n
-}
-
 // poolKey names the transport endpoint a request dials.
 func poolKey(host string, port uint16) string {
 	return net.JoinHostPort(host, strconv.Itoa(int(port)))

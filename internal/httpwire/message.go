@@ -268,15 +268,6 @@ func (r *Response) Status() string {
 	return fmt.Sprintf("%d %s", r.StatusCode, r.Reason)
 }
 
-// Clone returns a deep copy of the response.
-func (r *Response) Clone() *Response {
-	c := *r
-	c.Header = r.Header.Clone()
-	c.Body = bytes.Clone(r.Body)
-	c.RawHead = bytes.Clone(r.RawHead)
-	return &c
-}
-
 // WriteTo serializes the response, setting Content-Length from the body,
 // and records the serialized head in RawHead.
 func (r *Response) WriteTo(w io.Writer) (int64, error) {

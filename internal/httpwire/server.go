@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"time"
 )
@@ -165,17 +164,4 @@ func (m *Mux) Handle(req *Request) *Response {
 		return m.NotFound.Handle(req)
 	}
 	return NewResponse(404, NewHeader("Content-Type", "text/plain"), []byte("not found\n"))
-}
-
-// Patterns returns all registered patterns, sorted (for diagnostics).
-func (m *Mux) Patterns() []string {
-	out := make([]string, 0, len(m.exact)+len(m.prefix))
-	for p := range m.exact {
-		out = append(out, p)
-	}
-	for p := range m.prefix {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

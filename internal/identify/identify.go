@@ -48,16 +48,6 @@ type Installation struct {
 	Matches []fingerprint.Match
 }
 
-// HasProduct reports whether the installation validated as product.
-func (i *Installation) HasProduct(product string) bool {
-	for _, p := range i.Products {
-		if p == product {
-			return true
-		}
-	}
-	return false
-}
-
 // QueryError records one banner-index query that failed during the
 // keyword fan-out. A bad query no longer aborts the whole run; it is
 // reported here and the scan continues.
@@ -138,18 +128,6 @@ func (r *Report) ProductCountries() map[string][]string {
 		}
 		sort.Strings(list)
 		out[p] = list
-	}
-	return out
-}
-
-// InstallationsIn returns the validated installations of product within
-// country.
-func (r *Report) InstallationsIn(product, country string) []Installation {
-	var out []Installation
-	for _, inst := range r.Installations {
-		if inst.Country == country && inst.HasProduct(product) {
-			out = append(out, inst)
-		}
 	}
 	return out
 }

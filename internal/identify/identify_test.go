@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -81,7 +82,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 
-	sc := scanner.New(vantage, engine.WithTimeout(2*time.Second))
+	sc := &scanner.Scanner{Vantage: vantage, Config: engine.NewConfig(engine.WithTimeout(2 * time.Second))}
 	index, err := sc.ScanNetwork(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +115,11 @@ func TestPipelineValidatesAndMaps(t *testing.T) {
 		byHost[inst.Hostname] = inst
 	}
 	ns := byHost["ns1.yemen.net.ye"]
-	if !ns.HasProduct(fingerprint.ProductNetsweeper) || ns.Country != "YE" || ns.ASN != 12486 {
+	if !slices.Contains(ns.Products, fingerprint.ProductNetsweeper) || ns.Country != "YE" || ns.ASN != 12486 {
 		t.Fatalf("netsweeper installation = %+v", ns)
 	}
 	mwg := byHost["mwg1.bayanat.net.sa"]
-	if !mwg.HasProduct(fingerprint.ProductSmartFilter) || mwg.Country != "SA" || mwg.ASN != 48237 {
+	if !slices.Contains(mwg.Products, fingerprint.ProductSmartFilter) || mwg.Country != "SA" || mwg.ASN != 48237 {
 		t.Fatalf("smartfilter installation = %+v", mwg)
 	}
 	if mwg.ASName == "" {
@@ -154,20 +155,6 @@ func TestProductCountries(t *testing.T) {
 	}
 	if got := pc[fingerprint.ProductSmartFilter]; len(got) != 1 || got[0] != "SA" {
 		t.Fatalf("smartfilter countries = %v", got)
-	}
-}
-
-func TestInstallationsIn(t *testing.T) {
-	f := newFixture(t)
-	rep, err := f.pipeline.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.InstallationsIn(fingerprint.ProductNetsweeper, "YE"); len(got) != 1 {
-		t.Fatalf("InstallationsIn(NE, YE) = %d", len(got))
-	}
-	if got := rep.InstallationsIn(fingerprint.ProductNetsweeper, "SA"); len(got) != 0 {
-		t.Fatalf("InstallationsIn(NE, SA) = %d", len(got))
 	}
 }
 

@@ -67,10 +67,3 @@ func (t *Table) Bytes(b []byte) string {
 	t.m[s] = s
 	return s
 }
-
-// Len reports the number of distinct strings interned so far.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
-}

@@ -13,8 +13,8 @@ func TestStringCanonical(t *testing.T) {
 	if a != "hello" || b != "hello" {
 		t.Fatalf("interned values differ from input: %q %q", a, b)
 	}
-	if tab.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tab.Len())
+	if len(tab.m) != 1 {
+		t.Fatalf("entries = %d, want 1", len(tab.m))
 	}
 }
 
@@ -29,8 +29,8 @@ func TestBytesSharesBacking(t *testing.T) {
 	if first != second {
 		t.Fatalf("interned bytes differ: %q vs %q", first, second)
 	}
-	if tab.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tab.Len())
+	if len(tab.m) != 1 {
+		t.Fatalf("entries = %d, want 1", len(tab.m))
 	}
 }
 
@@ -39,8 +39,8 @@ func TestEmpty(t *testing.T) {
 	if tab.String("") != "" || tab.Bytes(nil) != "" {
 		t.Fatal("empty inputs must intern to the empty string")
 	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len = %d, want 0 after empty inputs", tab.Len())
+	if len(tab.m) != 0 {
+		t.Fatalf("entries = %d, want 0 after empty inputs", len(tab.m))
 	}
 }
 
@@ -65,8 +65,8 @@ func TestConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tab.Len() != 17 {
-		t.Fatalf("Len = %d, want 17", tab.Len())
+	if len(tab.m) != 17 {
+		t.Fatalf("entries = %d, want 17", len(tab.m))
 	}
 }
 

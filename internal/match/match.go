@@ -3,9 +3,8 @@
 //
 // Both ask the same question of a response: does this body, title or
 // Location carry one of a few vendor markers? This package answers it
-// without lowering a copy of the text. Literal finds one substring,
-// Ordered finds substrings left to right, and Regexp wraps a compiled
-// regexp for the rare pattern literals cannot express.
+// without lowering a copy of the text. Literal finds one substring and
+// Ordered finds substrings left to right.
 //
 // Literal matching is ASCII-case-insensitive: vendor block-page markers,
 // banner keywords and HTML tags are ASCII, and scanned bytes are hostile
@@ -23,7 +22,6 @@ package match
 
 import (
 	"bytes"
-	"regexp"
 	"strings"
 	"unsafe"
 )
@@ -199,9 +197,6 @@ func NewOrdered(literals []string, opts ...Option) *Ordered {
 	return &Ordered{cfg: cfg, lits: append([]string(nil), literals...)}
 }
 
-// Literals returns the literal sequence as given to NewOrdered.
-func (o *Ordered) Literals() []string { return o.lits }
-
 // Match implements Detector.
 func (o *Ordered) Match(text []byte) bool {
 	if !o.cfg.lineGap {
@@ -233,21 +228,6 @@ func (o *Ordered) matchAnyGap(text []byte) bool {
 	}
 	return true
 }
-
-// Regexp wraps a compiled regexp as a Detector — the escape hatch for the
-// few patterns that genuinely need one.
-type Regexp struct {
-	re *regexp.Regexp
-}
-
-// NewRegexp wraps re as a detector.
-func NewRegexp(re *regexp.Regexp) *Regexp { return &Regexp{re: re} }
-
-// Pattern returns the wrapped regexp.
-func (r *Regexp) Pattern() *regexp.Regexp { return r.re }
-
-// Match implements Detector.
-func (r *Regexp) Match(text []byte) bool { return r.re.Match(text) }
 
 // Between locates the span between the first occurrence of open and the
 // next occurrence of close after it, ASCII-case-insensitively — the shape

@@ -158,16 +158,6 @@ func TestOrderedLineGap(t *testing.T) {
 	NewOrdered([]string{"a\nb"}, WithLineGap(true))
 }
 
-func TestRegexpDetector(t *testing.T) {
-	r := NewRegexp(regexp.MustCompile(`(?i)<title>\s*mcafee`))
-	if !r.Match([]byte("xx<TITLE> McAfee Web Gateway")) {
-		t.Error("regexp detector missed")
-	}
-	if r.Match([]byte("mcafee but no title tag")) {
-		t.Error("regexp detector matched without its pattern")
-	}
-}
-
 func TestBetween(t *testing.T) {
 	body := []byte("<html><HEAD><Title> Access Denied </TITLE></head>")
 	start, end, ok := Between(body, "<title>", "</title>")

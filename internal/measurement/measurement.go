@@ -300,19 +300,6 @@ func (c *Client) TestList(ctx context.Context, urls []string) []Result {
 	return out
 }
 
-// Repeat runs the whole list n times, returning one slice of results per
-// run. §4.4's inconsistent-blocking analysis needs repeated runs.
-func (c *Client) Repeat(ctx context.Context, urls []string, n int) [][]Result {
-	out := make([][]Result, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, c.TestList(ctx, urls))
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return out
-}
-
 // poolFor returns the vantage's keep-alive pool, creating it on first
 // use and flushing its idle connections when the virtual clock has
 // advanced since they were parked. Returns nil when reuse is disabled.
@@ -406,38 +393,6 @@ func (c *Client) compare(field, lab Fetch) (Verdict, blockpage.Match, bool) {
 		// succeeded where the field did not (4xx/5xx divergence).
 		return Anomaly, blockpage.Match{}, false
 	}
-}
-
-// Summary aggregates a result list.
-type Summary struct {
-	Total      int
-	Accessible int
-	Blocked    int
-	Anomalies  int
-	Unreached  int
-	// ByProduct counts blocked results per classified product.
-	ByProduct map[string]int
-}
-
-// Summarize tallies results.
-func Summarize(results []Result) Summary {
-	s := Summary{Total: len(results), ByProduct: make(map[string]int)}
-	for _, r := range results {
-		switch r.Verdict {
-		case Accessible:
-			s.Accessible++
-		case Blocked:
-			s.Blocked++
-			if r.Matched {
-				s.ByProduct[r.BlockMatch.Product]++
-			}
-		case Anomaly:
-			s.Anomalies++
-		case Unreachable:
-			s.Unreached++
-		}
-	}
-	return s
 }
 
 // ConsistencyReport describes how stable blocking was across repeated

@@ -158,21 +158,22 @@ func TestTestListOrderAndSummary(t *testing.T) {
 			t.Fatalf("result %d url = %q, want %q", i, r.URL, urls[i])
 		}
 	}
-	s := Summarize(results)
-	if s.Total != 4 || s.Accessible != 1 || s.Blocked != 1 || s.Anomalies != 1 || s.Unreached != 1 {
-		t.Fatalf("summary = %+v", s)
+	for i, want := range []Verdict{Accessible, Blocked, Anomaly, Unreachable} {
+		if results[i].Verdict != want {
+			t.Fatalf("result %d verdict = %v, want %v", i, results[i].Verdict, want)
+		}
 	}
-	if s.ByProduct["Netsweeper"] != 1 {
-		t.Fatalf("by-product = %v", s.ByProduct)
+	if !results[1].Matched || results[1].BlockMatch.Product != "Netsweeper" {
+		t.Fatalf("blocked result attribution = %+v", results[1].BlockMatch)
 	}
 }
 
 func TestRepeatAndConsistency(t *testing.T) {
 	f := newFixture(t)
 	urls := []string{"http://allowed.example/", "http://banned.example/"}
-	runs := f.client.Repeat(context.Background(), urls, 3)
-	if len(runs) != 3 {
-		t.Fatalf("runs = %d", len(runs))
+	var runs [][]Result
+	for i := 0; i < 3; i++ {
+		runs = append(runs, f.client.TestList(context.Background(), urls))
 	}
 	rep := AnalyzeConsistency(runs)
 	if !rep.Consistent() {

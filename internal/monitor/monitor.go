@@ -178,9 +178,6 @@ func New(o Options, st *store.Store) (*Monitor, error) {
 // Close releases the monitored world.
 func (m *Monitor) Close() { m.w.Close() }
 
-// Broker returns the event broker (for /v1/watch fan-out).
-func (m *Monitor) Broker() *Broker { return m.brk }
-
 // ConfigHash returns the store config hash monitor snapshots carry.
 func (m *Monitor) ConfigHash() string { return m.cfg }
 

@@ -79,7 +79,10 @@ func TestBrokerRetention(t *testing.T) {
 
 func TestChurnDriverDeterministic(t *testing.T) {
 	mkOps := func() []ChurnOp {
-		w := world.MustBuild(world.Options{})
+		w, err := world.Build(world.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer w.Close()
 		d := newChurnDriver(99)
 		var ops []ChurnOp

@@ -85,16 +85,6 @@ type AS struct {
 	Prefixes []netip.Prefix
 }
 
-// Contains reports whether addr falls inside any of the AS's prefixes.
-func (a *AS) Contains(addr netip.Addr) bool {
-	for _, p := range a.Prefixes {
-		if p.Contains(addr) {
-			return true
-		}
-	}
-	return false
-}
-
 // ISP is a network operator. An ISP may install an Interceptor, which sees
 // every connection its subscriber hosts open to destinations outside the
 // ISP — the position a URL-filtering middlebox occupies.
@@ -558,10 +548,6 @@ type simAddr struct {
 
 func (a simAddr) Network() string { return "sim" }
 func (a simAddr) String() string  { return netip.AddrPortFrom(a.addr, a.port).String() }
-
-// Addr exposes the underlying IP for components that need it (e.g. a
-// middlebox attributing a connection to a subscriber).
-func (a simAddr) Addr() netip.Addr { return a.addr }
 
 // AddrOf extracts the simulated IP from a net.Addr produced by this
 // package. It returns the zero Addr if the value is foreign.

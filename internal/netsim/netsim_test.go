@@ -224,11 +224,8 @@ func TestASLookup(t *testing.T) {
 	if as.Number != 5384 || as.Country != "AE" {
 		t.Fatalf("AddAS = AS%d %s, want AS5384 AE", as.Number, as.Country)
 	}
-	if !as.Contains(mustAddr(t, "94.56.1.2")) {
-		t.Fatal("AS5384 does not contain an address in its prefix")
-	}
-	if as.Contains(mustAddr(t, "10.0.0.1")) {
-		t.Fatal("AS5384 contains an address outside its prefix")
+	if len(as.Prefixes) != 1 || as.Prefixes[0] != mustPrefix(t, "94.56.0.0/16") {
+		t.Fatalf("AS5384 prefixes = %v, want [94.56.0.0/16]", as.Prefixes)
 	}
 }
 

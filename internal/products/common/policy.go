@@ -149,23 +149,8 @@ func NewCategoryPolicy(categories ...string) *CategoryPolicy {
 	return p
 }
 
-// Enable turns blocking on for a vendor category.
-func (p *CategoryPolicy) Enable(category string) { p.enabled[category] = true }
-
-// Disable turns blocking off for a vendor category.
-func (p *CategoryPolicy) Disable(category string) { delete(p.enabled, category) }
-
 // Enabled reports whether a vendor category is blocked.
 func (p *CategoryPolicy) Enabled(category string) bool { return p.enabled[category] }
-
-// EnabledCategories returns the blocked categories (unordered).
-func (p *CategoryPolicy) EnabledCategories() []string {
-	out := make([]string, 0, len(p.enabled))
-	for c := range p.enabled {
-		out = append(out, c)
-	}
-	return out
-}
 
 // AddCustom adds a domain to the operator's local blocklist under a custom
 // category label.

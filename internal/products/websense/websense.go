@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/url"
-	"strconv"
 	"time"
 
 	"filtermap/internal/categorydb"
@@ -32,8 +31,6 @@ import (
 
 // Identity strings.
 const (
-	// Name is the product name used in reports.
-	Name = "Websense"
 	// EngineName identifies the policy engine.
 	EngineName   = "Websense Web Security"
 	serverBanner = "Websense Content Gateway"
@@ -237,22 +234,4 @@ func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
 	}
 
 	return dep, nil
-}
-
-// SessionFromLocation extracts the ws-session parameter from a block
-// redirect Location value, for fingerprint validation.
-func SessionFromLocation(loc string) (uint32, bool) {
-	u, err := url.Parse(loc)
-	if err != nil {
-		return 0, false
-	}
-	s := u.Query().Get("ws-session")
-	if s == "" {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, false
-	}
-	return uint32(n), true
 }

@@ -73,7 +73,6 @@ const (
 	KindMarkerDropped   = "probe-header-dropped"
 	KindMarkerRewritten = "probe-header-rewritten"
 	KindShortCircuited  = "origin-never-contacted"
-	KindBodyTampered    = "body-tampered"
 	KindDigestMismatch  = "digest-mismatch"
 )
 

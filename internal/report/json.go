@@ -52,10 +52,6 @@ type Table2RowDoc struct {
 	Product    string   `json:"product"`
 	Keywords   []string `json:"keywords"`
 	Signatures []string `json:"signatures"`
-	// Mechanisms lists the product's mechanism-signature descriptions
-	// (DNS/RST/SNI wire quirks). Populated only by Table2MechanismsJSON;
-	// omitted — keeping HTTP-only documents byte-identical — otherwise.
-	Mechanisms []string `json:"mechanisms,omitempty"`
 }
 
 // Table2JSON builds the Table 2 document from keyword and signature

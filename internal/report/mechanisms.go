@@ -280,21 +280,6 @@ func Table2WithMechanisms(keywords, signatures, mechSigs map[string][]string) st
 	return t.String()
 }
 
-// Table2MechanismsJSON builds the four-column Table 2 document; the
-// per-product "mechanisms" field is omitted from HTTP-only renderings.
-func Table2MechanismsJSON(keywords, signatures, mechSigs map[string][]string) Table2Doc {
-	var doc Table2Doc
-	for _, p := range unionProducts(keywords, mechSigs) {
-		doc.Products = append(doc.Products, Table2RowDoc{
-			Product:    p,
-			Keywords:   keywords[p],
-			Signatures: signatures[p],
-			Mechanisms: mechSigs[p],
-		})
-	}
-	return doc
-}
-
 // unionProducts merges and sorts the product keys of both maps.
 func unionProducts(a, b map[string][]string) []string {
 	seen := make(map[string]bool, len(a)+len(b))

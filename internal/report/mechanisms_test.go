@@ -140,18 +140,4 @@ func TestTable2WithMechanismsAddsColumnOnly(t *testing.T) {
 			t.Fatalf("Table2WithMechanisms missing %q:\n%s", want, out)
 		}
 	}
-
-	doc := Table2MechanismsJSON(keywords, signatures, mechSigs)
-	if len(doc.Products) != 1 || len(doc.Products[0].Mechanisms) != 1 {
-		t.Fatalf("Table2MechanismsJSON = %+v", doc)
-	}
-	// The plain Table2 document must stay free of the mechanisms key, so
-	// HTTP-only renderings are byte-identical to the pre-mechanism format.
-	plain, err := json.Marshal(Table2JSON(keywords, signatures))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(plain), "mechanisms") {
-		t.Fatalf("plain Table2 JSON leaks the mechanisms field:\n%s", plain)
-	}
 }

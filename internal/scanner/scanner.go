@@ -86,13 +86,6 @@ type Scanner struct {
 	Config engine.Config
 }
 
-// New builds a Scanner from the research vantage and engine options:
-//
-//	scanner.New(vantage, engine.WithWorkers(64), engine.WithStats(stats))
-func New(vantage *netsim.Host, opts ...engine.Option) *Scanner {
-	return &Scanner{Vantage: vantage, Config: engine.NewConfig(opts...)}
-}
-
 func (s *Scanner) ports() []uint16 {
 	if len(s.Ports) > 0 {
 		return s.Ports
@@ -428,9 +421,6 @@ func (q Query) Compile() *CompiledQuery {
 	}
 	return cq
 }
-
-// Query returns the query the compiled form was built from.
-func (cq *CompiledQuery) Query() Query { return cq.query }
 
 // matchText reports whether a search text holds every keyword, a
 // port-qualified one by its path.

@@ -34,7 +34,7 @@ func fixture(t *testing.T) (*netsim.Network, *Scanner) {
 			t.Fatal(err)
 		}
 		srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
-			return resp.Clone()
+			return httpwire.NewResponse(resp.StatusCode, resp.Header.Clone(), resp.Body)
 		})}
 		if _, err := h.Serve(port, netsim.Public, srv); err != nil {
 			t.Fatal(err)
@@ -52,7 +52,7 @@ func fixture(t *testing.T) (*netsim.Network, *Scanner) {
 		t.Fatal(err)
 	}
 
-	return n, New(vantage, engine.WithTimeout(2*time.Second))
+	return n, &Scanner{Vantage: vantage, Config: engine.NewConfig(engine.WithTimeout(2 * time.Second))}
 }
 
 func TestScanNetworkIndexesBanners(t *testing.T) {
@@ -277,7 +277,7 @@ func TestProbeBoundedAtConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(vantage, engine.WithTimeout(50*time.Millisecond))
+	s := &Scanner{Vantage: vantage, Config: engine.NewConfig(engine.WithTimeout(50 * time.Millisecond))}
 	type scan struct {
 		idx *Index
 		err error
@@ -324,7 +324,7 @@ func TestProbeBoundCoversSlowDial(t *testing.T) {
 		bound time.Duration
 		want  int
 	}{{50 * time.Millisecond, 0}, {2 * time.Second, 1}} {
-		s := New(vantage, engine.WithTimeout(c.bound))
+		s := &Scanner{Vantage: vantage, Config: engine.NewConfig(engine.WithTimeout(c.bound))}
 		s.Ports = []uint16{80}
 		idx, err := s.ScanAddrs(context.Background(), []netip.Addr{h.Addr()})
 		if err != nil {

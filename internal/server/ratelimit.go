@@ -128,13 +128,3 @@ func (l *rateLimiter) evictOldestLocked(n int) {
 		delete(l.buckets, e.key)
 	}
 }
-
-// size reports the tracked-client count (tests and metrics).
-func (l *rateLimiter) size() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}

@@ -15,7 +15,7 @@ func TestRateLimiterIdleSweep(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.allow(fmt.Sprintf("idle-%d", i))
 	}
-	if got := l.size(); got != 100 {
+	if got := len(l.buckets); got != 100 {
 		t.Fatalf("tracked = %d, want 100", got)
 	}
 
@@ -24,7 +24,7 @@ func TestRateLimiterIdleSweep(t *testing.T) {
 	for i := 0; i < sweepEvery; i++ {
 		l.allow("active")
 	}
-	if got := l.size(); got > 2 {
+	if got := len(l.buckets); got > 2 {
 		t.Fatalf("tracked = %d after idle sweep, want ≤ 2 (active client only)", got)
 	}
 }
@@ -42,7 +42,7 @@ func TestRateLimiterChurningClientsBounded(t *testing.T) {
 		l.allow(fmt.Sprintf("churn-%d", i))
 		now = now.Add(time.Millisecond)
 	}
-	if got := l.size(); got > maxTrackedClients {
+	if got := len(l.buckets); got > maxTrackedClients {
 		t.Fatalf("tracked = %d, want ≤ %d (hard LRU bound)", got, maxTrackedClients)
 	}
 }

@@ -55,13 +55,12 @@ import (
 	"filtermap/internal/world"
 )
 
-// Pipeline kinds accepted by the job and dispatch endpoints: the plan
-// registry's kinds plus confirm.
+// Pipeline kinds the server's handlers name: plan registry kinds plus
+// confirm, which is not a plan.
 const (
 	KindIdentify     = plan.KindIdentify
 	KindConfirm      = "confirm"
 	KindCharacterize = plan.KindCharacterize
-	KindDiscover     = plan.KindDiscover
 	KindMechanisms   = plan.KindMechanisms
 )
 
@@ -447,13 +446,8 @@ type PlanRequest struct {
 	World WorldConfig `json:"world,omitempty"`
 }
 
-// Per-kind names for PlanRequest.
-type (
-	IdentifyRequest     = PlanRequest
-	CharacterizeRequest = PlanRequest
-	DiscoverRequest     = PlanRequest
-	MechanismsRequest   = PlanRequest
-)
+// IdentifyRequest is PlanRequest by the name identify callers use.
+type IdentifyRequest = PlanRequest
 
 // ConfirmRequest parameterizes POST /v1/confirm.
 type ConfirmRequest struct {

@@ -195,7 +195,7 @@ func TestCharacterizeEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	var doc report.Table4Doc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/characterize?wait=1",
-		CharacterizeRequest{ISPs: []string{"YemenNet"}}, &doc)
+		PlanRequest{ISPs: []string{"YemenNet"}}, &doc)
 	wantStatus(t, resp, http.StatusOK)
 	if len(doc.Reports) != 1 || doc.Reports[0].Country != "YE" {
 		t.Fatalf("unexpected reports: %+v", doc.Reports)
@@ -205,7 +205,7 @@ func TestCharacterizeEndpoint(t *testing.T) {
 	}
 
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/characterize?wait=1",
-		CharacterizeRequest{ISPs: []string{"NoSuchISP"}}, nil)
+		PlanRequest{ISPs: []string{"NoSuchISP"}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 }
 
@@ -213,7 +213,7 @@ func TestMechanismsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	var doc report.MechanismsDoc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/mechanisms?wait=1",
-		MechanismsRequest{ISPs: []string{"Nayatel"}}, &doc)
+		PlanRequest{ISPs: []string{"Nayatel"}}, &doc)
 	wantStatus(t, resp, http.StatusOK)
 	if len(doc.Mechanisms) != 1 || doc.Mechanisms[0].ISP != "Nayatel" {
 		t.Fatalf("unexpected mechanisms doc: %+v", doc.Mechanisms)
@@ -232,16 +232,16 @@ func TestMechanismsEndpoint(t *testing.T) {
 	}
 
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/mechanisms?wait=1",
-		MechanismsRequest{ISPs: []string{"NoSuchISP"}}, nil)
+		PlanRequest{ISPs: []string{"NoSuchISP"}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 
 	// Normalization forces World.Mechanisms on, so a request that spells
 	// the flag out coalesces onto the same cache key as one that omits it.
-	a, err := srv.planRequest(KindMechanisms, MechanismsRequest{ISPs: []string{"Nayatel"}})
+	a, err := srv.planRequest(KindMechanisms, PlanRequest{ISPs: []string{"Nayatel"}})
 	if err != nil {
 		t.Fatalf("normalize a: %v", err)
 	}
-	b, err := srv.planRequest(KindMechanisms, MechanismsRequest{ISPs: []string{"Nayatel"}, World: WorldConfig{Mechanisms: true}})
+	b, err := srv.planRequest(KindMechanisms, PlanRequest{ISPs: []string{"Nayatel"}, World: WorldConfig{Mechanisms: true}})
 	if err != nil {
 		t.Fatalf("normalize b: %v", err)
 	}

@@ -82,9 +82,6 @@ type Options struct {
 // Option mutates Options.
 type Option func(*Options)
 
-// WithMaxSegmentBytes sets the segment rotation threshold.
-func WithMaxSegmentBytes(n int64) Option { return func(o *Options) { o.MaxSegmentBytes = n } }
-
 // WithoutSync disables the per-append fsync.
 func WithoutSync() Option { return func(o *Options) { o.DisableSync = true } }
 
@@ -247,9 +244,6 @@ func (s *Store) Count() int {
 	defer s.mu.Unlock()
 	return len(s.recs)
 }
-
-// Dir returns the store's directory ("" for a memory store).
-func (s *Store) Dir() string { return s.dir }
 
 // Close flushes and closes the tail segment. The store is unusable
 // afterwards.

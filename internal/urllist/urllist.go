@@ -96,18 +96,6 @@ func (d *Directory) Lookup(domain string) (Profile, bool) {
 	return p, ok
 }
 
-// Domains returns all registered domains, sorted.
-func (d *Directory) Domains() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.profiles))
-	for dom := range d.profiles {
-		out = append(out, dom)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Word lists for test-domain generation: ordinary, non-profane English
 // words, in the spirit of "starwasher.info".
 var (
@@ -149,15 +137,6 @@ func (g *Generator) Domain() string {
 			return d
 		}
 	}
-}
-
-// Domains returns n fresh domains.
-func (g *Generator) Domains(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = g.Domain()
-	}
-	return out
 }
 
 // SyntheticDomain is the pure-function counterpart of Generator for
@@ -289,15 +268,6 @@ func (l *List) URLs() []string {
 	out := make([]string, len(l.Entries))
 	for i, e := range l.Entries {
 		out[i] = e.URL
-	}
-	return out
-}
-
-// ByCategory groups entries by research category code.
-func (l *List) ByCategory() map[string][]Entry {
-	out := make(map[string][]Entry)
-	for _, e := range l.Entries {
-		out[e.Category] = append(out[e.Category], e)
 	}
 	return out
 }

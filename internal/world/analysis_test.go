@@ -2,6 +2,7 @@ package world
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestIdentificationFigure1(t *testing.T) {
 	// The USAISC observation (§3.2).
 	foundUSAISC := false
 	for _, inst := range report.Installations {
-		if inst.Hostname == "gw.usaisc.army.example" && inst.HasProduct(fingerprint.ProductBlueCoat) {
+		if inst.Hostname == "gw.usaisc.army.example" && slices.Contains(inst.Products, fingerprint.ProductBlueCoat) {
 			foundUSAISC = true
 			if inst.ASN != 721 {
 				t.Errorf("USAISC ASN = %d, want 721", inst.ASN)

@@ -263,15 +263,6 @@ func Build(opts Options, engOpts ...engine.Option) (*World, error) {
 	return w, nil
 }
 
-// MustBuild builds the default world or panics (for benchmarks).
-func MustBuild(opts Options) *World {
-	w, err := Build(opts)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Close shuts the simulated network down, first closing every pooled
 // keep-alive connection its measurement clients parked: unbinding the
 // ports alone leaves those connections, and the product goroutines

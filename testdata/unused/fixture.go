@@ -1,0 +1,17 @@
+// Package fixture is a facade for the unreached-API gate's own test.
+package fixture
+
+import (
+	"fmt"
+
+	"fixture/internal/lib"
+)
+
+// Namer is an interface the module declares.
+type Namer interface{ Name() string }
+
+// Run reaches lib.Used directly, and lib.Shape's methods only through
+// Namer and fmt.Stringer.
+func Run() (Namer, fmt.Stringer, lib.Counter, []string) {
+	return lib.Shape{}, lib.Shape{}, lib.Counter{}, lib.Used()
+}
