@@ -141,7 +141,11 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		plan.Input{Meta: toMeta, Body: toBody},
 	)
 	if err != nil {
-		jsonError(w, errorStatus(err), err.Error())
+		status := errorStatus(err)
+		if fromMeta.Kind != toMeta.Kind {
+			status = http.StatusBadRequest // the selectors name snapshots of two kinds
+		}
+		jsonError(w, status, err.Error())
 		return
 	}
 	val, err := json.Marshal(d)
