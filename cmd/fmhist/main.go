@@ -8,12 +8,14 @@
 //	                       [-seed N] [-workers N] [-hide-consoles] [-scrub-headers]
 //	                       [-rounds N] [-budget N]
 //	fmhist -dir DIR list [-kind K] [-json]
-//	fmhist -dir DIR show SELECTOR [-json]
-//	fmhist -dir DIR diff FROM TO [-json]
+//	fmhist -dir DIR show [-json] SELECTOR
+//	fmhist -dir DIR diff [-json] [-workers N] FROM TO
 //	fmhist -dir DIR timeline [-kind K] [-json]
 //	fmhist -dir DIR compact
 //
-// K is a snapshot kind from the plan registry (identify by default).
+// A subcommand's flags go before its selectors: flag parsing stops at
+// the first selector. K is a snapshot kind from the plan registry
+// (identify by default).
 // record either ingests a JSON document produced by fmscan/fmrepro -json
 // (-in) or builds the simulated world and runs the pipeline itself
 // (-run), optionally advancing the virtual clock first (-advance) so
@@ -34,6 +36,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -102,15 +105,15 @@ func usage() {
 subcommands:
   record    persist a pipeline snapshot (-run to execute, -in FILE to ingest)
   list      list stored snapshots (-kind K restricts to one kind)
-  show      print one snapshot
-  diff      compare two snapshots (fmhist diff FROM TO)
+  show      print one snapshot (show [-json] SELECTOR)
+  diff      compare two snapshots (diff [-json] [-workers N] FROM TO)
   timeline  per-country counts across snapshots of one kind (-kind K,
             default %s)
   compact   rewrite the log, deduplicating repeated content
 
 snapshot kinds: %s
 
-selectors (show, diff): every snapshot reference accepts
+selectors (show, diff) follow the subcommand's flags; each accepts
   N              a decimal sequence number          e.g.  3
   HEXPREFIX      a content-ID prefix, 4+ hex chars  e.g.  ac06d8
   latest         the newest snapshot of any kind
@@ -237,10 +240,11 @@ func show(s *store.Store, args []string) error {
 	fs := flag.NewFlagSet("show", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit {meta, body} JSON (default prints the body)")
 	fs.Parse(args) //nolint:errcheck
-	if fs.NArg() != 1 {
-		return fmt.Errorf("show needs one selector")
+	sel, err := selectors(fs, 1, "show needs one selector")
+	if err != nil {
+		return err
 	}
-	meta, body, err := s.Get(fs.Arg(0))
+	meta, body, err := s.Get(sel[0])
 	if err != nil {
 		return err
 	}
@@ -262,10 +266,11 @@ func diff(s *store.Store, args []string) error {
 	asJSON := fs.Bool("json", false, "emit the diff document as JSON")
 	workers := fs.Int("workers", 0, "diff worker-pool size (0 = default)")
 	fs.Parse(args) //nolint:errcheck
-	if fs.NArg() != 2 {
-		return fmt.Errorf("diff needs FROM and TO selectors")
+	sel, err := selectors(fs, 2, "diff needs FROM and TO selectors")
+	if err != nil {
+		return err
 	}
-	from, to, err := loadPair(s, fs.Arg(0), fs.Arg(1))
+	from, to, err := loadPair(s, sel[0], sel[1])
 	if err != nil {
 		return err
 	}
@@ -282,6 +287,20 @@ func diff(s *store.Store, args []string) error {
 	}
 	fmt.Print(filtermap.Reporter{}.DiffText(d))
 	return nil
+}
+
+// selectors returns the n selectors left after fs parsed its flags.
+// Parsing stops at the first selector, so anything after the n-th is a
+// misplaced flag or a stray argument: it is named, not ignored.
+func selectors(fs *flag.FlagSet, n int, missing string) ([]string, error) {
+	switch {
+	case fs.NArg() < n:
+		return nil, errors.New(missing)
+	case fs.NArg() > n:
+		return nil, fmt.Errorf("%s: unexpected %s after the selectors; flags go before them",
+			fs.Name(), strings.Join(fs.Args()[n:], " "))
+	}
+	return fs.Args(), nil
 }
 
 func loadPair(s *store.Store, fromSel, toSel string) (from, to plan.Input, err error) {
