@@ -128,11 +128,12 @@ bench:
 serve:
 	go run ./cmd/fmserve -addr :8080
 
-# The service-layer benchmark: the cached /v1/identify hot path through
-# the full HTTP stack.
+# The service-layer benchmarks: the cached /v1/identify hot path through
+# the full HTTP stack, and the miss path (search, validation on the
+# replica, whois/geo) through Server.ServeHTTP.
 .PHONY: bench-serve
 bench-serve:
-	go test -run xxx -bench BenchmarkServeCachedIdentify ./internal/server/
+	go test -run xxx -bench 'BenchmarkServeCachedIdentify|BenchmarkServeIdentifyMiss' ./internal/server/
 
 # The classification-core headline benchmarks (DESIGN.md §12) as JSON.
 # Compare against the committed BENCH_classify.json "after" block; the

@@ -52,7 +52,7 @@ func TestStoreDedupesAcrossRecorders(t *testing.T) {
 	defer w.Close()
 	p, _ := plan.Lookup(plan.KindDiscover)
 	w.Clock.Advance(p.Advance)
-	doc, _, err := plan.Execute(context.Background(), w, nil, req)
+	doc, _, err := plan.Execute(context.Background(), w, req)
 	if err != nil {
 		t.Fatal(err)
 	}

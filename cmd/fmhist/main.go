@@ -182,7 +182,7 @@ func record(s *store.Store, args []string) error {
 		if p.Advance > 0 {
 			w.Clock.Advance(p.Advance)
 		}
-		doc, _, err := plan.Execute(context.Background(), w, nil, req)
+		doc, _, err := plan.Execute(context.Background(), w, req)
 		if err != nil {
 			return err
 		}

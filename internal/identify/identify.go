@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"sync"
 	"time"
 
 	"filtermap/internal/engine"
@@ -157,6 +158,10 @@ type Pipeline struct {
 	Keywords map[string][]string
 	// Countries is the ccTLD fan-out list; nil derives it from the index.
 	Countries []string
+	// Outcomes, if set, holds the validation outcomes of earlier runs
+	// on this same unchanged world and keeps this run's: a candidate
+	// found there is not probed again. nil validates every candidate.
+	Outcomes *Outcomes
 	// Config carries the shared execution knobs (workers, timeout, retry,
 	// stats, observer) for the pipeline's pooled stages.
 	Config engine.Config
@@ -282,21 +287,81 @@ func (p *Pipeline) runSearch(ctx context.Context, countries []string) (*Report, 
 	return report, addrs, nil
 }
 
-// validated is one host that survived stage 2.
+// validated is one host that survived stage 2. Outcomes shares it
+// between runs, so nothing may mutate it or its slices.
 type validated struct {
 	addr     netip.Addr
 	products []string
 	matches  []fingerprint.Match
 }
 
+// newValidated builds a candidate's stage-2 outcome from its matches:
+// nil for a clean non-match.
+func newValidated(addr netip.Addr, matches []fingerprint.Match) *validated {
+	if len(matches) == 0 {
+		return nil
+	}
+	set := make(map[string]bool)
+	var products []string
+	for _, m := range matches {
+		if !set[m.Product] {
+			set[m.Product] = true
+			products = append(products, m.Product)
+		}
+	}
+	sort.Strings(products)
+	return &validated{addr: addr, products: products, matches: matches}
+}
+
+// Outcomes keeps each candidate's validation outcome on one unchanged
+// world, so that later runs on it need not probe the candidate again.
+// Only definite outcomes are kept: the matches the fingerprint engine
+// returned, or a clean non-match. A candidate whose validation failed
+// is probed again by the next run. It holds at most one entry per
+// candidate address. The zero value is empty and ready to use, and it
+// is safe for concurrent use.
+type Outcomes struct {
+	mu sync.RWMutex
+	m  map[netip.Addr]*validated // nil value: a clean non-match
+}
+
+// load returns addr's kept outcome. A nil Outcomes keeps nothing.
+func (o *Outcomes) load(addr netip.Addr) (*validated, bool) {
+	if o == nil {
+		return nil, false
+	}
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	v, ok := o.m[addr]
+	return v, ok
+}
+
+// store keeps addr's definite outcome v (nil for a clean non-match).
+func (o *Outcomes) store(addr netip.Addr, v *validated) {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.m == nil {
+		o.m = make(map[netip.Addr]*validated)
+	}
+	o.m[addr] = v
+}
+
 // runValidation is stage 2: fingerprint validation, parallel across
 // candidate addresses. Output preserves the (sorted) candidate order, so
-// the result is deterministic for any worker count. A candidate whose
-// validation keeps failing is recorded in report.Errors and dropped —
-// partial coverage beats a dead run. The configured Breaker (if any)
-// stops retry burn per candidate address.
+// the result is deterministic for any worker count. A candidate with an
+// outcome in p.Outcomes is answered from it, without a probe, inside its
+// engine item; every definite outcome reached here is kept there. A
+// candidate whose validation keeps failing is recorded in report.Errors
+// and dropped — partial coverage beats a dead run. The configured
+// Breaker (if any) stops retry burn per candidate address.
 func (p *Pipeline) runValidation(ctx context.Context, addrs []netip.Addr, report *Report) ([]validated, error) {
 	results := engine.MapResults(ctx, p.Config, StageValidate, addrs, func(ctx context.Context, addr netip.Addr) (*validated, error) {
+		if v, ok := p.Outcomes.load(addr); ok {
+			return v, nil
+		}
 		key := "validate:" + addr.String()
 		if !p.Config.Breaker.Allow(key) {
 			return nil, engine.Fatal(fmt.Errorf("identify: fingerprint %s: %w", addr, engine.ErrCircuitOpen))
@@ -308,19 +373,14 @@ func (p *Pipeline) runValidation(ctx context.Context, addrs []netip.Addr, report
 			return nil, err
 		}
 		p.Config.Breaker.Record(key, nil)
-		if len(matches) == 0 {
-			return nil, nil
+		v := newValidated(addr, matches)
+		// Identify skips a probe that fails, so once ctx has ended the
+		// matches may be partial: answer this run with them, keep them
+		// for no other.
+		if ctx.Err() == nil {
+			p.Outcomes.store(addr, v)
 		}
-		set := make(map[string]bool)
-		var products []string
-		for _, m := range matches {
-			if !set[m.Product] {
-				set[m.Product] = true
-				products = append(products, m.Product)
-			}
-		}
-		sort.Strings(products)
-		return &validated{addr: addr, products: products, matches: matches}, nil
+		return v, nil
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -33,9 +33,8 @@ type Detector interface {
 	Match(text []byte) bool
 }
 
-// config carries the construction options shared by all detectors.
+// config carries the detector construction options.
 type config struct {
-	anchor  bool
 	lineGap bool
 }
 
@@ -50,9 +49,6 @@ func newConfig(opts []Option) config {
 // Option configures detector construction, mirroring the functional
 // options style of internal/engine.
 type Option func(*config)
-
-// WithAnchor requires the match to begin at offset 0 of the text.
-func WithAnchor(on bool) Option { return func(c *config) { c.anchor = on } }
 
 // WithLineGap constrains an ordered detector's gaps to stay within one
 // line — the semantics of a `.*` join without the (?s) flag. Literals
@@ -146,27 +142,20 @@ func ContainsFold(text []byte, pat string) bool { return IndexFold(text, pat) >=
 
 // Literal is a single-substring Detector.
 type Literal struct {
-	cfg config
 	pat string
 }
 
 // NewLiteral compiles a substring detector. The empty pattern matches
 // everything, mirroring bytes.Contains.
-func NewLiteral(pattern string, opts ...Option) *Literal {
-	return &Literal{cfg: newConfig(opts), pat: pattern}
+func NewLiteral(pattern string) *Literal {
+	return &Literal{pat: pattern}
 }
-
-// Pattern returns the literal as given to NewLiteral.
-func (l *Literal) Pattern() string { return l.pat }
 
 // String implements fmt.Stringer.
 func (l *Literal) String() string { return "literal(" + l.pat + ")" }
 
 // Match implements Detector.
 func (l *Literal) Match(text []byte) bool {
-	if l.cfg.anchor {
-		return HasFoldPrefix(text, l.pat)
-	}
 	return IndexFold(text, l.pat) >= 0
 }
 
@@ -219,9 +208,9 @@ func (o *Ordered) Match(text []byte) bool {
 // matchAnyGap runs the greedy earliest-occurrence scan; taking the first
 // occurrence of each literal in turn is optimal for subsequence matching.
 func (o *Ordered) matchAnyGap(text []byte) bool {
-	for idx, lit := range o.lits {
+	for _, lit := range o.lits {
 		i := IndexFold(text, lit)
-		if i < 0 || (idx == 0 && o.cfg.anchor && i != 0) {
+		if i < 0 {
 			return false
 		}
 		text = text[i+len(lit):]

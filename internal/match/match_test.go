@@ -99,14 +99,6 @@ func TestLiteral(t *testing.T) {
 	if l.Match([]byte("nothing here")) {
 		t.Error("false positive")
 	}
-
-	anchored := NewLiteral("http://", WithAnchor(true))
-	if !anchored.Match([]byte("HTTP://example.com")) {
-		t.Error("anchored fold miss")
-	}
-	if anchored.Match([]byte(" http://example.com")) {
-		t.Error("anchored matched at offset 1")
-	}
 }
 
 func TestOrdered(t *testing.T) {

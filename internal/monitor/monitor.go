@@ -361,7 +361,7 @@ func (m *Monitor) runPlan(ctx context.Context, tick int, ps *planState) (Event, 
 // snapshots diff against each other.
 func (m *Monitor) runPipeline(ctx context.Context, p *Plan) (json.RawMessage, error) {
 	d, _ := plan.ForStoreKind(p.Kind)
-	doc, _, err := plan.Execute(ctx, m.w, nil, plan.Request{
+	doc, _, err := plan.Execute(ctx, m.w, plan.Request{
 		Kind: d.Kind, World: m.opts.World, Rounds: p.Rounds, Budget: p.Budget,
 	})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"filtermap/internal/engine"
 	"filtermap/internal/report"
-	"filtermap/internal/scanner"
 	"filtermap/internal/world"
 )
 
@@ -30,7 +29,7 @@ func init() {
 			return checkNames(&req.ISPs, characterizationISPs(), "characterization ISP")
 		},
 		Pieces: func(req Request) []string { return filterISPs(characterizationISPs(), req.ISPs) },
-		Exec: func(ctx context.Context, w *world.World, _ *scanner.Index, spec ShardSpec) (*Fragment, error) {
+		Exec: func(ctx context.Context, w *world.World, _ *Epoch, spec ShardSpec) (*Fragment, error) {
 			reports, err := w.RunCharacterizationFor(ctx, spec.Pieces)
 			if err != nil {
 				return nil, err

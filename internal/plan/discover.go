@@ -9,7 +9,6 @@ import (
 
 	"filtermap/internal/engine"
 	"filtermap/internal/report"
-	"filtermap/internal/scanner"
 	"filtermap/internal/urllist"
 	"filtermap/internal/world"
 )
@@ -39,7 +38,7 @@ func init() {
 			return nil
 		},
 		Pieces: func(req Request) []string { return filterISPs(characterizationISPs(), req.ISPs) },
-		Exec: func(ctx context.Context, w *world.World, _ *scanner.Index, spec ShardSpec) (*Fragment, error) {
+		Exec: func(ctx context.Context, w *world.World, _ *Epoch, spec ShardSpec) (*Fragment, error) {
 			targets, err := w.RunDiscovery(ctx, world.DiscoveryOptions{
 				ISPs:   spec.Pieces,
 				Rounds: spec.Rounds,

@@ -18,11 +18,12 @@ import (
 // §3 identification: one piece per Table 2 product. The keyword fan-out
 // is per product, and validation returns every product's matches for a
 // candidate regardless of which keyword surfaced it, so per-product
-// shards merge exactly. Shards run on a replica at the world epoch with
-// a once-scanned banner index. Its history is installation churn:
-// added/removed IPs, per-IP product upgrades, ASN/country migrations and
-// per-country / per-product count deltas, and a timeline counts
-// installations (Figure 1 over time).
+// shards merge exactly. Shards run on a replica's Epoch: its banner
+// index is scanned once, and a candidate validated by an earlier shard
+// on it is answered from that shard's outcome. Its history is
+// installation churn: added/removed IPs, per-IP product upgrades,
+// ASN/country migrations and per-country / per-product count deltas,
+// and a timeline counts installations (Figure 1 over time).
 func init() {
 	register(&Plan{
 		Kind:      KindIdentify,
@@ -30,7 +31,9 @@ func init() {
 		Replica:   true,
 		Normalize: func(req *Request) error {
 			req.ISPs, req.Rounds, req.Budget = nil, 0, 0
-			req.Countries = sortDedupe(req.Countries)
+			if err := checkCountries(&req.Countries); err != nil {
+				return err
+			}
 			return checkNames(&req.Products, products(), "product")
 		},
 		Pieces: func(req Request) []string {
@@ -52,6 +55,27 @@ func init() {
 	})
 }
 
+// checkCountries canonicalizes a country list to sorted, deduplicated
+// upper-case codes and rejects anything that is not two ASCII letters:
+// each code becomes a "country:" filter of the keyword queries.
+func checkCountries(ccs *[]string) error {
+	var out []string
+	for _, cc := range *ccs {
+		switch cc = strings.TrimSpace(cc); {
+		case cc == "":
+		case len(cc) != 2 || !isLetter(cc[0]) || !isLetter(cc[1]):
+			return fmt.Errorf("bad country %q (want a two-letter code)", cc)
+		default:
+			out = append(out, strings.ToUpper(cc))
+		}
+	}
+	sort.Strings(out)
+	*ccs = slices.Compact(out)
+	return nil
+}
+
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+
 // products lists the Table 2 product names, sorted.
 func products() []string {
 	var out []string
@@ -62,10 +86,17 @@ func products() []string {
 	return out
 }
 
-func execIdentify(ctx context.Context, w *world.World, idx *scanner.Index, spec ShardSpec) (*Fragment, error) {
+func execIdentify(ctx context.Context, w *world.World, ep *Epoch, spec ShardSpec) (*Fragment, error) {
+	var idx *scanner.Index
+	if ep != nil {
+		idx = ep.Index
+	}
 	p, err := w.IdentifyPipeline(ctx, idx)
 	if err != nil {
 		return nil, err
+	}
+	if ep != nil {
+		p.Outcomes = ep.Validated
 	}
 	all := fingerprint.ShodanKeywords()
 	kw := make(map[string][]string, len(spec.Pieces))

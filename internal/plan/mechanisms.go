@@ -7,7 +7,6 @@ import (
 
 	"filtermap/internal/engine"
 	"filtermap/internal/report"
-	"filtermap/internal/scanner"
 	"filtermap/internal/world"
 )
 
@@ -32,7 +31,7 @@ func init() {
 			return checkNames(&req.ISPs, world.MechanismRosterISPs(), "mechanism-roster ISP")
 		},
 		Pieces: func(req Request) []string { return filterISPs(world.MechanismRosterISPs(), req.ISPs) },
-		Exec: func(ctx context.Context, w *world.World, _ *scanner.Index, spec ShardSpec) (*Fragment, error) {
+		Exec: func(ctx context.Context, w *world.World, _ *Epoch, spec ShardSpec) (*Fragment, error) {
 			targets, err := w.RunMechanismSurveyFor(ctx, spec.Pieces)
 			if err != nil {
 				return nil, err

@@ -29,7 +29,6 @@ import (
 
 	"filtermap/internal/engine"
 	"filtermap/internal/report"
-	"filtermap/internal/scanner"
 	"filtermap/internal/world"
 )
 
@@ -60,8 +59,9 @@ type Plan struct {
 	StoreKind string
 
 	// Replica positions runner shards on a long-lived world replica at
-	// the epoch with a once-scanned banner index. Otherwise each shard
-	// builds a fresh world and advances its clock by Advance first.
+	// its Epoch: a banner index scanned once and each candidate
+	// validated at most once. Otherwise each shard builds a fresh world
+	// and advances its clock by Advance first.
 	Replica bool
 	Advance time.Duration
 
@@ -72,9 +72,9 @@ type Plan struct {
 	// Pieces lists the probe-space units a request covers, in
 	// single-process execution order (which is also the merge order).
 	Pieces func(req Request) []string
-	// Exec runs one shard on w. idx is a banner index already scanned
-	// from w; nil scans fresh where the kind needs one.
-	Exec func(ctx context.Context, w *world.World, idx *scanner.Index, spec ShardSpec) (*Fragment, error)
+	// Exec runs one shard on w. ep is the replica's epoch of w; nil on
+	// a fresh world, where the kind scans and validates afresh.
+	Exec func(ctx context.Context, w *world.World, ep *Epoch, spec ShardSpec) (*Fragment, error)
 	// Merge rebuilds the final document from fragments in shard order
 	// and reports whether it is degraded (the run survived partial
 	// failures).
@@ -260,15 +260,15 @@ func Merge(req Request, frags []*Fragment) (any, bool, error) {
 
 // Execute runs a request on a caller-owned world as a single shard
 // holding every piece and merges it. The caller positions the world's
-// clock; idx is a banner index scanned from w (nil scans fresh). The
-// monitor and fmhist run their plans through here.
-func Execute(ctx context.Context, w *world.World, idx *scanner.Index, req Request) (any, bool, error) {
+// clock; the shard scans and validates afresh. The monitor and fmhist
+// run their plans through here.
+func Execute(ctx context.Context, w *world.World, req Request) (any, bool, error) {
 	p, err := lookup(req.Kind)
 	if err != nil {
 		return nil, false, err
 	}
 	return whole(ctx, p, req, func(spec ShardSpec) (*Fragment, error) {
-		return p.Exec(ctx, w, idx, spec)
+		return p.Exec(ctx, w, nil, spec)
 	})
 }
 

@@ -4,10 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/netip"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"filtermap/internal/identify"
 	"filtermap/internal/netsim"
 	"filtermap/internal/report"
 	"filtermap/internal/store"
@@ -165,6 +170,7 @@ func TestMergePerPieceEqualsWhole(t *testing.T) {
 func TestNormalizeRejectsUnknownNames(t *testing.T) {
 	for _, req := range []Request{
 		{Kind: KindIdentify, Products: []string{"NotAProduct"}},
+		{Kind: KindIdentify, Countries: []string{"SA port:x"}},
 		{Kind: KindCharacterize, ISPs: []string{"NoSuchISP"}},
 		{Kind: KindDiscover, ISPs: []string{"NoSuchISP"}},
 		{Kind: KindDiscover, Rounds: -1},
@@ -175,7 +181,14 @@ func TestNormalizeRejectsUnknownNames(t *testing.T) {
 			t.Errorf("Normalize(%+v) accepted", req)
 		}
 	}
-	req := Request{Kind: KindMechanisms, ISPs: []string{" Nayatel", "Nayatel"}, Rounds: 3}
+	req := Request{Kind: KindIdentify, Countries: []string{"sa", " SA", "ye", ""}}
+	if err := Normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req.Countries, []string{"SA", "YE"}) {
+		t.Fatalf("identify countries normalized to %q, want [SA YE]", req.Countries)
+	}
+	req = Request{Kind: KindMechanisms, ISPs: []string{" Nayatel", "Nayatel"}, Rounds: 3}
 	if err := Normalize(&req); err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +205,144 @@ func identifyShard(seed int64) ShardSpec {
 func closed(w *world.World) bool {
 	_, err := w.ScanVantage.Dial(context.Background(), w.Lab.Addr(), 80)
 	return errors.Is(err, netsim.ErrNetworkClosed)
+}
+
+// identifyRequest is a normalized identify request over products.
+func identifyRequest(t *testing.T, products ...string) Request {
+	t.Helper()
+	req := Request{Kind: KindIdentify, Products: products}
+	if err := Normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// freshIdentify runs req with Execute on a fresh default world: scanned
+// and validated afresh, with nothing kept between runs.
+func freshIdentify(t *testing.T, req Request) report.IdentifyDoc {
+	t.Helper()
+	w, err := world.Build(req.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	doc, _, err := Execute(context.Background(), w, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc.(report.IdentifyDoc)
+}
+
+// runIdentify runs req on r and returns its document.
+func runIdentify(t *testing.T, r *Runner, req Request) report.IdentifyDoc {
+	t.Helper()
+	doc, _, err := r.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc.(report.IdentifyDoc)
+}
+
+func installed(doc report.IdentifyDoc, ip string) bool {
+	for _, in := range doc.Installations {
+		if in.IP == ip {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReplicaReusesValidation pins the replica epoch for validation: a
+// host validated by one request is answered from that outcome by every
+// later request on the replica, without a probe. Taking the host off the
+// world between two requests shows it: the second still lists the host.
+func TestReplicaReusesValidation(t *testing.T) {
+	opts := world.Options{}
+	base, err := world.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	r := NewRunner()
+	defer r.Close()
+	r.Adopt(opts, base)
+
+	first := runIdentify(t, r, identifyRequest(t, "Netsweeper", "Websense"))
+	var gone string
+	for _, in := range first.Installations {
+		if reflect.DeepEqual(in.Products, []string{"Netsweeper"}) {
+			gone = in.IP
+			break
+		}
+	}
+	if gone == "" {
+		t.Fatal("the first request validated no Netsweeper host")
+	}
+	if err := base.RemoveInstallation(gone); err != nil {
+		t.Fatal(err)
+	}
+	if second := runIdentify(t, r, identifyRequest(t, "Netsweeper")); !installed(second, gone) {
+		t.Fatalf("host %s was probed again after its validation: the second request dropped it", gone)
+	}
+	// A fresh world that lost the host does not list it.
+	fresh, err := world.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.RemoveInstallation(gone); err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := Execute(context.Background(), fresh, identifyRequest(t, "Netsweeper"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if installed(doc.(report.IdentifyDoc), gone) {
+		t.Fatalf("a fresh world without host %s still lists it", gone)
+	}
+}
+
+// TestReplicaRetriesFailedValidation: only definite outcomes are kept.
+// A candidate whose validation failed is probed again by the next
+// request on the replica, and validates once its dials go through.
+func TestReplicaRetriesFailedValidation(t *testing.T) {
+	req := identifyRequest(t, "Netsweeper")
+	want := freshIdentify(t, req)
+	if len(want.Installations) == 0 {
+		t.Fatal("a fresh world validated no Netsweeper host")
+	}
+	target := want.Installations[0].IP
+
+	base, err := world.Build(req.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	r := NewRunner()
+	defer r.Close()
+	r.Adopt(req.World, base)
+	rep, err := r.acquire(context.Background(), req.World) // scan before the fault
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.release(rep)
+
+	base.Net.SetFaultPlan(&netsim.FaultPlan{Rules: []netsim.FaultRule{{
+		Kind: netsim.FaultConnectTimeout, Dst: netip.PrefixFrom(netip.MustParseAddr(target), 32),
+		Probability: 1, Sticky: true,
+	}}})
+	failed := runIdentify(t, r, req)
+	if installed(failed, target) || len(failed.StageErrors) == 0 || failed.StageErrors[0].Target != target {
+		t.Fatalf("with its dials failing, host %s: installed %v, stage errors %+v", target, installed(failed, target), failed.StageErrors)
+	}
+
+	base.Net.SetFaultPlan(nil)
+	got := runIdentify(t, r, req)
+	a, _ := json.Marshal(got)  //nolint:errcheck // report docs always marshal
+	b, _ := json.Marshal(want) //nolint:errcheck
+	if string(a) != string(b) {
+		t.Fatalf("after the fault the replica answers\n%.400s\nwant\n%.400s", a, b)
+	}
 }
 
 func TestRunnerReplicaCap(t *testing.T) {
@@ -211,12 +362,15 @@ func TestRunnerReplicaCap(t *testing.T) {
 
 	// Drive twice the cap in distinct configs through the table.
 	var first *world.World
+	freed := make(chan struct{})
 	for seed := int64(1); seed <= 2*maxReplicas; seed++ {
 		if _, err := r.RunShard(ctx, identifyShard(seed)); err != nil {
 			t.Fatal(err)
 		}
 		if seed == 1 {
-			first = r.replicas[storeKey(seed)].world
+			rep := r.replicas[storeKey(seed)]
+			first = rep.world
+			runtime.SetFinalizer(rep.epoch.Validated, func(*identify.Outcomes) { close(freed) })
 		}
 		if n := len(r.replicas); n > maxReplicas {
 			t.Fatalf("after %d configs the table holds %d replicas, cap %d", seed, n, maxReplicas)
@@ -224,6 +378,19 @@ func TestRunnerReplicaCap(t *testing.T) {
 	}
 	if _, ok := r.replicas[storeKey(1)]; ok || !closed(first) {
 		t.Fatal("the least recently used replica was not evicted and closed")
+	}
+	// Its validation outcomes go with it.
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Millisecond):
+			if i < 100 {
+				continue
+			}
+			t.Fatal("the evicted replica's validation outcomes are still reachable")
+		}
+		break
 	}
 	if _, ok := r.replicas[storeKey(100)]; !ok || closed(base) {
 		t.Fatal("the adopted replica was evicted or closed")
@@ -258,8 +425,31 @@ func storeKey(seed int64) string { return store.ConfigHash(world.Options{Seed: s
 // TestRunnerConcurrentShards drives the replica table from several
 // goroutines at once over more configs than the cap (run with -race):
 // every shard must succeed on a live world, and the table must settle
-// within the cap once they finish.
+// within the cap once they finish. The goroutines run overlapping
+// product sets, so shards on one replica share candidates, and their
+// validation outcomes, while they run; every fragment must equal the
+// one a fresh world gives.
 func TestRunnerConcurrentShards(t *testing.T) {
+	pieces := [][]string{{"Netsweeper"}, {"Netsweeper", "Websense"}}
+	want := make(map[string]string)
+	for seed := int64(1); seed <= maxReplicas+2; seed++ {
+		for _, ps := range pieces {
+			spec := identifyShard(seed)
+			spec.Pieces = ps
+			w, err := world.Build(spec.World)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frag, err := execIdentify(context.Background(), w, nil, spec)
+			w.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := json.Marshal(frag) //nolint:errcheck // fragments always marshal
+			want[fmt.Sprint(seed, ps)] = string(b)
+		}
+	}
+
 	r := NewRunner()
 	defer r.Close()
 	var wg sync.WaitGroup
@@ -269,8 +459,15 @@ func TestRunnerConcurrentShards(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for seed := int64(1); seed <= maxReplicas+2; seed++ {
-				if _, err := r.RunShard(context.Background(), identifyShard(seed)); err != nil {
+				spec := identifyShard(seed)
+				spec.Pieces = pieces[(g+int(seed))%len(pieces)]
+				frag, err := r.RunShard(context.Background(), spec)
+				if err != nil {
 					errs <- err
+					continue
+				}
+				if b, _ := json.Marshal(frag); string(b) != want[fmt.Sprint(seed, spec.Pieces)] { //nolint:errcheck
+					errs <- fmt.Errorf("seed %d %v: fragment differs from a fresh world's:\n%.300s", seed, spec.Pieces, b)
 				}
 			}
 		}()

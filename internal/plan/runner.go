@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/identify"
 	"filtermap/internal/scanner"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
@@ -23,9 +24,9 @@ const maxReplicas = 4
 
 // Runner executes shards. Replica kinds run on long-lived world
 // replicas keyed by store.ConfigHash of the shard's world options, each
-// scanned once on first use; every other kind builds a fresh world per
-// shard. Cluster workers and the single-process server use the same
-// Runner, so a standalone run is a one-shard cluster.
+// with an Epoch scanned on first use; every other kind builds a fresh
+// world per shard. Cluster workers and the single-process server use
+// the same Runner, so a standalone run is a one-shard cluster.
 type Runner struct {
 	engOpts []engine.Option
 
@@ -35,12 +36,23 @@ type Runner struct {
 	closed   bool
 }
 
-// replica is one (world, banner index) pair. The world is built and the
-// index scanned lazily under mu; refs and used are guarded by Runner.mu.
+// Epoch is what every shard on one replica shares of its world: the
+// banner index, scanned once, and each identify candidate's validation
+// outcome, reached at most once. The replica's world is not changed
+// between its shards, so both stay true for its lifetime. Validated
+// holds at most one entry per distinct candidate address of Index,
+// which is fixed after its scan; it is freed with the replica.
+type Epoch struct {
+	Index     *scanner.Index
+	Validated *identify.Outcomes
+}
+
+// replica is one world and its epoch. The world is built and the epoch
+// scanned lazily under mu; refs and used are guarded by Runner.mu.
 type replica struct {
 	mu      sync.Mutex
 	world   *world.World
-	index   *scanner.Index
+	epoch   *Epoch
 	adopted bool // the caller owns the world: never evicted or closed here
 
 	refs int    // shards currently running on the replica
@@ -54,8 +66,9 @@ func NewRunner(engOpts ...engine.Option) *Runner {
 
 // Adopt registers a caller-owned world as the replica for opts, so
 // replica shards under those options run on it instead of building a
-// second world. Its banner index is scanned on first use. The runner
-// never closes an adopted world.
+// second world. Its banner index is scanned on first use. The caller
+// must not change the world while the runner holds it, and the runner
+// never closes it.
 func (r *Runner) Adopt(opts world.Options, w *world.World) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -102,7 +115,7 @@ func (r *Runner) RunShard(ctx context.Context, spec ShardSpec) (*Fragment, error
 			return nil, err
 		}
 		defer r.release(rep)
-		return p.Exec(ctx, rep.world, rep.index, spec)
+		return p.Exec(ctx, rep.world, rep.epoch, spec)
 	}
 	w, err := world.Build(spec.World, r.engOpts...)
 	if err != nil {
@@ -116,7 +129,7 @@ func (r *Runner) RunShard(ctx context.Context, spec ShardSpec) (*Fragment, error
 }
 
 // acquire returns the replica for opts with its world built and its
-// index scanned, pinned against eviction until release.
+// epoch scanned, pinned against eviction until release.
 func (r *Runner) acquire(ctx context.Context, opts world.Options) (*replica, error) {
 	key := store.ConfigHash(opts)
 	r.mu.Lock()
@@ -183,9 +196,9 @@ func closeAll(reps []*replica) {
 	}
 }
 
-// ready builds the replica's world and scans its index, whichever is
-// missing. A failed scan leaves the replica empty for the next acquire
-// to retry.
+// ready builds the replica's world and scans its epoch, whichever is
+// missing. A failed scan leaves the replica without an epoch for the
+// next acquire to retry.
 func (rep *replica) ready(ctx context.Context, opts world.Options, engOpts []engine.Option) error {
 	if rep.world == nil {
 		w, err := world.Build(opts, engOpts...)
@@ -194,12 +207,12 @@ func (rep *replica) ready(ctx context.Context, opts world.Options, engOpts []eng
 		}
 		rep.world = w
 	}
-	if rep.index == nil {
+	if rep.epoch == nil {
 		idx, err := rep.world.Scanner().ScanNetwork(ctx)
 		if err != nil {
 			return fmt.Errorf("plan: replica scan: %w", err)
 		}
-		rep.index = idx
+		rep.epoch = &Epoch{Index: idx, Validated: &identify.Outcomes{}}
 	}
 	return nil
 }

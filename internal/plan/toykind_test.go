@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
-	"filtermap/internal/scanner"
 	"filtermap/internal/simclock"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
@@ -54,7 +53,7 @@ func registerTally(t *testing.T) *Plan {
 			return nil
 		},
 		Pieces: func(req Request) []string { return req.ISPs },
-		Exec: func(_ context.Context, _ *world.World, _ *scanner.Index, spec ShardSpec) (*Fragment, error) {
+		Exec: func(_ context.Context, _ *world.World, _ *Epoch, spec ShardSpec) (*Fragment, error) {
 			return &Fragment{Pieces: spec.Pieces}, nil
 		},
 		Merge: func(req Request, frags []*Fragment) (any, bool, error) {
@@ -117,7 +116,7 @@ func TestToyKindIsOneFile(t *testing.T) {
 		if err := Normalize(&req); err != nil {
 			t.Fatal(err)
 		}
-		doc, _, err := Execute(ctx, nil, nil, req)
+		doc, _, err := Execute(ctx, nil, req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func matchKeyword(b Banner, text, kw string) bool {
 // differentialIndex builds an index whose banners exercise the cached
 // text path: mixed case, Unicode (İ lowers to a multi-byte sequence),
 // invalid UTF-8 (strings.ToLower re-encodes it as U+FFFD), multiple
-// ports, countries.
+// ports, countries, and one search text under two countries.
 func differentialIndex() *Index {
 	idx := NewIndex()
 	a := netip.MustParseAddr("10.1.0.0")
@@ -70,6 +70,9 @@ func differentialIndex() *Index {
 	add(8080, "türk.example.tr", "TR", "HTTP/1.1 200 OK\r\nServer: \xc4\xb0STANBUL\r\n", "İ and ı")
 	add(8080, "h6.example", "", "HTTP/1.1 200 OK\r\nX: \xff\xferaw bytes\r\n", "body \xff excerpt")
 	add(443, "h7.example", "US", "HTTP/1.1 403 Forbidden\r\nServer: Blue Coat ProxySG\r\n", "")
+	// One (hostname, head, excerpt) triple carried under two countries.
+	add(8080, "twin.example", "QA", "HTTP/1.1 200 OK\r\nServer: Twin\r\n", "twin page")
+	add(8080, "twin.example", "SA", "HTTP/1.1 200 OK\r\nServer: Twin\r\n", "twin page")
 	return idx
 }
 
@@ -88,6 +91,11 @@ func differentialQueries(t *testing.T) []Query {
 		"istanbul",
 		"port:8080",
 		"",
+		"twin",
+		"twin country:SA",
+		"twin country:qa",
+		"twin country:US",
+		"country:SA",
 	} {
 		q, err := ParseQuery(s)
 		if err != nil {
@@ -165,12 +173,14 @@ func TestSearchBytesAppends(t *testing.T) {
 }
 
 // TestZeroAllocSearchBytes pins 0 allocs/op for the compiled search on
-// hit and miss paths once dst capacity is warm. CI runs this.
+// hit, miss and country-filtered paths once dst capacity is warm. CI
+// runs this.
 func TestZeroAllocSearchBytes(t *testing.T) {
 	idx := differentialIndex()
 	hitQ, _ := ParseQuery("netsweeper port:8080")
 	missQ, _ := ParseQuery("nosuchkeyword")
-	hit, miss := hitQ.Compile(), missQ.Compile()
+	countryQ, _ := ParseQuery("twin country:SA")
+	hit, miss, country := hitQ.Compile(), missQ.Compile(), countryQ.Compile()
 	dst := make([]Banner, 0, 64)
 	if r := idx.SearchBytes(hit, dst[:0]); len(r) == 0 {
 		t.Fatal("hit query found nothing")
@@ -178,7 +188,7 @@ func TestZeroAllocSearchBytes(t *testing.T) {
 	cases := []struct {
 		name string
 		cq   *CompiledQuery
-	}{{"hit", hit}, {"miss", miss}}
+	}{{"hit", hit}, {"miss", miss}, {"country", country}}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(200, func() {
 			dst = idx.SearchBytes(tc.cq, dst[:0])

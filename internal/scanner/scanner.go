@@ -243,9 +243,10 @@ func isAlpha(s string) bool {
 //
 // The searchable text of a banner (Banner.Text) depends only on its
 // interned (hostname, head, excerpt) triple, so the index keeps one
-// lowered text per distinct triple with the banners that carry it. A
-// query tests each distinct text once and visits only the banners whose
-// text matched.
+// lowered text per distinct (hostname, country, head, excerpt) key with
+// the banners that carry it. A query with a country: filter skips the
+// texts of every other country; it tests each remaining text once and
+// visits only the banners whose text matched.
 //
 // Banners are stored in chunks that are never reallocated, so the index
 // grows without copying what it already holds. An Index must be made
@@ -259,12 +260,15 @@ type Index struct {
 	strs   *intern.Table
 }
 
-// textKey is the interned triple a banner's search text is built from.
-type textKey struct{ hostname, head, excerpt string }
+// textKey is the interned triple a banner's search text is built from,
+// plus the banner's country.
+type textKey struct{ hostname, country, head, excerpt string }
 
-// indexText is one distinct search text and the banners that carry it.
+// indexText is one distinct search text and the banners that carry it,
+// all of one country.
 type indexText struct {
 	text    []byte    // Banner.Text() of each of banners
+	country string    // Banner.Country of each of banners
 	banners []*Banner // into Index.chunks
 }
 
@@ -289,13 +293,13 @@ func (x *Index) Add(b Banner) {
 
 // insert indexes a banner whose strings are already interned in x.strs.
 func (x *Index) insert(b Banner) {
-	key := textKey{b.Hostname, b.RawHead, b.BodyExcerpt}
+	key := textKey{b.Hostname, b.Country, b.RawHead, b.BodyExcerpt}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	id, ok := x.textOf[key]
 	if !ok {
 		id = len(x.texts)
-		x.texts = append(x.texts, indexText{text: []byte(b.Text())})
+		x.texts = append(x.texts, indexText{text: []byte(b.Text()), country: b.Country})
 		x.textOf[key] = id
 	}
 	last := len(x.chunks) - 1
@@ -438,11 +442,10 @@ func (cq *CompiledQuery) matchText(text []byte) bool {
 	return true
 }
 
-// matchBanner checks what a banner's text cannot decide: the port and
-// country filters and the port of each port-qualified keyword.
+// matchBanner checks what a banner's text and its country cannot
+// decide: the port filter and the port of each port-qualified keyword.
 func (cq *CompiledQuery) matchBanner(b *Banner) bool {
-	q := &cq.query
-	if q.Port != 0 && b.Port != q.Port || q.Country != "" && b.Country != q.Country {
+	if q := &cq.query; q.Port != 0 && b.Port != q.Port {
 		return false
 	}
 	for _, pk := range cq.ports {
@@ -455,7 +458,8 @@ func (cq *CompiledQuery) matchBanner(b *Banner) bool {
 
 // SearchBytes runs a compiled query over the index, appends matches to
 // dst and returns it, with the appended region sorted by (addr, port).
-// With a pre-compiled query and a reused dst of sufficient capacity it
+// A country filter skips the texts of every other country unread. With
+// a pre-compiled query and a reused dst of sufficient capacity it
 // performs zero heap allocations. Typical use:
 //
 //	cq := q.Compile()
@@ -464,10 +468,11 @@ func (cq *CompiledQuery) matchBanner(b *Banner) bool {
 //	}
 func (x *Index) SearchBytes(cq *CompiledQuery, dst []Banner) []Banner {
 	start := len(dst)
+	country := cq.query.Country
 	x.mu.RLock()
 	for i := range x.texts {
 		t := &x.texts[i]
-		if !cq.matchText(t.text) {
+		if country != "" && t.country != country || !cq.matchText(t.text) {
 			continue
 		}
 		for _, b := range t.banners {

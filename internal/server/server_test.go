@@ -8,12 +8,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"filtermap/internal/fingerprint"
+	"filtermap/internal/plan"
 	"filtermap/internal/report"
+	"filtermap/internal/world"
 )
 
 // newTestServer builds a Server plus an httptest front end and tears
@@ -167,6 +171,95 @@ func TestIdentifyRejectsUnknownProduct(t *testing.T) {
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1",
 		IdentifyRequest{Products: []string{"NotAProduct"}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
+}
+
+// TestIdentifyCountryCodes: an identify country is a two-letter code,
+// never query syntax. Anything else is a 400 naming it, and the case of
+// a code does not make a second cache entry.
+func TestIdentifyCountryCodes(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	var e map[string]string
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1",
+		IdentifyRequest{Products: []string{"Netsweeper"}, Countries: []string{"SA port:x"}}, &e)
+	wantStatus(t, resp, http.StatusBadRequest)
+	if !strings.Contains(e["error"], `"SA port:x"`) {
+		t.Fatalf("error %q does not name the bad country", e["error"])
+	}
+
+	lower := doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1",
+		IdentifyRequest{Products: []string{"Netsweeper"}, Countries: []string{"sa"}}, nil)
+	wantStatus(t, lower, http.StatusOK)
+	// Without ?wait=1 only a cache hit answers 200.
+	upper := doJSON(t, http.MethodPost, ts.URL+"/v1/identify",
+		IdentifyRequest{Products: []string{"Netsweeper"}, Countries: []string{"SA"}}, nil)
+	wantStatus(t, upper, http.StatusOK)
+	a, _ := io.ReadAll(lower.Body) //nolint:errcheck // doJSON buffered the body
+	b, _ := io.ReadAll(upper.Body) //nolint:errcheck
+	if !bytes.Equal(a, b) {
+		t.Fatalf("sa and SA answer different documents:\n%s\n%s", a, b)
+	}
+}
+
+// identifyProducts lists the Table 2 product names, sorted.
+func identifyProducts() []string {
+	var out []string
+	for p := range fingerprint.ShodanKeywords() {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// productSubsets lists every non-empty subset of products.
+func productSubsets(products []string) [][]string {
+	var out [][]string
+	for mask := 1; mask < 1<<len(products); mask++ {
+		var ps []string
+		for i, p := range products {
+			if mask&(1<<i) != 0 {
+				ps = append(ps, p)
+			}
+		}
+		out = append(out, ps)
+	}
+	return out
+}
+
+// TestServedIdentifyMatchesFreshWorld: a long-lived server answers every
+// identify request from its replica, which validates each candidate
+// once and reuses the outcome; each answer must be the bytes a fresh
+// world gives the same request.
+func TestServedIdentifyMatchesFreshWorld(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	for _, countries := range [][]string{nil, {"SA", "YE"}} {
+		for _, products := range productSubsets(identifyProducts()) {
+			body := IdentifyRequest{Products: products, Countries: countries}
+			resp := doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1", body, nil)
+			wantStatus(t, resp, http.StatusOK)
+			got, _ := io.ReadAll(resp.Body) //nolint:errcheck // doJSON buffered the body
+
+			req, err := srv.planRequest(KindIdentify, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := world.Build(req.World)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, _, err := plan.Execute(context.Background(), w, *req)
+			w.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(bytes.TrimSuffix(got, []byte("\n"))) != string(want) {
+				t.Fatalf("products %v countries %v: served\n%.400s\nfresh world\n%.400s", products, countries, got, want)
+			}
+		}
+	}
 }
 
 func TestConfirmSingleCampaign(t *testing.T) {
@@ -626,6 +719,60 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
+}
+
+// BenchmarkServeIdentifyMiss measures the identify miss path in
+// process: a one-entry cache and the serve-identify workload's 1,800
+// request bodies (every product subset times every unordered pair of
+// index countries), cycled through Server.ServeHTTP so that every
+// request runs search, validation and whois/geo on the replica.
+func BenchmarkServeIdentifyMiss(b *testing.B) {
+	w, err := world.Build(world.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := w.Scanner().ScanNetwork(context.Background())
+	w.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	countries := idx.Countries()
+	var bodies [][]byte
+	for _, products := range productSubsets(identifyProducts()) {
+		for i := range countries {
+			for j := i; j < len(countries); j++ {
+				cs := []string{countries[i]}
+				if j != i {
+					cs = append(cs, countries[j])
+				}
+				body, err := json.Marshal(IdentifyRequest{Products: products, Countries: cs})
+				if err != nil {
+					b.Fatal(err)
+				}
+				bodies = append(bodies, body)
+			}
+		}
+	}
+
+	srv, err := New(Options{CacheEntries: 1})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+	serve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/identify?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status = %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	serve([]byte("{}")) // scan the replica before timing
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
+	}
 }
 
 // BenchmarkServeCachedIdentify measures the cached hot path end to end
