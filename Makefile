@@ -64,15 +64,20 @@ mech-golden:
 monitor-golden:
 	go test -race -run 'TestGoldenMonitor|TestWatchSSEResume|TestWatchInvalidatesCache' -count=1 .
 
-# The distributed scan-out determinism check: identify, mechanisms and
-# discovery documents from a coordinator with four remote HTTP workers
-# must be byte-identical to the standalone server's, with worker-crash
-# lease expiry + reassignment, graceful drain, and replication-log
-# followers exercised under the race detector (DESIGN.md §15).
+# The distributed scan-out determinism check: identify,
+# characterization, mechanisms and discovery documents from a
+# coordinator with four remote HTTP workers must be byte-identical to
+# the standalone server's, with worker-crash lease expiry +
+# reassignment, graceful drain, and replication-log followers exercised
+# under the race detector (DESIGN.md §15). Every kind's fragment must
+# merge the same through its wire form, and a fragment of another
+# kind's shape must fail its job.
 .PHONY: cluster-golden
 cluster-golden:
 	go test -race -run 'TestGoldenClusterScanOut|TestClusterWorker|TestClusterReplication' -count=1 .
 	go test -race -run 'TestClusterByteIdentity' -count=1 ./internal/server/
+	go test -race -count=1 -run 'TestMergePerPieceEqualsWhole|TestToyKindIsOneFile' ./internal/plan/
+	go test -race -count=1 -run 'TestResultRejectsMisshapenFragments' ./internal/cluster/
 
 # The world-scaling determinism check (DESIGN.md §16): the synthetic
 # population the scale realm answers must be byte-identical to the

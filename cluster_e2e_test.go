@@ -123,10 +123,10 @@ func clusterStatus(t *testing.T, coordURL string) filtermap.ClusterStatus {
 }
 
 // TestGoldenClusterScanOut is the headline acceptance golden: identify,
-// mechanisms and discovery documents produced by a coordinator with four
-// remote HTTP workers are byte-identical to the standalone server's. The
-// coordinator is token-protected, so the golden also covers the
-// authenticated worker path end to end.
+// characterization, mechanisms and discovery documents produced by a
+// coordinator with four remote HTTP workers are byte-identical to the
+// standalone server's. The coordinator is token-protected, so the golden
+// also covers the authenticated worker path end to end.
 func TestGoldenClusterScanOut(t *testing.T) {
 	plain := startServer(t, filtermap.ServeOptions{})
 	coord := startServer(t, filtermap.ServeOptions{
@@ -137,7 +137,7 @@ func TestGoldenClusterScanOut(t *testing.T) {
 		startHTTPWorker(t, "golden-"+string(rune('a'+i)), coord.URL, "golden-secret")
 	}
 
-	for _, kind := range []string{"identify", "mechanisms", "discover"} {
+	for _, kind := range []string{"identify", "characterize", "mechanisms", "discover"} {
 		path := "/v1/" + kind + "?wait=1"
 		want := postBytes(t, plain.URL+path)
 		got := postBytes(t, coord.URL+path)
@@ -150,8 +150,8 @@ func TestGoldenClusterScanOut(t *testing.T) {
 	if !st.Enabled || len(st.Workers) != 4 {
 		t.Fatalf("cluster status: enabled=%v workers=%d, want 4 on the ring", st.Enabled, len(st.Workers))
 	}
-	if st.Counters.JobsDone != 3 || st.Counters.ShardsDone == 0 {
-		t.Fatalf("cluster counters after 3 jobs: %+v", st.Counters)
+	if st.Counters.JobsDone != 4 || st.Counters.ShardsDone == 0 {
+		t.Fatalf("cluster counters after 4 jobs: %+v", st.Counters)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -96,12 +97,18 @@ func startJob(t *testing.T, c *Coordinator) (<-chan any, <-chan error) {
 	}
 }
 
+// wireFragment is v as a coordinator receives it: the JSON a worker
+// posts, decoded into a fragment.
+func wireFragment(v any) *plan.Fragment {
+	body, _ := json.Marshal(v) //nolint:errcheck // test values always marshal
+	var f plan.Fragment
+	json.Unmarshal(body, &f) //nolint:errcheck // a fragment keeps any JSON value
+	return &f
+}
+
 // fragFor fabricates a deterministic mechanisms fragment for a lease.
 func fragFor(l ShardLease) *plan.Fragment {
-	return &plan.Fragment{
-		Pieces:     l.Spec.Pieces,
-		Mechanisms: []report.MechanismISPDoc{{ISP: l.Spec.Pieces[0], Tested: 1}},
-	}
+	return wireFragment(report.MechanismsDoc{Mechanisms: []report.MechanismISPDoc{{ISP: l.Spec.Pieces[0], Tested: 1}}})
 }
 
 func TestLeaseExpiryAndReassignment(t *testing.T) {
@@ -258,6 +265,28 @@ func TestShardFailureBudget(t *testing.T) {
 	ctr := c.Status().Counters
 	if ctr.ShardsRetried != 2 || ctr.JobsFailed != 1 {
 		t.Fatalf("counters after failure: %+v", ctr)
+	}
+}
+
+// TestResultRejectsMisshapenFragments: a fragment off the wire must have
+// its job kind's shape. Identify-shaped fragments, or the fragments of a
+// worker built when every kind shared one fragment type, fail a
+// mechanisms job with an error naming the field instead of merging into
+// an empty document.
+func TestResultRejectsMisshapenFragments(t *testing.T) {
+	for field, body := range map[string]string{
+		"installations": `{"installations":[{"ip":"10.0.0.1","products":["Netsweeper"]}],"candidates":{"Netsweeper":["10.0.0.1"]}}`,
+		"pieces":        `{"pieces":["Etisalat"],"mechanisms":[{"isp":"Etisalat","tested":1}]}`,
+	} {
+		c := NewCoordinator(Options{})
+		docs, errs := startJob(t, c)
+		for _, l := range c.Lease("worker-a", 100) {
+			c.Result("worker-a", l.Ref, wireFragment(json.RawMessage(body)), "")
+		}
+		doc := <-docs
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "merge mechanisms") || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("%s: Run = %+v, %v; want an error naming the kind and the field %q", body, doc, err, field)
+		}
 	}
 }
 

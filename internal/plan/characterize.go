@@ -25,7 +25,7 @@ func init() {
 		StoreKind: StoreTable4,
 		Advance:   8 * time.Hour,
 		Normalize: func(req *Request) error {
-			req.Products, req.Countries, req.Rounds, req.Budget = nil, nil, 0, 0
+			*req = Request{Kind: req.Kind, World: req.World, ISPs: req.ISPs}
 			return checkNames(&req.ISPs, characterizationISPs(), "characterization ISP")
 		},
 		Pieces: func(req Request) []string { return filterISPs(characterizationISPs(), req.ISPs) },
@@ -34,10 +34,9 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			doc := report.Table4JSON(reports)
-			return &Fragment{Pieces: spec.Pieces, Table4Rows: doc.Rows, Reports: doc.Reports}, nil
+			return &Fragment{part: report.Table4JSON(reports)}, nil
 		},
-		Merge:   mergeCharacterize,
+		Merge:   mergeParts(mergeCharacterize),
 		DiffKey: "matrix",
 		Diff:    diffDocs(diffMatrix),
 		Count: countDocs(func(doc report.Table4Doc, add func(string, int)) {
@@ -49,15 +48,15 @@ func init() {
 	})
 }
 
-// mergeCharacterize rebuilds a Table4Doc: the renderer's catalog
-// columns, rows re-sorted globally by (product, ASN) — the Matrix order,
-// with unique keys across targets — and per-target reports concatenated
-// in shard (= target) order.
-func mergeCharacterize(_ Request, frags []*Fragment) (any, bool, error) {
+// mergeCharacterize rebuilds a Table4Doc from the shards' documents:
+// the renderer's catalog columns, rows re-sorted globally by (product,
+// ASN) — the Matrix order, with unique keys across targets — and
+// per-target reports concatenated in shard (= target) order.
+func mergeCharacterize(_ Request, parts []report.Table4Doc) (any, bool, error) {
 	doc := report.Table4JSON(nil)
-	for _, f := range frags {
-		doc.Rows = append(doc.Rows, f.Table4Rows...)
-		for _, rep := range f.Reports {
+	for _, part := range parts {
+		doc.Rows = append(doc.Rows, part.Rows...)
+		for _, rep := range part.Reports {
 			if rep.Degraded {
 				doc.Degraded = true
 			}

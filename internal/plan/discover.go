@@ -25,7 +25,7 @@ func init() {
 		StoreKind: StoreDiscovery,
 		Advance:   8 * time.Hour,
 		Normalize: func(req *Request) error {
-			req.Products, req.Countries = nil, nil
+			*req = Request{Kind: req.Kind, World: req.World, ISPs: req.ISPs, Rounds: req.Rounds, Budget: req.Budget}
 			if err := checkNames(&req.ISPs, characterizationISPs(), "discovery ISP"); err != nil {
 				return err
 			}
@@ -51,10 +51,9 @@ func init() {
 			for _, t := range targets {
 				rts = append(rts, report.DiscoveryTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report})
 			}
-			doc := report.DiscoveryJSON(spec.Rounds, spec.Budget, rts, world.DiscoveredList(targets))
-			return &Fragment{Pieces: spec.Pieces, Discovery: doc.Targets}, nil
+			return &Fragment{part: report.DiscoveryJSON(spec.Rounds, spec.Budget, rts, world.DiscoveredList(targets))}, nil
 		},
-		Merge:   mergeDiscover,
+		Merge:   mergeParts(mergeDiscover),
 		DiffKey: "discovery",
 		Diff:    diffDocs(diffDiscovery),
 		Count: countDocs(func(doc report.DiscoveryDoc, add func(string, int)) {
@@ -70,16 +69,16 @@ func init() {
 	})
 }
 
-// mergeDiscover rebuilds a DiscoveryDoc: targets concatenated in shard
-// order, and the renderer's effective caps and synthetic "discovered"
-// list reassembled from the novel findings — urllist.DiscoveredList
-// dedupes by URL and sorts, so the result is independent of which shard
-// found what first.
-func mergeDiscover(req Request, frags []*Fragment) (any, bool, error) {
+// mergeDiscover rebuilds a DiscoveryDoc from the shards' documents:
+// targets concatenated in shard order, and the renderer's effective caps
+// and synthetic "discovered" list reassembled from the novel findings —
+// urllist.DiscoveredList dedupes by URL and sorts, so the result is
+// independent of which shard found what first.
+func mergeDiscover(req Request, parts []report.DiscoveryDoc) (any, bool, error) {
 	var targets []report.DiscoveryTargetDoc
 	var novel []urllist.Entry
-	for _, f := range frags {
-		for _, t := range f.Discovery {
+	for _, part := range parts {
+		for _, t := range part.Targets {
 			targets = append(targets, t)
 			for _, finding := range t.Findings {
 				if finding.Novel {

@@ -30,7 +30,7 @@ func init() {
 		StoreKind: StoreIdentify,
 		Replica:   true,
 		Normalize: func(req *Request) error {
-			req.ISPs, req.Rounds, req.Budget = nil, 0, 0
+			*req = Request{Kind: req.Kind, World: req.World, Products: req.Products, Countries: req.Countries}
 			if err := checkCountries(&req.Countries); err != nil {
 				return err
 			}
@@ -43,7 +43,7 @@ func init() {
 			return products()
 		},
 		Exec:    execIdentify,
-		Merge:   mergeIdentify,
+		Merge:   mergeParts(mergeIdentify),
 		DiffKey: "installs",
 		Diff:    diffDocs(diffInstalls),
 		Count: countDocs(func(doc report.IdentifyDoc, add func(string, int)) {
@@ -86,6 +86,15 @@ func products() []string {
 	return out
 }
 
+// identifyPart is an identify shard's fragment: its document plus the
+// candidate addresses each product's keywords surfaced. The merged
+// CandidateCount is the distinct-address union across products, which
+// the shard documents' counts cannot express.
+type identifyPart struct {
+	report.IdentifyDoc
+	Candidates map[string][]netip.Addr `json:"candidates,omitempty"`
+}
+
 func execIdentify(ctx context.Context, w *world.World, ep *Epoch, spec ShardSpec) (*Fragment, error) {
 	var idx *scanner.Index
 	if ep != nil {
@@ -111,24 +120,7 @@ func execIdentify(ctx context.Context, w *world.World, ep *Epoch, spec ShardSpec
 	if err != nil {
 		return nil, err
 	}
-	doc := report.IdentifyJSON(rep)
-	frag := &Fragment{
-		Pieces:        spec.Pieces,
-		Installations: doc.Installations,
-		QueryErrors:   doc.QueryErrors,
-		StageErrors:   doc.StageErrors,
-	}
-	if len(rep.CandidatesByProduct) > 0 {
-		frag.Candidates = make(map[string][]string, len(rep.CandidatesByProduct))
-		for product, addrs := range rep.CandidatesByProduct {
-			strs := make([]string, len(addrs))
-			for i, a := range addrs {
-				strs[i] = a.String()
-			}
-			frag.Candidates[product] = strs
-		}
-	}
-	return frag, nil
+	return &Fragment{part: identifyPart{IdentifyDoc: report.IdentifyJSON(rep), Candidates: rep.CandidatesByProduct}}, nil
 }
 
 // mergeIdentify rebuilds an IdentifyDoc from per-product shards. The
@@ -143,20 +135,20 @@ func execIdentify(ctx context.Context, w *world.World, ep *Epoch, spec ShardSpec
 //   - Stage errors dedupe by (stage, target): the single process
 //     validates each candidate once and does one bulk whois, while two
 //     shards sharing a candidate each record the same failure.
-func mergeIdentify(_ Request, frags []*Fragment) (any, bool, error) {
+func mergeIdentify(_ Request, parts []identifyPart) (any, bool, error) {
 	var doc report.IdentifyDoc
 
-	candidates := make(map[string]bool)
+	candidates := make(map[netip.Addr]bool)
 	seenInstall := make(map[string]bool)
 	seenStage := make(map[string]bool)
 
-	for _, f := range frags {
-		for _, addrs := range f.Candidates {
+	for _, part := range parts {
+		for _, addrs := range part.Candidates {
 			for _, a := range addrs {
 				candidates[a] = true
 			}
 		}
-		for _, inst := range f.Installations {
+		for _, inst := range part.Installations {
 			if seenInstall[inst.IP] {
 				continue
 			}
@@ -166,8 +158,8 @@ func mergeIdentify(_ Request, frags []*Fragment) (any, bool, error) {
 			}
 			doc.Installations = append(doc.Installations, inst)
 		}
-		doc.QueryErrors = append(doc.QueryErrors, f.QueryErrors...)
-		for _, se := range f.StageErrors {
+		doc.QueryErrors = append(doc.QueryErrors, part.QueryErrors...)
+		for _, se := range part.StageErrors {
 			key := se.Stage + "\x00" + se.Target
 			if seenStage[key] {
 				continue

@@ -23,7 +23,7 @@ func init() {
 		Kind:      KindMechanisms,
 		StoreKind: StoreMechanisms,
 		Normalize: func(req *Request) error {
-			req.Products, req.Countries, req.Rounds, req.Budget = nil, nil, 0, 0
+			*req = Request{Kind: req.Kind, World: req.World, ISPs: req.ISPs}
 			// The survey is meaningless without the censoring roster.
 			if req.World.Mechanisms == nil {
 				req.World.Mechanisms = &world.MechanismOptions{}
@@ -40,15 +40,14 @@ func init() {
 			for _, t := range targets {
 				rts = append(rts, report.MechanismTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results})
 			}
-			doc := report.MechanismsJSON(rts)
-			return &Fragment{Pieces: spec.Pieces, Mechanisms: doc.Mechanisms}, nil
+			return &Fragment{part: report.MechanismsJSON(rts)}, nil
 		},
-		Merge: func(_ Request, frags []*Fragment) (any, bool, error) {
+		Merge: mergeParts(func(_ Request, parts []report.MechanismsDoc) (any, bool, error) {
 			// MechanismsJSON builds each entry purely per target, so
 			// concatenation in shard (= roster) order is the whole merge.
 			var doc report.MechanismsDoc
-			for _, f := range frags {
-				for _, m := range f.Mechanisms {
+			for _, part := range parts {
+				for _, m := range part.Mechanisms {
 					if len(m.Degraded) > 0 {
 						doc.Degraded = true
 					}
@@ -56,7 +55,7 @@ func init() {
 				}
 			}
 			return doc, doc.Degraded, nil
-		},
+		}),
 		DiffKey: "mechanisms",
 		Diff:    diffDocs(diffMechanisms),
 		Count: countDocs(func(doc report.MechanismsDoc, add func(string, int)) {

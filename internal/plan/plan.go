@@ -12,7 +12,10 @@
 // shard holding every piece (Runner.Run). Both go through the same Exec
 // and the same Merge, so standalone and clustered documents differ only
 // in how the request was partitioned, and they are byte-identical
-// because every Merge is exact across partitions.
+// because every Merge is exact across partitions. A shard's fragment
+// holds a part of the kind's own type, declared in its descriptor file
+// next to the Merge that reads it; the part is JSON only on the cluster
+// wire.
 //
 // Confirmation campaigns are deliberately not plans: a campaign consumes
 // the virtual timeline (clock advancement, vendor submission queues), so
@@ -20,6 +23,7 @@
 package plan
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -28,7 +32,6 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
-	"filtermap/internal/report"
 	"filtermap/internal/world"
 )
 
@@ -65,19 +68,20 @@ type Plan struct {
 	Replica bool
 	Advance time.Duration
 
-	// Normalize canonicalizes a request in place — sorted, deduplicated
-	// lists, fields the kind does not read cleared, required world
+	// Normalize canonicalizes a request in place — only the fields the
+	// kind reads kept, lists sorted and deduplicated, required world
 	// features switched on — and rejects unknown names.
 	Normalize func(req *Request) error
 	// Pieces lists the probe-space units a request covers, in
 	// single-process execution order (which is also the merge order).
 	Pieces func(req Request) []string
-	// Exec runs one shard on w. ep is the replica's epoch of w; nil on
-	// a fresh world, where the kind scans and validates afresh.
+	// Exec runs one shard on w and returns its fragment, holding a part
+	// of the kind's own type. ep is the replica's epoch of w; nil on a
+	// fresh world, where the kind scans and validates afresh.
 	Exec func(ctx context.Context, w *world.World, ep *Epoch, spec ShardSpec) (*Fragment, error)
 	// Merge rebuilds the final document from fragments in shard order
 	// and reports whether it is degraded (the run survived partial
-	// failures).
+	// failures). Build it with mergeParts over the kind's part type.
 	Merge func(req Request, frags []*Fragment) (doc any, degraded bool, err error)
 
 	// DiffKey names the kind's section in the diff JSON.
@@ -166,56 +170,56 @@ type Request struct {
 	Budget int `json:"budget,omitempty"`
 }
 
-// ShardSpec is one unit of work: a slice of the request's probe space
-// plus everything needed to rebuild the world and run it.
+// ShardSpec is one unit of work: the request plus the slice of its
+// probe space the shard covers. It is also the cluster wire lease.
 type ShardSpec struct {
-	Kind  string        `json:"kind"`
-	World world.Options `json:"world"`
+	Request
 	// Pieces names this shard's slice of the probe space: product names
 	// for identify, ISP names otherwise.
 	Pieces []string `json:"pieces"`
-	// Countries carries the identify country restriction.
-	Countries []string `json:"countries,omitempty"`
-	// Rounds and Budget carry the discovery crawl caps.
-	Rounds int `json:"rounds,omitempty"`
-	Budget int `json:"budget,omitempty"`
 }
 
-// Fragment is one shard's contribution to the final document: the
-// per-product / per-ISP pieces of the internal/report JSON documents.
-// Exactly the fields for the shard's kind are populated.
+// Fragment is one shard's contribution to the final document, opaque
+// outside its kind. It holds the kind's own part value when the shard
+// ran in this process, and that value's JSON only when a coordinator
+// decoded it off the cluster wire; mergeParts is the one decode site.
 type Fragment struct {
-	// Pieces echoes the shard's probe-space slice.
-	Pieces []string `json:"pieces"`
-
-	// Identify. Candidates maps product -> candidate addresses from the
-	// keyword stage; the merged CandidateCount is the distinct-IP union
-	// across products, which per-shard document fields cannot express.
-	Candidates    map[string][]string      `json:"candidates,omitempty"`
-	Installations []report.InstallationDoc `json:"installations,omitempty"`
-	QueryErrors   []report.QueryErrorDoc   `json:"query_errors,omitempty"`
-	StageErrors   []report.StageErrorDoc   `json:"stage_errors,omitempty"`
-
-	// Characterize.
-	Table4Rows []report.Table4RowDoc     `json:"table4_rows,omitempty"`
-	Reports    []report.CountryReportDoc `json:"reports,omitempty"`
-
-	// Discover.
-	Discovery []report.DiscoveryTargetDoc `json:"discovery,omitempty"`
-
-	// Mechanisms.
-	Mechanisms []report.MechanismISPDoc `json:"mechanisms,omitempty"`
+	part any
 }
 
-// shard cuts a request down to one shard over the given pieces.
-func (req Request) shard(pieces []string) ShardSpec {
-	return ShardSpec{
-		Kind:      req.Kind,
-		World:     req.World,
-		Pieces:    pieces,
-		Countries: req.Countries,
-		Rounds:    req.Rounds,
-		Budget:    req.Budget,
+// MarshalJSON writes the part.
+func (f Fragment) MarshalJSON() ([]byte, error) { return json.Marshal(f.part) }
+
+// UnmarshalJSON keeps a copy of the part's JSON (the decoder reuses its
+// buffer) for Merge to decode into the kind's part type.
+func (f *Fragment) UnmarshalJSON(b []byte) error {
+	f.part = json.RawMessage(bytes.Clone(b))
+	return nil
+}
+
+// mergeParts adapts a merge over a kind's part type P to Plan.Merge. A
+// fragment holds a P when its shard ran in this process, and P's JSON
+// when it came off the cluster wire; that JSON must have P's shape, so
+// a field P lacks (another kind's fragment, or another build's) fails
+// the merge instead of being dropped.
+func mergeParts[P any](merge func(req Request, parts []P) (any, bool, error)) func(Request, []*Fragment) (any, bool, error) {
+	return func(req Request, frags []*Fragment) (any, bool, error) {
+		parts := make([]P, len(frags))
+		for i, f := range frags {
+			switch part := f.part.(type) {
+			case P:
+				parts[i] = part
+			case json.RawMessage:
+				dec := json.NewDecoder(bytes.NewReader(part))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&parts[i]); err != nil {
+					return nil, false, fmt.Errorf("plan: merge %s: fragment %d: %w", req.Kind, i, err)
+				}
+			default:
+				return nil, false, fmt.Errorf("plan: merge %s: fragment %d holds %T, want %T", req.Kind, i, f.part, parts[i])
+			}
+		}
+		return merge(req, parts)
 	}
 }
 
@@ -238,7 +242,7 @@ func Split(req Request) ([]ShardSpec, error) {
 	pieces := p.Pieces(req)
 	specs := make([]ShardSpec, 0, len(pieces))
 	for _, piece := range pieces {
-		specs = append(specs, req.shard([]string{piece}))
+		specs = append(specs, ShardSpec{Request: req, Pieces: []string{piece}})
 	}
 	return specs, nil
 }
@@ -278,7 +282,7 @@ func Execute(ctx context.Context, w *world.World, req Request) (any, bool, error
 func whole(ctx context.Context, p *Plan, req Request, run func(ShardSpec) (*Fragment, error)) (any, bool, error) {
 	var frags []*Fragment
 	if pieces := p.Pieces(req); len(pieces) > 0 {
-		frag, err := run(req.shard(pieces))
+		frag, err := run(ShardSpec{Request: req, Pieces: pieces})
 		if err != nil {
 			return nil, false, err
 		}

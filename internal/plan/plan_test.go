@@ -66,18 +66,27 @@ func TestMergeIdentifyExactness(t *testing.T) {
 	// union must count the host once, keep byte-identical installations
 	// deduped, and sort numerically (10.0.0.9 before 10.0.0.70).
 	shared := report.InstallationDoc{IP: "10.0.0.9", Products: []string{"Netsweeper", "Websense"}, Country: "YE"}
-	fragA := &Fragment{
-		Pieces:        []string{"Netsweeper"},
-		Candidates:    map[string][]string{"Netsweeper": {"10.0.0.9", "10.0.0.70"}},
-		Installations: []report.InstallationDoc{{IP: "10.0.0.70", Products: []string{"Netsweeper"}, Country: "QA"}, shared},
-		StageErrors:   []report.StageErrorDoc{{Stage: "whois", Target: "10.0.0.9", Error: "timeout"}},
+	addrs := func(ips ...string) []netip.Addr {
+		out := make([]netip.Addr, len(ips))
+		for i, ip := range ips {
+			out[i] = netip.MustParseAddr(ip)
+		}
+		return out
 	}
-	fragB := &Fragment{
-		Pieces:        []string{"Websense"},
-		Candidates:    map[string][]string{"Websense": {"10.0.0.9", "10.0.0.200"}},
-		Installations: []report.InstallationDoc{shared},
-		StageErrors:   []report.StageErrorDoc{{Stage: "whois", Target: "10.0.0.9", Error: "timeout"}},
-	}
+	fragA := &Fragment{part: identifyPart{
+		IdentifyDoc: report.IdentifyDoc{
+			Installations: []report.InstallationDoc{{IP: "10.0.0.70", Products: []string{"Netsweeper"}, Country: "QA"}, shared},
+			StageErrors:   []report.StageErrorDoc{{Stage: "whois", Target: "10.0.0.9", Error: "timeout"}},
+		},
+		Candidates: map[string][]netip.Addr{"Netsweeper": addrs("10.0.0.9", "10.0.0.70")},
+	}}
+	fragB := &Fragment{part: identifyPart{
+		IdentifyDoc: report.IdentifyDoc{
+			Installations: []report.InstallationDoc{shared},
+			StageErrors:   []report.StageErrorDoc{{Stage: "whois", Target: "10.0.0.9", Error: "timeout"}},
+		},
+		Candidates: map[string][]netip.Addr{"Websense": addrs("10.0.0.9", "10.0.0.200")},
+	}}
 	got, degraded, err := Merge(Request{Kind: KindIdentify}, []*Fragment{fragA, fragB})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +125,8 @@ func TestMergeIdentifyExactness(t *testing.T) {
 // for every kind, merging one shard per piece must produce the same
 // document as merging the single whole-request shard a standalone run
 // executes — the property that lets a single process be a one-shard
-// cluster.
+// cluster. The per-piece fragments also go through their wire form, as
+// a coordinator receives them, and must merge to the same bytes again.
 func TestMergePerPieceEqualsWhole(t *testing.T) {
 	roster := world.MechanismRosterISPs()
 	requests := map[string]Request{
@@ -154,17 +164,37 @@ func TestMergePerPieceEqualsWhole(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pieceDoc, pieceDegraded, err := Merge(req, frags)
-			if err != nil {
-				t.Fatal(err)
-			}
 			a, _ := json.Marshal(wholeDoc) //nolint:errcheck // report docs always marshal
-			b, _ := json.Marshal(pieceDoc) //nolint:errcheck
-			if string(a) != string(b) || wholeDegraded != pieceDegraded {
-				t.Fatalf("per-piece merge differs from whole-request merge\nwhole:     %.400s\nper-piece: %.400s", a, b)
+			for form, fs := range map[string][]*Fragment{"per-piece": frags, "wire": viaWire(t, frags)} {
+				doc, degraded, err := Merge(req, fs)
+				if err != nil {
+					t.Fatalf("%s merge: %v", form, err)
+				}
+				b, _ := json.Marshal(doc) //nolint:errcheck
+				if string(a) != string(b) || wholeDegraded != degraded {
+					t.Fatalf("%s merge differs from whole-request merge\nwhole: %.400s\n%s: %.400s", form, a, form, b)
+				}
 			}
 		})
 	}
+}
+
+// viaWire returns frags as a coordinator receives them: each one's JSON
+// decoded into a new fragment.
+func viaWire(t *testing.T, frags []*Fragment) []*Fragment {
+	t.Helper()
+	wire := make([]*Fragment, len(frags))
+	for i, f := range frags {
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire[i] = new(Fragment)
+		if err := json.Unmarshal(b, wire[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return wire
 }
 
 func TestNormalizeRejectsUnknownNames(t *testing.T) {
@@ -199,7 +229,10 @@ func TestNormalizeRejectsUnknownNames(t *testing.T) {
 
 // identifyShard is a cheap replica shard under a given world seed.
 func identifyShard(seed int64) ShardSpec {
-	return ShardSpec{Kind: KindIdentify, World: world.Options{Seed: seed}, Pieces: []string{"Netsweeper"}, Countries: []string{"YE"}}
+	return ShardSpec{
+		Request: Request{Kind: KindIdentify, World: world.Options{Seed: seed}, Countries: []string{"YE"}},
+		Pieces:  []string{"Netsweeper"},
+	}
 }
 
 func closed(w *world.World) bool {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,13 @@ import (
 // A toy fifth kind, declared entirely in this file: one "tally" entry per
 // requested piece, counted Rounds times. Registering it and running it
 // end to end — Execute, the snapshot store, Diff and Timeline — needs no
-// edit anywhere else, which is what "a kind is one file" means.
+// edit anywhere else, which is what "a kind is one file" means. Its
+// shard fragment is its own type too, merged through mergeParts.
+
+// tallyPart is the toy kind's fragment: the pieces one shard counted.
+type tallyPart struct {
+	Names []string `json:"names"`
+}
 
 type tallyDoc struct {
 	Entries []tallyEntry `json:"entries"`
@@ -49,22 +56,22 @@ func registerTally(t *testing.T) *Plan {
 		Kind:      "tally",
 		StoreKind: "tally-doc",
 		Normalize: func(req *Request) error {
-			req.ISPs = sortDedupe(req.ISPs)
+			*req = Request{Kind: req.Kind, ISPs: sortDedupe(req.ISPs), Rounds: req.Rounds}
 			return nil
 		},
 		Pieces: func(req Request) []string { return req.ISPs },
 		Exec: func(_ context.Context, _ *world.World, _ *Epoch, spec ShardSpec) (*Fragment, error) {
-			return &Fragment{Pieces: spec.Pieces}, nil
+			return &Fragment{part: tallyPart{Names: spec.Pieces}}, nil
 		},
-		Merge: func(req Request, frags []*Fragment) (any, bool, error) {
+		Merge: mergeParts(func(req Request, parts []tallyPart) (any, bool, error) {
 			var doc tallyDoc
-			for _, f := range frags {
-				for _, piece := range f.Pieces {
-					doc.Entries = append(doc.Entries, tallyEntry{Name: piece, Country: strings.ToUpper(piece), Count: req.Rounds})
+			for _, part := range parts {
+				for _, name := range part.Names {
+					doc.Entries = append(doc.Entries, tallyEntry{Name: name, Country: strings.ToUpper(name), Count: req.Rounds})
 				}
 			}
 			return doc, false, nil
-		},
+		}),
 		DiffKey: "tallies",
 		Diff: diffDocs(func(ctx context.Context, cfg engine.Config, from, to tallyDoc) (*tallyDiff, error) {
 			ch, err := diffKeyed(ctx, cfg, "diff-tallies", from.Entries, to.Entries,
@@ -123,6 +130,21 @@ func TestToyKindIsOneFile(t *testing.T) {
 		body, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// One shard per piece, each fragment through its wire form,
+		// merges to the same document.
+		specs, err := Split(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags := make([]*Fragment, len(specs))
+		for j, spec := range specs {
+			if frags[j], err = p.Exec(ctx, nil, nil, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wireDoc, _, err := Merge(req, viaWire(t, frags)); err != nil || !reflect.DeepEqual(wireDoc, doc) {
+			t.Fatalf("run %d: wire-form per-piece merge = %+v, %v; want %+v", i, wireDoc, err, doc)
 		}
 		if _, err := st.Append(store.Snapshot{
 			Kind: p.StoreKind, At: simclock.Epoch.Add(time.Duration(i) * 24 * time.Hour), Config: "cfg", Body: body,

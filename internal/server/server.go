@@ -430,8 +430,10 @@ type PlanRequest struct {
 	// Products restricts the identify keyword fan-out (empty = all
 	// Table 2 products).
 	Products []string `json:"products,omitempty"`
-	// Countries bounds the identify ccTLD fan-out (empty = every country
-	// in the banner index).
+	// Countries picks the ccTLDs of the identify "country:" keyword
+	// queries (empty = every country in the banner index). It never
+	// narrows the document: the bare keyword queries always run, and a
+	// filtered query's hits are a subset of theirs.
 	Countries []string `json:"countries,omitempty"`
 	// ISPs restricts the characterize/discover targets (empty = all
 	// confirmed deployments) or the mechanism survey (empty = the whole
