@@ -77,10 +77,16 @@ func TestRingStability(t *testing.T) {
 // leasable, returning the result channel.
 func startJob(t *testing.T, c *Coordinator) (<-chan any, <-chan error) {
 	t.Helper()
+	return startRequest(t, c, plan.Request{Kind: plan.KindMechanisms})
+}
+
+// startRequest is startJob for any request.
+func startRequest(t *testing.T, c *Coordinator, req plan.Request) (<-chan any, <-chan error) {
+	t.Helper()
 	docs := make(chan any, 1)
 	errs := make(chan error, 1)
 	go func() {
-		doc, _, err := c.Run(context.Background(), plan.Request{Kind: plan.KindMechanisms})
+		doc, _, err := c.Run(context.Background(), req)
 		docs <- doc
 		errs <- err
 	}()
@@ -269,24 +275,84 @@ func TestShardFailureBudget(t *testing.T) {
 }
 
 // TestResultRejectsMisshapenFragments: a fragment off the wire must have
-// its job kind's shape. Identify-shaped fragments, or the fragments of a
-// worker built when every kind shared one fragment type, fail a
-// mechanisms job with an error naming the field instead of merging into
-// an empty document.
+// its job kind's shape. Result counts an identify-shaped fragment, or one
+// from a worker built when every kind shared one fragment type, as a
+// failed attempt of its shard, so a mechanisms job whose every attempt
+// is of the wrong shape fails with the decode error, naming the kind and
+// the field, instead of merging into an empty document.
 func TestResultRejectsMisshapenFragments(t *testing.T) {
 	for field, body := range map[string]string{
 		"installations": `{"installations":[{"ip":"10.0.0.1","products":["Netsweeper"]}],"candidates":{"Netsweeper":["10.0.0.1"]}}`,
 		"pieces":        `{"pieces":["Etisalat"],"mechanisms":[{"isp":"Etisalat","tested":1}]}`,
 	} {
-		c := NewCoordinator(Options{})
+		c := NewCoordinator(Options{LeaseTTL: time.Hour, MaxAttempts: 2})
 		docs, errs := startJob(t, c)
-		for _, l := range c.Lease("worker-a", 100) {
-			c.Result("worker-a", l.Ref, wireFragment(json.RawMessage(body)), "")
+		for attempt := 0; attempt < 2; attempt++ {
+			leases := c.Lease("worker-a", 100)
+			if len(leases) != len(world.MechanismRosterISPs()) {
+				t.Fatalf("attempt %d: leased %d shards, want every shard back", attempt, len(leases))
+			}
+			for _, l := range leases {
+				c.Result("worker-a", l.Ref, wireFragment(json.RawMessage(body)), "")
+			}
 		}
 		doc := <-docs
-		if err := <-errs; err == nil || !strings.Contains(err.Error(), "merge mechanisms") || !strings.Contains(err.Error(), `"`+field+`"`) {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "decode mechanisms fragment") || !strings.Contains(err.Error(), `"`+field+`"`) {
 			t.Errorf("%s: Run = %+v, %v; want an error naming the kind and the field %q", body, doc, err, field)
 		}
+		if ctr := c.Status().Counters; ctr.JobsFailed != 1 || ctr.ShardsDone != 0 {
+			t.Errorf("%s: counters %+v; want the job failed and no shard done", body, ctr)
+		}
+	}
+}
+
+// TestResultRetriesMisshapenFragment: a fragment of the wrong shape sends
+// its shard back to pending, so another worker's good fragment for it
+// still completes the job, with the document a single process makes.
+func TestResultRetriesMisshapenFragment(t *testing.T) {
+	req := plan.Request{Kind: plan.KindMechanisms, ISPs: world.MechanismRosterISPs()[:2]}
+	if err := plan.Normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	runner := plan.NewRunner()
+	defer runner.Close()
+	want, _, err := runner.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewCoordinator(Options{LeaseTTL: time.Hour})
+	docs, errs := startRequest(t, c, req)
+	bad := c.Lease("worker-a", 1)
+	if len(bad) != 1 {
+		t.Fatalf("worker-a leased %d shards, want 1", len(bad))
+	}
+	if resp := c.Result("worker-a", bad[0].Ref, wireFragment(json.RawMessage(`{"installations":[]}`)), ""); !resp.Accepted {
+		t.Fatalf("misshapen fragment: %+v", resp)
+	}
+	leases := c.Lease("worker-b", 100)
+	if len(leases) != 2 {
+		t.Fatalf("worker-b leased %d shards, want both, the retried one included", len(leases))
+	}
+	for _, l := range leases {
+		frag, err := runner.RunShard(ctx, l.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Result("worker-b", l.Ref, wireFragment(frag), "")
+	}
+	doc := <-docs
+	if err := <-errs; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	got, _ := json.Marshal(doc)       //nolint:errcheck // report docs always marshal
+	wantJSON, _ := json.Marshal(want) //nolint:errcheck
+	if string(got) != string(wantJSON) {
+		t.Fatalf("clustered document differs from the single-process one\ncluster: %.400s\nsingle:  %.400s", got, wantJSON)
+	}
+	if ctr := c.Status().Counters; ctr.ShardsRetried != 1 || ctr.JobsDone != 1 {
+		t.Fatalf("counters %+v; want one retried shard and the job done", ctr)
 	}
 }
 

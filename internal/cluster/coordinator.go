@@ -357,9 +357,12 @@ func (c *Coordinator) shardLocked(ref LeaseRef) *shardState {
 
 // Result ingests one shard outcome. Success marks the shard done — even
 // under a superseded epoch: shard results are deterministic, so the
-// first delivery wins regardless of which lease produced it. Failure
-// requeues the shard until MaxAttempts, then fails the job. The last
-// shard's success triggers the merge and wakes Run.
+// first delivery wins regardless of which lease produced it. A fragment
+// must have its job kind's shape (plan.Fragment.Decode); one that does
+// not, from another kind or another build, is a failure of its shard
+// like a worker-reported error. Failure requeues the shard until
+// MaxAttempts, then fails the job. The last shard's success triggers
+// the merge and wakes Run.
 func (c *Coordinator) Result(worker string, ref LeaseRef, frag *plan.Fragment, errMsg string) ResultResponse {
 	c.mu.Lock()
 	c.touchWorkerLocked(worker, c.opts.Now())
@@ -376,6 +379,11 @@ func (c *Coordinator) Result(worker string, ref LeaseRef, frag *plan.Fragment, e
 		return ResultResponse{Stale: true}
 	}
 
+	if errMsg == "" {
+		if err := frag.Decode(j.req.Kind); err != nil {
+			errMsg = err.Error()
+		}
+	}
 	if errMsg != "" {
 		if sh.epoch != ref.Epoch {
 			// A superseded lease reporting failure carries no information

@@ -1,6 +1,7 @@
 package measurement
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"net/netip"
@@ -89,6 +90,12 @@ func (blockInterceptor) Intercept(info netsim.DialInfo) netsim.Handler {
 	case "banned.example":
 		return netsim.HandlerFunc(func(conn net.Conn) {
 			defer conn.Close()
+			// Read the request before answering, as a middlebox that
+			// answers it does: a close that beat the client's write
+			// would fail that write, and the verdict with it.
+			if _, err := httpwire.ReadRequest(bufio.NewReader(conn)); err != nil {
+				return
+			}
 			resp := httpwire.NewResponse(302, httpwire.NewHeader(
 				"Location", "http://filter.yemen.example:8080/webadmin/deny/index.php?cat=23&url=http%3A%2F%2Fbanned.example%2F",
 				"Connection", "close"), nil)

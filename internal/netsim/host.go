@@ -105,14 +105,15 @@ func (h *Host) deliver(src *Host, port uint16) (net.Conn, error) {
 	if l == nil || l.visibility == ISPOnly && (src.isp != h.isp || h.isp == nil) {
 		// An ISPOnly device is invisible to the outside world:
 		// indistinguishable from a closed port.
-		return nil, &refusedError{addr: h.addr, port: port}
+		return nil, ErrConnRefused
 	}
 	return connect(src, h.addr, port, l.handler), nil
 }
 
-// refusedError is a dial refused at addr:port. Most of a scan's probes
-// meet a closed port and drop the error unread, so the message is
-// formatted only when asked for.
+// refusedError is a dial refused at addr:port. The dial itself refuses
+// with the bare ErrConnRefused, which costs nothing; Dial and its
+// siblings name the address only on the way out, and DialProbe not at
+// all.
 type refusedError struct {
 	addr netip.Addr
 	port uint16
@@ -124,9 +125,28 @@ func (e *refusedError) Error() string {
 
 func (e *refusedError) Unwrap() error { return ErrConnRefused }
 
+// nameRefusal turns the bare refusal of a dial to dst:port into an error
+// that names the address.
+func nameRefusal(err error, dst netip.Addr, port uint16) error {
+	if err == ErrConnRefused {
+		return &refusedError{addr: dst, port: port}
+	}
+	return err
+}
+
 // Dial opens a connection from this host to dst:port. The connection is
 // subject to interception by the host's ISP when dst lies outside it.
+// A refused dial's error names dst:port and wraps ErrConnRefused.
 func (h *Host) Dial(ctx context.Context, dst netip.Addr, port uint16) (net.Conn, error) {
+	c, err := h.network.dial(ctx, h, dst, port, "")
+	return c, nameRefusal(err, dst, port)
+}
+
+// DialProbe is Dial for a scanner's probe, which only needs to learn
+// that a port is closed: a refused dial returns ErrConnRefused itself,
+// whether the port is closed or ISPOnly, so a probe that meets a closed
+// port allocates nothing. Every other outcome is Dial's.
+func (h *Host) DialProbe(ctx context.Context, dst netip.Addr, port uint16) (net.Conn, error) {
 	return h.network.dial(ctx, h, dst, port, "")
 }
 
@@ -139,14 +159,16 @@ func (h *Host) DialHost(ctx context.Context, name string, port uint16) (net.Conn
 	if err != nil {
 		return nil, err
 	}
-	return h.network.dial(ctx, h, addr, port, name)
+	c, err := h.network.dial(ctx, h, addr, port, name)
+	return c, nameRefusal(err, addr, port)
 }
 
 // DialNamed dials dst:port while recording hostname in the DialInfo the
 // ISP's middleboxes see — the shape of a probe that resolved the name
 // elsewhere (e.g. an honest resolver) but still speaks to it by name.
 func (h *Host) DialNamed(ctx context.Context, dst netip.Addr, port uint16, hostname string) (net.Conn, error) {
-	return h.network.dial(ctx, h, dst, port, hostname)
+	c, err := h.network.dial(ctx, h, dst, port, hostname)
+	return c, nameRefusal(err, dst, port)
 }
 
 // Dialer adapts the host to the httpwire.Dialer shape: a function from

@@ -12,14 +12,19 @@
 //   - per-host ports with Public or ISPOnly visibility (an ISPOnly
 //     admin console is the paper's "not visible on the global Internet"),
 //     each served by direct dispatch, so an idle port runs nothing: a
-//     Response (a fixed answer) is answered inside the dial, with no
-//     goroutine, and every other Handler is handed its connection in a
-//     fresh goroutine,
+//     Response (a fixed answer) is answered inside the dial by a
+//     connection with no pipe behind it, which reads the answer in place
+//     and drops what the client writes, and every other Handler is
+//     handed its connection in a fresh goroutine,
 //   - routing state a dial reads with one atomic load: the realm, its
 //     tombstones, the dial latency, the fault plan and whether the
 //     network is closed form one immutable route that its rare writers
-//     republish, so a dial to a realm address takes no lock, and every
-//     other dial takes only the hosts table's read lock,
+//     republish, so a dial to a realm address and the reverse name of
+//     one take no lock, and every other dial takes only the hosts
+//     table's read lock,
+//   - refusals without an error value: a scanner's DialProbe learns that
+//     a port is closed from the ErrConnRefused sentinel itself, and only
+//     Dial and its siblings name the refused address,
 //   - in-memory net.Conn transport with deadlines and half-close; a
 //     connection is one allocation, and a deadline arms its timer only
 //     once a Read or Write waits on it (keeping it until the deadline is
@@ -146,8 +151,14 @@ func (f HandlerFunc) ServeConn(conn net.Conn) { f(conn) }
 
 // Response is a Handler that is a fixed answer: the same bytes for every
 // connection, whatever the client sends. A dial to a port it serves is
-// answered inside the dial (see connect), so a Response costs no
-// goroutine. It must not be modified once served.
+// answered inside the dial by a connection with no pipe behind it (see
+// connect), so a Response costs no goroutine and no buffer. It must not
+// be modified once served.
+//
+// That connection reads as the same Response served through ServeConn
+// would, with one difference: a Response never reads its request, so
+// the client's writes are dropped as they come, and a write never
+// blocks, where a pipe would block once it held 1 MB.
 type Response []byte
 
 // ServeConn implements Handler: it writes the answer without reading
@@ -200,6 +211,13 @@ type route struct {
 	latency    time.Duration
 	faults     *FaultPlan
 	closed     bool
+}
+
+// realmAnswers reports whether the route's realm may answer for addr:
+// there is a realm, and RemoveHost has not dropped addr from it. Whether
+// the realm owns addr is the realm's to say.
+func (rt *route) realmAnswers(addr netip.Addr) bool {
+	return rt.realm != nil && (rt.tombstones == nil || !rt.tombstones[addr])
 }
 
 // New returns an empty simulated Internet. If clock is nil the system clock
@@ -363,6 +381,7 @@ func (n *Network) Addrs() []netip.Addr {
 }
 
 // Resolve looks up a hostname, registered names first, then the realm's.
+// A realm name whose address RemoveHost dropped does not resolve.
 func (n *Network) Resolve(name string) (netip.Addr, error) {
 	lower := strings.ToLower(name)
 	n.mu.RLock()
@@ -371,27 +390,28 @@ func (n *Network) Resolve(name string) (netip.Addr, error) {
 	if ok {
 		return addr, nil
 	}
-	if realm := n.route.Load().realm; realm != nil {
-		if addr, ok := realm.Resolve(lower); ok {
+	if rt := n.route.Load(); rt.realm != nil {
+		if addr, ok := rt.realm.Resolve(lower); ok && rt.realmAnswers(addr) {
 			return addr, nil
 		}
 	}
 	return netip.Addr{}, fmt.Errorf("%w: %s", ErrNameNotFound, name)
 }
 
-// ReverseLookup returns the primary DNS name for addr, if any:
-// registered names first, then the realm's.
+// ReverseLookup returns the primary DNS name for addr, if any. It
+// follows the dial's rule: the realm answers for its own addresses, from
+// the published route and without the network's lock, and the
+// registered names answer for every other address, a realm address that
+// RemoveHost dropped included. A realm host that is also registered (a
+// console) is registered under its realm name, so both agree.
 func (n *Network) ReverseLookup(addr netip.Addr) (string, bool) {
+	if rt := n.route.Load(); rt.realmAnswers(addr) && rt.realm.Contains(addr) {
+		return rt.realm.ReverseLookup(addr)
+	}
 	n.mu.RLock()
 	name, ok := n.rdns[addr]
 	n.mu.RUnlock()
-	if ok {
-		return name, ok
-	}
-	if realm := n.route.Load().realm; realm != nil {
-		return realm.ReverseLookup(addr)
-	}
-	return "", false
+	return name, ok
 }
 
 // Close shuts the network down: every port unbinds and future dials fail.
@@ -413,6 +433,7 @@ func (n *Network) Close() {
 // dial implements the routing decision for a connection attempt from src.
 // A dial to a realm address reads the published route and the realm and
 // takes no lock; any other dial takes the read lock for the hosts table.
+// A refused dial returns the bare ErrConnRefused (see nameRefusal).
 func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint16, hostname string) (net.Conn, error) {
 	rt := n.route.Load()
 	if rt.closed {
@@ -433,7 +454,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	var dstHost *Host
 	var realmHandler Handler
 	var realmOwned bool
-	if rt.realm != nil && (rt.tombstones == nil || !rt.tombstones[dst]) {
+	if rt.realmAnswers(dst) {
 		dstHost, realmHandler, realmOwned = rt.realm.Port(dst, port)
 	}
 	if !realmOwned {
@@ -494,7 +515,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 		}
 	case realmOwned:
 		// A realm address with nothing bound on port: a closed port.
-		return nil, &refusedError{addr: dst, port: port}
+		return nil, ErrConnRefused
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrHostUnreach, dst)
 	}
@@ -515,22 +536,16 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 // middlebox terminating a connection and a bound port accepting one both
 // take this step.
 //
-// A Response needs no goroutine: connect does what its ServeConn would,
-// putting the answer in the pipe and closing that direction's write side
-// before the dialer sees the connection, so the dialer's first Read finds
-// the bytes without waiting. The pipe reads the answer in place; its
-// capacity is capped at its length, so an append to the buffer can never
-// write into the answer.
+// A Response needs neither a goroutine nor a pipe: its answer is known
+// before the dialer sees the connection, and its request is never read,
+// so the dialer gets a cannedConn over the answer.
 func connect(src *Host, dst netip.Addr, port uint16, handler Handler) net.Conn {
-	p := newConnPair(
-		simAddr{addr: src.addr, port: ephemeralPort(src)},
-		simAddr{addr: dst, port: port},
-	)
+	local := simAddr{addr: src.addr, port: ephemeralPort(src)}
+	remote := simAddr{addr: dst, port: port}
 	if r, ok := handler.(Response); ok {
-		p.ba.buf = r[:len(r):len(r)]
-		p.ba.wclosed = true
-		return &p.a
+		return &cannedConn{answer: r, local: local, remote: remote}
 	}
+	p := newConnPair(local, remote)
 	go handler.ServeConn(&p.b)
 	return &p.a
 }

@@ -178,6 +178,44 @@ func TestDialClosedPortRefused(t *testing.T) {
 	}
 }
 
+// TestAllocsDialProbeRefused: DialProbe refuses with the ErrConnRefused
+// sentinel itself, and allocates nothing, wherever Dial refuses: a closed
+// realm port, a closed registered port, and an ISPOnly port dialed from
+// outside its ISP. CI runs this (make alloc-gate).
+func TestAllocsDialProbeRefused(t *testing.T) {
+	n, r, src := newRealmNet(t, &toyRealm{n: 4})
+	t.Cleanup(n.Close)
+	as, _ := n.AddAS(64500, "TEST-AS", "qa", mustPrefix(t, "203.0.113.0/24"))
+	isp, _ := n.AddISP("TestISP", as)
+	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
+	filter, _ := n.AddHost(mustAddr(t, "203.0.113.1"), "", isp)
+	if _, err := filter.Serve(8080, ISPOnly, Response("admin")); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		dst  netip.Addr
+		port uint16
+	}{
+		{"closed realm port", r.addr(1), 81},
+		{"closed registered port", srvHost.Addr(), 81},
+		{"ISPOnly port", filter.Addr(), 8080},
+	} {
+		var conn net.Conn
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			conn, err = src.DialProbe(ctx, c.dst, c.port)
+		})
+		if conn != nil || err != ErrConnRefused {
+			t.Errorf("%s: DialProbe = %v, %v; want nil, ErrConnRefused itself", c.name, conn, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: refused DialProbe allocates %v, want 0", c.name, allocs)
+		}
+	}
+}
+
 func TestDialUnknownAddrUnreachable(t *testing.T) {
 	n := newTestNet(t)
 	cliHost, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)

@@ -223,3 +223,87 @@ func (c *conn) SetWriteDeadline(t time.Time) error {
 	c.wr.mu.Unlock()
 	return nil
 }
+
+// cannedConn is the dialer's end of a connection to a Response, with no
+// pipe behind it. It reads the shared answer in place and then io.EOF,
+// and it accepts and drops writes, since a Response never reads its
+// request. Otherwise it keeps a pipe endpoint's rules: a read or write
+// past its deadline fails before touching any byte, a write after
+// CloseWrite or Close and a read after Close fail with io.ErrClosedPipe,
+// and it hands out *simAddr addresses. It never waits, so a deadline is
+// only checked, and no timer is armed. It is one allocation.
+type cannedConn struct {
+	mu               sync.Mutex
+	answer           []byte // what is left to read
+	rdl, wdl         deadline
+	rclosed, wclosed bool
+	local, remote    simAddr
+}
+
+func (c *cannedConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.rclosed:
+		return 0, io.ErrClosedPipe
+	case c.rdl.expired():
+		return 0, os.ErrDeadlineExceeded
+	case len(c.answer) == 0:
+		return 0, io.EOF
+	}
+	n := copy(p, c.answer)
+	c.answer = c.answer[n:]
+	return n, nil
+}
+
+func (c *cannedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.wclosed:
+		return 0, io.ErrClosedPipe
+	case c.wdl.expired():
+		return 0, os.ErrDeadlineExceeded
+	}
+	return len(p), nil
+}
+
+func (c *cannedConn) Close() error {
+	c.mu.Lock()
+	c.rclosed, c.wclosed = true, true
+	c.mu.Unlock()
+	return nil
+}
+
+// CloseWrite half-closes the connection; the answer can still be read.
+func (c *cannedConn) CloseWrite() error {
+	c.mu.Lock()
+	c.wclosed = true
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *cannedConn) LocalAddr() net.Addr  { return &c.local }
+func (c *cannedConn) RemoteAddr() net.Addr { return &c.remote }
+
+func (c *cannedConn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.rdl.set(t)
+	c.wdl.set(t)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *cannedConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.rdl.set(t)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *cannedConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.wdl.set(t)
+	c.mu.Unlock()
+	return nil
+}

@@ -330,8 +330,11 @@ func TestRealmAddrsMergedAndSorted(t *testing.T) {
 }
 
 // TestRealmRemoveHostStaysRemoved: a removed realm address stays
-// unreachable and out of Addrs, whether it was a built console, a
-// banner address already dialed, or an address never dialed.
+// unreachable, out of Addrs and out of DNS in both directions, whether it
+// was a built console, a banner address already dialed, or an address
+// never dialed. A host registered again at a removed realm address, as
+// World.UpgradeInstallation does to a scale console, answers with its
+// registered name.
 func TestRealmRemoveHostStaysRemoved(t *testing.T) {
 	nw, r, src := newRealmNet(t, &toyRealm{n: 4, console: 1})
 	defer nw.Close()
@@ -359,6 +362,38 @@ func TestRealmRemoveHostStaysRemoved(t *testing.T) {
 	got := nw.Addrs()
 	if len(got) != 2 || got[1] != r.addr(4) {
 		t.Fatalf("Addrs = %v, want the probe and %s", got, r.addr(4))
+	}
+	for _, i := range []int{1, 2, 3} {
+		if name, ok := nw.ReverseLookup(r.addr(i)); name != "" || ok {
+			t.Errorf("ReverseLookup of removed %s = %q, %v; want \"\", false", r.addr(i), name, ok)
+		}
+		name := fmt.Sprintf("lazy-%d.realm.test", i)
+		if addr, err := nw.Resolve(name); !errors.Is(err, ErrNameNotFound) {
+			t.Errorf("Resolve(%q) of a removed address = %v, %v; want ErrNameNotFound", name, addr, err)
+		}
+	}
+	if name, ok := nw.ReverseLookup(r.addr(4)); name != "lazy-4.realm.test" || !ok {
+		t.Errorf("ReverseLookup of live %s = %q, %v; want the realm's name", r.addr(4), name, ok)
+	}
+
+	// The console comes back under its own name, as an upgrade does; the
+	// banner address under a new one, and its realm name stays gone.
+	for _, again := range []struct {
+		i    int
+		name string
+	}{{1, "lazy-1.realm.test"}, {2, "again.test"}} {
+		if _, err := nw.AddHost(r.addr(again.i), again.name, nil); err != nil {
+			t.Fatal(err)
+		}
+		if name, ok := nw.ReverseLookup(r.addr(again.i)); name != again.name || !ok {
+			t.Errorf("ReverseLookup of %s registered again = %q, %v; want %q", r.addr(again.i), name, ok, again.name)
+		}
+		if addr, err := nw.Resolve(again.name); err != nil || addr != r.addr(again.i) {
+			t.Errorf("Resolve(%q) = %v, %v; want %s", again.name, addr, err, r.addr(again.i))
+		}
+	}
+	if addr, err := nw.Resolve("lazy-2.realm.test"); !errors.Is(err, ErrNameNotFound) {
+		t.Errorf("Resolve of the replaced realm name = %v, %v; want ErrNameNotFound", addr, err)
 	}
 }
 

@@ -149,6 +149,81 @@ func TestResponseInlineMatchesGoroutine(t *testing.T) {
 		})
 	}
 
+	t.Run("after close", func(t *testing.T) {
+		for _, f := range forms {
+			h, served := f.form()
+			c := dialResponse(t, h, nil)
+			<-served
+			c.Close()
+			if n, err := c.Read(make([]byte, 8)); n != 0 || err != io.ErrClosedPipe {
+				t.Fatalf("%s: read after Close = %d, %v; want 0, io.ErrClosedPipe", f.name, n, err)
+			}
+			if n, err := io.WriteString(c, "GET / HTTP/1.0\r\n\r\n"); n != 0 || err != io.ErrClosedPipe {
+				t.Fatalf("%s: write after Close = %d, %v; want 0, io.ErrClosedPipe", f.name, n, err)
+			}
+		}
+	})
+
+	t.Run("write after CloseWrite", func(t *testing.T) {
+		for _, f := range forms {
+			h, served := f.form()
+			c := dialResponse(t, h, nil)
+			<-served
+			if err := c.(interface{ CloseWrite() error }).CloseWrite(); err != nil {
+				t.Fatalf("%s: CloseWrite: %v", f.name, err)
+			}
+			if n, err := io.WriteString(c, "GET / HTTP/1.0\r\n\r\n"); n != 0 || err != io.ErrClosedPipe {
+				t.Fatalf("%s: write after CloseWrite = %d, %v; want 0, io.ErrClosedPipe", f.name, n, err)
+			}
+			if got, err := io.ReadAll(c); err != nil || string(got) != answer {
+				t.Fatalf("%s: read after CloseWrite %q, %v; want the answer then EOF", f.name, got, err)
+			}
+		}
+	})
+
+	t.Run("addresses", func(t *testing.T) {
+		var ends [2]string
+		for i, f := range forms {
+			h, _ := f.form()
+			c := dialResponse(t, h, nil)
+			local, remote := c.LocalAddr(), c.RemoteAddr()
+			if AddrOf(local) != mustAddr(t, "192.0.2.2") || AddrOf(remote) != mustAddr(t, "192.0.2.1") {
+				t.Fatalf("%s: AddrOf of the ends = %v, %v; want 192.0.2.2, 192.0.2.1", f.name, AddrOf(local), AddrOf(remote))
+			}
+			ends[i] = local.String() + " -> " + remote.String()
+		}
+		if ends[0] != ends[1] {
+			t.Fatalf("inline ends %s, goroutine ends %s", ends[0], ends[1])
+		}
+	})
+
+	// The one documented difference: a Response never reads its request,
+	// so the inline form drops a write of any size at once, where the
+	// pipe holds 1 MB and then blocks until the write deadline.
+	t.Run("large write", func(t *testing.T) {
+		big := make([]byte, 2<<20)
+		for _, f := range forms {
+			h, served := f.form()
+			c := dialResponse(t, h, nil)
+			<-served
+			c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck // cannot fail
+			n, err := c.Write(big)
+			switch f.name {
+			case "inline":
+				if n != len(big) || err != nil {
+					t.Fatalf("inline: 2 MB write = %d, %v; want %d, nil at once", n, err, len(big))
+				}
+			default:
+				if n != pipeBufferLimit || !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("%s: 2 MB write = %d, %v; want %d, os.ErrDeadlineExceeded", f.name, n, err, pipeBufferLimit)
+				}
+			}
+			if got, err := io.ReadAll(c); err != nil || string(got) != answer {
+				t.Fatalf("%s: read after the write %q, %v; want the answer then EOF", f.name, got, err)
+			}
+		}
+	})
+
 	t.Run("concurrent inline", func(t *testing.T) {
 		// Port 80 reads plain and 8080 through a garbling fault; eight
 		// goroutines alternate between them.
@@ -202,9 +277,10 @@ func TestResponseInlineMatchesGoroutine(t *testing.T) {
 }
 
 // TestAllocsDialResponse pins a dial answered by a Response, read to EOF
-// and closed, at one allocation: the connection pair. The answer is in
-// the pipe before Dial returns, so no goroutine starts and no read waits
-// or arms a timer. CI runs this (make alloc-gate).
+// and closed, at one allocation: the connection, which has no pipe
+// behind it. The answer is known before Dial returns, so no goroutine
+// starts and no read waits or arms a timer. CI runs this (make
+// alloc-gate).
 func TestAllocsDialResponse(t *testing.T) {
 	n := newTestNet(t)
 	srv, err := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)

@@ -12,8 +12,9 @@ import (
 	"time"
 )
 
-// cannedRealm owns 240.0.1.1 .. 240.0.1.n: port 80 of each address
-// answers with cannedAnswer, a Response, and every other port is closed.
+// cannedRealm owns 240.0.1.1 .. 240.0.1.n, each named "canned.test":
+// port 80 of each address answers with cannedAnswer, a Response, and
+// every other port is closed.
 type cannedRealm struct{ n int }
 
 var cannedAnswer Handler = Response("HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok")
@@ -36,8 +37,11 @@ func (r cannedRealm) Addrs() []netip.Addr {
 	return out
 }
 
-func (r cannedRealm) Resolve(string) (netip.Addr, bool)       { return netip.Addr{}, false }
-func (r cannedRealm) ReverseLookup(netip.Addr) (string, bool) { return "", false }
+func (r cannedRealm) Resolve(string) (netip.Addr, bool) { return netip.Addr{}, false }
+
+func (r cannedRealm) ReverseLookup(a netip.Addr) (string, bool) {
+	return "canned.test", r.Contains(a)
+}
 
 func (r cannedRealm) Port(a netip.Addr, port uint16) (*Host, Handler, bool) {
 	if !r.Contains(a) {
@@ -143,12 +147,12 @@ func TestDialParkedReturnsOnCancel(t *testing.T) {
 	}
 }
 
-// TestRouteConcurrentWriters races dials, to realm and to registered
-// addresses, against every writer of the published route: SetRealm,
-// RemoveHost, SetDialLatency, SetFaultPlan and Close. A dial that starts
-// after RemoveHost returned never reaches the removed address, and one
-// that starts after Close returned never connects. Run it under -race
-// -count=10.
+// TestRouteConcurrentWriters races dials and reverse lookups, to realm
+// and to registered addresses, against every writer of the published
+// route: SetRealm, RemoveHost, SetDialLatency, SetFaultPlan and Close. A
+// dial or lookup that starts after RemoveHost returned never reaches the
+// removed address, and a dial that starts after Close returned never
+// connects. Run it under -race -count=10.
 func TestRouteConcurrentWriters(t *testing.T) {
 	nw, src, dst := newCannedNet(t, 8)
 	realm := cannedRealm{n: 8}
@@ -175,6 +179,9 @@ func TestRouteConcurrentWriters(t *testing.T) {
 					afterClose++
 				}
 				to := targets[i%len(targets)]
+				if name, ok := nw.ReverseLookup(to); ok && wasRemoved && gone[to] {
+					t.Errorf("ReverseLookup(%s) = %q after RemoveHost returned", to, name)
+				}
 				conn, err := src.Dial(context.Background(), to, 80)
 				if err != nil {
 					continue

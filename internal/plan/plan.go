@@ -81,8 +81,10 @@ type Plan struct {
 	Exec func(ctx context.Context, w *world.World, ep *Epoch, spec ShardSpec) (*Fragment, error)
 	// Merge rebuilds the final document from fragments in shard order
 	// and reports whether it is degraded (the run survived partial
-	// failures). Build it with mergeParts over the kind's part type.
-	Merge func(req Request, frags []*Fragment) (doc any, degraded bool, err error)
+	// failures). Build it with mergeParts over the kind's part type,
+	// which is also the type Fragment.Decode checks a wire fragment
+	// against.
+	Merge merger
 
 	// DiffKey names the kind's section in the diff JSON.
 	DiffKey string
@@ -181,8 +183,9 @@ type ShardSpec struct {
 
 // Fragment is one shard's contribution to the final document, opaque
 // outside its kind. It holds the kind's own part value when the shard
-// ran in this process, and that value's JSON only when a coordinator
-// decoded it off the cluster wire; mergeParts is the one decode site.
+// ran in this process, and that value's JSON only when it came off the
+// cluster wire, until Decode or the merge decodes it (partOf is the one
+// decode site).
 type Fragment struct {
 	part any
 }
@@ -191,35 +194,78 @@ type Fragment struct {
 func (f Fragment) MarshalJSON() ([]byte, error) { return json.Marshal(f.part) }
 
 // UnmarshalJSON keeps a copy of the part's JSON (the decoder reuses its
-// buffer) for Merge to decode into the kind's part type.
+// buffer) for Decode or Merge to decode into the kind's part type.
 func (f *Fragment) UnmarshalJSON(b []byte) error {
 	f.part = json.RawMessage(bytes.Clone(b))
 	return nil
 }
 
-// mergeParts adapts a merge over a kind's part type P to Plan.Merge. A
-// fragment holds a P when its shard ran in this process, and P's JSON
-// when it came off the cluster wire; that JSON must have P's shape, so
-// a field P lacks (another kind's fragment, or another build's) fails
-// the merge instead of being dropped.
-func mergeParts[P any](merge func(req Request, parts []P) (any, bool, error)) func(Request, []*Fragment) (any, bool, error) {
-	return func(req Request, frags []*Fragment) (any, bool, error) {
-		parts := make([]P, len(frags))
-		for i, f := range frags {
-			switch part := f.part.(type) {
-			case P:
-				parts[i] = part
-			case json.RawMessage:
-				dec := json.NewDecoder(bytes.NewReader(part))
-				dec.DisallowUnknownFields()
-				if err := dec.Decode(&parts[i]); err != nil {
+// Decode checks a fragment a coordinator received against kind's part
+// type, and turns its wire JSON into that part in place, so its job's
+// merge does not decode it again. A fragment whose shard ran in this
+// process already holds the part. The decode is Merge's own: the JSON
+// must have the part's shape, so a field the part lacks (another kind's
+// fragment, or another build's) is an error that names it.
+func (f *Fragment) Decode(kind string) error {
+	p, err := lookup(kind)
+	if err != nil {
+		return err
+	}
+	if f == nil {
+		return fmt.Errorf("plan: %s: no fragment", kind)
+	}
+	if err := p.Merge.decode(f); err != nil {
+		return fmt.Errorf("plan: decode %s fragment: %w", kind, err)
+	}
+	return nil
+}
+
+// merger is what a kind does with its part type: decode a fragment off
+// the wire into it, and merge a slice of it into the kind's document.
+// mergeParts builds it.
+type merger struct {
+	decode func(f *Fragment) error
+	merge  func(req Request, frags []*Fragment) (any, bool, error)
+}
+
+// mergeParts adapts a merge over a kind's part type P to Plan.Merge.
+func mergeParts[P any](merge func(req Request, parts []P) (any, bool, error)) merger {
+	return merger{
+		decode: func(f *Fragment) error {
+			part, err := partOf[P](f)
+			if err == nil {
+				f.part = part
+			}
+			return err
+		},
+		merge: func(req Request, frags []*Fragment) (any, bool, error) {
+			parts := make([]P, len(frags))
+			for i, f := range frags {
+				var err error
+				if parts[i], err = partOf[P](f); err != nil {
 					return nil, false, fmt.Errorf("plan: merge %s: fragment %d: %w", req.Kind, i, err)
 				}
-			default:
-				return nil, false, fmt.Errorf("plan: merge %s: fragment %d holds %T, want %T", req.Kind, i, f.part, parts[i])
 			}
-		}
-		return merge(req, parts)
+			return merge(req, parts)
+		},
+	}
+}
+
+// partOf returns f's part as a P. f holds a P when its shard ran in this
+// process, and P's JSON when it came off the cluster wire; that JSON must
+// have P's shape, so a field P lacks fails instead of being dropped.
+func partOf[P any](f *Fragment) (P, error) {
+	var part P
+	switch v := f.part.(type) {
+	case P:
+		return v, nil
+	case json.RawMessage:
+		dec := json.NewDecoder(bytes.NewReader(v))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&part)
+		return part, err
+	default:
+		return part, fmt.Errorf("holds %T, want %T", f.part, part)
 	}
 }
 
@@ -259,7 +305,7 @@ func Merge(req Request, frags []*Fragment) (any, bool, error) {
 			return nil, false, fmt.Errorf("plan: merge %s: missing fragment %d", req.Kind, i)
 		}
 	}
-	return p.Merge(req, frags)
+	return p.Merge.merge(req, frags)
 }
 
 // Execute runs a request on a caller-owned world as a single shard

@@ -106,16 +106,17 @@ func probeFixture(t *testing.T) (*Scanner, *Index, netip.Addr) {
 	return &Scanner{Vantage: vantage}, NewIndex(), h.Addr()
 }
 
-// TestAllocsProbeClosedPort pins a probe that meets a closed port at one
-// allocation, the refused dial's error. CI runs this (make alloc-gate).
+// TestAllocsProbeClosedPort pins a probe that meets a closed port at no
+// allocation: the probe dials with DialProbe, whose refusal is the
+// ErrConnRefused sentinel itself. CI runs this (make alloc-gate).
 func TestAllocsProbeClosedPort(t *testing.T) {
 	s, idx, addr := probeFixture(t)
 	ctx := context.Background()
 	deadline := time.Now().Add(time.Minute)
 	if n := testing.AllocsPerRun(200, func() {
 		s.probe(ctx, idx, addr, 80, deadline)
-	}); n > 1 {
-		t.Errorf("probe to a closed port allocates %v/op, want <= 1", n)
+	}); n > 0 {
+		t.Errorf("probe to a closed port allocates %v/op, want 0", n)
 	}
 	if idx.Len() != 0 {
 		t.Fatalf("closed port indexed %d banners", idx.Len())
@@ -123,10 +124,11 @@ func TestAllocsProbeClosedPort(t *testing.T) {
 }
 
 // TestAllocsProbeCannedHost pins a probe that grabs a canned banner at
-// two allocations or fewer: the connection pair and the buffered
-// request. The banner is a netsim.Response, answered inside the dial,
-// and the response read, the interned strings and the index insert
-// allocate nothing once warm. CI runs this (make alloc-gate).
+// one allocation or fewer: the connection. The banner is a
+// netsim.Response, answered inside the dial by a connection with no pipe
+// behind it, which drops the request instead of buffering it; the
+// response read, the interned strings and the index insert allocate
+// nothing once warm. CI runs this (make alloc-gate).
 func TestAllocsProbeCannedHost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts of pooled buffers are not meaningful under the race detector")
@@ -140,7 +142,7 @@ func TestAllocsProbeCannedHost(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		s.probe(ctx, idx, addr, 8080, deadline)
-	}); n > 2 {
-		t.Errorf("probe to a canned host allocates %v/op, want <= 2", n)
+	}); n > 1 {
+		t.Errorf("probe to a canned host allocates %v/op, want <= 1", n)
 	}
 }

@@ -112,16 +112,19 @@ func (s *Scanner) engineConfig() engine.Config {
 }
 
 // ScanAddrs probes every addr×port combination and returns an Index of
-// services that answered. Each address is one item in the shared engine
-// pool, and the item probes the ports in order; unanswered probes are
-// normal (dark space, closed ports) and are not failures.
+// services that answered. Each item in the shared engine pool is a run
+// of consecutive addresses (see runLength), and it probes each host's
+// ports in order, host after host; unanswered probes are normal (dark
+// space, closed ports) and are not failures. The engine's "scan" stage
+// therefore counts runs, not hosts. A cancelled scan stops within one
+// host.
 //
-// Each probe is bounded by Config.Timeout from the item's latest clock
-// reading, taken when the item starts and again after every probe whose
-// dial connected. So the bound starts before the probe's dial and is
-// never longer than Config.Timeout; a silent port cannot use up the
-// bound of the ports after it; and a probe refused at once (most of a
-// sweep) reads no clock.
+// Each probe is bounded by Config.Timeout from its host's latest clock
+// reading, taken when the host's turn starts and again after every probe
+// whose dial connected. So the bound starts before the probe's dial and
+// is never longer than Config.Timeout; a silent port cannot use up the
+// bound of the ports or hosts after it; and a probe refused at once
+// (most of a sweep) reads no clock.
 func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, error) {
 	if s.Vantage == nil {
 		return nil, fmt.Errorf("scanner: no vantage host")
@@ -129,16 +132,39 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, er
 	ports := s.ports()
 	idx := NewIndex()
 	timeout := s.Config.TimeoutOr(DefaultProbeTimeout)
-	err := engine.ForEach(ctx, s.engineConfig(), "scan", addrs, func(ctx context.Context, addr netip.Addr) error {
-		now := time.Now()
-		for _, port := range ports {
-			if s.probe(ctx, idx, addr, port, now.Add(timeout)) {
-				now = time.Now()
+	cfg := s.engineConfig()
+	runs := slices.Collect(slices.Chunk(addrs, runLength(len(addrs), cfg.Workers)))
+	err := engine.ForEach(ctx, cfg, "scan", runs, func(ctx context.Context, run []netip.Addr) error {
+		done := ctx.Done()
+		for _, addr := range run {
+			select {
+			case <-done:
+				return nil
+			default:
+			}
+			now := time.Now()
+			for _, port := range ports {
+				if s.probe(ctx, idx, addr, port, now.Add(timeout)) {
+					now = time.Now()
+				}
 			}
 		}
 		return nil
 	})
 	return idx, err
+}
+
+// maxRun caps the hosts in one scan item.
+const maxRun = 64
+
+// runLength is how many consecutive hosts one scan item probes: about
+// eight items per worker, so a sweep still spreads evenly over the pool,
+// and at most maxRun hosts. A nation sweep (about 106k hosts on 32
+// workers) pays the engine's per-item costs (the claim counter, two
+// clock reads, the stage counters' lock and a result slot) once per 64
+// hosts, and the default world's 131 hosts scan one per item.
+func runLength(hosts, workers int) int {
+	return min(maxRun, max(1, hosts/(8*workers)))
 }
 
 // ScanNetwork sweeps every registered host in the network.
@@ -152,7 +178,7 @@ func (s *Scanner) ScanNetwork(ctx context.Context) (*Index, error) {
 // caller's earlier ctx deadline still wins. probe reports whether the
 // dial connected.
 func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uint16, deadline time.Time) bool {
-	conn, err := s.Vantage.Dial(ctx, addr, port)
+	conn, err := s.Vantage.DialProbe(ctx, addr, port)
 	if err != nil {
 		return false
 	}

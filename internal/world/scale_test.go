@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sort"
 	"strings"
 	"testing"
 
@@ -235,6 +236,70 @@ var scaleProductNames = map[string]string{
 }
 
 // installationLine flattens the fields the ground truth pins.
+// TestScaleScanAnyWorkerCount: a sweep hands the engine runs of hosts
+// whose length follows the worker count (64 hosts on one or two workers,
+// six on 32 at city scale), and the index does not depend on it: every
+// banner, and the hits of every Table 2 keyword, bare and with every
+// country: filter, are identical at 1, 2 and 32 workers. `make
+// world-golden` runs it under -race.
+func TestScaleScanAnyWorkerCount(t *testing.T) {
+	products := make([]string, 0, len(fingerprint.ShodanKeywords()))
+	for product := range fingerprint.ShodanKeywords() {
+		products = append(products, product)
+	}
+	sort.Strings(products)
+	var want []string
+	for _, workers := range []int{1, 2, 32} {
+		w := buildScaleWorld(t, Options{Scale: ScaleCity})
+		sc := w.Scanner()
+		sc.Config.Workers = workers
+		idx, err := sc.ScanNetwork(context.Background())
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		var got []string
+		for _, b := range idx.All() {
+			got = append(got, fmt.Sprintf("%s:%d %q %s %q %q %s", b.Addr, b.Port, b.Hostname, b.Country, b.RawHead, b.BodyExcerpt, b.ScannedAt))
+		}
+		hits := 0
+		for _, product := range products {
+			for _, kw := range fingerprint.ShodanKeywords()[product] {
+				for _, cc := range append([]string{""}, idx.Countries()...) {
+					q := kw
+					if cc != "" {
+						q += " country:" + cc
+					}
+					found, err := idx.SearchString(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					line := q + " ->"
+					for _, b := range found {
+						line += fmt.Sprintf(" %s:%d", b.Addr, b.Port)
+					}
+					got = append(got, line)
+					hits += len(found)
+				}
+			}
+		}
+		if hits == 0 || idx.Len() < cityHostsSeed0/2 {
+			t.Fatalf("%d workers: %d banners, %d keyword hits: the comparison is vacuous", workers, idx.Len(), hits)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d workers: %d lines, 1 worker %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d workers differ from 1 worker at line %d:\n  1:  %s\n  %d: %s", workers, i, want[i], workers, got[i])
+			}
+		}
+	}
+}
+
 func installationLine(inst identify.Installation) string {
 	return fmt.Sprintf("%s name=%s products=%s cc=%s asn=%d",
 		inst.Addr, inst.Hostname, strings.Join(inst.Products, ","), inst.Country, inst.ASN)
