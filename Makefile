@@ -171,11 +171,13 @@ bench-cluster:
 
 # Fail when a pinned hot path (SearchBytes, ExtractTitleBytes, the
 # match detectors, the engine's per-item dispatch, the head-only
-# response read) allocates in steady state, or a path exceeds its
-# allocation budget: a scanner probe (one for a closed port, two for a
-# canned banner), a dial answered by a netsim.Response (one, the
-# connection pair) or ClassifyResponse (none on a miss, at most one on a
-# hit, the Category string).
+# response read, a scanner probe of a closed port, a refused DialProbe)
+# allocates in steady state, or a path exceeds its allocation budget: a
+# scanner probe of a canned banner (at most one), a dial answered by a
+# netsim.Response (one, the cannedConn), Network.Addrs over a realm
+# (three: the realm's list, the registered addresses and the result) or
+# ClassifyResponse (none on a miss, at most one on a hit, the Category
+# string).
 .PHONY: alloc-gate
 alloc-gate:
 	go test -run 'TestZeroAlloc|TestAllocs' -count=1 ./internal/match/ ./internal/blockpage/ ./internal/scanner/ ./internal/fingerprint/ ./internal/engine/ ./internal/httpwire/ ./internal/netsim/
@@ -199,9 +201,11 @@ deprecated-gate:
 
 # Fail when a package-level identifier or method under internal/ (or an
 # unexported one in a main package) is reached by no non-test file of
-# this module or of bench/; the root unused_test.go holds the checker,
-# its fixture test and the allowlist of cross-package test seams
-# (DESIGN.md §11). Delete what it lists.
+# this module or of bench/, or when a struct field under internal/ is
+# never read by one, or is exported and never written by one (the
+# field rule and its exemptions: DESIGN.md §11); the root unused_test.go
+# holds the checker, its fixture test and the allowlist of test seams
+# and test-only fields. Delete what it lists.
 .PHONY: unused-gate
 unused-gate:
 	go test -run 'TestNoUnreachedAPI|TestUnreachedAPIFixture' -count=1 .

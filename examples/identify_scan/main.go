@@ -69,7 +69,7 @@ func main() {
 
 	// Show the Table 2 signature set in force.
 	fmt.Println("\nactive signatures:")
-	for _, sig := range fingerprint.DefaultRegistry().Signatures() {
+	for _, sig := range fingerprint.Table2Signatures() {
 		fmt.Println("  ", sig.Describe())
 	}
 }

@@ -81,11 +81,9 @@ func (d DecisionState) String() string {
 type Submission struct {
 	ID                int
 	URL               string
-	Domain            string
 	RequestedCategory string
 	SubmitterIP       netip.Addr
 	SubmitterEmail    string
-	SubmittedAt       time.Time
 
 	// DecidedAt is when the review completes and the entry becomes
 	// effective in the master database.
@@ -258,11 +256,9 @@ func (db *DB) Submit(url, requestedCategory string, ip netip.Addr, email string)
 	sub := &Submission{
 		ID:                db.nextSubID,
 		URL:               url,
-		Domain:            domain,
 		RequestedCategory: requestedCategory,
 		SubmitterIP:       ip,
 		SubmitterEmail:    email,
-		SubmittedAt:       now,
 	}
 
 	// Queue position among not-yet-decided submissions determines stagger.

@@ -19,11 +19,7 @@ func newHarness(t *testing.T, blocked map[string]bool) (*measurement.Client, url
 	n := netsim.New(nil)
 	t.Cleanup(n.Close)
 
-	as, err := n.AddAS(5384, "ETISALAT", "AE", netip.MustParsePrefix("94.56.0.0/16"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	isp, err := n.AddISP("Etisalat", as)
+	isp, err := n.AddISP("Etisalat")
 	if err != nil {
 		t.Fatal(err)
 	}

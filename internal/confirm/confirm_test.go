@@ -37,11 +37,7 @@ func newHarness(t *testing.T) *harness {
 
 	db := smartfilter.NewDatabase(clock)
 
-	as, err := n.AddAS(48237, "BAYANAT", "SA", netip.MustParsePrefix("77.30.0.0/16"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	isp, err := n.AddISP("Bayanat", as)
+	isp, err := n.AddISP("Bayanat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +50,11 @@ func newHarness(t *testing.T) *harness {
 		Policy:      common.NewCategoryPolicy(smartfilter.CatPornography),
 		GatewayName: "mwg1.example",
 	}
-	gwDep, err := smartfilter.Install(filterHost, smartfilter.Config{Name: "mwg1.example", Engine: engine})
+	gw, err := smartfilter.Install(filterHost, smartfilter.Config{Name: "mwg1.example", Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	isp.SetInterceptor(gwDep.Gateway)
+	isp.SetInterceptor(gw)
 
 	field, err := n.AddHost(netip.MustParseAddr("77.30.20.20"), "", isp)
 	if err != nil {

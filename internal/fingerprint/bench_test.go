@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/netip"
 	"testing"
-	"time"
 
 	"filtermap/internal/httpwire"
 	"filtermap/internal/netsim"
@@ -35,7 +34,7 @@ func BenchmarkFingerprintIdentify(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	engine := &Engine{Vantage: vantage, Timeout: 10 * time.Second}
+	engine := &Engine{Vantage: vantage}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

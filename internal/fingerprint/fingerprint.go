@@ -7,7 +7,7 @@
 // is installed on a given host"). A Signature combines matchers over
 // headers (exact wire case available), HTML title, body and redirect
 // Location — the observable classes Table 2 enumerates. The engine
-// probes a small set of paths and ports and evaluates every registered
+// probes a small set of paths and ports and evaluates every Table 2
 // signature against every response.
 package fingerprint
 
@@ -19,7 +19,6 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"filtermap/internal/httpwire"
@@ -150,8 +149,8 @@ type Probe struct {
 	Path string
 }
 
-// DefaultProbes covers the paths and ports where the four products answer.
-var DefaultProbes = []Probe{
+// probes covers the paths and ports where the four products answer.
+var probes = []Probe{
 	{Port: 80, Path: "/"},
 	{Port: 8080, Path: "/"},
 	{Port: 8080, Path: "/webadmin/"},
@@ -192,43 +191,6 @@ func (s *Signature) Describe() string {
 	return fmt.Sprintf("%s[%s]: %s", s.Product, s.Name, strings.Join(parts, " AND "))
 }
 
-// Registry holds signatures, in the style of WhatWeb's plugin set.
-type Registry struct {
-	mu   sync.RWMutex
-	sigs []*Signature
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds a signature. Registration order is preserved.
-func (r *Registry) Register(sig *Signature) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sigs = append(r.sigs, sig)
-}
-
-// Signatures returns a copy of the registered signatures.
-func (r *Registry) Signatures() []*Signature {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Signature, len(r.sigs))
-	copy(out, r.sigs)
-	return out
-}
-
-// walk visits signatures in registration order under the read lock,
-// without copying the slice; visiting stops when f returns false.
-func (r *Registry) walk(f func(*Signature) bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, s := range r.sigs {
-		if !f(s) {
-			return
-		}
-	}
-}
-
 // Match is one validated product observation on a host.
 type Match struct {
 	Addr      netip.Addr
@@ -240,39 +202,14 @@ type Match struct {
 	Evidence string
 }
 
-// Engine probes hosts and evaluates signatures.
+// Engine probes hosts and evaluates the Table 2 signatures.
 type Engine struct {
 	// Vantage is the probing host.
 	Vantage *netsim.Host
-	// Registry supplies the signatures; nil uses the package default
-	// (Table 2).
-	Registry *Registry
-	// Probes overrides DefaultProbes when non-empty.
-	Probes []Probe
-	// Timeout bounds each probe (default 5s).
-	Timeout time.Duration
 }
 
-func (e *Engine) registry() *Registry {
-	if e.Registry != nil {
-		return e.Registry
-	}
-	return DefaultRegistry()
-}
-
-func (e *Engine) probes() []Probe {
-	if len(e.Probes) > 0 {
-		return e.Probes
-	}
-	return DefaultProbes
-}
-
-func (e *Engine) timeout() time.Duration {
-	if e.Timeout > 0 {
-		return e.Timeout
-	}
-	return 5 * time.Second
-}
+// probeTimeout bounds each probe.
+const probeTimeout = 5 * time.Second
 
 // Identify probes addr and returns every signature match, sorted by
 // (product, port). A probe that fails at the transport layer is skipped;
@@ -287,13 +224,12 @@ func (e *Engine) Identify(ctx context.Context, addr netip.Addr) ([]Match, error)
 	var out []Match
 	fetched := 0
 	var lastErr error
-	reg := e.registry()
 	// One pooled read buffer serves the whole sweep; every response is
 	// fully evaluated before the next probe reuses the buffer, and Match
 	// copies the evidence it keeps.
 	buf := httpwire.GetReadBuffer()
 	defer buf.Release()
-	for _, p := range e.probes() {
+	for _, p := range probes {
 		resp, err := e.fetch(ctx, addr, p, buf)
 		if err != nil {
 			// A refusal is a definite observation — the host is up with no
@@ -304,7 +240,7 @@ func (e *Engine) Identify(ctx context.Context, addr netip.Addr) ([]Match, error)
 			continue
 		}
 		fetched++
-		reg.walk(func(sig *Signature) bool {
+		for _, sig := range Table2Signatures() {
 			if sig.Matches(resp) {
 				out = append(out, Match{
 					Addr:      addr,
@@ -315,8 +251,7 @@ func (e *Engine) Identify(ctx context.Context, addr netip.Addr) ([]Match, error)
 					Evidence:  statusLineOf(resp.RawHead),
 				})
 			}
-			return true
-		})
+		}
 	}
 	if fetched == 0 && lastErr != nil {
 		return nil, fmt.Errorf("fingerprint %s: every probe failed: %w", addr, lastErr)
@@ -364,7 +299,7 @@ func (e *Engine) Products(ctx context.Context, addr netip.Addr) ([]string, error
 // fetch performs one probe. The returned response borrows buf and is
 // only valid until the next read through it.
 func (e *Engine) fetch(ctx context.Context, addr netip.Addr, p Probe, buf *httpwire.ReadBuffer) (*httpwire.Response, error) {
-	ctx, cancel := context.WithTimeout(ctx, e.timeout())
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	conn, err := e.Vantage.Dial(ctx, addr, p.Port)
 	if err != nil {

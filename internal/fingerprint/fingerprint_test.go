@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/netip"
 	"testing"
-	"time"
 
 	"filtermap/internal/httpwire"
 	"filtermap/internal/netsim"
@@ -176,16 +175,6 @@ func TestTable2SignaturesRejectDecoys(t *testing.T) {
 	}
 }
 
-func TestRegistryOrderPreserved(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(&Signature{Product: "A", Name: "1"})
-	reg.Register(&Signature{Product: "B", Name: "2"})
-	sigs := reg.Signatures()
-	if len(sigs) != 2 || sigs[0].Product != "A" || sigs[1].Product != "B" {
-		t.Fatalf("registry order = %v", sigs)
-	}
-}
-
 func TestEngineIdentify(t *testing.T) {
 	n := netsim.New(nil)
 	t.Cleanup(n.Close)
@@ -199,7 +188,7 @@ func TestEngineIdentify(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engine := &Engine{Vantage: vantage, Timeout: 2 * time.Second}
+	engine := &Engine{Vantage: vantage}
 	products, err := engine.Products(context.Background(), target.Addr())
 	if err != nil {
 		t.Fatalf("Products: %v", err)
@@ -227,7 +216,7 @@ func TestEngineIdentifySilentHost(t *testing.T) {
 	t.Cleanup(n.Close)
 	vantage, _ := n.AddHost(netip.MustParseAddr("198.108.1.10"), "", nil)
 	dark, _ := n.AddHost(netip.MustParseAddr("192.0.2.9"), "", nil)
-	engine := &Engine{Vantage: vantage, Timeout: time.Second}
+	engine := &Engine{Vantage: vantage}
 	matches, err := engine.Identify(context.Background(), dark.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +242,13 @@ func TestShodanKeywordsCoverAllProducts(t *testing.T) {
 	}
 }
 
-func TestDefaultRegistrySingleton(t *testing.T) {
-	if DefaultRegistry() != DefaultRegistry() {
-		t.Fatal("DefaultRegistry not a singleton")
+func TestTable2SignaturesBuiltOnce(t *testing.T) {
+	a, b := Table2Signatures(), Table2Signatures()
+	if len(a) < 8 {
+		t.Fatalf("Table 2 has %d signatures", len(a))
 	}
-	if len(DefaultRegistry().Signatures()) < 8 {
-		t.Fatalf("default registry has %d signatures", len(DefaultRegistry().Signatures()))
+	if &a[0] != &b[0] {
+		t.Fatal("Table2Signatures built the list twice")
 	}
 }
 

@@ -8,12 +8,6 @@ import (
 	"filtermap/internal/match"
 )
 
-// defaultRegistry holds the Table 2 signature set.
-var (
-	defaultOnce sync.Once
-	defaultReg  *Registry
-)
-
 // Product names used across the pipeline. They match the vendor packages'
 // Name constants; fingerprint keeps its own copies so the signature layer
 // has no dependency on the implementations it detects.
@@ -24,8 +18,8 @@ const (
 	ProductWebsense    = "Websense"
 )
 
-// DefaultRegistry returns the registry preloaded with the paper's Table 2
-// validation signatures:
+// Table2Signatures returns the paper's Table 2 validation signatures,
+// built once and shared by every caller, which must not modify them:
 //
 //	Blue Coat:  Location header contains hostname "www.cfauth.com" (or a
 //	            cfru= continuation), or a ProxySG Via/Server banner.
@@ -34,18 +28,9 @@ const (
 //	Netsweeper: WebAdmin console / deny-page markers.
 //	Websense:   Location header redirects to a host on port 15871 with
 //	            parameter "ws-session".
-func DefaultRegistry() *Registry {
-	defaultOnce.Do(func() {
-		defaultReg = NewRegistry()
-		for _, sig := range Table2Signatures() {
-			defaultReg.Register(sig)
-		}
-	})
-	return defaultReg
-}
+func Table2Signatures() []*Signature { return table2() }
 
-// Table2Signatures builds fresh copies of the Table 2 signature set.
-func Table2Signatures() []*Signature {
+var table2 = sync.OnceValue(func() []*Signature {
 	return []*Signature{
 		{
 			Product: ProductBlueCoat,
@@ -144,7 +129,7 @@ func Table2Signatures() []*Signature {
 			},
 		},
 	}
-}
+})
 
 // Table2SignatureDescriptions groups the Table 2 signatures' conditions
 // by product, in signature-table order — the Table 2 signature column's

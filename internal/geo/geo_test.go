@@ -178,8 +178,8 @@ func TestParseWhoisLine(t *testing.T) {
 	if !ok || res.ASN != 42298 || res.Country != "QA" || !res.Found {
 		t.Fatalf("parse = %+v, %v", res, ok)
 	}
-	if res.Prefix.String() != "89.211.0.0/16" {
-		t.Fatalf("prefix = %v", res.Prefix)
+	if res.ASName != "OOREDOO-AS Ooredoo Q.S.C." {
+		t.Fatalf("AS name = %q", res.ASName)
 	}
 	// Header and banner lines parse as not-ok.
 	for _, junk := range []string{

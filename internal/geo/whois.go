@@ -26,8 +26,6 @@ const WhoisPort = 43
 //	        64500   | 203.0.113.7   | 203.0.113.0/24  | QA | ripencc  | 2010-01-01 | OOREDOO-AS Ooredoo Q.S.C.
 type WhoisServer struct {
 	Table *ASTable
-	// Banner is the first line sent in bulk mode.
-	Banner string
 }
 
 // ServeConn handles one whois session.
@@ -48,11 +46,7 @@ func (s *WhoisServer) ServeConn(conn net.Conn) {
 		s.answer(bw, first)
 		return
 	}
-	banner := s.Banner
-	if banner == "" {
-		banner = "Bulk mode; one IP per line. whois.sim.filtermap [simulated Team Cymru service]"
-	}
-	fmt.Fprintf(bw, "%s\r\n", banner)
+	fmt.Fprintf(bw, "Bulk mode; one IP per line. whois.sim.filtermap [simulated Team Cymru service]\r\n")
 	s.writeHeader(bw)
 	for {
 		line, err := readWhoisLine(br)
@@ -98,7 +92,6 @@ func readWhoisLine(br *bufio.Reader) (string, error) {
 type WhoisResult struct {
 	Addr    netip.Addr
 	ASN     int
-	Prefix  netip.Prefix
 	Country string
 	ASName  string
 	Found   bool
@@ -190,8 +183,5 @@ func parseWhoisLine(line string) (WhoisResult, bool) {
 	res.Country = parts[3]
 	res.ASName = parts[6]
 	res.Found = true
-	if p, err := netip.ParsePrefix(parts[2]); err == nil {
-		res.Prefix = p
-	}
 	return res, true
 }

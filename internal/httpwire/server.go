@@ -28,8 +28,6 @@ func (f HandlerFunc) Handle(req *Request) *Response { return f(req) }
 // loop over a real net.Listener.
 type Server struct {
 	Handler Handler
-	// ReadTimeout bounds reading one request (default 30s).
-	ReadTimeout time.Duration
 	// ServerHeader, if non-empty, is added to responses lacking a Server
 	// header. Products use it to emit their banner.
 	ServerHeader string
@@ -49,6 +47,9 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
+// readTimeout bounds reading one request.
+const readTimeout = 30 * time.Second
+
 // ServeConn serves one connection: a keep-alive loop of request/response
 // exchanges until close, error, or "Connection: close".
 func (s *Server) ServeConn(conn net.Conn) {
@@ -56,12 +57,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 	buf := GetReadBuffer()
 	defer buf.Release()
 	br := buf.Reader(conn)
-	rt := s.ReadTimeout
-	if rt == 0 {
-		rt = 30 * time.Second
-	}
 	for {
-		conn.SetReadDeadline(time.Now().Add(rt)) //nolint:errcheck // best-effort
+		conn.SetReadDeadline(time.Now().Add(readTimeout)) //nolint:errcheck // best-effort
 		req, err := ReadRequest(br)
 		if err != nil {
 			if isWireError(err) {
@@ -118,8 +115,6 @@ func isWireError(err error) bool {
 type Mux struct {
 	exact  map[string]Handler
 	prefix map[string]Handler
-	// NotFound handles unmatched requests; nil yields a plain 404.
-	NotFound Handler
 }
 
 // NewMux returns an empty router.
@@ -159,9 +154,6 @@ func (m *Mux) Handle(req *Request) *Response {
 	}
 	if best != nil {
 		return best.Handle(req)
-	}
-	if m.NotFound != nil {
-		return m.NotFound.Handle(req)
 	}
 	return NewResponse(404, NewHeader("Content-Type", "text/plain"), []byte("not found\n"))
 }

@@ -92,7 +92,7 @@ func newFixture(t *testing.T) *fixture {
 		net: n,
 		pipeline: &Pipeline{
 			Index:         index,
-			Fingerprinter: &fingerprint.Engine{Vantage: vantage, Timeout: 2 * time.Second},
+			Fingerprinter: &fingerprint.Engine{Vantage: vantage},
 			GeoDB:         geoDB,
 			Whois: &geo.WhoisClient{Dial: func(ctx context.Context) (net.Conn, error) {
 				return vantage.Dial(ctx, netip.MustParseAddr("38.229.1.1"), 43)

@@ -43,7 +43,7 @@ func BenchmarkMechanismProbes(b *testing.B) {
 		fx.isp.SetMechanisms(&netsim.Mechanisms{
 			DNS: netsim.DNSFilterFunc(func(_ netip.Addr, name string) netsim.DNSVerdict {
 				if blocked.Contains(name) {
-					return netsim.DNSVerdict{Action: netsim.DNSSinkhole, Addr: sink, TTL: 300}
+					return netsim.DNSVerdict{Action: netsim.DNSSinkhole, Addr: sink}
 				}
 				return netsim.DNSVerdict{Action: netsim.DNSClean}
 			}),

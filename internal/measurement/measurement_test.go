@@ -24,11 +24,7 @@ func newFixture(t *testing.T) *fixture {
 	n := netsim.New(nil)
 	t.Cleanup(n.Close)
 
-	as, err := n.AddAS(12486, "YEMENNET", "YE", netip.MustParsePrefix("82.114.160.0/19"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	isp, err := n.AddISP("YemenNet", as)
+	isp, err := n.AddISP("YemenNet")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,11 +70,7 @@ func newMechFixture(t testing.TB) *mechFixture {
 	n := netsim.New(nil)
 	t.Cleanup(n.Close)
 
-	as, err := n.AddAS(17557, "PKTELECOM", "PK", netip.MustParsePrefix("221.120.0.0/16"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	isp, err := n.AddISP("PTCL", as)
+	isp, err := n.AddISP("PTCL")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +122,16 @@ func newMechFixture(t testing.TB) *mechFixture {
 		if m := isp.Mechanisms(); m != nil && m.DNS != nil {
 			switch v := m.DNS.FilterDNS(netip.Addr{}, name); v.Action {
 			case netsim.DNSSinkhole:
-				return mechanism.RCodeNoError, []mechanism.Answer{{Name: name, TTL: v.TTL, Addr: v.Addr}}
+				// The forged record carries the TTL quirk of the
+				// signature that sinkholes to v.Addr, as the world's
+				// resolvers forge it.
+				ttl := uint32(0)
+				for _, s := range mechanism.DNSSignatures() {
+					if s.Sinkhole == v.Addr {
+						ttl = s.TTL
+					}
+				}
+				return mechanism.RCodeNoError, []mechanism.Answer{{Name: name, TTL: ttl, Addr: v.Addr}}
 			case netsim.DNSNXDomain:
 				return mechanism.RCodeNXDomain, nil
 			}
@@ -157,7 +162,7 @@ func TestMechanismProbesDNSSinkhole(t *testing.T) {
 	fx.isp.SetMechanisms(&netsim.Mechanisms{
 		DNS: netsim.DNSFilterFunc(func(_ netip.Addr, name string) netsim.DNSVerdict {
 			if blocked.Contains(name) {
-				return netsim.DNSVerdict{Action: netsim.DNSSinkhole, Addr: sig.Sinkhole, TTL: sig.TTL}
+				return netsim.DNSVerdict{Action: netsim.DNSSinkhole, Addr: sig.Sinkhole}
 			}
 			return netsim.DNSVerdict{Action: netsim.DNSClean}
 		}),

@@ -23,11 +23,7 @@ func newReuseFixture(tb testing.TB) *Client {
 	// in-process exchange cost and the reuse win shrinks to allocations.
 	n.SetDialLatency(200 * time.Microsecond)
 
-	as, err := n.AddAS(64500, "BENCH-NET", "TR", netip.MustParsePrefix("198.51.100.0/24"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	isp, err := n.AddISP("BenchNet", as)
+	isp, err := n.AddISP("BenchNet")
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -77,15 +77,14 @@ const (
 )
 
 // FaultRule is one fault-injection rule. The zero-valued matcher fields
-// (Src, Dst, Port, Hostname) match every dial; set them to scope the
-// rule to a host, a link, a service port, or a name.
+// (Dst, Port, Hostname) match every dial; set them to scope the rule to
+// a destination, a service port, or a name.
 type FaultRule struct {
 	// Kind selects the failure mode.
 	Kind FaultKind
 
-	// Src and Dst scope the rule to dials whose endpoints fall inside
-	// the prefixes (zero prefixes match everything).
-	Src netip.Prefix
+	// Dst scopes the rule to dials whose destination falls inside the
+	// prefix (the zero prefix matches everything).
 	Dst netip.Prefix
 	// Port scopes the rule to one destination port (0 matches all).
 	Port uint16
@@ -124,9 +123,6 @@ type FaultRule struct {
 
 // matches reports whether the rule applies to the dial at all.
 func (r *FaultRule) matches(info DialInfo) bool {
-	if r.Src.IsValid() && !r.Src.Contains(info.Src) {
-		return false
-	}
 	if r.Dst.IsValid() && !r.Dst.Contains(info.Dst) {
 		return false
 	}

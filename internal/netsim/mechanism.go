@@ -34,13 +34,13 @@ const (
 	DNSNXDomain
 )
 
-// DNSVerdict is one DNS filtering decision with its observable quirks.
+// DNSVerdict is one DNS filtering decision of the in-path resolver,
+// which answers with an address alone (the wire resolver of
+// internal/world forges the record's TTL quirk from the signature).
 type DNSVerdict struct {
 	Action DNSAction
 	// Addr is the forged answer (sinkhole only).
 	Addr netip.Addr
-	// TTL is the forged record's time-to-live quirk.
-	TTL uint32
 }
 
 // DNSFilter decides the resolver-path behaviour for a query from src.

@@ -26,11 +26,7 @@ type mechWorld struct {
 func newMechWorld(t *testing.T) *mechWorld {
 	t.Helper()
 	n := New(nil)
-	as1, err := n.AddAS(64500, "Censor Telecom", "XX", netip.MustParsePrefix("10.0.0.0/8"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	isp, err := n.AddISP("Censor Telecom", as1)
+	isp, err := n.AddISP("Censor Telecom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +76,7 @@ func TestDNSPoisoningSinkholeAndNXDomain(t *testing.T) {
 	w.isp.SetMechanisms(&Mechanisms{
 		DNS: DNSFilterFunc(func(src netip.Addr, name string) DNSVerdict {
 			if blocked.Contains(name) {
-				return DNSVerdict{Action: DNSSinkhole, Addr: w.sink.Addr(), TTL: 300}
+				return DNSVerdict{Action: DNSSinkhole, Addr: w.sink.Addr()}
 			}
 			if name == "gone.example" {
 				return DNSVerdict{Action: DNSNXDomain}

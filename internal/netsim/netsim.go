@@ -31,7 +31,9 @@
 //     set again) and stops it when that direction closes, so a closed
 //     connection is garbage at once, not when its deadline passes,
 //     while a deadline error still fires at the deadline,
-//   - autonomous systems and ISPs, so IP→ASN mapping has ground truth,
+//   - ISPs, which group hosts for ISPOnly ports and egress interception
+//     (the AS behind an address, the ground truth of the whois lookups,
+//     lives in internal/geo, not here),
 //   - transparent egress interception: when a host inside an ISP dials an
 //     outside address, the ISP's Interceptor (a URL-filtering product) may
 //     terminate the connection and serve a block page or proxy it onward,
@@ -48,6 +50,7 @@ import (
 	"maps"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,23 +83,10 @@ const (
 	ISPOnly
 )
 
-// AS is an autonomous system: a numbered collection of IP prefixes operated
-// in one country. It is the ground truth behind the Team Cymru-style whois
-// lookups in internal/geo.
-type AS struct {
-	Number   int
-	Name     string
-	Country  string // ISO 3166-1 alpha-2, upper case
-	Prefixes []netip.Prefix
-}
-
 // ISP is a network operator. An ISP may install an Interceptor, which sees
 // every connection its subscriber hosts open to destinations outside the
 // ISP — the position a URL-filtering middlebox occupies.
 type ISP struct {
-	Name string
-	AS   *AS
-
 	mu          sync.RWMutex
 	interceptor Interceptor
 	mechanisms  *Mechanisms
@@ -194,7 +184,6 @@ type Network struct {
 	hosts map[netip.Addr]*Host
 	dns   map[string]netip.Addr
 	rdns  map[netip.Addr]string
-	ases  map[int]*AS
 	isps  map[string]*ISP
 }
 
@@ -231,7 +220,6 @@ func New(clock simclock.Clock) *Network {
 		hosts: make(map[netip.Addr]*Host),
 		dns:   make(map[string]netip.Addr),
 		rdns:  make(map[netip.Addr]string),
-		ases:  make(map[int]*AS),
 		isps:  make(map[string]*ISP),
 	}
 	n.route.Store(&route{})
@@ -262,30 +250,14 @@ func (n *Network) SetDialLatency(d time.Duration) {
 	n.mu.Unlock()
 }
 
-// AddAS registers an autonomous system. The AS number must be unused.
-func (n *Network) AddAS(number int, name, country string, prefixes ...netip.Prefix) (*AS, error) {
-	if number <= 0 {
-		return nil, fmt.Errorf("netsim: invalid AS number %d", number)
-	}
-	country = strings.ToUpper(country)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.ases[number]; dup {
-		return nil, fmt.Errorf("netsim: AS%d already registered", number)
-	}
-	as := &AS{Number: number, Name: name, Country: country, Prefixes: prefixes}
-	n.ases[number] = as
-	return as, nil
-}
-
-// AddISP registers an ISP operating the given AS.
-func (n *Network) AddISP(name string, as *AS) (*ISP, error) {
+// AddISP registers an ISP under a name no other ISP has.
+func (n *Network) AddISP(name string) (*ISP, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.isps[name]; dup {
 		return nil, fmt.Errorf("netsim: ISP %q already registered", name)
 	}
-	isp := &ISP{Name: name, AS: as}
+	isp := &ISP{}
 	n.isps[name] = isp
 	return isp, nil
 }
@@ -370,14 +342,36 @@ func (n *Network) Hosts() []*Host {
 
 // Addrs returns the addresses of all hosts, sorted: every registered
 // host plus every realm address, so a scanner sweeping the world sees
-// realm hosts exactly where registered ones would be.
+// realm hosts exactly where registered ones would be. A realm address
+// that RemoveHost dropped is left out, and one that is also registered
+// (a built console) appears once. The realm's addresses are filtered
+// and merged with the registered ones in one pass into the one slice
+// returned.
 func (n *Network) Addrs() []netip.Addr {
-	hosts := n.Hosts()
-	out := make([]netip.Addr, len(hosts))
-	for i, h := range hosts {
-		out[i] = h.addr
+	rt := n.route.Load()
+	var realm []netip.Addr
+	if rt.realm != nil {
+		realm = rt.realm.Addrs()
 	}
-	return mergeSortedAddrs(out, n.realmAddrs())
+	n.mu.RLock()
+	reg := make([]netip.Addr, 0, len(n.hosts))
+	for a := range n.hosts {
+		reg = append(reg, a)
+	}
+	n.mu.RUnlock()
+	slices.SortFunc(reg, netip.Addr.Compare)
+
+	out := make([]netip.Addr, 0, len(reg)+len(realm))
+	for _, a := range realm {
+		for len(reg) > 0 && reg[0].Less(a) {
+			out, reg = append(out, reg[0]), reg[1:]
+		}
+		if (len(reg) > 0 && reg[0] == a) || rt.tombstones[a] {
+			continue // registered, so added in its turn, or removed
+		}
+		out = append(out, a)
+	}
+	return append(out, reg...)
 }
 
 // Resolve looks up a hostname, registered names first, then the realm's.

@@ -142,8 +142,7 @@ func TestDialByHostname(t *testing.T) {
 // meets far more closed ports than open ones.
 func TestDialClosedPortRefused(t *testing.T) {
 	n := newTestNet(t)
-	as, _ := n.AddAS(64500, "TEST-AS", "qa", mustPrefix(t, "198.51.100.0/24"))
-	isp, _ := n.AddISP("TestISP", as)
+	isp, _ := n.AddISP("TestISP")
 	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	filter, _ := n.AddHost(mustAddr(t, "198.51.100.1"), "", isp)
 	cliHost, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
@@ -185,8 +184,7 @@ func TestDialClosedPortRefused(t *testing.T) {
 func TestAllocsDialProbeRefused(t *testing.T) {
 	n, r, src := newRealmNet(t, &toyRealm{n: 4})
 	t.Cleanup(n.Close)
-	as, _ := n.AddAS(64500, "TEST-AS", "qa", mustPrefix(t, "203.0.113.0/24"))
-	isp, _ := n.AddISP("TestISP", as)
+	isp, _ := n.AddISP("TestISP")
 	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	filter, _ := n.AddHost(mustAddr(t, "203.0.113.1"), "", isp)
 	if _, err := filter.Serve(8080, ISPOnly, Response("admin")); err != nil {
@@ -227,8 +225,7 @@ func TestDialUnknownAddrUnreachable(t *testing.T) {
 
 func TestISPOnlyVisibility(t *testing.T) {
 	n := newTestNet(t)
-	as, _ := n.AddAS(64500, "TEST-AS", "qa", mustPrefix(t, "198.51.100.0/24"))
-	isp, _ := n.AddISP("TestISP", as)
+	isp, _ := n.AddISP("TestISP")
 	filter, _ := n.AddHost(mustAddr(t, "198.51.100.1"), "filter.isp.test", isp)
 	inside, _ := n.AddHost(mustAddr(t, "198.51.100.2"), "", isp)
 	outside, _ := n.AddHost(mustAddr(t, "192.0.2.9"), "", nil)
@@ -253,30 +250,6 @@ func TestISPOnlyVisibility(t *testing.T) {
 	}
 }
 
-func TestASLookup(t *testing.T) {
-	n := newTestNet(t)
-	as, err := n.AddAS(5384, "EMIRATES-INTERNET Etisalat", "AE", mustPrefix(t, "94.56.0.0/16"))
-	if err != nil {
-		t.Fatalf("AddAS: %v", err)
-	}
-	if as.Number != 5384 || as.Country != "AE" {
-		t.Fatalf("AddAS = AS%d %s, want AS5384 AE", as.Number, as.Country)
-	}
-	if len(as.Prefixes) != 1 || as.Prefixes[0] != mustPrefix(t, "94.56.0.0/16") {
-		t.Fatalf("AS5384 prefixes = %v, want [94.56.0.0/16]", as.Prefixes)
-	}
-}
-
-func TestAddASDuplicateNumber(t *testing.T) {
-	n := newTestNet(t)
-	if _, err := n.AddAS(100, "A", "US"); err != nil {
-		t.Fatalf("AddAS: %v", err)
-	}
-	if _, err := n.AddAS(100, "B", "US"); err == nil {
-		t.Fatal("duplicate AS number accepted")
-	}
-}
-
 // staticHandler terminates intercepted conns with a fixed payload.
 type staticHandler string
 
@@ -287,8 +260,7 @@ func (s staticHandler) ServeConn(conn net.Conn) {
 
 func TestInterceptorSeesEgressTraffic(t *testing.T) {
 	n := newTestNet(t)
-	as, _ := n.AddAS(12486, "YEMENNET", "YE", mustPrefix(t, "82.114.160.0/19"))
-	isp, _ := n.AddISP("YemenNet", as)
+	isp, _ := n.AddISP("YemenNet")
 	inside, _ := n.AddHost(mustAddr(t, "82.114.160.5"), "", isp)
 	outsideSrv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "origin.test", nil)
 	serve(t, outsideSrv, 80, func(c net.Conn) {
@@ -322,8 +294,7 @@ func TestInterceptorSeesEgressTraffic(t *testing.T) {
 
 func TestInterceptorPassThrough(t *testing.T) {
 	n := newTestNet(t)
-	as, _ := n.AddAS(12486, "YEMENNET", "YE", mustPrefix(t, "82.114.160.0/19"))
-	isp, _ := n.AddISP("YemenNet", as)
+	isp, _ := n.AddISP("YemenNet")
 	inside, _ := n.AddHost(mustAddr(t, "82.114.160.5"), "", isp)
 	outsideSrv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	serve(t, outsideSrv, 22, func(c net.Conn) {
@@ -344,8 +315,7 @@ func TestInterceptorPassThrough(t *testing.T) {
 
 func TestInterceptorSkipsSameISPTraffic(t *testing.T) {
 	n := newTestNet(t)
-	as, _ := n.AddAS(64501, "AS", "YE", mustPrefix(t, "10.1.0.0/16"))
-	isp, _ := n.AddISP("ISP", as)
+	isp, _ := n.AddISP("ISP")
 	inside, _ := n.AddHost(mustAddr(t, "10.1.0.5"), "", isp)
 	filter, _ := n.AddHost(mustAddr(t, "10.1.0.1"), "", isp)
 	serve(t, filter, 8080, func(c net.Conn) {
@@ -368,8 +338,7 @@ func TestInterceptorSkipsSameISPTraffic(t *testing.T) {
 
 func TestBypassInterceptHost(t *testing.T) {
 	n := newTestNet(t)
-	as, _ := n.AddAS(64501, "AS", "YE", mustPrefix(t, "10.1.0.0/16"))
-	isp, _ := n.AddISP("ISP", as)
+	isp, _ := n.AddISP("ISP")
 	mb, _ := n.AddHost(mustAddr(t, "10.1.0.1"), "", isp)
 	mb.SetBypassIntercept(true)
 	origin, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)

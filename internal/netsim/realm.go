@@ -48,42 +48,3 @@ func (n *Network) SetRealm(r Realm) {
 	rt.tombstones = nil
 	n.route.Store(rt)
 }
-
-// realmAddrs returns the realm addresses that should appear in a
-// scan sweep: everything the realm owns except removed addresses.
-// Registered realm hosts are excluded too (the caller already has them
-// from the hosts map).
-func (n *Network) realmAddrs() []netip.Addr {
-	rt := n.route.Load()
-	if rt.realm == nil {
-		return nil
-	}
-	all := rt.realm.Addrs()
-	out := make([]netip.Addr, 0, len(all))
-	n.mu.RLock()
-	for _, a := range all {
-		if _, reg := n.hosts[a]; reg || rt.tombstones[a] {
-			continue
-		}
-		out = append(out, a)
-	}
-	n.mu.RUnlock()
-	return out
-}
-
-// mergeSortedAddrs merges two individually-sorted address slices.
-func mergeSortedAddrs(a, b []netip.Addr) []netip.Addr {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]netip.Addr, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if b[0].Less(a[0]) {
-			out, b = append(out, b[0]), b[1:]
-		} else {
-			out, a = append(out, a[0]), a[1:]
-		}
-	}
-	out = append(out, a...)
-	return append(out, b...)
-}

@@ -84,11 +84,7 @@ func (r *toyRealm) Port(addr netip.Addr, port uint16) (*Host, Handler, bool) {
 func (r *toyRealm) buildConsole() *Host {
 	r.once.Do(func() {
 		r.builds.Add(1)
-		as, err := r.net.AddAS(64999, "TOY-REALM", "ZZ", netip.MustParsePrefix("240.0.0.0/24"))
-		if err != nil {
-			return
-		}
-		isp, err := r.net.AddISP("Toy Realm", as)
+		isp, err := r.net.AddISP("Toy Realm")
 		if err != nil {
 			return
 		}
@@ -326,6 +322,29 @@ func TestRealmAddrsMergedAndSorted(t *testing.T) {
 	c.Close()
 	if got := nw.Addrs(); len(got) != len(want) {
 		t.Fatalf("Addrs after the console build has %d entries, want %d: %v", len(got), len(want), got)
+	}
+}
+
+// TestAllocsAddrs pins Addrs over a realm at three allocations however
+// many addresses it holds: the realm's own list, the registered
+// addresses and the result, into which one pass filters the realm's
+// addresses and merges the registered ones. A built console (registered
+// inside the realm) and a removed address exercise both filters. CI
+// runs this (make alloc-gate).
+func TestAllocsAddrs(t *testing.T) {
+	nw, r, src := newRealmNet(t, &toyRealm{n: 200, console: 7})
+	defer nw.Close()
+	c, err := src.Dial(context.Background(), r.addr(7), 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	nw.RemoveHost(r.addr(9))
+	if got := len(nw.Addrs()); got != 200 { // the probe, and 199 realm addresses
+		t.Fatalf("Addrs has %d addresses, want 200", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { nw.Addrs() }); allocs > 3 {
+		t.Fatalf("Addrs allocates %v times, want at most 3", allocs)
 	}
 }
 

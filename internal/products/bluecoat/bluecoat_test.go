@@ -93,13 +93,14 @@ func TestEngineCustomList(t *testing.T) {
 	}
 }
 
-func installFixture(t *testing.T, cfg Config) (*netsim.Network, *Appliance, *netsim.Host) {
+// installFixture installs an appliance and returns a host outside its
+// ISP.
+func installFixture(t *testing.T, cfg Config) *netsim.Host {
 	t.Helper()
 	clock := simclock.NewManual(time.Time{})
 	n := netsim.New(clock)
 	t.Cleanup(n.Close)
-	as, _ := n.AddAS(64500, "AS", "AE", netip.MustParsePrefix("10.0.0.0/16"))
-	isp, _ := n.AddISP("ISP", as)
+	isp, _ := n.AddISP("ISP")
 	host, err := n.AddHost(netip.MustParseAddr("10.0.1.1"), "proxy1.example", isp)
 	if err != nil {
 		t.Fatal(err)
@@ -108,15 +109,14 @@ func installFixture(t *testing.T, cfg Config) (*netsim.Network, *Appliance, *net
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Install(host, cfg)
-	if err != nil {
+	if _, err := Install(host, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return n, a, outside
+	return outside
 }
 
 func TestApplianceCfAuthRedirect(t *testing.T) {
-	_, _, outside := installFixture(t, Config{Name: "proxy1.example"})
+	outside := installFixture(t, Config{Name: "proxy1.example"})
 	client := &httpwire.Client{Dial: outside.Dialer(), Timeout: 5 * time.Second}
 	resp, err := client.Get(context.Background(), "http://10.0.1.1/")
 	if err != nil {
@@ -144,7 +144,7 @@ func TestApplianceCfAuthRedirect(t *testing.T) {
 }
 
 func TestApplianceConsole(t *testing.T) {
-	_, _, outside := installFixture(t, Config{Name: "proxy1.example"})
+	outside := installFixture(t, Config{Name: "proxy1.example"})
 	client := &httpwire.Client{Dial: outside.Dialer(), Timeout: 5 * time.Second}
 	resp, err := client.Get(context.Background(), "http://10.0.1.1:8082/")
 	if err != nil {
@@ -156,7 +156,7 @@ func TestApplianceConsole(t *testing.T) {
 }
 
 func TestApplianceHiddenConsoles(t *testing.T) {
-	_, _, outside := installFixture(t, Config{Name: "p", ConsoleVisibility: netsim.ISPOnly})
+	outside := installFixture(t, Config{Name: "p", ConsoleVisibility: netsim.ISPOnly})
 	client := &httpwire.Client{Dial: outside.Dialer(), Timeout: 2 * time.Second}
 	for _, port := range []uint16{80, 8080, 8082} {
 		if _, err := client.Get(context.Background(), "http://10.0.1.1:"+itoa(port)+"/"); err == nil {
@@ -177,7 +177,7 @@ func itoa(p uint16) string {
 }
 
 func TestApplianceScrubbed(t *testing.T) {
-	_, _, outside := installFixture(t, Config{Name: "p", Scrub: true})
+	outside := installFixture(t, Config{Name: "p", Scrub: true})
 	client := &httpwire.Client{Dial: outside.Dialer(), Timeout: 5 * time.Second}
 	resp, err := client.Get(context.Background(), "http://10.0.1.1:8082/")
 	if err != nil {
@@ -232,7 +232,7 @@ func TestSiteReviewSubmissionFlow(t *testing.T) {
 		t.Fatalf("submit = %v, %v", resp, err)
 	}
 	subs := db.Submissions()
-	if len(subs) != 1 || subs[0].Domain != "fresh.info" || subs[0].State != categorydb.Accepted {
+	if len(subs) != 1 || subs[0].URL != "http://fresh.info/" || subs[0].State != categorydb.Accepted {
 		t.Fatalf("submissions = %+v", subs)
 	}
 	// Submitter identity captured (evasion scenarios key on it).

@@ -170,8 +170,7 @@ func gatewayFixture(t *testing.T, gwMut func(*Gateway)) (*netsim.Network, *netsi
 	t.Helper()
 	n := netsim.New(nil)
 	t.Cleanup(n.Close)
-	as, _ := n.AddAS(64500, "AS", "QA", netip.MustParsePrefix("10.0.0.0/16"))
-	isp, _ := n.AddISP("ISP", as)
+	isp, _ := n.AddISP("ISP")
 	mb, err := n.AddHost(netip.MustParseAddr("10.0.1.1"), "filter.example", isp)
 	if err != nil {
 		t.Fatal(err)

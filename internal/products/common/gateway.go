@@ -13,8 +13,9 @@ import (
 
 // Gateway is the middlebox chassis a policy engine runs on. Installed as
 // an ISP's netsim.Interceptor it transparently terminates subscriber HTTP
-// connections, consults the engine, and either serves the vendor block
-// page or forwards the request to the origin. It can additionally serve
+// connections to port 80, consults the engine at the time of its host
+// network's clock, and either serves the vendor block page or forwards
+// the request to the origin. It can additionally serve
 // explicit-proxy connections (absolute-form request targets) on a listener
 // of its host — Blue Coat ProxySG's normal mode.
 type Gateway struct {
@@ -28,15 +29,9 @@ type Gateway struct {
 	// ProxySG)". These tokens are exactly what WhatWeb-style validation
 	// keys on.
 	ViaToken string
-	// InterceptPorts are the destination ports the gateway intercepts
-	// transparently. Empty means {80}.
-	InterceptPorts []uint16
 	// License, when set, models concurrent-user licensing; the gateway
 	// fails open while demand exceeds the license.
 	License *LicenseModel
-	// Clock is the time source for decisions. Nil means the host
-	// network's clock.
-	Clock simclock.Clock
 	// OnForward, if set, is invoked for every request forwarded unblocked
 	// (Netsweeper hangs its categorization queue here).
 	OnForward func(req *httpwire.Request)
@@ -58,30 +53,15 @@ func (g *Gateway) scrub(resp *httpwire.Response) *httpwire.Response {
 }
 
 func (g *Gateway) clock() simclock.Clock {
-	if g.Clock != nil {
-		return g.Clock
-	}
 	if g.Host != nil {
 		return g.Host.Network().Clock()
 	}
 	return simclock.System{}
 }
 
-func (g *Gateway) interceptsPort(port uint16) bool {
-	if len(g.InterceptPorts) == 0 {
-		return port == 80
-	}
-	for _, p := range g.InterceptPorts {
-		if p == port {
-			return true
-		}
-	}
-	return false
-}
-
 // Intercept implements netsim.Interceptor.
 func (g *Gateway) Intercept(info netsim.DialInfo) netsim.Handler {
-	if !g.interceptsPort(info.Port) {
+	if info.Port != 80 {
 		return nil
 	}
 	if !g.License.FilteringActive(g.clock().Now()) {

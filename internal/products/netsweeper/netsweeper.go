@@ -221,15 +221,6 @@ func (e *Engine) DenyRedirect(req *httpwire.Request, category string) *httpwire.
 	return httpwire.NewResponse(302, hdr, body)
 }
 
-// Deployment is an installed Netsweeper filter.
-type Deployment struct {
-	Name    string
-	Host    *netsim.Host
-	Engine  *Engine
-	Gateway *common.Gateway
-	db      *categorydb.DB
-}
-
 // Config controls deployment installation.
 type Config struct {
 	// Name is the filter hostname.
@@ -254,9 +245,10 @@ type Config struct {
 // BrandTokens are the strings a scrubbing operator blanks from pages.
 var BrandTokens = []string{"Netsweeper"}
 
-// Install mounts a Netsweeper deployment on host. The caller installs
-// dep.Gateway as the ISP's interceptor to put it inline.
-func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
+// Install mounts a Netsweeper deployment on host — the WebAdmin console
+// and deny pages — and returns its gateway. The caller installs the
+// gateway as the ISP's interceptor to put it inline.
+func Install(host *netsim.Host, cfg Config) (*common.Gateway, error) {
 	if cfg.Name == "" {
 		cfg.Name = host.Name()
 	}
@@ -279,7 +271,6 @@ func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
 			db.QueueAuto(req.Hostname(), req.FullURL())
 		}
 	}
-	dep := &Deployment{Name: cfg.Name, Host: host, Engine: cfg.Engine, Gateway: gw, db: db}
 
 	// WebAdmin console and deny pages on 8080.
 	mux := httpwire.NewMux()
@@ -327,7 +318,7 @@ func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 
-	return dep, nil
+	return gw, nil
 }
 
 func hostLabel(h *netsim.Host) string {

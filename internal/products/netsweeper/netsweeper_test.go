@@ -116,7 +116,6 @@ type fixture struct {
 	net    *netsim.Network
 	clock  *simclock.Manual
 	db     *categorydb.DB
-	dep    *Deployment
 	inside *netsim.Host
 	out    *netsim.Host
 }
@@ -129,8 +128,7 @@ func installFixture(t *testing.T, mut func(*Config)) *fixture {
 	db := NewDatabase(clock)
 	db.AddDomain("proxy-site.net", CatProxyAnonymizer) //nolint:errcheck // category exists
 
-	as, _ := n.AddAS(12486, "YEMENNET", "YE", netip.MustParsePrefix("10.0.0.0/16"))
-	isp, _ := n.AddISP("YemenNet", as)
+	isp, _ := n.AddISP("YemenNet")
 	filterHost, _ := n.AddHost(netip.MustParseAddr("10.0.1.1"), "ns1.example", isp)
 	inside, _ := n.AddHost(netip.MustParseAddr("10.0.2.2"), "", isp)
 	outside, _ := n.AddHost(netip.MustParseAddr("198.51.100.9"), "", nil)
@@ -157,12 +155,12 @@ func installFixture(t *testing.T, mut func(*Config)) *fixture {
 	if mut != nil {
 		mut(&cfg)
 	}
-	dep, err := Install(filterHost, cfg)
+	gw, err := Install(filterHost, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	isp.SetInterceptor(dep.Gateway)
-	return &fixture{net: n, clock: clock, db: db, dep: dep, inside: inside, out: outside}
+	isp.SetInterceptor(gw)
+	return &fixture{net: n, clock: clock, db: db, inside: inside, out: outside}
 }
 
 func TestEndToEndDenyFlow(t *testing.T) {

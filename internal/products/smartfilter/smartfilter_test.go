@@ -101,8 +101,7 @@ func TestEngineRunsOnBlueCoatChassis(t *testing.T) {
 	engine, _, clock := newEngine(t)
 	n := netsim.New(clock)
 	t.Cleanup(n.Close)
-	as, _ := n.AddAS(5384, "ETISALAT", "AE", netip.MustParsePrefix("94.56.0.0/16"))
-	isp, _ := n.AddISP("Etisalat", as)
+	isp, _ := n.AddISP("Etisalat")
 	mb, _ := n.AddHost(netip.MustParseAddr("94.56.1.1"), "proxy1.example", isp)
 	mb.SetBypassIntercept(true)
 	inside, _ := n.AddHost(netip.MustParseAddr("94.56.2.2"), "", isp)
@@ -136,8 +135,7 @@ func installFixture(t *testing.T, cfg Config) *netsim.Host {
 	clock := simclock.NewManual(time.Time{})
 	n := netsim.New(clock)
 	t.Cleanup(n.Close)
-	as, _ := n.AddAS(64500, "AS", "SA", netip.MustParsePrefix("10.0.0.0/16"))
-	isp, _ := n.AddISP("ISP", as)
+	isp, _ := n.AddISP("ISP")
 	host, _ := n.AddHost(netip.MustParseAddr("10.0.1.1"), "mwg1.example", isp)
 	if cfg.Engine == nil {
 		db := NewDatabase(clock)

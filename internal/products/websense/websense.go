@@ -129,14 +129,6 @@ func wsSession(u string) uint32 {
 	return h.Sum32()%900000000 + 100000000
 }
 
-// Deployment is an installed Websense gateway.
-type Deployment struct {
-	Name    string
-	Host    *netsim.Host
-	Engine  *Engine
-	Gateway *common.Gateway
-}
-
 // Config controls deployment installation.
 type Config struct {
 	// Name is the gateway hostname.
@@ -158,9 +150,10 @@ type Config struct {
 // BrandTokens are the strings a scrubbing operator blanks from pages.
 var BrandTokens = []string{"Websense"}
 
-// Install mounts a Websense gateway on host. The caller installs
-// dep.Gateway as the ISP's interceptor to put it inline.
-func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
+// Install mounts a Websense gateway on host — the block-page service on
+// port 15871 and the console on port 80 — and returns its gateway. The
+// caller installs the gateway as the ISP's interceptor to put it inline.
+func Install(host *netsim.Host, cfg Config) (*common.Gateway, error) {
 	if cfg.Name == "" {
 		cfg.Name = host.Name()
 	}
@@ -183,7 +176,6 @@ func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
 		gw.BrandTokens = BrandTokens
 		gw.ViaToken = ""
 	}
-	dep := &Deployment{Name: cfg.Name, Host: host, Engine: cfg.Engine, Gateway: gw}
 
 	db := cfg.Engine.View.DB
 
@@ -233,5 +225,5 @@ func Install(host *netsim.Host, cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 
-	return dep, nil
+	return gw, nil
 }

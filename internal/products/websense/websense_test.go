@@ -99,8 +99,7 @@ func installFixture(t *testing.T, mut func(*Config)) *fixture {
 	db := NewDatabase(clock)
 	db.AddDomain("adult-site.net", CatAdultContent) //nolint:errcheck // category exists
 
-	as, _ := n.AddAS(64550, "TX-UTIL", "US", netip.MustParsePrefix("10.0.0.0/16"))
-	isp, _ := n.AddISP("TexasUtility", as)
+	isp, _ := n.AddISP("TexasUtility")
 	filterHost, _ := n.AddHost(netip.MustParseAddr("10.0.1.1"), "wsg1.example", isp)
 	inside, _ := n.AddHost(netip.MustParseAddr("10.0.2.2"), "", isp)
 	outside, _ := n.AddHost(netip.MustParseAddr("198.51.100.9"), "", nil)
@@ -123,11 +122,11 @@ func installFixture(t *testing.T, mut func(*Config)) *fixture {
 	if mut != nil {
 		mut(&cfg)
 	}
-	dep, err := Install(filterHost, cfg)
+	gw, err := Install(filterHost, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	isp.SetInterceptor(dep.Gateway)
+	isp.SetInterceptor(gw)
 	return &fixture{clock: clock, db: db, inside: inside, out: outside}
 }
 

@@ -108,17 +108,14 @@ type Detector struct {
 	// RefHost is the reference server's hostname (must serve EchoHandler
 	// on port 80 at EchoPath).
 	RefHost string
-	// Timeout bounds the probe (default 10s).
-	Timeout time.Duration
 }
+
+// probeTimeout bounds one probe.
+const probeTimeout = 10 * time.Second
 
 // Detect runs one probe.
 func (d *Detector) Detect(ctx context.Context) *Report {
-	timeout := d.Timeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 
 	nonce := fmt.Sprintf("pd-%d", time.Now().UnixNano())

@@ -7,7 +7,6 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"filtermap/internal/httpwire"
 	"filtermap/internal/netsim"
@@ -37,12 +36,8 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 
-	mkISP := func(name string, asn int, cidr, hostIP string, ic netsim.Interceptor) *netsim.Host {
-		as, err := n.AddAS(asn, name, "XX", netip.MustParsePrefix(cidr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		isp, err := n.AddISP(name, as)
+	mkISP := func(name, hostIP string, ic netsim.Interceptor) *netsim.Host {
+		isp, err := n.AddISP(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,9 +53,9 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := mkISP("CleanNet", 64501, "10.1.0.0/16", "10.1.2.2", nil)
-	proxied := mkISP("ProxyNet", 64502, "10.2.0.0/16", "10.2.2.2", viaProxy{relay: relay})
-	blocked := mkISP("BlockNet", 64503, "10.3.0.0/16", "10.3.2.2", blockAll{})
+	clean := mkISP("CleanNet", "10.1.2.2", nil)
+	proxied := mkISP("ProxyNet", "10.2.2.2", viaProxy{relay: relay})
+	blocked := mkISP("BlockNet", "10.3.2.2", blockAll{})
 
 	return &fixture{net: n, refHost: "echo.ref.example", clean: clean, proxied: proxied, blocked: blocked}
 }
@@ -120,7 +115,7 @@ func (blockAll) Intercept(info netsim.DialInfo) netsim.Handler {
 
 func TestDetectClean(t *testing.T) {
 	f := newFixture(t)
-	d := &Detector{Vantage: f.clean, RefHost: f.refHost, Timeout: 3 * time.Second}
+	d := &Detector{Vantage: f.clean, RefHost: f.refHost}
 	rep := d.Detect(context.Background())
 	if rep.Err != nil {
 		t.Fatalf("probe error: %v", rep.Err)
@@ -132,7 +127,7 @@ func TestDetectClean(t *testing.T) {
 
 func TestDetectViaProxyEndToEnd(t *testing.T) {
 	f := newFixture(t)
-	d := &Detector{Vantage: f.proxied, RefHost: f.refHost, Timeout: 3 * time.Second}
+	d := &Detector{Vantage: f.proxied, RefHost: f.refHost}
 	rep := d.Detect(context.Background())
 	if rep.Err != nil {
 		t.Fatalf("probe error: %v", rep.Err)
@@ -151,7 +146,7 @@ func TestDetectViaProxyEndToEnd(t *testing.T) {
 
 func TestDetectBlocked(t *testing.T) {
 	f := newFixture(t)
-	d := &Detector{Vantage: f.blocked, RefHost: f.refHost, Timeout: 3 * time.Second}
+	d := &Detector{Vantage: f.blocked, RefHost: f.refHost}
 	rep := d.Detect(context.Background())
 	if rep.Err != nil {
 		t.Fatalf("probe error: %v", rep.Err)

@@ -60,7 +60,7 @@ func TestExcerptDoesNotPinBody(t *testing.T) {
 		}
 		addrs = append(addrs, h.Addr())
 	}
-	s := &Scanner{Vantage: vantage, Ports: []uint16{80}, Config: engine.NewConfig(engine.WithWorkers(4))}
+	s := &Scanner{Vantage: vantage, Config: engine.NewConfig(engine.WithWorkers(4))}
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -33,7 +33,7 @@ import (
 	"filtermap/internal/netsim"
 )
 
-// DefaultPorts is the port set swept when none is configured: the HTTP
+// DefaultPorts is the port set every scan sweeps: the HTTP
 // ports where the paper's four products expose themselves.
 var DefaultPorts = []uint16{80, 443, 8080, 4712, 8082, 15871}
 
@@ -65,10 +65,12 @@ func (b *Banner) Text() string {
 
 // Default probe bounds (used when the engine config does not set them).
 const (
-	DefaultProbeTimeout   = 5 * time.Second
-	DefaultScanWorkers    = 32
-	DefaultBodyExcerptLen = 2048
+	DefaultProbeTimeout = 5 * time.Second
+	DefaultScanWorkers  = 32
 )
+
+// bodyExcerptLen bounds the body bytes a banner keeps.
+const bodyExcerptLen = 2048
 
 // Scanner probes hosts and builds an Index. Concurrency, timeout, retry
 // and observability knobs live in the shared engine Config.
@@ -76,28 +78,10 @@ type Scanner struct {
 	// Vantage is the host the scan originates from (a neutral,
 	// unfiltered network position).
 	Vantage *netsim.Host
-	// Ports is the port sweep set; nil means DefaultPorts.
-	Ports []uint16
-	// BodyExcerptLen bounds indexed body bytes (default 2048).
-	BodyExcerptLen int
 	// Config carries the shared execution knobs (workers, timeout, retry,
 	// stats, observer). The zero value uses the scanner defaults (32
 	// workers, 5s per probe).
 	Config engine.Config
-}
-
-func (s *Scanner) ports() []uint16 {
-	if len(s.Ports) > 0 {
-		return s.Ports
-	}
-	return DefaultPorts
-}
-
-func (s *Scanner) excerptLen() int {
-	if s.BodyExcerptLen > 0 {
-		return s.BodyExcerptLen
-	}
-	return DefaultBodyExcerptLen
 }
 
 // engineConfig resolves the scan pool: Config.Workers wins over the scan
@@ -129,7 +113,6 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, er
 	if s.Vantage == nil {
 		return nil, fmt.Errorf("scanner: no vantage host")
 	}
-	ports := s.ports()
 	idx := NewIndex()
 	timeout := s.Config.TimeoutOr(DefaultProbeTimeout)
 	cfg := s.engineConfig()
@@ -143,7 +126,7 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) (*Index, er
 			default:
 			}
 			now := time.Now()
-			for _, port := range ports {
+			for _, port := range DefaultPorts {
 				if s.probe(ctx, idx, addr, port, now.Add(timeout)) {
 					now = time.Now()
 				}
@@ -204,7 +187,7 @@ func (s *Scanner) probe(ctx context.Context, x *Index, addr netip.Addr, port uin
 	if err != nil {
 		return true
 	}
-	body = body[:min(len(body), s.excerptLen())]
+	body = body[:min(len(body), bodyExcerptLen)]
 
 	network := s.Vantage.Network()
 	hostname, _ := network.ReverseLookup(addr)

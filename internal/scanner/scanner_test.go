@@ -232,7 +232,7 @@ func TestScanStopsWithinOneHost(t *testing.T) {
 		}
 		addrs = append(addrs, h.Addr())
 	}
-	s := &Scanner{Vantage: vantage, Ports: []uint16{80, 8080}, Config: engine.NewConfig(engine.WithWorkers(1))}
+	s := &Scanner{Vantage: vantage, Config: engine.NewConfig(engine.WithWorkers(1))}
 	idx, err := s.ScanAddrs(ctx, addrs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ScanAddrs cancelled mid-scan: err = %v, want context.Canceled", err)
@@ -325,7 +325,6 @@ func TestProbeBoundCoversSlowDial(t *testing.T) {
 		want  int
 	}{{50 * time.Millisecond, 0}, {2 * time.Second, 1}} {
 		s := &Scanner{Vantage: vantage, Config: engine.NewConfig(engine.WithTimeout(c.bound))}
-		s.Ports = []uint16{80}
 		idx, err := s.ScanAddrs(context.Background(), []netip.Addr{h.Addr()})
 		if err != nil {
 			t.Fatal(err)
@@ -359,14 +358,14 @@ func TestBodyExcerptBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := &Scanner{Vantage: vantage, BodyExcerptLen: 512}
+	s := &Scanner{Vantage: vantage}
 	idx, err := s.ScanAddrs(context.Background(), []netip.Addr{big.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := idx.All()
-	if len(all) != 1 || len(all[0].BodyExcerpt) != 512 {
-		t.Fatalf("excerpt length = %d, want 512", len(all[0].BodyExcerpt))
+	if len(all) != 1 || len(all[0].BodyExcerpt) != bodyExcerptLen {
+		t.Fatalf("excerpt length = %d, want %d", len(all[0].BodyExcerpt), bodyExcerptLen)
 	}
 }
 

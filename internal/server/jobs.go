@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,21 +47,28 @@ type job struct {
 	finished time.Time
 }
 
+// finishedJobs bounds the finished jobs, with their result bytes, that
+// the job table keeps.
+const finishedJobs = 64
+
 // jobManager owns the background job queue: a fixed worker pool pops
 // queued jobs in submission order, identical active requests dedupe onto
-// one job, and shutdown stops intake and drains what is in flight.
+// one job, and shutdown stops intake and drains what is in flight. The
+// job table holds every queued and running job and the last
+// finishedJobs finished ones; an older finished job is forgotten.
 type jobManager struct {
 	run func(ctx context.Context, j *job) ([]byte, error)
 	now func() time.Time
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	jobs   map[string]*job
-	order  []string
-	active map[string]*job // canonical request key -> queued/running job
-	queue  []*job
-	seq    int
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	jobs     map[string]*job
+	order    []string
+	finished []string        // ids of the finished jobs jobs holds, oldest first
+	active   map[string]*job // canonical request key -> queued/running job
+	queue    []*job
+	seq      int
+	closed   bool
 
 	wg sync.WaitGroup
 }
@@ -124,7 +132,7 @@ func (m *jobManager) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// list returns every job in submission order.
+// list returns every job the table holds, in submission order.
 func (m *jobManager) list() []*job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -198,8 +206,9 @@ func (m *jobManager) worker() {
 	}
 }
 
-// finishLocked records a job's terminal state. Idempotent: cancellation
-// and the worker may race to finish the same job.
+// finishLocked records a job's terminal state and forgets the oldest
+// finished job beyond finishedJobs. Idempotent: cancellation and the
+// worker may race to finish the same job.
 func (m *jobManager) finishLocked(j *job, val []byte, err error) {
 	if j.state == JobDone || j.state == JobFailed {
 		return
@@ -214,6 +223,12 @@ func (m *jobManager) finishLocked(j *job, val []byte, err error) {
 	}
 	delete(m.active, j.key)
 	close(j.done)
+	m.finished = append(m.finished, j.id)
+	if len(m.finished) > finishedJobs {
+		delete(m.jobs, m.finished[0])
+		m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == m.finished[0] })
+		m.finished = m.finished[1:]
+	}
 }
 
 // counts is the /metrics state census.

@@ -508,6 +508,54 @@ func TestJobCancel(t *testing.T) {
 	t.Fatal("job never reached failed state after cancel")
 }
 
+// TestJobTableBounded: past finishedJobs finished jobs the table forgets
+// the oldest, so GET /v1/jobs and the server's memory stay bounded, a
+// forgotten id answers 404, and a job still running is never forgotten.
+func TestJobTableBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	release := make(chan struct{})
+	srv.execHook = func(ctx context.Context, kind string) error {
+		if kind != KindCharacterize {
+			return fmt.Errorf("no %s run in this test", kind)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-release:
+			return nil
+		}
+	}
+	defer close(release)
+
+	var live JobDoc
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", jobSubmitRequest{Kind: KindCharacterize}, &live), http.StatusCreated)
+	var ids []string
+	for i := 0; i < finishedJobs+10; i++ {
+		var jd JobDoc
+		wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", jobSubmitRequest{Kind: KindIdentify}, &jd), http.StatusCreated)
+		j, ok := srv.jobs.get(jd.ID)
+		if !ok {
+			t.Fatalf("job %s forgotten before it finished", jd.ID)
+		}
+		<-j.done
+		ids = append(ids, jd.ID)
+	}
+
+	var list struct{ Jobs []JobDoc }
+	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/v1/jobs", nil, &list), http.StatusOK)
+	if len(list.Jobs) != finishedJobs+1 || list.Jobs[0].ID != live.ID {
+		t.Fatalf("GET /v1/jobs lists %d jobs starting %+v, want the live %s and %d finished", len(list.Jobs), list.Jobs[0], live.ID, finishedJobs)
+	}
+	if got := list.Jobs[1].ID; got != ids[10] {
+		t.Fatalf("oldest listed finished job = %s, want %s", got, ids[10])
+	}
+	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+ids[9], nil, nil), http.StatusNotFound)
+	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+ids[10], nil, nil), http.StatusOK)
+	if c := srv.jobs.counts(); c.Queued+c.Running != 1 || c.Done+c.Failed != finishedJobs {
+		t.Fatalf("job counts = %+v, want 1 live and %d finished", c, finishedJobs)
+	}
+}
+
 // TestSingleflightConcurrentIdentify is the acceptance check: 100
 // concurrent identical /v1/identify requests trigger exactly one
 // pipeline run, with the dedup visible in /metrics. Run with -race.

@@ -64,11 +64,10 @@ func (w *World) buildBackgroundInstallations() error {
 	}
 
 	for _, bg := range installs {
-		as, err := w.addAS(bg.asn, bg.asName, bg.country, bg.cidr)
-		if err != nil {
+		if err := w.addAS(bg.asn, bg.asName, bg.country, bg.cidr); err != nil {
 			return err
 		}
-		isp, err := w.Net.AddISP(bg.asName, as)
+		isp, err := w.Net.AddISP(bg.asName)
 		if err != nil {
 			return err
 		}
@@ -225,7 +224,7 @@ func (w *World) installBackgroundProduct(product string, host *netsim.Host) erro
 // without hosting the products: the false positives §3.1's validation
 // stage exists to reject.
 func (w *World) buildDecoys() error {
-	if _, err := w.addAS(64553, "SMALLWEB-HOSTING", "US", "205.140.0.0/16"); err != nil {
+	if err := w.addAS(64553, "SMALLWEB-HOSTING", "US", "205.140.0.0/16"); err != nil {
 		return err
 	}
 	decoys := []struct {

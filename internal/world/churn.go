@@ -34,11 +34,10 @@ func (w *World) AddBackgroundInstall(product string, asn int, asName, country, c
 	if err != nil {
 		return fmt.Errorf("world: add install: %w", err)
 	}
-	as, err := w.addAS(asn, asName, country, cidr)
-	if err != nil {
+	if err := w.addAS(asn, asName, country, cidr); err != nil {
 		return fmt.Errorf("world: add install: %w", err)
 	}
-	isp, err := w.Net.AddISP(asName, as)
+	isp, err := w.Net.AddISP(asName)
 	if err != nil {
 		return fmt.Errorf("world: add install: %w", err)
 	}

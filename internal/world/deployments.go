@@ -48,11 +48,10 @@ func (w *World) buildDeployments() error {
 
 // addISPWithTester creates an AS, ISP, filter host and in-country tester.
 func (w *World) addISPWithTester(ispName string, asn int, asName, country, cidr, filterIP, filterName, testerIP string) (*netsim.ISP, *netsim.Host, error) {
-	as, err := w.addAS(asn, asName, country, cidr)
-	if err != nil {
+	if err := w.addAS(asn, asName, country, cidr); err != nil {
 		return nil, nil, err
 	}
-	isp, err := w.Net.AddISP(ispName, as)
+	isp, err := w.Net.AddISP(ispName)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +94,7 @@ func (w *World) buildEtisalat() error {
 		),
 		GatewayName: "proxy1.emirates.net.ae",
 	}
-	appliance, err := bluecoat.Install(filter, bluecoat.Config{
+	gw, err := bluecoat.Install(filter, bluecoat.Config{
 		Name:              "proxy1.emirates.net.ae",
 		Engine:            engine,
 		ConsoleVisibility: w.consoleVisibility(),
@@ -107,9 +106,9 @@ func (w *World) buildEtisalat() error {
 	if w.Opts.ScrubHeaders {
 		// A scrubbing operator of a stacked deployment removes the loaded
 		// engine's branding too, not just the chassis's.
-		appliance.Gateway.BrandTokens = append(appliance.Gateway.BrandTokens, smartfilter.BrandTokens...)
+		gw.BrandTokens = append(gw.BrandTokens, smartfilter.BrandTokens...)
 	}
-	isp.SetInterceptor(appliance.Gateway)
+	isp.SetInterceptor(gw)
 	return nil
 }
 
@@ -143,7 +142,7 @@ func (w *World) buildDu() error {
 	} {
 		engine.Policy.AddCustom(domain, "du-custom-blocklist")
 	}
-	dep, err := netsweeper.Install(filter, netsweeper.Config{
+	gw, err := netsweeper.Install(filter, netsweeper.Config{
 		Name:               "ns1.du.ae",
 		Engine:             engine,
 		WebAdminVisibility: w.consoleVisibility(),
@@ -153,7 +152,7 @@ func (w *World) buildDu() error {
 	if err != nil {
 		return err
 	}
-	isp.SetInterceptor(dep.Gateway)
+	isp.SetInterceptor(gw)
 	return nil
 }
 
@@ -182,7 +181,7 @@ func (w *World) buildOoredoo() error {
 	} {
 		engine.Policy.AddCustom(domain, "ooredoo-custom-blocklist")
 	}
-	dep, err := netsweeper.Install(filter, netsweeper.Config{
+	gw, err := netsweeper.Install(filter, netsweeper.Config{
 		Name:               "ns1.ooredoo.qa",
 		Engine:             engine,
 		WebAdminVisibility: w.consoleVisibility(),
@@ -195,7 +194,7 @@ func (w *World) buildOoredoo() error {
 	if err != nil {
 		return err
 	}
-	isp.SetInterceptor(dep.Gateway)
+	isp.SetInterceptor(gw)
 
 	// The traffic-management ProxySG beside the filter (engine-less).
 	bcHost, err := w.Net.AddHost(netip.MustParseAddr("89.211.1.2"), "cache1.ooredoo.qa", isp)
@@ -228,7 +227,7 @@ func (w *World) buildSaudi() error {
 			return err
 		}
 		engine := &smartfilter.Engine{View: centralView, Policy: centralPolicy, GatewayName: filterName}
-		gwDep, err := smartfilter.Install(filter, smartfilter.Config{
+		gw, err := smartfilter.Install(filter, smartfilter.Config{
 			Name:              filterName,
 			Engine:            engine,
 			ConsoleVisibility: w.consoleVisibility(),
@@ -237,7 +236,7 @@ func (w *World) buildSaudi() error {
 		if err != nil {
 			return err
 		}
-		isp.SetInterceptor(gwDep.Gateway)
+		isp.SetInterceptor(gw)
 		return nil
 	}
 	if err := build(ISPBayanat, ASNBayanat, "BAYANAT-AL-OULA", "77.30.0.0/16", "77.30.1.1", "mwg1.bayanat.net.sa", "77.30.20.20"); err != nil {
@@ -291,7 +290,7 @@ func (w *World) buildYemenNet() error {
 	}
 	w.YemenLicense = &licenseHandle{MaxConcurrent: license.MaxConcurrent, Load: license.Load}
 
-	dep, err := netsweeper.Install(filter, netsweeper.Config{
+	gw, err := netsweeper.Install(filter, netsweeper.Config{
 		Name:               "ns1.yemen.net.ye",
 		Engine:             engine,
 		License:            license,
@@ -302,7 +301,7 @@ func (w *World) buildYemenNet() error {
 	if err != nil {
 		return err
 	}
-	isp.SetInterceptor(dep.Gateway)
+	isp.SetInterceptor(gw)
 
 	// The stranded Websense box (pre-2009 deployment, updates frozen). It
 	// no longer intercepts, but its console is still visible — one of

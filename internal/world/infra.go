@@ -18,11 +18,10 @@ import (
 // portals, and the researcher hosting range.
 func (w *World) buildInfrastructure() error {
 	// University of Toronto lab (§4.1's comparison vantage).
-	utoronto, err := w.addAS(239, "UTORONTO - University of Toronto", "CA", "128.100.0.0/16")
-	if err != nil {
+	if err := w.addAS(239, "UTORONTO - University of Toronto", "CA", "128.100.0.0/16"); err != nil {
 		return err
 	}
-	utISP, err := w.Net.AddISP("UToronto", utoronto)
+	utISP, err := w.Net.AddISP("UToronto")
 	if err != nil {
 		return err
 	}
@@ -32,7 +31,7 @@ func (w *World) buildInfrastructure() error {
 	}
 
 	// Research scan vantage (the host Shodan-style sweeps run from).
-	if _, err := w.addAS(237, "MERIT-AS - research network", "US", "198.108.0.0/16"); err != nil {
+	if err := w.addAS(237, "MERIT-AS - research network", "US", "198.108.0.0/16"); err != nil {
 		return err
 	}
 	w.ScanVantage, err = w.Net.AddHost(netip.MustParseAddr("198.108.1.10"), HostScanVantage, nil)
@@ -41,7 +40,7 @@ func (w *World) buildInfrastructure() error {
 	}
 
 	// Out-of-band proxy vantage (the §6.2 submission countermeasure).
-	if _, err := w.addAS(64510, "FREEPROXY-NET", "NL", "185.38.0.0/16"); err != nil {
+	if err := w.addAS(64510, "FREEPROXY-NET", "NL", "185.38.0.0/16"); err != nil {
 		return err
 	}
 	w.ProxyVantage, err = w.Net.AddHost(netip.MustParseAddr("185.38.7.7"), "exit7.freeproxy.example", nil)
@@ -50,7 +49,7 @@ func (w *World) buildInfrastructure() error {
 	}
 
 	// Team Cymru-style whois service.
-	if _, err := w.addAS(23028, "CYMRU-AS", "US", "38.229.0.0/16"); err != nil {
+	if err := w.addAS(23028, "CYMRU-AS", "US", "38.229.0.0/16"); err != nil {
 		return err
 	}
 	whoisHost, err := w.Net.AddHost(netip.MustParseAddr("38.229.1.1"), HostWhois, nil)
@@ -62,7 +61,7 @@ func (w *World) buildInfrastructure() error {
 	}
 
 	// Vendor cloud services.
-	if _, err := w.addAS(64497, "BLUECOAT-CLOUD", "US", "199.91.0.0/16"); err != nil {
+	if err := w.addAS(64497, "BLUECOAT-CLOUD", "US", "199.91.0.0/16"); err != nil {
 		return err
 	}
 	if err := w.serveVendorHost("199.91.1.10", HostSiteReview, bluecoat.SiteReviewHandler(w.BlueCoatDB)); err != nil {
@@ -72,14 +71,14 @@ func (w *World) buildInfrastructure() error {
 		return err
 	}
 
-	if _, err := w.addAS(64498, "MCAFEE-CLOUD", "US", "161.69.0.0/16"); err != nil {
+	if err := w.addAS(64498, "MCAFEE-CLOUD", "US", "161.69.0.0/16"); err != nil {
 		return err
 	}
 	if err := w.serveVendorHost("161.69.1.10", HostTrustedSource, smartfilter.SubmissionPortalHandler(w.SmartFilterDB)); err != nil {
 		return err
 	}
 
-	if _, err := w.addAS(64499, "NETSWEEPER-INC", "CA", "66.207.0.0/16"); err != nil {
+	if err := w.addAS(64499, "NETSWEEPER-INC", "CA", "66.207.0.0/16"); err != nil {
 		return err
 	}
 	if err := w.serveVendorHost("66.207.1.10", HostTestASite, netsweeper.TestASiteHandler(w.NetsweeperDB)); err != nil {
@@ -91,11 +90,10 @@ func (w *World) buildInfrastructure() error {
 
 	// Researcher site hosting: a popular commodity cloud (a range too
 	// widely used for a vendor to block wholesale, §6.2).
-	cloudAS, err := w.addAS(64496, "SIMCLOUD-HOSTING", "US", "160.153.0.0/16")
-	if err != nil {
+	if err := w.addAS(64496, "SIMCLOUD-HOSTING", "US", "160.153.0.0/16"); err != nil {
 		return err
 	}
-	w.hostingISP, err = w.Net.AddISP("SimCloud", cloudAS)
+	w.hostingISP, err = w.Net.AddISP("SimCloud")
 	if err != nil {
 		return err
 	}

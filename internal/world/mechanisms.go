@@ -67,7 +67,7 @@ type mechISPSpec struct {
 var mechRoster = []mechISPSpec{
 	// Note: PTCL (AS17557) is deliberately absent — the background-
 	// installation layer already owns that AS for its SmartFilter probe
-	// target, and netsim AS numbers are unique per network.
+	// target, and addAS refuses a second AS with one number.
 	{"Nayatel", 23674, "NAYATEL-PK Nayatel Pvt", "PK", "221.120", mechanism.KindDNS},
 	{"BSNL", 9829, "BSNL-NIB National Internet Backbone", "IN", "117.96", mechanism.KindDNS},
 	{"TurkTelekom", 9121, "TTNET Turk Telekomunikasyon", "TR", "212.156", mechanism.KindDNS},
@@ -272,11 +272,10 @@ func (w *World) buildMechanisms() error {
 		assigns := assignments[i]
 		blocked := netsim.NewDomainSet(mechBlockedDomains(seed, i)...)
 
-		as, err := w.addAS(spec.asn, spec.asName, spec.country, spec.base+".0.0/16")
-		if err != nil {
+		if err := w.addAS(spec.asn, spec.asName, spec.country, spec.base+".0.0/16"); err != nil {
 			return err
 		}
-		isp, err := w.Net.AddISP(spec.name, as)
+		isp, err := w.Net.AddISP(spec.name)
 		if err != nil {
 			return err
 		}
@@ -338,7 +337,7 @@ func mechDNSFilter(sig mechanism.DNSSignature, blocked netsim.DomainSet) netsim.
 		if sig.NXDomain {
 			return netsim.DNSVerdict{Action: netsim.DNSNXDomain}
 		}
-		return netsim.DNSVerdict{Action: netsim.DNSSinkhole, Addr: sig.Sinkhole, TTL: sig.TTL}
+		return netsim.DNSVerdict{Action: netsim.DNSSinkhole, Addr: sig.Sinkhole}
 	})
 }
 

@@ -358,7 +358,7 @@ func (r *scaleRealm) console(i int) *netsim.Host {
 	c.once.Do(func() {
 		host, err := r.buildConsole(i)
 		if err != nil {
-			// The console's ASN, ISP name and address are unique by
+			// The console's ISP name and address are unique by
 			// derivation, so only a bug can make its build fail.
 			panic(fmt.Sprintf("world: build console of synthetic ISP %d: %v", i, err))
 		}
@@ -369,11 +369,7 @@ func (r *scaleRealm) console(i int) *netsim.Host {
 
 func (r *scaleRealm) buildConsole(i int) (*netsim.Host, error) {
 	w := r.w
-	as, err := w.Net.AddAS(r.ispASN(i), r.ispName(i), r.ispCountry(i), r.ispPrefix(i))
-	if err != nil {
-		return nil, err
-	}
-	isp, err := w.Net.AddISP(r.ispName(i), as)
+	isp, err := w.Net.AddISP(r.ispName(i))
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@ import (
 
 // BuildScaleReference is the independent reference for the scale realm
 // (DESIGN.md §16): it detaches w's realm and registers every synthetic
-// host as an ordinary netsim Host, through the same AddAS / AddISP /
-// AddHost / Serve paths the handcrafted world uses. The realm answers
+// host as an ordinary netsim Host, through the same AddISP / AddHost /
+// Serve paths the handcrafted world uses. The realm answers
 // every dial from derivations instead; the equivalence battery and
 // BenchmarkScaleFullScan compare the two. Exported for the battery's
 // external test package.
@@ -31,11 +31,7 @@ func BuildScaleReference(w *World) error {
 // listeners.
 func (r *scaleRealm) registerISP(i int) error {
 	w := r.w
-	as, err := w.Net.AddAS(r.ispASN(i), r.ispName(i), r.ispCountry(i), r.ispPrefix(i))
-	if err != nil {
-		return err
-	}
-	isp, err := w.Net.AddISP(r.ispName(i), as)
+	isp, err := w.Net.AddISP(r.ispName(i))
 	if err != nil {
 		return err
 	}

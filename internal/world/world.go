@@ -163,6 +163,9 @@ type World struct {
 	// at the default profile).
 	scale *scaleRealm
 
+	// asns holds every AS number addAS registered.
+	asns sync.Map
+
 	// clients records every measurement client MeasureClient handed out,
 	// so Close can release the keep-alive connections their pools hold.
 	// One entry per MeasureClient call over the world's life.
@@ -295,19 +298,22 @@ func (w *World) visibility() netsim.Visibility {
 	return netsim.Public
 }
 
-// addAS registers an AS with the network, geolocation DB and whois table.
-func (w *World) addAS(number int, name, country, cidr string) (*netsim.AS, error) {
+// addAS registers an AS with the geolocation DB and whois table. The AS
+// number must be unused.
+func (w *World) addAS(number int, name, country, cidr string) error {
+	if number <= 0 {
+		return fmt.Errorf("world: invalid AS number %d", number)
+	}
 	prefix, err := netip.ParsePrefix(cidr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	as, err := w.Net.AddAS(number, name, country, prefix)
-	if err != nil {
-		return nil, err
+	if _, dup := w.asns.LoadOrStore(number, true); dup {
+		return fmt.Errorf("world: AS%d already registered", number)
 	}
 	w.GeoDB.Add(prefix, country)
 	w.ASTable.Add(geo.ASRecord{ASN: number, Name: name, Country: country, Prefix: prefix})
-	return as, nil
+	return nil
 }
 
 // FieldVantage returns the in-country measurement vantage for an ISP.

@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"runtime"
 	"testing"
 	"time"
@@ -33,6 +34,22 @@ func TestWorldBuilds(t *testing.T) {
 		if _, ok := w.FieldHosts[isp]; !ok {
 			t.Errorf("no field host in %s", isp)
 		}
+	}
+}
+
+// TestAddASDuplicateNumber: the whois table holds one AS per number, so
+// a second AS with a registered number is refused before it is
+// announced.
+func TestAddASDuplicateNumber(t *testing.T) {
+	w := buildTestWorld(t, Options{})
+	if err := w.addAS(64999, "A", "US", "10.99.0.0/16"); err != nil {
+		t.Fatalf("addAS: %v", err)
+	}
+	if err := w.addAS(64999, "B", "US", "10.98.0.0/16"); err == nil {
+		t.Fatal("duplicate AS number accepted")
+	}
+	if rec, ok := w.ASTable.Lookup(netip.MustParseAddr("10.98.0.1")); ok {
+		t.Fatalf("refused AS announced: %+v", rec)
 	}
 }
 
