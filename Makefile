@@ -203,9 +203,11 @@ deprecated-gate:
 # unexported one in a main package) is reached by no non-test file of
 # this module or of bench/, or when a struct field under internal/ is
 # never read by one, or is exported and never written by one (the
-# field rule and its exemptions: DESIGN.md §11); the root unused_test.go
-# holds the checker, its fixture test and the allowlist of test seams
-# and test-only fields. Delete what it lists.
+# field rule and its exemptions: DESIGN.md §11; a public field the
+# facade reaches need not be read, but must be written); the root
+# unused_test.go holds the checker, its fixture test and the allowlist
+# of test seams, test-only fields and deployment settings. Delete what
+# it lists.
 .PHONY: unused-gate
 unused-gate:
 	go test -run 'TestNoUnreachedAPI|TestUnreachedAPIFixture' -count=1 .

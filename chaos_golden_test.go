@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"filtermap"
+
+	"filtermap/internal/report"
 )
 
 // chaosSeed is the pinned fault-injection seed of testdata/chaos.golden.
@@ -15,13 +17,15 @@ const chaosSeed = 42
 
 // chaosRun reproduces fmrepro's chaos-affected steps (figure1, table3,
 // table4) in fmrepro's exact output layout, with the fault plan seeded
-// and the worker pool sized as given.
+// and the worker pool sized as given. It also renders each step from its
+// document after a JSON round trip and compares that text with the
+// golden, so the documents carry every DEGRADED line too.
 func chaosRun(t *testing.T, workers int) string {
 	t.Helper()
 	ctx := context.Background()
 	var r filtermap.Reporter
 	opts := filtermap.Options{ChaosSeed: chaosSeed}
-	out := ""
+	out, viaDoc := "", ""
 
 	w1, err := filtermap.NewWorld(opts, filtermap.WithWorkers(workers))
 	if err != nil {
@@ -32,6 +36,7 @@ func chaosRun(t *testing.T, workers int) string {
 		t.Fatalf("identification under chaos must degrade, not die: %v", err)
 	}
 	out += r.Figure1(rep) + "\n" + r.Installations(rep) + "\n"
+	viaDoc += renderFigure1(roundTrip(t, r.IdentifyJSON(rep))) + "\n"
 	w1.Close()
 
 	w2, err := filtermap.NewWorld(opts, filtermap.WithWorkers(workers))
@@ -43,6 +48,7 @@ func chaosRun(t *testing.T, workers int) string {
 		t.Fatalf("confirmation under chaos must degrade, not die: %v", err)
 	}
 	out += r.Table3(outcomes) + "\n"
+	viaDoc += report.Table3(roundTrip(t, r.Table3JSON(outcomes))) + "\n"
 	w2.Close()
 
 	w3, err := filtermap.NewWorld(opts, filtermap.WithWorkers(workers))
@@ -54,9 +60,15 @@ func chaosRun(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatalf("characterization under chaos must degrade, not die: %v", err)
 	}
-	out += r.Table4WithReports(reports) + "\n(cells reconstructed from §5 prose; see EXPERIMENTS.md)\n" + "\n"
+	table4 := r.Table4(reports)
+	if alias := r.Table4WithReports(reports); alias != table4 {
+		t.Errorf("Table4WithReports differs from Table4 on a degraded run:\n%s\nvs\n%s", alias, table4)
+	}
+	out += table4 + "\n(cells reconstructed from §5 prose; see EXPERIMENTS.md)\n" + "\n"
+	viaDoc += renderTable4(roundTrip(t, r.Table4JSON(reports))) + "\n"
 	w3.Close()
 
+	compareGolden(t, "chaos.golden", viaDoc)
 	return out
 }
 

@@ -10,12 +10,12 @@
 //	           [-json] [-stats] [-store DIR] [-table4]
 //	           [-chaos seed] [-fault-profile name]
 //
-// The default text output summarizes each target's crawl and lists the
-// novel blocked URLs. -json emits the same document fmserve returns
-// from POST /v1/discover. -store appends the document to a snapshot
-// store (kind "discovery") for fmhist diff; -table4 re-measures with
-// the synthetic "discovered" theme folded in and prints the resulting
-// Table 4 matrix.
+// The run builds one discovery document, the one fmserve returns from
+// POST /v1/discover. The default text output renders it: each target's
+// crawl summary and the novel blocked URLs. -json prints the document
+// instead. -store appends the document to a snapshot store (kind
+// "discovery") for fmhist diff; -table4 re-measures with the synthetic
+// "discovered" theme folded in and prints the resulting Table 4 matrix.
 package main
 
 import (
@@ -31,6 +31,7 @@ import (
 	"filtermap"
 
 	"filtermap/internal/plan"
+	"filtermap/internal/report"
 	"filtermap/internal/version"
 	"filtermap/internal/world"
 )
@@ -74,17 +75,18 @@ func main() {
 	}
 
 	var r filtermap.Reporter
+	doc := r.DiscoveryJSON(*rounds, *budget, targets)
 	if *asJSON {
-		doc := r.DiscoveryJSON(*rounds, *budget, targets)
+		out := doc
 		if *stats {
 			snap := w.Stats().Snapshot()
-			doc.Stats = &snap
+			out.Stats = &snap
 		}
-		if err := json.NewEncoder(os.Stdout).Encode(doc); err != nil {
+		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		fmt.Print(r.Discovery(*rounds, *budget, targets))
+		fmt.Print(report.Discovery(doc))
 		if *stats {
 			fmt.Println()
 			fmt.Print(r.Stats(w.Stats().Snapshot()))
@@ -101,22 +103,22 @@ func main() {
 	}
 
 	if *storeDir != "" {
-		record(*storeDir, w, worldOpts, *rounds, *budget, targets)
+		record(*storeDir, w, worldOpts, doc)
 	}
 }
 
-// record appends the discovery document to a snapshot store under the
-// ConfigHash of the run's world options — the fingerprint fmhist record,
-// fmserve snapshots and the monitor use — so the same document recorded
-// by any of them dedupes. Progress goes to stderr so stdout stays the
-// report alone.
-func record(dir string, w *filtermap.World, opts filtermap.Options, rounds, budget int, targets []filtermap.TargetDiscovery) {
+// record appends the discovery document (without stats) to a snapshot
+// store under the ConfigHash of the run's world options — the
+// fingerprint fmhist record, fmserve snapshots and the monitor use — so
+// the same document recorded by any of them dedupes. Progress goes to
+// stderr so stdout stays the report alone.
+func record(dir string, w *filtermap.World, opts filtermap.Options, doc filtermap.DiscoveryDoc) {
 	s, err := filtermap.OpenStore(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer s.Close()
-	body, err := json.Marshal(filtermap.Reporter{}.DiscoveryJSON(rounds, budget, targets))
+	body, err := json.Marshal(doc)
 	if err != nil {
 		log.Fatal(err)
 	}

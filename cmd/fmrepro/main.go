@@ -7,13 +7,15 @@
 //	fmrepro [-only table1,figure1,...] [-stats] [-json] [-chaos seed] [-fault-profile name] [-workers n]
 //
 // Without -only, everything is regenerated in order; -only takes a
-// comma-separated subset of table1..table5, figure1, denypagetests.
+// comma-separated subset of table1..table5, figure1, denypagetests,
+// mechanisms.
 // With -stats, each step that runs a pipeline prints its per-stage
 // engine timing table to stderr (stdout stays byte-identical for the
-// golden files). With -json, artifacts that have a machine-readable form
-// (table1, table2, figure1, table3, table4) print the same JSON
-// documents fmserve serves; the prose-only artifacts are skipped with a
-// note on stderr.
+// golden files). Each artifact with a document (table1, table2, figure1,
+// table3, table4, mechanisms) builds it once and renders it as text;
+// with -json it prints that document instead, the encoding fmserve
+// serves. The prose-only artifacts (denypagetests, table5) are skipped
+// under -json with a note on stderr.
 //
 // With -chaos, a nonzero seed installs a deterministic fault-injection
 // plan on the simulated network (-fault-profile picks the named plan).
@@ -56,10 +58,15 @@ func newWorld(base filtermap.Options) (*filtermap.World, error) {
 	return filtermap.NewWorld(opts, engOpts...)
 }
 
-// emitJSON prints a document the way fmserve does: compact JSON plus a
-// trailing newline.
-func emitJSON(doc any) error {
-	return json.NewEncoder(os.Stdout).Encode(doc)
+// emit prints a step's document: under -json as compact JSON plus a
+// trailing newline, the way fmserve encodes it, and otherwise rendered
+// as text.
+func emit[D any](doc D, render func(D) string) error {
+	if *jsonOut {
+		return json.NewEncoder(os.Stdout).Encode(doc)
+	}
+	fmt.Print(render(doc))
+	return nil
 }
 
 // dumpStats prints a world's per-stage timing table to stderr when -stats
@@ -76,7 +83,7 @@ func dumpStats(step string, w *filtermap.World) {
 // document's optional "stats" field when -stats is also set (nil — and
 // therefore omitted — otherwise).
 func jsonStats(w *filtermap.World) *filtermap.StatsSnapshot {
-	if !*showStats {
+	if !*showStats || !*jsonOut {
 		return nil
 	}
 	snap := w.Stats().Snapshot()
@@ -131,20 +138,11 @@ func main() {
 }
 
 func table1(context.Context) error {
-	if *jsonOut {
-		return emitJSON(filtermap.Reporter{}.Table1JSON())
-	}
-	fmt.Print(filtermap.Reporter{}.Table1())
-	return nil
+	return emit(report.Table1JSON(), report.Table1)
 }
 
 func table2(context.Context) error {
-	sigDescs := fingerprint.Table2SignatureDescriptions()
-	if *jsonOut {
-		return emitJSON(report.Table2JSON(fingerprint.ShodanKeywords(), sigDescs))
-	}
-	fmt.Print(report.Table2(fingerprint.ShodanKeywords(), sigDescs))
-	return nil
+	return emit(report.Table2JSON(fingerprint.ShodanKeywords(), fingerprint.Table2SignatureDescriptions()), report.Table2)
 }
 
 func figure1(ctx context.Context) error {
@@ -158,16 +156,11 @@ func figure1(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	var r filtermap.Reporter
-	if *jsonOut {
-		doc := r.IdentifyJSON(rep)
-		doc.Stats = jsonStats(w)
-		return emitJSON(doc)
-	}
-	fmt.Print(r.Figure1(rep))
-	fmt.Println()
-	fmt.Print(r.Installations(rep))
-	return nil
+	doc := report.IdentifyJSON(rep)
+	doc.Stats = jsonStats(w)
+	return emit(doc, func(doc report.IdentifyDoc) string {
+		return report.Figure1(doc) + "\n" + report.Installations(doc)
+	})
 }
 
 func table3(ctx context.Context) error {
@@ -181,13 +174,9 @@ func table3(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		doc := filtermap.Reporter{}.Table3JSON(outcomes)
-		doc.Stats = jsonStats(w)
-		return emitJSON(doc)
-	}
-	fmt.Print(filtermap.Reporter{}.Table3(outcomes))
-	return nil
+	doc := report.Table3JSON(outcomes)
+	doc.Stats = jsonStats(w)
+	return emit(doc, report.Table3)
 }
 
 func table4(ctx context.Context) error {
@@ -202,14 +191,11 @@ func table4(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		doc := filtermap.Reporter{}.Table4JSON(reports)
-		doc.Stats = jsonStats(w)
-		return emitJSON(doc)
-	}
-	fmt.Print(filtermap.Reporter{}.Table4WithReports(reports))
-	fmt.Println("\n(cells reconstructed from §5 prose; see EXPERIMENTS.md)")
-	return nil
+	doc := report.Table4JSON(reports)
+	doc.Stats = jsonStats(w)
+	return emit(doc, func(doc report.Table4Doc) string {
+		return report.Table4(doc) + "\n(cells reconstructed from §5 prose; see EXPERIMENTS.md)\n"
+	})
 }
 
 func denyPageTests(ctx context.Context) error {
@@ -255,19 +241,13 @@ func mechanisms(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	var r filtermap.Reporter
-	if *jsonOut {
-		doc := r.MechanismsJSON(targets)
-		doc.Stats = jsonStats(w)
-		return emitJSON(doc)
-	}
-	fmt.Print(report.Table2WithMechanisms(fingerprint.ShodanKeywords(), fingerprint.Table2SignatureDescriptions(),
-		fingerprint.MechanismSignatureDescriptions()))
-	fmt.Println()
-	fmt.Print(r.Mechanisms(targets))
-	fmt.Println()
-	fmt.Print(r.Table4Mechanisms(targets))
-	return nil
+	doc := report.MechanismsJSON(targets)
+	doc.Stats = jsonStats(w)
+	return emit(doc, func(doc report.MechanismsDoc) string {
+		return report.Table2WithMechanisms(fingerprint.ShodanKeywords(), fingerprint.Table2SignatureDescriptions(),
+			fingerprint.MechanismSignatureDescriptions()) +
+			"\n" + report.MechanismSurvey(doc) + "\n" + report.Table4Mechanisms(targets)
+	})
 }
 
 func table5(ctx context.Context) error {

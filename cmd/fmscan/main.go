@@ -8,13 +8,13 @@
 //
 // Without -query it runs the full Table 2 keyword fan-out and prints the
 // Figure 1 map; with -query it prints raw banner-index hits for one
-// Shodan-style query. -json emits the identification report as the same
-// JSON document fmserve's POST /v1/identify returns. -workers bounds the
-// shared pool every pipeline stage runs on; -stats prints the per-stage
-// timing table to stderr. -chaos installs the deterministic
-// fault-injection plan with the given seed; the pipeline then retries
-// transient faults, completes with partial coverage, and marks the
-// report DEGRADED.
+// Shodan-style query. The map is rendered from the identification
+// document, which -json prints instead: the same document fmserve's
+// POST /v1/identify returns. -workers bounds the shared pool every
+// pipeline stage runs on; -stats prints the per-stage timing table to
+// stderr. -chaos installs the deterministic fault-injection plan with
+// the given seed; the pipeline then retries transient faults, completes
+// with partial coverage, and marks the report DEGRADED.
 package main
 
 import (
@@ -27,6 +27,7 @@ import (
 
 	"filtermap"
 
+	"filtermap/internal/report"
 	"filtermap/internal/scanner"
 	"filtermap/internal/version"
 	"filtermap/internal/world"
@@ -98,9 +99,8 @@ func main() {
 	for _, qe := range rep.QueryErrors {
 		fmt.Fprintf(os.Stderr, "warning: %v\n", qe)
 	}
-	var r filtermap.Reporter
+	doc := report.IdentifyJSON(rep)
 	if *jsonOut {
-		doc := r.IdentifyJSON(rep)
 		if *showStats {
 			snap := w.Stats().Snapshot()
 			doc.Stats = &snap
@@ -110,10 +110,10 @@ func main() {
 		}
 		return
 	}
-	fmt.Print(r.Figure1(rep))
+	fmt.Print(report.Figure1(doc))
 	if *showInstalls {
 		fmt.Println()
-		fmt.Print(r.Installations(rep))
+		fmt.Print(report.Installations(doc))
 	}
 }
 

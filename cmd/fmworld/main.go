@@ -105,7 +105,7 @@ func serve(host string, base int) {
 	mount(host, base, "Blue Coat Site Review", bluecoat.SiteReviewHandler(bcDB))
 
 	// Port base+1: TrustedSource + a SmartFilter block-page demo.
-	sfMux := httpwire.NewMux()
+	sfMux := &httpwire.Mux{}
 	sfMux.Route("/url-check", smartfilter.SubmissionPortalHandler(sfDB))
 	sfMux.Route("/url-submit", smartfilter.SubmissionPortalHandler(sfDB))
 	sfMux.RouteFunc("/blocked", func(req *httpwire.Request) *httpwire.Response {
@@ -125,7 +125,7 @@ func serve(host string, base int) {
 	mount(host, base+1, "McAfee TrustedSource + block demo", sfMux)
 
 	// Port base+2: Netsweeper services.
-	nsMux := httpwire.NewMux()
+	nsMux := &httpwire.Mux{}
 	nsMux.Route("/support/test-a-site", netsweeper.TestASiteHandler(nsDB))
 	nsMux.Route("/category/", netsweeper.DenyPageTestsHandler(nsDB))
 	nsMux.RouteFunc("/blocked", func(req *httpwire.Request) *httpwire.Response {
@@ -145,7 +145,7 @@ func serve(host string, base int) {
 	mount(host, base+2, "Netsweeper test-a-site + deny tests", nsMux)
 
 	// Port base+3: Websense block redirect demo.
-	wsMux := httpwire.NewMux()
+	wsMux := &httpwire.Mux{}
 	wsMux.RouteFunc("/blocked", func(req *httpwire.Request) *httpwire.Response {
 		target := req.URL.Query().Get("url")
 		if target == "" {

@@ -20,7 +20,7 @@ func TestProbeRealSocket(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer l.Close()
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/", func(*httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte("plain page\n"))
 	})

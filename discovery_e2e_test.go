@@ -13,6 +13,7 @@ import (
 	"filtermap"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/report"
 	"filtermap/internal/server"
 	"filtermap/internal/world"
 )
@@ -51,7 +52,9 @@ func TestGoldenDiscovery(t *testing.T) {
 		t.Fatalf("discovered %d novel blocked URLs across targets, want >= 5", novel)
 	}
 
-	compareGolden(t, "discovery.golden", filtermap.Reporter{}.Discovery(0, 0, targets))
+	var r filtermap.Reporter
+	compareGolden(t, "discovery.golden", r.Discovery(0, 0, targets))
+	compareGoldenDoc(t, "discovery.golden", r.DiscoveryJSON(0, 0, targets), report.Discovery)
 }
 
 // TestDiscoverEndpointMatchesCLIDocument keeps an independent reference

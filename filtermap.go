@@ -231,8 +231,9 @@ func NewClusterWorkerWithToken(id, baseURL, token string, engOpts ...Option) *Cl
 	return cluster.NewWorker(id, &cluster.HTTPTransport{BaseURL: baseURL, Token: token}, engOpts...)
 }
 
-// Machine-readable document types: the JSON counterparts of the text
-// tables, shared by the fmserve API and the CLIs' -json flags.
+// Document types: each artifact derived once from pipeline results. The
+// fmserve API and the CLIs' -json flags encode them, and the Reporter's
+// text tables render them.
 type (
 	// Table1Doc is Table 1 (product inventory) as a document.
 	Table1Doc = report.Table1Doc
@@ -349,36 +350,37 @@ const (
 	ASNYemenNet = world.ASNYemenNet
 )
 
-// Reporter renders the paper's tables and figures. The zero value is
-// ready to use; it exists as a type (rather than free functions) so
-// rendering gains a single extension point for future output formats.
+// Reporter derives the paper's tables and figures from pipeline results.
+// A text method with a JSON counterpart renders the document that method
+// builds, the one fmserve serves, so the two forms agree;
+// Table4Mechanisms has no document and reads the survey targets. The
+// zero value is ready to use.
 type Reporter struct{}
 
 // Table1 renders the paper's product inventory.
-func (Reporter) Table1() string {
-	return report.Table1(report.DefaultProductInventory())
-}
+func (r Reporter) Table1() string { return report.Table1(r.Table1JSON()) }
 
 // Table3 renders confirmation outcomes in the paper's Table 3 layout.
-func (Reporter) Table3(outcomes []*Outcome) string { return report.Table3(outcomes) }
+func (r Reporter) Table3(outcomes []*Outcome) string { return report.Table3(r.Table3JSON(outcomes)) }
 
-// Table4 renders characterization reports as the Table 4 matrix.
-func (Reporter) Table4(reports []*CharacterizeReport) string {
-	return report.Table4(characterize.Matrix(reports))
+// Table4 renders characterization reports as the Table 4 matrix, plus a
+// DEGRADED footer when any run was degraded (partial measurements under
+// fault injection).
+func (r Reporter) Table4(reports []*CharacterizeReport) string {
+	return report.Table4(r.Table4JSON(reports))
 }
 
-// Table4WithReports renders the Table 4 matrix plus, when any run was
-// degraded (partial measurements under fault injection), a DEGRADED
-// footer. Without degraded runs the output is byte-identical to Table4.
-func (Reporter) Table4WithReports(reports []*CharacterizeReport) string {
-	return report.Table4WithReports(reports)
-}
+// Table4WithReports is Table4 under its older name, kept for the
+// benchmark module's callers.
+func (r Reporter) Table4WithReports(reports []*CharacterizeReport) string { return r.Table4(reports) }
 
 // Figure1 renders the identification report as the Figure 1 map.
-func (Reporter) Figure1(rep *IdentifyReport) string { return report.Figure1(rep) }
+func (r Reporter) Figure1(rep *IdentifyReport) string { return report.Figure1(r.IdentifyJSON(rep)) }
 
 // Installations renders per-installation identification detail.
-func (Reporter) Installations(rep *IdentifyReport) string { return report.Installations(rep) }
+func (r Reporter) Installations(rep *IdentifyReport) string {
+	return report.Installations(r.IdentifyJSON(rep))
+}
 
 // Stats renders a per-stage timing table from an engine snapshot.
 func (Reporter) Stats(snap StatsSnapshot) string { return snap.Render() }
@@ -404,54 +406,32 @@ func (Reporter) IdentifyJSON(rep *IdentifyReport) IdentifyDoc { return report.Id
 // Discovery renders a discovery run as text: per-target totals, round
 // detail, and the novel blocked URLs absent from every curated list.
 // Zero rounds/budget print as the crawler defaults.
-func (Reporter) Discovery(rounds, budget int, targets []TargetDiscovery) string {
-	return report.Discovery(rounds, budget, discoveryTargets(targets), world.DiscoveredList(targets))
+func (r Reporter) Discovery(rounds, budget int, targets []TargetDiscovery) string {
+	return report.Discovery(r.DiscoveryJSON(rounds, budget, targets))
 }
 
 // DiscoveryJSON builds the machine-readable discovery document
 // (fmserve's POST /v1/discover encoding).
 func (Reporter) DiscoveryJSON(rounds, budget int, targets []TargetDiscovery) DiscoveryDoc {
-	return report.DiscoveryJSON(rounds, budget, discoveryTargets(targets), world.DiscoveredList(targets))
-}
-
-// discoveryTargets adapts world targets to the report layer's view.
-func discoveryTargets(targets []TargetDiscovery) []report.DiscoveryTarget {
-	rts := make([]report.DiscoveryTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.DiscoveryTarget{
-			Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report,
-		})
-	}
-	return rts
+	return report.DiscoveryJSON(rounds, budget, targets, world.DiscoveredList(targets))
 }
 
 // Mechanisms renders the mechanism survey as text: per-ISP mechanism
 // and product attributions with their wire-quirk evidence.
-func (Reporter) Mechanisms(targets []MechanismSurveyTarget) string {
-	return report.MechanismSurvey(mechanismTargets(targets))
+func (r Reporter) Mechanisms(targets []MechanismSurveyTarget) string {
+	return report.MechanismSurvey(r.MechanismsJSON(targets))
 }
 
 // Table4Mechanisms renders the mechanism analog of Table 4: product,
 // mechanism, and censored research categories per surveyed ISP.
 func (Reporter) Table4Mechanisms(targets []MechanismSurveyTarget) string {
-	return report.Table4Mechanisms(mechanismTargets(targets))
+	return report.Table4Mechanisms(targets)
 }
 
 // MechanismsJSON builds the machine-readable mechanism survey document
 // (fmserve's POST /v1/mechanisms encoding).
 func (Reporter) MechanismsJSON(targets []MechanismSurveyTarget) MechanismsDoc {
-	return report.MechanismsJSON(mechanismTargets(targets))
-}
-
-// mechanismTargets adapts world survey targets to the report layer.
-func mechanismTargets(targets []MechanismSurveyTarget) []report.MechanismTarget {
-	rts := make([]report.MechanismTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.MechanismTarget{
-			Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results,
-		})
-	}
-	return rts
+	return report.MechanismsJSON(targets)
 }
 
 // DiffText renders a longitudinal diff as text — the same output fmhist

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -253,10 +254,10 @@ func TestReleaseReturnsShardsImmediately(t *testing.T) {
 
 func TestShardFailureBudget(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c := NewCoordinator(Options{LeaseTTL: time.Hour, MaxAttempts: 2, Now: clk.Now})
+	c := NewCoordinator(Options{LeaseTTL: time.Hour, Now: clk.Now})
 	docs, errs := startJob(t, c)
 
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; attempt < shardAttempts; attempt++ {
 		leases := c.Lease("worker-a", 1)
 		if len(leases) != 1 {
 			t.Fatalf("attempt %d: leased %d shards, want 1", attempt, len(leases))
@@ -265,11 +266,11 @@ func TestShardFailureBudget(t *testing.T) {
 	}
 	<-docs
 	err := <-errs
-	if err == nil || !strings.Contains(err.Error(), "failed 2 times") {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("failed %d times", shardAttempts)) {
 		t.Fatalf("job error = %v, want shard-failure budget exhaustion", err)
 	}
 	ctr := c.Status().Counters
-	if ctr.ShardsRetried != 2 || ctr.JobsFailed != 1 {
+	if ctr.ShardsRetried != shardAttempts || ctr.JobsFailed != 1 {
 		t.Fatalf("counters after failure: %+v", ctr)
 	}
 }
@@ -285,9 +286,9 @@ func TestResultRejectsMisshapenFragments(t *testing.T) {
 		"installations": `{"installations":[{"ip":"10.0.0.1","products":["Netsweeper"]}],"candidates":{"Netsweeper":["10.0.0.1"]}}`,
 		"pieces":        `{"pieces":["Etisalat"],"mechanisms":[{"isp":"Etisalat","tested":1}]}`,
 	} {
-		c := NewCoordinator(Options{LeaseTTL: time.Hour, MaxAttempts: 2})
+		c := NewCoordinator(Options{LeaseTTL: time.Hour})
 		docs, errs := startJob(t, c)
-		for attempt := 0; attempt < 2; attempt++ {
+		for attempt := 0; attempt < shardAttempts; attempt++ {
 			leases := c.Lease("worker-a", 100)
 			if len(leases) != len(world.MechanismRosterISPs()) {
 				t.Fatalf("attempt %d: leased %d shards, want every shard back", attempt, len(leases))
@@ -414,11 +415,11 @@ func (t bogusLeaseTransport) Lease(ctx context.Context, req LeaseRequest) (Lease
 // TestWorkerPostsGenuineFailure pins the failure-reporting contract: a
 // shard that genuinely fails under a live lease must be posted as an
 // error result, so the coordinator counts the attempt and fails the job
-// at MaxAttempts. (A worker that silently walks away instead leaves a
+// at shardAttempts. (A worker that silently walks away instead leaves a
 // deterministically failing shard re-leased after every TTL forever and
 // the job hanging.)
 func TestWorkerPostsGenuineFailure(t *testing.T) {
-	c := NewCoordinator(Options{LeaseTTL: time.Hour, MaxAttempts: 2})
+	c := NewCoordinator(Options{LeaseTTL: time.Hour})
 	docs, errs := startJob(t, c)
 
 	w := NewWorker("failer", bogusLeaseTransport{LocalTransport{Coord: c}})
@@ -437,10 +438,10 @@ func TestWorkerPostsGenuineFailure(t *testing.T) {
 		t.Fatal("job never finished: worker failures are not reaching the coordinator")
 	}
 	err := <-errs
-	if err == nil || !strings.Contains(err.Error(), "failed 2 times") {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("failed %d times", shardAttempts)) {
 		t.Fatalf("job error = %v, want shard-failure budget exhaustion", err)
 	}
-	if ctr := c.Status().Counters; ctr.ShardsRetried < 2 || ctr.JobsFailed != 1 {
+	if ctr := c.Status().Counters; ctr.ShardsRetried < shardAttempts || ctr.JobsFailed != 1 {
 		t.Fatalf("counters after worker-reported failures: %+v", ctr)
 	}
 	cancel()

@@ -10,17 +10,20 @@ import (
 	"filtermap/internal/plan"
 )
 
+const (
+	// shardAttempts bounds failed executions per shard before the whole
+	// job fails.
+	shardAttempts = 3
+	// workerLeases is how many lease TTLs a silent worker stays a ring
+	// member.
+	workerLeases = 3
+)
+
 // Options tunes a Coordinator.
 type Options struct {
 	// LeaseTTL is how long a granted lease lives without a heartbeat
 	// before the shard is reassignable (0 = 10s).
 	LeaseTTL time.Duration
-	// WorkerTTL is how long a silent worker stays a ring member
-	// (0 = 3 × LeaseTTL).
-	WorkerTTL time.Duration
-	// MaxAttempts bounds failed executions per shard before the whole
-	// job fails (0 = 3).
-	MaxAttempts int
 	// OnComplete, when set, observes every successfully merged document
 	// before Run returns — the server appends it to the snapshot store
 	// here, making the coordinator the store's single writer.
@@ -95,12 +98,6 @@ const finishedTail = 32
 func NewCoordinator(opts Options) *Coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 10 * time.Second
-	}
-	if opts.WorkerTTL <= 0 {
-		opts.WorkerTTL = 3 * opts.LeaseTTL
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -218,7 +215,7 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
 		changed = true
 	}
 	for wid, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.opts.WorkerTTL {
+		if now.Sub(w.lastSeen) > workerLeases*c.opts.LeaseTTL {
 			delete(c.workers, wid)
 			c.counters.WorkersExpired++
 			changed = true
@@ -361,7 +358,7 @@ func (c *Coordinator) shardLocked(ref LeaseRef) *shardState {
 // must have its job kind's shape (plan.Fragment.Decode); one that does
 // not, from another kind or another build, is a failure of its shard
 // like a worker-reported error. Failure requeues the shard until
-// MaxAttempts, then fails the job. The last shard's success triggers
+// shardAttempts, then fails the job. The last shard's success triggers
 // the merge and wakes Run.
 func (c *Coordinator) Result(worker string, ref LeaseRef, frag *plan.Fragment, errMsg string) ResultResponse {
 	c.mu.Lock()
@@ -394,7 +391,7 @@ func (c *Coordinator) Result(worker string, ref LeaseRef, frag *plan.Fragment, e
 		}
 		sh.attempts++
 		c.counters.ShardsRetried++
-		if sh.attempts >= c.opts.MaxAttempts {
+		if sh.attempts >= shardAttempts {
 			j.state = jobFailed
 			j.err = fmt.Errorf("cluster: shard %d (%s) failed %d times, last: %s",
 				ref.Shard, shardKey(&sh.spec), sh.attempts, errMsg)

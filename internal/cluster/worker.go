@@ -294,7 +294,7 @@ func (w *Worker) execute(ctx context.Context, lease ShardLease) {
 		}
 		// A genuine shard failure under a live lease: post it so the
 		// coordinator counts the attempt (and can fail the job at
-		// MaxAttempts instead of re-leasing a doomed shard forever).
+		// shardAttempts instead of re-leasing a doomed shard forever).
 	}
 	res := ResultRequest{Worker: w.ID, Ref: lease.Ref, Fragment: frag}
 	if err != nil {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -64,73 +63,9 @@ type ObserverFunc func(Event)
 // Observe implements Observer.
 func (f ObserverFunc) Observe(ev Event) { f(ev) }
 
-// MultiObserver fans events out to several observers.
-func MultiObserver(obs ...Observer) Observer {
-	return ObserverFunc(func(ev Event) {
-		for _, o := range obs {
-			if o != nil {
-				o.Observe(ev)
-			}
-		}
-	})
-}
-
 // observe delivers an event if an observer is installed.
 func (c Config) observe(ev Event) {
 	if c.Observer != nil {
 		c.Observer.Observe(ev)
 	}
-}
-
-// EventCounts tallies one stage's events by kind.
-type EventCounts struct {
-	Starts  uint64 `json:"starts"`
-	Retries uint64 `json:"retries"`
-	Dones   uint64 `json:"dones"`
-	Fails   uint64 `json:"fails"`
-}
-
-// CountingObserver is an Observer that tallies events per stage — the
-// bridge between the engine's event stream and a metrics endpoint. Safe
-// for concurrent use; the zero value is not ready, use NewCountingObserver.
-type CountingObserver struct {
-	mu     sync.Mutex
-	counts map[string]*EventCounts
-}
-
-// NewCountingObserver returns an empty counting observer.
-func NewCountingObserver() *CountingObserver {
-	return &CountingObserver{counts: make(map[string]*EventCounts)}
-}
-
-// Observe implements Observer.
-func (c *CountingObserver) Observe(ev Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ec, ok := c.counts[ev.Stage]
-	if !ok {
-		ec = &EventCounts{}
-		c.counts[ev.Stage] = ec
-	}
-	switch ev.Kind {
-	case EventStart:
-		ec.Starts++
-	case EventRetry:
-		ec.Retries++
-	case EventDone:
-		ec.Dones++
-	case EventFail:
-		ec.Fails++
-	}
-}
-
-// Counts returns a copy of the per-stage tallies.
-func (c *CountingObserver) Counts() map[string]EventCounts {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]EventCounts, len(c.counts))
-	for stage, ec := range c.counts {
-		out[stage] = *ec
-	}
-	return out
 }

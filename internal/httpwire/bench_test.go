@@ -87,7 +87,7 @@ func BenchmarkHeaderGet(b *testing.B) {
 }
 
 func BenchmarkMuxDispatch(b *testing.B) {
-	m := NewMux()
+	m := &Mux{}
 	m.RouteFunc("/webadmin/deny/index.php", func(*Request) *Response { return NewResponse(200, nil, nil) })
 	m.RouteFunc("/webadmin/", func(*Request) *Response { return NewResponse(200, nil, nil) })
 	m.RouteFunc("/", func(*Request) *Response { return NewResponse(200, nil, nil) })

@@ -46,8 +46,6 @@ type Client struct {
 	// UserAgent is added to requests that lack one. Empty leaves requests
 	// untouched.
 	UserAgent string
-	// MaxRedirects bounds GetFollow. Zero means 10.
-	MaxRedirects int
 	// Pool, if non-nil, enables keep-alive reuse: requests are no longer
 	// forced to Connection: close, and connections left in a known state
 	// after the exchange are parked for the next request to the same
@@ -56,10 +54,14 @@ type Client struct {
 	Pool *ConnPool
 }
 
-const defaultTimeout = 30 * time.Second
+const (
+	defaultTimeout = 30 * time.Second
+	// maxRedirects bounds the responses GetFollow collects.
+	maxRedirects = 10
+)
 
 // ErrTooManyRedirects is returned by GetFollow when the redirect chain
-// exceeds MaxRedirects.
+// exceeds maxRedirects.
 var ErrTooManyRedirects = errors.New("httpwire: too many redirects")
 
 // Do sends req and returns the response. Redirects are not followed. The
@@ -176,10 +178,6 @@ func (c *Client) Get(ctx context.Context, rawurl string) (*Response, error) {
 // needs the whole chain: a Websense deployment reveals itself in an
 // intermediate redirect to port 15871.
 func (c *Client) GetFollow(ctx context.Context, rawurl string) ([]*Response, error) {
-	maxR := c.MaxRedirects
-	if maxR == 0 {
-		maxR = 10
-	}
 	var chain []*Response
 	cur := rawurl
 	for hop := 0; ; hop++ {
@@ -199,7 +197,7 @@ func (c *Client) GetFollow(ctx context.Context, rawurl string) ([]*Response, err
 		if err != nil {
 			return chain, nil // unfollowable Location: stop, keep chain
 		}
-		if hop+1 >= maxR {
+		if hop+1 >= maxRedirects {
 			return chain, ErrTooManyRedirects
 		}
 		cur = next

@@ -427,10 +427,10 @@ func TestClientRedirectLoopBounded(t *testing.T) {
 	})}
 	go srv.Serve(l) //nolint:errcheck // ends with listener
 
-	c := &Client{Dial: l.dialer(), Timeout: 2 * time.Second, MaxRedirects: 5}
-	_, err := c.GetFollow(context.Background(), "http://example.com/loop")
-	if !errors.Is(err, ErrTooManyRedirects) {
-		t.Fatalf("err = %v, want ErrTooManyRedirects", err)
+	c := &Client{Dial: l.dialer(), Timeout: 2 * time.Second}
+	chain, err := c.GetFollow(context.Background(), "http://example.com/loop")
+	if !errors.Is(err, ErrTooManyRedirects) || len(chain) != maxRedirects {
+		t.Fatalf("err = %v after %d responses, want ErrTooManyRedirects after %d", err, len(chain), maxRedirects)
 	}
 }
 
@@ -458,7 +458,7 @@ func TestClientProxyMode(t *testing.T) {
 }
 
 func TestMuxRouting(t *testing.T) {
-	m := NewMux()
+	m := &Mux{}
 	m.RouteFunc("/exact", func(*Request) *Response { return NewResponse(200, nil, []byte("exact")) })
 	m.RouteFunc("/pre/", func(*Request) *Response { return NewResponse(200, nil, []byte("prefix")) })
 	m.RouteFunc("/pre/deeper/", func(*Request) *Response { return NewResponse(200, nil, []byte("deeper")) })
@@ -495,7 +495,35 @@ func TestMuxBadPatternPanics(t *testing.T) {
 			t.Fatal("bad pattern did not panic")
 		}
 	}()
-	NewMux().RouteFunc("nope", func(*Request) *Response { return nil })
+	new(Mux).RouteFunc("nope", func(*Request) *Response { return nil })
+}
+
+// TestZeroMuxRoutesAndServes pins the Mux doc's "the zero value is
+// usable": a declared Mux takes routes and serves them through a Server,
+// and answers an unrouted path with a 404.
+func TestZeroMuxRoutesAndServes(t *testing.T) {
+	var m Mux
+	m.RouteFunc("/zero", func(*Request) *Response { return NewResponse(200, nil, []byte("zero")) })
+	l := newMemListener()
+	defer l.Close()
+	go (&Server{Handler: &m}).Serve(l) //nolint:errcheck // ends with listener
+
+	conn, _ := l.dialer()(context.Background(), "x", 80)
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for path, want := range map[string]int{"/zero": 200, "/other": 404} {
+		req, _ := NewRequest("GET", "http://x"+path)
+		if _, err := req.WriteTo(conn); err != nil {
+			t.Fatalf("write %s: %v", path, err)
+		}
+		resp, err := ReadResponse(br, false)
+		if err != nil {
+			t.Fatalf("read %s: %v", path, err)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s status = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
 }
 
 func TestKeepAliveMultipleRequests(t *testing.T) {

@@ -117,15 +117,13 @@ type Mux struct {
 	prefix map[string]Handler
 }
 
-// NewMux returns an empty router.
-func NewMux() *Mux {
-	return &Mux{exact: make(map[string]Handler), prefix: make(map[string]Handler)}
-}
-
 // Route registers handler for pattern.
 func (m *Mux) Route(pattern string, handler Handler) {
 	if pattern == "" || pattern[0] != '/' {
 		panic(fmt.Sprintf("httpwire: invalid mux pattern %q", pattern))
+	}
+	if m.exact == nil {
+		m.exact, m.prefix = make(map[string]Handler), make(map[string]Handler)
 	}
 	if strings.HasSuffix(pattern, "/") {
 		m.prefix[pattern] = handler

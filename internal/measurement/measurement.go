@@ -165,11 +165,6 @@ type Client struct {
 	Field *Vantage
 	// Lab is the unfiltered comparison vantage.
 	Lab *Vantage
-	// Classifier recognizes vendor block pages; nil uses the default
-	// corpus.
-	Classifier *blockpage.Classifier
-	// MaxRedirects bounds each redirect chain (default 10).
-	MaxRedirects int
 	// Config carries the shared execution knobs (workers, timeout, retry,
 	// stats, observer) for TestList's URL fan-out. Config.Timeout bounds
 	// each fetch (default 10s).
@@ -201,23 +196,10 @@ type vantagePool struct {
 	at   time.Time
 }
 
-// defaultClassifier is the shared default-corpus classifier, built once:
-// it is immutable and safe for concurrent use, so there is no reason to
-// rebuild the corpus's detectors per comparison.
-var (
-	defaultClassifierOnce sync.Once
-	defaultClassifier     *blockpage.Classifier
-)
-
-func (c *Client) classifier() *blockpage.Classifier {
-	if c.Classifier != nil {
-		return c.Classifier
-	}
-	defaultClassifierOnce.Do(func() {
-		defaultClassifier = blockpage.NewClassifier(nil)
-	})
-	return defaultClassifier
-}
+// classifier is the default-corpus block-page classifier every client
+// shares, built once: it is immutable and safe for concurrent use, so
+// there is no reason to rebuild the corpus's detectors per comparison.
+var classifier = sync.OnceValue(func() *blockpage.Classifier { return blockpage.NewClassifier(nil) })
 
 // engineConfig resolves the pool configuration for TestList. The engine
 // imposes no extra per-item timeout: each fetch already bounds itself via
@@ -364,11 +346,7 @@ func (c *Client) ReuseStats() (reused, pooled uint64) {
 }
 
 func (c *Client) fetch(ctx context.Context, v *Vantage, rawurl string) Fetch {
-	client := v.PooledClient(c.Config.TimeoutOr(DefaultFetchTimeout), c.poolFor(v))
-	if c.MaxRedirects > 0 {
-		client.MaxRedirects = c.MaxRedirects
-	}
-	chain, err := client.GetFollow(ctx, rawurl)
+	chain, err := v.PooledClient(c.Config.TimeoutOr(DefaultFetchTimeout), c.poolFor(v)).GetFollow(ctx, rawurl)
 	return Fetch{Chain: chain, Err: err}
 }
 
@@ -376,7 +354,7 @@ func (c *Client) fetch(ctx context.Context, v *Vantage, rawurl string) Fetch {
 func (c *Client) compare(field, lab Fetch) (Verdict, blockpage.Match, bool) {
 	// A recognized block page in the field chain is conclusive regardless
 	// of what the lab saw.
-	if m, ok := c.classifier().ClassifyChain(field.Chain); ok {
+	if m, ok := classifier().ClassifyChain(field.Chain); ok {
 		return Blocked, m, true
 	}
 	switch {

@@ -69,11 +69,9 @@ type Options struct {
 	// NoChurn freezes the landscape: the scheduler still re-scans, every
 	// append dedupes, and the event stream shows a steady world.
 	NoChurn bool
-	// Retain bounds the broker's replay tail (default DefaultRetain).
-	// Ignored when Broker is set.
-	Retain int
 	// Broker, if non-nil, receives the event stream (fmserve passes its
-	// own so /v1/watch sees monitor events). Nil builds a private one.
+	// own so /v1/watch sees monitor events). Nil builds a private one
+	// that keeps the last DefaultRetain events.
 	Broker *Broker
 }
 
@@ -161,7 +159,7 @@ func New(o Options, st *store.Store) (*Monitor, error) {
 	}
 	brk := o.Broker
 	if brk == nil {
-		brk = NewBroker(o.Retain)
+		brk = NewBroker(0)
 	}
 	m := &Monitor{
 		opts:  o,

@@ -47,11 +47,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			rts := make([]report.DiscoveryTarget, 0, len(targets))
-			for _, t := range targets {
-				rts = append(rts, report.DiscoveryTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report})
-			}
-			return &Fragment{part: report.DiscoveryJSON(spec.Rounds, spec.Budget, rts, world.DiscoveredList(targets))}, nil
+			return &Fragment{part: report.DiscoveryJSON(spec.Rounds, spec.Budget, targets, world.DiscoveredList(targets))}, nil
 		},
 		Merge:   mergeParts(mergeDiscover),
 		DiffKey: "discovery",

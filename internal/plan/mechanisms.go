@@ -36,11 +36,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			rts := make([]report.MechanismTarget, 0, len(targets))
-			for _, t := range targets {
-				rts = append(rts, report.MechanismTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results})
-			}
-			return &Fragment{part: report.MechanismsJSON(rts)}, nil
+			return &Fragment{part: report.MechanismsJSON(targets)}, nil
 		},
 		Merge: mergeParts(func(_ Request, parts []report.MechanismsDoc) (any, bool, error) {
 			// MechanismsJSON builds each entry purely per target, so

@@ -224,7 +224,7 @@ func Install(host *netsim.Host, cfg Config) (*common.Gateway, error) {
 	}
 
 	// Management console.
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/", func(req *httpwire.Request) *httpwire.Response {
 		body := fmt.Sprintf(`<h1>Blue Coat ProxySG Management Console</h1>
 %s
@@ -271,7 +271,7 @@ func cfauthRedirect(name string, req *httpwire.Request) *httpwire.Response {
 //	POST /sitereview        – url=<u>&category=<code>[&email=<e>] -> receipt
 //	GET  /sitereview/status?id=<n>
 func SiteReviewHandler(db *categorydb.DB) httpwire.Handler {
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/sitereview", func(req *httpwire.Request) *httpwire.Response {
 		switch req.Method {
 		case "GET":

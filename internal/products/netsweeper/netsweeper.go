@@ -273,7 +273,7 @@ func Install(host *netsim.Host, cfg Config) (*common.Gateway, error) {
 	}
 
 	// WebAdmin console and deny pages on 8080.
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/webadmin/deny/index.php", func(req *httpwire.Request) *httpwire.Response {
 		q := req.URL.Query()
 		catno, _ := strconv.Atoi(q.Get("cat"))
@@ -335,7 +335,7 @@ func hostLabel(h *netsim.Host) string {
 //	GET  /support/test-a-site                – form
 //	POST /support/test-a-site                – url=<u>[&category=<code>][&email=<e>]
 func TestASiteHandler(db *categorydb.DB) httpwire.Handler {
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/support/test-a-site", func(req *httpwire.Request) *httpwire.Response {
 		if req.Method != "POST" {
 			body := `<h1>Netsweeper Test-a-Site</h1>

@@ -190,7 +190,7 @@ func Install(host *netsim.Host, cfg Config) (*common.Gateway, error) {
 
 	// Administration console: its title carries the "mcafee web gateway"
 	// keyword scanners search for.
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/", func(req *httpwire.Request) *httpwire.Response {
 		body := fmt.Sprintf(`<h1>McAfee Web Gateway</h1>
 %s
@@ -227,7 +227,7 @@ func Install(host *netsim.Host, cfg Config) (*common.Gateway, error) {
 //	POST /url-submit                   – url=<u>&category=<code>[&email=<e>]
 //	GET  /url-submit/status?id=<n>
 func SubmissionPortalHandler(db *categorydb.DB) httpwire.Handler {
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/url-check", func(req *httpwire.Request) *httpwire.Response {
 		raw := req.URL.Query().Get("url")
 		domain := categorydb.DomainOfURL(raw)

@@ -180,7 +180,7 @@ func Install(host *netsim.Host, cfg Config) (*common.Gateway, error) {
 	db := cfg.Engine.View.DB
 
 	// Block-page service on 15871.
-	mux := httpwire.NewMux()
+	mux := &httpwire.Mux{}
 	mux.RouteFunc("/cgi-bin/blockpage.cgi", func(req *httpwire.Request) *httpwire.Response {
 		q := req.URL.Query()
 		catCode := q.Get("cat")

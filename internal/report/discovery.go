@@ -2,25 +2,17 @@ package report
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"filtermap/internal/discovery"
 	"filtermap/internal/engine"
 	"filtermap/internal/urllist"
+	"filtermap/internal/world"
 )
 
-// DiscoveryTarget pairs one characterization target's identity with its
-// crawl report. It mirrors world.TargetDiscovery without importing the
-// world package (report stays a pure rendering layer).
-type DiscoveryTarget struct {
-	Country string
-	ISP     string
-	ASN     int
-	Report  *discovery.Report
-}
-
 // effectiveCaps resolves zero crawl caps to the discovery defaults, so
-// every renderer prints the caps the crawl actually ran under.
+// the document records the caps the crawl actually ran under.
 func effectiveCaps(rounds, budget int) (int, int) {
 	if rounds <= 0 {
 		rounds = discovery.DefaultRounds
@@ -33,12 +25,11 @@ func effectiveCaps(rounds, budget int) (int, int) {
 
 // Discovery renders the discovery crawl summary as text: per-target
 // totals, per-round detail, the novel blocked URLs the curated lists
-// miss, and the synthetic "discovered" list they assemble into. Zero
-// rounds/budget print as the discovery defaults.
-func Discovery(rounds, budget int, targets []DiscoveryTarget, discovered urllist.List) string {
-	rounds, budget = effectiveCaps(rounds, budget)
+// miss, and the size of the synthetic "discovered" list they assemble
+// into.
+func Discovery(doc DiscoveryDoc) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Discovery: crawl-based blocked-URL discovery (rounds=%d, budget=%d)\n", rounds, budget)
+	fmt.Fprintf(&b, "Discovery: crawl-based blocked-URL discovery (rounds=%d, budget=%d)\n", doc.Rounds, doc.Budget)
 
 	summary := &Table{
 		Headers: []string{"Target", "Seeds", "Probed", "Blocked", "Novel", "Budget exhausted"},
@@ -51,37 +42,35 @@ func Discovery(rounds, budget int, targets []DiscoveryTarget, discovered urllist
 		Title:   "Novel blocked URLs (absent from every curated list)",
 		Headers: []string{"Target", "URL", "Category", "Product", "Round", "Via"},
 	}
-	for _, t := range targets {
+	var degraded []string
+	for _, t := range doc.Targets {
 		label := fmt.Sprintf("%s (%s, AS %d)", t.ISP, t.Country, t.ASN)
-		rep := t.Report
 		blocked := 0
-		for _, r := range rep.Rounds {
+		for _, r := range t.Rounds {
 			blocked += r.Blocked
-			detail.AddRow(label,
-				fmt.Sprintf("%d", r.Round),
-				fmt.Sprintf("%d", r.Probed),
-				fmt.Sprintf("%d", r.Blocked),
-				fmt.Sprintf("%d", r.Accessible),
-				fmt.Sprintf("%d", r.NewCandidates),
-			)
+			detail.AddRow(label, strconv.Itoa(r.Round), strconv.Itoa(r.Probed), strconv.Itoa(r.Blocked),
+				strconv.Itoa(r.Accessible), strconv.Itoa(r.NewCandidates))
 		}
-		exhausted := "no"
-		if rep.BudgetExhausted {
-			exhausted = "yes"
-		}
-		summary.AddRow(label,
-			fmt.Sprintf("%d", rep.Seeds),
-			fmt.Sprintf("%d", rep.Probed),
-			fmt.Sprintf("%d", blocked),
-			fmt.Sprintf("%d", len(rep.Novel())),
-			exhausted,
-		)
-		for _, f := range rep.Novel() {
+		novelCount := 0
+		for _, f := range t.Findings {
+			if !f.Novel {
+				continue
+			}
+			novelCount++
 			via := f.Source
 			if via == "" {
 				via = "(seed)"
 			}
-			novel.AddRow(label, f.URL, f.Category, f.Product, fmt.Sprintf("%d", f.Round), via)
+			novel.AddRow(label, f.URL, f.Category, f.Product, strconv.Itoa(f.Round), via)
+		}
+		exhausted := "no"
+		if t.BudgetExhausted {
+			exhausted = "yes"
+		}
+		summary.AddRow(label, strconv.Itoa(t.Seeds), strconv.Itoa(t.Probed), strconv.Itoa(blocked),
+			strconv.Itoa(novelCount), exhausted)
+		if t.Degraded {
+			degraded = append(degraded, fmt.Sprintf("  %s: %d degraded probe(s)", label, len(t.Errors)))
 		}
 	}
 	b.WriteString(summary.String())
@@ -90,18 +79,8 @@ func Discovery(rounds, budget int, targets []DiscoveryTarget, discovered urllist
 	b.WriteByte('\n')
 	b.WriteString(novel.String())
 	fmt.Fprintf(&b, "\nDiscovered list: %d unique URLs under synthetic theme %q.\n",
-		len(discovered.Entries), urllist.ThemeDiscovered)
-	var degraded []string
-	for _, t := range targets {
-		if t.Report.Degraded {
-			degraded = append(degraded, fmt.Sprintf("  %s (%s, AS %d): %d degraded probe(s)",
-				t.ISP, t.Country, t.ASN, len(t.Report.Errors)))
-		}
-	}
-	if len(degraded) > 0 {
-		fmt.Fprintf(&b, "DEGRADED: %d crawl(s) had transport-degraded probes:\n%s\n",
-			len(degraded), strings.Join(degraded, "\n"))
-	}
+		len(doc.Discovered), urllist.ThemeDiscovered)
+	b.WriteString(degradedFooter("crawl(s) had transport-degraded probes", degraded))
 	return b.String()
 }
 
@@ -164,9 +143,10 @@ type DiscoveredURLDoc struct {
 	Category string `json:"category,omitempty"`
 }
 
-// DiscoveryJSON builds the discovery document. Zero rounds/budget are
-// recorded as the discovery defaults.
-func DiscoveryJSON(rounds, budget int, targets []DiscoveryTarget, discovered urllist.List) DiscoveryDoc {
+// DiscoveryJSON builds the discovery document from the targets' crawl
+// reports and the "discovered" list assembled from them. Zero
+// rounds/budget are recorded as the discovery defaults.
+func DiscoveryJSON(rounds, budget int, targets []world.TargetDiscovery, discovered urllist.List) DiscoveryDoc {
 	rounds, budget = effectiveCaps(rounds, budget)
 	doc := DiscoveryDoc{Rounds: rounds, Budget: budget}
 	for _, t := range targets {

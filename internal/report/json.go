@@ -10,10 +10,10 @@ import (
 	"filtermap/internal/urllist"
 )
 
-// This file defines the machine-readable counterparts of the text
-// renderers: structured documents with stable JSON field names, shared by
-// the fmserve HTTP API and the CLIs' -json flags. The text tables remain
-// the golden-file surface; these documents are the service surface.
+// This file defines the documents of Tables 1-4 and Figure 1 and the
+// functions that derive them from raw pipeline results. Each is the one
+// derivation of its artifact: fmserve serves its document, the CLIs'
+// -json flags print it, and the text renderers in report.go read it.
 
 // Table1Doc is the JSON rendering of Table 1.
 type Table1Doc struct {
@@ -28,18 +28,18 @@ type Table1RowDoc struct {
 	PreviouslyObserved string `json:"previously_observed"`
 }
 
-// Table1JSON builds the Table 1 document from the default inventory.
+// Table1JSON builds the Table 1 document: the paper's product inventory.
 func Table1JSON() Table1Doc {
-	var doc Table1Doc
-	for _, r := range DefaultProductInventory() {
-		doc.Rows = append(doc.Rows, Table1RowDoc{
-			Company:            r.Company,
-			Headquarters:       r.Headquarters,
-			ProductDescription: r.ProductDescription,
-			PreviouslyObserved: r.PreviouslyObserved,
-		})
-	}
-	return doc
+	return Table1Doc{Rows: []Table1RowDoc{
+		{"Blue Coat", "Sunnyvale, CA, USA", "Web proxy (ProxySG) and URL Filter (WebFilter)",
+			"Kuwait, Burma, Egypt, Qatar, Saudi Arabia, Syria, UAE"},
+		{"McAfee SmartFilter", "Santa Clara, CA, USA", "Filtering of Web content for enterprises",
+			"Kuwait, Bahrain, Iran, Saudi Arabia, Oman, Tunisia, UAE"},
+		{"Netsweeper", "Guelph, ON, Canada", "Netsweeper Content Filtering",
+			"Qatar, UAE, Yemen"},
+		{"Websense", "San Diego, CA, USA", "Web proxy gateways incl. data-leakage monitoring",
+			"Yemen (prior to 2009)"},
+	}}
 }
 
 // Table2Doc is the JSON rendering of Table 2.
@@ -54,8 +54,8 @@ type Table2RowDoc struct {
 	Signatures []string `json:"signatures"`
 }
 
-// Table2JSON builds the Table 2 document from keyword and signature
-// descriptions (same inputs as the text renderer).
+// Table2JSON builds the Table 2 document from each product's keywords
+// and signature descriptions.
 func Table2JSON(keywords map[string][]string, signatures map[string][]string) Table2Doc {
 	products := make([]string, 0, len(keywords))
 	for p := range keywords {
@@ -270,21 +270,27 @@ type BlockedURLDoc struct {
 	FromList string `json:"from_list"`
 }
 
-// Table4JSON builds the characterization document from §5 reports.
-func Table4JSON(reports []*characterize.Report) Table4Doc {
-	var doc Table4Doc
+// table4Columns names the Table 4 columns, in order.
+func table4Columns() []Table4ColumnDoc {
+	var cols []Table4ColumnDoc
 	for _, code := range characterize.Table4Columns() {
 		col := Table4ColumnDoc{Code: code, Name: code}
 		if cat, ok := urllist.CategoryByCode(code); ok {
 			col.Name = cat.Name
 		}
-		doc.Columns = append(doc.Columns, col)
+		cols = append(cols, col)
 	}
+	return cols
+}
+
+// Table4JSON builds the characterization document from §5 reports.
+func Table4JSON(reports []*characterize.Report) Table4Doc {
+	doc := Table4Doc{Columns: table4Columns()}
 	for _, row := range characterize.Matrix(reports) {
 		var blocked []string
-		for _, code := range characterize.Table4Columns() {
-			if row.Blocked[code] {
-				blocked = append(blocked, code)
+		for _, col := range doc.Columns {
+			if row.Blocked[col.Code] {
+				blocked = append(blocked, col.Code)
 			}
 		}
 		doc.Rows = append(doc.Rows, Table4RowDoc{

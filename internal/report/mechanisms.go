@@ -5,38 +5,24 @@ import (
 	"sort"
 	"strings"
 
-	"filtermap/internal/characterize"
 	"filtermap/internal/engine"
 	"filtermap/internal/measurement"
 	"filtermap/internal/mechanism"
 	"filtermap/internal/urllist"
+	"filtermap/internal/world"
 )
 
-// This file renders the mechanism survey: which censorship mechanism
+// This file derives the mechanism survey: which censorship mechanism
 // (DNS poisoning, RST injection, SNI filtering — or the baseline HTTP
 // block page) each ISP deploys, attributed to a product by its wire
-// quirks. The text survey is the golden-file surface; MechanismsDoc is
-// the fmserve / -json counterpart.
+// quirks. MechanismsJSON builds the survey document and MechanismSurvey
+// renders it.
 
-// MechanismTarget pairs one surveyed ISP with its probe results (the
-// report-layer view of world.MechanismSurveyTarget).
-type MechanismTarget struct {
-	Country string
-	ISP     string
-	ASN     int
-	Results []measurement.MechanismResult
-}
-
-// summary computes the target's aggregate once per renderer.
-func (t *MechanismTarget) summary() measurement.MechanismSummary {
-	return measurement.SummarizeMechanisms(t.Results)
-}
-
-// degradedDetail lists the target's inconclusive probes ("URL: detail").
-func (t *MechanismTarget) degradedDetail() []string {
+// degradedProbes lists a target's inconclusive probes ("URL: detail").
+func degradedProbes(results []measurement.MechanismResult) []string {
 	var out []string
-	for i := range t.Results {
-		r := &t.Results[i]
+	for i := range results {
+		r := &results[i]
 		if detail, ok := r.Degraded(); ok {
 			out = append(out, r.URL+": "+detail)
 		}
@@ -50,55 +36,46 @@ func (t *MechanismTarget) degradedDetail() []string {
 }
 
 // MechanismSurvey renders the per-ISP mechanism findings: one row per
-// attributed (mechanism, product) pair with its quirk evidence. Targets
+// attributed (mechanism, product) pair with its quirk evidence. ISPs
 // whose runs carried inconclusive probes get a DEGRADED footer.
-func MechanismSurvey(targets []MechanismTarget) string {
+func MechanismSurvey(doc MechanismsDoc) string {
 	t := &Table{
 		Title:   "Mechanism survey: censorship mechanisms and product attribution by ISP.",
 		Headers: []string{"ISP", "Where", "Mechanism", "Product", "Evidence"},
 	}
 	tested, censored := 0, 0
 	var degraded []string
-	for i := range targets {
-		tgt := &targets[i]
-		where := fmt.Sprintf("%s (AS %d)", tgt.Country, tgt.ASN)
-		s := tgt.summary()
-		tested += s.Total
-		censored += s.Censored
-		if len(s.Findings) == 0 {
-			t.AddRow(tgt.ISP, where, "-", "-", "none detected")
+	for _, isp := range doc.Mechanisms {
+		where := fmt.Sprintf("%s (AS %d)", isp.Country, isp.ASN)
+		tested += isp.Tested
+		censored += isp.Censored
+		if len(isp.Findings) == 0 {
+			t.AddRow(isp.ISP, where, "-", "-", "none detected")
 		}
-		for _, f := range s.Findings {
-			t.AddRow(tgt.ISP, where, string(f.Kind), f.Product, f.Evidence)
+		for _, f := range isp.Findings {
+			t.AddRow(isp.ISP, where, f.Mechanism, f.Product, f.Evidence)
 		}
-		if detail := tgt.degradedDetail(); len(detail) > 0 {
+		if len(isp.Degraded) > 0 {
 			degraded = append(degraded, fmt.Sprintf("  %s (AS %d): %d inconclusive probe line(s)",
-				tgt.ISP, tgt.ASN, len(detail)))
+				isp.ISP, isp.ASN, len(isp.Degraded)))
 		}
 	}
 	out := t.String()
 	out += fmt.Sprintf("%d ISP(s) surveyed, %d URL(s) tested, %d censored.\n",
-		len(targets), tested, censored)
-	if len(degraded) > 0 {
-		out += fmt.Sprintf("DEGRADED: %d survey run(s) had inconclusive probes:\n%s\n",
-			len(degraded), strings.Join(degraded, "\n"))
-	}
-	return out
+		len(doc.Mechanisms), tested, censored)
+	return out + degradedFooter("survey run(s) had inconclusive probes", degraded)
 }
 
 // Table4Mechanisms renders the mechanism analog of Table 4: per ISP, the
 // attributed product, the operative mechanism(s) — the column Table 4
 // lacks because the paper only measured HTTP block pages — and which
-// protected-speech research categories the mechanism censors.
-func Table4Mechanisms(targets []MechanismTarget) string {
-	cols := characterize.Table4Columns()
+// protected-speech research categories the mechanism censors. It reads
+// the per-probe detections, which MechanismsDoc does not carry.
+func Table4Mechanisms(targets []world.MechanismSurveyTarget) string {
+	cols := table4Columns()
 	headers := []string{"Product", "Where", "Mechanism"}
 	for _, c := range cols {
-		name := c
-		if cat, ok := urllist.CategoryByCode(c); ok {
-			name = cat.Name
-		}
-		headers = append(headers, name)
+		headers = append(headers, c.Name)
 	}
 	t := &Table{
 		Title:   "Table 4 (mechanisms): Web content blocked via DNS/RST/SNI censorship.",
@@ -114,11 +91,7 @@ func Table4Mechanisms(targets []MechanismTarget) string {
 			strings.Join(kinds, "+"),
 		}
 		for _, c := range cols {
-			if blocked[c] {
-				cells = append(cells, "x")
-			} else {
-				cells = append(cells, "")
-			}
+			cells = append(cells, mark(blocked[c.Code]))
 		}
 		t.AddRow(cells...)
 	}
@@ -138,7 +111,7 @@ func globalCategoryIndex() map[string]string {
 // targetAttribution derives one matrix row's cells: distinct products
 // (sorted; "(unattributed)" when quirks matched nothing), distinct
 // mechanism kinds (report order), and the censored category set.
-func targetAttribution(tgt *MechanismTarget, catOf map[string]string) (products, kinds []string, blocked map[string]bool) {
+func targetAttribution(tgt *world.MechanismSurveyTarget, catOf map[string]string) (products, kinds []string, blocked map[string]bool) {
 	prodSet := make(map[string]bool)
 	kindSet := make(map[mechanism.Kind]bool)
 	blocked = make(map[string]bool)
@@ -185,7 +158,7 @@ func targetAttribution(tgt *MechanismTarget, catOf map[string]string) (products,
 	return products, kinds, blocked
 }
 
-// MechanismsDoc is the machine-readable mechanism survey (fmserve's
+// MechanismsDoc is the mechanism survey document (fmserve's
 // POST /v1/mechanisms encoding and fmrepro's -json form).
 type MechanismsDoc struct {
 	// Mechanisms holds one entry per surveyed ISP, in survey order.
@@ -228,15 +201,15 @@ type MechanismURLDoc struct {
 }
 
 // MechanismsJSON builds the mechanism survey document.
-func MechanismsJSON(targets []MechanismTarget) MechanismsDoc {
+func MechanismsJSON(targets []world.MechanismSurveyTarget) MechanismsDoc {
 	var doc MechanismsDoc
 	for i := range targets {
 		tgt := &targets[i]
-		s := tgt.summary()
+		s := measurement.SummarizeMechanisms(tgt.Results)
 		ispDoc := MechanismISPDoc{
 			ISP: tgt.ISP, Country: tgt.Country, ASN: tgt.ASN,
 			Tested: s.Total, Censored: s.Censored,
-			Degraded: tgt.degradedDetail(),
+			Degraded: degradedProbes(tgt.Results),
 		}
 		for _, f := range s.Findings {
 			ispDoc.Findings = append(ispDoc.Findings, MechanismFindingDoc{

@@ -8,12 +8,13 @@ import (
 
 	"filtermap/internal/measurement"
 	"filtermap/internal/mechanism"
+	"filtermap/internal/world"
 )
 
 // mechTargets builds a two-ISP fixture: a DNS-censoring ISP with a
 // secondary RST probe firing (a mixed deployment), and an SNI-censoring
 // ISP with one degraded probe and one uncensored URL.
-func mechTargets() []MechanismTarget {
+func mechTargets() []world.MechanismSurveyTarget {
 	dnsResult := measurement.MechanismResult{
 		Result: measurement.Result{URL: "http://global-lgbt.org/"},
 		Probes: []measurement.MechanismProbe{
@@ -33,14 +34,14 @@ func mechTargets() []MechanismTarget {
 	cleanResult := measurement.MechanismResult{
 		Result: measurement.Result{URL: "http://global-gambling.org/"},
 	}
-	return []MechanismTarget{
+	return []world.MechanismSurveyTarget{
 		{Country: "TR", ISP: "TurkTelekom", ASN: 9121, Results: []measurement.MechanismResult{dnsResult}},
 		{Country: "EG", ISP: "TelecomEgypt", ASN: 8452, Results: []measurement.MechanismResult{sniResult, cleanResult}},
 	}
 }
 
 func TestMechanismSurveyRendersFindingsAndDegraded(t *testing.T) {
-	out := MechanismSurvey(mechTargets())
+	out := MechanismSurvey(MechanismsJSON(mechTargets()))
 	for _, want := range []string{
 		"Mechanism survey:",
 		"TurkTelekom", "TR (AS 9121)", "sinkhole=203.0.113.40 ttl=300",

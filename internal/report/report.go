@@ -1,18 +1,21 @@
-// Package report renders the paper's tables and figure as text, in the
-// same rows and columns the paper prints. The reproduction harness
-// (cmd/fmrepro and the root benchmarks) uses these renderers so a reader
-// can diff harness output against the paper directly.
+// Package report derives the paper's tables and figure from raw pipeline
+// results, and renders them as text in the rows and columns the paper
+// prints. Each artifact is derived once, into a document with stable
+// JSON field names (json.go, discovery.go, mechanisms.go): the value
+// fmserve serves, the snapshot store keeps and the CLIs' -json flags
+// print. Each text renderer reads that document and nothing else, so the
+// goldens that pin the text also pin that a served or stored document
+// carries everything its table prints. Three renderers have no document
+// and read their inputs: Table5 (prose rows), Table2WithMechanisms (its
+// mechanism column) and Table4Mechanisms (per-probe detections).
 package report
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
-
-	"filtermap/internal/characterize"
-	"filtermap/internal/confirm"
-	"filtermap/internal/identify"
-	"filtermap/internal/urllist"
 )
 
 // Table renders an ASCII table with a header row.
@@ -66,142 +69,107 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// ProductInventoryRow is one Table 1 row.
-type ProductInventoryRow struct {
-	Company            string
-	Headquarters       string
-	ProductDescription string
-	PreviouslyObserved string
+// degradedFooter renders the DEGRADED section a table ends with when
+// any of its runs was partial: a headline counting the lines, then the
+// lines. It is empty when nothing was degraded.
+func degradedFooter(headline string, lines []string) string {
+	if len(lines) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("DEGRADED: %d %s:\n%s\n", len(lines), headline, strings.Join(lines, "\n"))
 }
 
 // Table1 renders the product inventory.
-func Table1(rows []ProductInventoryRow) string {
+func Table1(doc Table1Doc) string {
 	t := &Table{
 		Title:   "Table 1: Summary of products considered.",
 		Headers: []string{"Company", "Headquarters", "Product description", "Previously observed"},
 	}
-	for _, r := range rows {
+	for _, r := range doc.Rows {
 		t.AddRow(r.Company, r.Headquarters, r.ProductDescription, r.PreviouslyObserved)
 	}
 	return t.String()
 }
 
-// DefaultProductInventory returns the paper's Table 1 contents.
-func DefaultProductInventory() []ProductInventoryRow {
-	return []ProductInventoryRow{
-		{"Blue Coat", "Sunnyvale, CA, USA", "Web proxy (ProxySG) and URL Filter (WebFilter)",
-			"Kuwait, Burma, Egypt, Qatar, Saudi Arabia, Syria, UAE"},
-		{"McAfee SmartFilter", "Santa Clara, CA, USA", "Filtering of Web content for enterprises",
-			"Kuwait, Bahrain, Iran, Saudi Arabia, Oman, Tunisia, UAE"},
-		{"Netsweeper", "Guelph, ON, Canada", "Netsweeper Content Filtering",
-			"Qatar, UAE, Yemen"},
-		{"Websense", "San Diego, CA, USA", "Web proxy gateways incl. data-leakage monitoring",
-			"Yemen (prior to 2009)"},
-	}
-}
-
 // Table2 renders the identification keyword/signature summary.
-func Table2(keywords map[string][]string, signatures map[string][]string) string {
+func Table2(doc Table2Doc) string {
 	t := &Table{
 		Title:   "Table 2: Identification keywords and validation signatures.",
 		Headers: []string{"Product", "Shodan keywords", "WhatWeb signature"},
 	}
-	products := make([]string, 0, len(keywords))
-	for p := range keywords {
-		products = append(products, p)
-	}
-	sort.Strings(products)
-	for _, p := range products {
-		t.AddRow(p, strings.Join(keywords[p], ", "), strings.Join(signatures[p], "; "))
+	for _, r := range doc.Products {
+		t.AddRow(r.Product, strings.Join(r.Keywords, ", "), strings.Join(r.Signatures, "; "))
 	}
 	return t.String()
 }
 
 // Table3 renders the confirmation case studies. Campaigns that ran on
 // partial evidence (failed submissions, degraded measurements) get a
-// degraded footer; with no degradation the output is unchanged.
-func Table3(outcomes []*confirm.Outcome) string {
+// degraded footer; with no degradation there is none.
+func Table3(doc Table3Doc) string {
 	t := &Table{
 		Title:   "Table 3: Summary of URL filter case studies.",
 		Headers: []string{"Product", "Country", "ISP", "Date", "Sites submitted", "Category", "Sites blocked", "Confirmed?"},
 	}
 	var degraded []string
-	for _, o := range outcomes {
-		c := o.Campaign
+	for _, r := range doc.Rows {
 		confirmed := "no"
-		if o.Confirmed {
+		if r.Confirmed {
 			confirmed = "YES"
 		}
 		t.AddRow(
-			c.Product,
-			c.Country,
-			fmt.Sprintf("%s (AS %d)", c.ISP, c.ASN),
-			c.Date,
-			o.SubmittedRatio(),
-			c.CategoryLabel,
-			o.Ratio(),
+			r.Product,
+			r.Country,
+			fmt.Sprintf("%s (AS %d)", r.ISP, r.ASN),
+			r.Date,
+			fmt.Sprintf("%d/%d", r.Submitted, r.Domains),
+			r.Category,
+			fmt.Sprintf("%d/%d", r.Blocked, r.Submitted),
 			confirmed,
 		)
-		if o.Degraded() {
+		if r.Degraded {
 			degraded = append(degraded, fmt.Sprintf("  %s/%s (AS %d): %d submit error(s), %d degraded measurement(s)",
-				c.Product, c.ISP, c.ASN, len(o.SubmitErrors), len(o.MeasurementErrors())))
+				r.Product, r.ISP, r.ASN, len(r.SubmitErrors), len(r.MeasurementErrors)))
 		}
 	}
-	out := t.String()
-	if len(degraded) > 0 {
-		out += fmt.Sprintf("DEGRADED: %d campaign(s) ran on partial evidence:\n%s\n",
-			len(degraded), strings.Join(degraded, "\n"))
-	}
-	return out
+	return t.String() + degradedFooter("campaign(s) ran on partial evidence", degraded)
 }
 
-// Table4 renders the blocked-content matrix.
-func Table4(rows []characterize.MatrixRow) string {
-	cols := characterize.Table4Columns()
+// Table4 renders the blocked-content matrix, then a degraded footer when
+// any characterization run in doc.Reports carried transport-degraded
+// measurements.
+func Table4(doc Table4Doc) string {
 	headers := []string{"Product", "Where"}
-	for _, c := range cols {
-		name := c
-		if cat, ok := urllist.CategoryByCode(c); ok {
-			name = cat.Name
-		}
-		headers = append(headers, name)
+	for _, c := range doc.Columns {
+		headers = append(headers, c.Name)
 	}
 	t := &Table{
 		Title:   "Table 4: Summary of Web content blocked by URL filtering products.",
 		Headers: headers,
 	}
-	for _, row := range rows {
+	for _, row := range doc.Rows {
 		cells := []string{row.Product, fmt.Sprintf("%s (AS %d)", row.Country, row.ASN)}
-		for _, c := range cols {
-			if row.Blocked[c] {
-				cells = append(cells, "x")
-			} else {
-				cells = append(cells, "")
-			}
+		for _, c := range doc.Columns {
+			cells = append(cells, mark(slices.Contains(row.Blocked, c.Code)))
 		}
 		t.AddRow(cells...)
 	}
-	return t.String()
-}
-
-// Table4WithReports renders the blocked-content matrix from the raw
-// characterization reports, appending a degraded footer when any run
-// carried transport-degraded measurements. With clean runs the output is
-// byte-identical to Table4(characterize.Matrix(reports)).
-func Table4WithReports(reports []*characterize.Report) string {
-	out := Table4(characterize.Matrix(reports))
 	var degraded []string
-	for _, rep := range reports {
+	for _, rep := range doc.Reports {
 		if rep.Degraded {
 			degraded = append(degraded, fmt.Sprintf("  %s %s (AS %d): %d degraded measurement(s)",
 				rep.Country, rep.ISP, rep.ASN, len(rep.Errors)))
 		}
 	}
-	if len(degraded) > 0 {
-		out += fmt.Sprintf("DEGRADED: %d characterization run(s) had partial measurements:\n%s\n",
-			len(degraded), strings.Join(degraded, "\n"))
+	return t.String() + degradedFooter("characterization run(s) had partial measurements", degraded)
+}
+
+// mark renders one matrix cell: "x" for a blocked category.
+func mark(blocked bool) string {
+	if blocked {
+		return "x"
 	}
-	return out
+	return ""
 }
 
 // Table5Row is one methods/limitations row.
@@ -227,48 +195,35 @@ func Table5(rows []Table5Row) string {
 }
 
 // Figure1 renders the product -> countries map as text.
-func Figure1(rep *identify.Report) string {
+func Figure1(doc IdentifyDoc) string {
 	var b strings.Builder
 	b.WriteString("Figure 1: Locations of URL filter installations\n")
-	pc := rep.ProductCountries()
-	products := make([]string, 0, len(pc))
-	for p := range pc {
-		products = append(products, p)
-	}
-	sort.Strings(products)
-	for _, p := range products {
-		fmt.Fprintf(&b, "  %-20s %s\n", p+":", strings.Join(pc[p], " "))
+	for _, p := range slices.Sorted(maps.Keys(doc.ProductCountries)) {
+		fmt.Fprintf(&b, "  %-20s %s\n", p+":", strings.Join(doc.ProductCountries[p], " "))
 	}
 	fmt.Fprintf(&b, "  (%d candidate IPs from keyword search, %d validated; false-positive rate %.0f%%)\n",
-		rep.CandidateCount, rep.ValidatedCount, rep.FalsePositiveRate()*100)
-	if rep.Degraded {
+		doc.CandidateCount, doc.ValidatedCount, doc.FalsePositiveRate*100)
+	if doc.Degraded {
 		fmt.Fprintf(&b, "  DEGRADED: partial coverage (%d stage error(s), %d query error(s))\n",
-			len(rep.Errors), len(rep.QueryErrors))
-		for _, e := range rep.Errors {
-			fmt.Fprintf(&b, "    %s %s: %s\n", e.Stage, e.Target, e.Err)
+			len(doc.StageErrors), len(doc.QueryErrors))
+		for _, e := range doc.StageErrors {
+			fmt.Fprintf(&b, "    %s %s: %s\n", e.Stage, e.Target, e.Error)
 		}
-		for _, qe := range rep.QueryErrors {
-			fmt.Fprintf(&b, "    query %s %q: %v\n", qe.Product, qe.Query, qe.Err)
+		for _, qe := range doc.QueryErrors {
+			fmt.Fprintf(&b, "    query %s %q: %s\n", qe.Product, qe.Query, qe.Error)
 		}
 	}
 	return b.String()
 }
 
 // Installations renders the per-installation detail beneath Figure 1.
-func Installations(rep *identify.Report) string {
+func Installations(doc IdentifyDoc) string {
 	t := &Table{
 		Title:   "Validated installations",
 		Headers: []string{"IP", "Hostname", "Products", "Country", "ASN", "AS name"},
 	}
-	for _, inst := range rep.Installations {
-		t.AddRow(
-			inst.Addr.String(),
-			inst.Hostname,
-			strings.Join(inst.Products, ", "),
-			inst.Country,
-			fmt.Sprintf("%d", inst.ASN),
-			inst.ASName,
-		)
+	for _, inst := range doc.Installations {
+		t.AddRow(inst.IP, inst.Hostname, strings.Join(inst.Products, ", "), inst.Country, strconv.Itoa(inst.ASN), inst.ASName)
 	}
 	return t.String()
 }

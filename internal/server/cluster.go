@@ -42,16 +42,13 @@ type ClusterOptions struct {
 	Role string
 	// LeaseTTL bounds how long a silent worker keeps a shard (0 = 10s).
 	LeaseTTL time.Duration
-	// MaxAttempts bounds failed executions per shard (0 = 3).
-	MaxAttempts int
 	// LocalWorkers sizes the in-process worker pool with RoleBoth
 	// (0 = 1; ignored for RoleCoordinator).
 	LocalWorkers int
 	// WorkerPoll is the local workers' idle poll interval (0 = 100ms).
+	// The local workers renew their leases every LeaseTTL/4, or every
+	// 10ms if that is longer.
 	WorkerPoll time.Duration
-	// WorkerHeartbeat is the local workers' lease-renewal interval
-	// (0 = LeaseTTL/4, floored at 10ms).
-	WorkerHeartbeat time.Duration
 }
 
 // clusterRuntime holds the server's cluster state: the coordinator,
@@ -79,10 +76,9 @@ func (s *Server) startCluster(opts ClusterOptions) {
 	}
 	rt := &clusterRuntime{role: role}
 	rt.coord = cluster.NewCoordinator(cluster.Options{
-		LeaseTTL:    leaseTTL,
-		MaxAttempts: opts.MaxAttempts,
-		OnComplete:  s.recordClusterDoc,
-		Now:         s.opts.now,
+		LeaseTTL:   leaseTTL,
+		OnComplete: s.recordClusterDoc,
+		Now:        s.opts.now,
 	})
 
 	if role == RoleBoth {
@@ -90,13 +86,7 @@ func (s *Server) startCluster(opts ClusterOptions) {
 		if n <= 0 {
 			n = 1
 		}
-		hb := opts.WorkerHeartbeat
-		if hb <= 0 {
-			hb = leaseTTL / 4
-			if hb < 10*time.Millisecond {
-				hb = 10 * time.Millisecond
-			}
-		}
+		hb := max(leaseTTL/4, 10*time.Millisecond)
 		ctx, cancel := context.WithCancel(context.Background())
 		rt.cancel = cancel
 		for i := 0; i < n; i++ {

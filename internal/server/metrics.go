@@ -37,10 +37,9 @@ type metrics struct {
 	// replication log that clients nevertheless received.
 	clusterAppendErrors uint64
 
-	// engineStats and engineEvents are installed into every world's
-	// engine config, so pipeline stages report here across runs.
-	engineStats  *engine.Stats
-	engineEvents *engine.CountingObserver
+	// engineStats is installed into every world's engine config, so
+	// pipeline stages report here across runs.
+	engineStats *engine.Stats
 }
 
 type endpointStats struct {
@@ -57,7 +56,6 @@ func newMetrics(now time.Time) *metrics {
 		runs:         make(map[string]uint64),
 		runsDegraded: make(map[string]uint64),
 		engineStats:  engine.NewStats(),
-		engineEvents: engine.NewCountingObserver(),
 	}
 }
 
@@ -146,11 +144,10 @@ type MetricsDoc struct {
 	Runs          map[string]uint64      `json:"runs"`
 	// RunsDegraded counts runs that completed with partial results,
 	// per kind (omitted while empty).
-	RunsDegraded map[string]uint64             `json:"runs_degraded,omitempty"`
-	RateLimited  uint64                        `json:"rate_limited"`
-	Snapshots    SnapshotCountsDoc             `json:"snapshots"`
-	Engine       engine.Snapshot               `json:"engine"`
-	EngineEvents map[string]engine.EventCounts `json:"engine_events"`
+	RunsDegraded map[string]uint64 `json:"runs_degraded,omitempty"`
+	RateLimited  uint64            `json:"rate_limited"`
+	Snapshots    SnapshotCountsDoc `json:"snapshots"`
+	Engine       engine.Snapshot   `json:"engine"`
 	// Monitor carries the continuous-measurement scheduler counters
 	// (omitted when the monitor is disabled).
 	Monitor *monitor.Counters `json:"monitor,omitempty"`
@@ -268,7 +265,6 @@ func (m *metrics) snapshot(now time.Time, cacheEntries int, jobs JobCountsDoc, s
 	m.mu.Unlock()
 
 	doc.Engine = m.engineStats.Snapshot()
-	doc.EngineEvents = m.engineEvents.Counts()
 	sort.Slice(doc.Engine.Stages, func(i, j int) bool { return doc.Engine.Stages[i].Stage < doc.Engine.Stages[j].Stage })
 	return doc
 }

@@ -177,13 +177,9 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 	s.cache = newResultCache(opts.CacheTTL, opts.CacheEntries, opts.now)
 	s.limiter = newRateLimiter(opts.RatePerSec, opts.RateBurst, opts.now)
 
-	// Bridge every world's engine into the metrics registry, preserving
-	// any caller-supplied observer.
-	callerCfg := engine.NewConfig(engOpts...)
-	s.engOpts = append(append([]engine.Option{}, engOpts...),
-		engine.WithStats(s.metrics.engineStats),
-		engine.WithObserver(engine.MultiObserver(callerCfg.Observer, s.metrics.engineEvents)),
-	)
+	// Bridge every world's engine into the metrics registry; a
+	// caller-supplied observer stays in engOpts.
+	s.engOpts = append(append([]engine.Option{}, engOpts...), engine.WithStats(s.metrics.engineStats))
 
 	base, err := world.Build(opts.World, s.engOpts...)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"filtermap/internal/engine"
 	"filtermap/internal/fingerprint"
 	"filtermap/internal/plan"
 	"filtermap/internal/report"
@@ -163,6 +164,47 @@ func TestIdentifyEndToEnd(t *testing.T) {
 	// Both runs used the base world and its one banner scan.
 	if got := md.Engine.Stage("scan").Attempts; got != scanned {
 		t.Fatalf("scan attempts = %d after two identify runs, want %d (one scan of the base world)", got, scanned)
+	}
+}
+
+// TestCallerObserverSeesServedRuns checks that an observer passed to New
+// receives the events of the runs the server executes, and that per
+// stage they agree with /metrics' engine counters: one start per
+// attempt, one done per success.
+func TestCallerObserverSeesServedRuns(t *testing.T) {
+	var mu sync.Mutex
+	starts, dones := map[string]uint64{}, map[string]uint64{}
+	srv, err := New(Options{}, engine.WithObserver(engine.ObserverFunc(func(ev engine.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.Kind {
+		case engine.EventStart:
+			starts[ev.Stage]++
+		case engine.EventDone:
+			dones[ev.Stage]++
+		}
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1", nil, nil), http.StatusOK)
+	var md MetricsDoc
+	doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &md)
+	mu.Lock()
+	defer mu.Unlock()
+	if starts["validate"] == 0 {
+		t.Fatalf("the caller's observer saw no validation: %v", starts)
+	}
+	for stage, n := range starts {
+		st := md.Engine.Stage(stage)
+		if st.Attempts != n || st.Successes != dones[stage] {
+			t.Errorf("stage %s: observer saw %d starts and %d dones, /metrics has %d attempts and %d successes",
+				stage, n, dones[stage], st.Attempts, st.Successes)
+		}
 	}
 }
 

@@ -127,12 +127,6 @@ type Meta struct {
 type Query struct {
 	// Kind restricts to one snapshot kind ("" = all).
 	Kind string
-	// Config restricts to one world-config hash ("" = all).
-	Config string
-	// Since/Until bound the virtual timestamp (zero = unbounded).
-	// Since is inclusive, Until exclusive.
-	Since time.Time
-	Until time.Time
 }
 
 // line is the JSONL on-disk record envelope. Exactly one of Body and Ref
@@ -855,15 +849,6 @@ func (s *Store) List(q Query) []Meta {
 	for _, r := range s.recs {
 		m := r.meta
 		if q.Kind != "" && m.Kind != q.Kind {
-			continue
-		}
-		if q.Config != "" && m.Config != q.Config {
-			continue
-		}
-		if !q.Since.IsZero() && m.At.Before(q.Since) {
-			continue
-		}
-		if !q.Until.IsZero() && !m.At.Before(q.Until) {
 			continue
 		}
 		out = append(out, m)

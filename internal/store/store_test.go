@@ -80,9 +80,8 @@ func TestAppendGetListRoundTrip(t *testing.T) {
 	if got := len(s.List(Query{Kind: "table4"})); got != 0 {
 		t.Fatalf("List(table4) = %d entries, want 0", got)
 	}
-	mid := s.List(Query{Since: at.Add(24 * time.Hour), Until: at.Add(3 * 24 * time.Hour)})
-	if len(mid) != 2 || mid[0].Seq != 2 || mid[1].Seq != 3 {
-		t.Fatalf("List(time range) = %+v, want seqs 2,3", mid)
+	if all := s.List(Query{}); len(all) != 5 || all[0].Seq != 1 || all[4].Seq != 5 {
+		t.Fatalf("List(all) = %+v, want seqs 1-5 in append order", all)
 	}
 }
 

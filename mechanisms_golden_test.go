@@ -29,11 +29,13 @@ func mechanismsRun(t *testing.T, workers int) string {
 		t.Fatal(err)
 	}
 	var r filtermap.Reporter
-	sigDescs := fingerprint.Table2SignatureDescriptions()
-	out := report.Table2WithMechanisms(fingerprint.ShodanKeywords(), sigDescs,
+	table2 := report.Table2WithMechanisms(fingerprint.ShodanKeywords(), fingerprint.Table2SignatureDescriptions(),
 		fingerprint.MechanismSignatureDescriptions())
-	out += "\n" + r.Mechanisms(targets) + "\n" + r.Table4Mechanisms(targets)
-	return out
+	// The survey block also renders from its document after a JSON round
+	// trip; the other two blocks have no document.
+	survey := report.MechanismSurvey(roundTrip(t, r.MechanismsJSON(targets)))
+	compareGolden(t, "mechanisms.golden", table2+"\n"+survey+"\n"+r.Table4Mechanisms(targets))
+	return table2 + "\n" + r.Mechanisms(targets) + "\n" + r.Table4Mechanisms(targets)
 }
 
 // TestGoldenMechanisms pins the multi-mechanism survey: the seeded

@@ -127,8 +127,7 @@ func diffArtifacts(t *testing.T, label, a, b string) {
 // the Table 1/2/3/4 battery.
 func TestScaleSmallProfileMatchesGoldens(t *testing.T) {
 	compareGolden(t, "table1.golden", filtermap.Reporter{}.Table1())
-	sigDescs := fingerprint.Table2SignatureDescriptions()
-	compareGolden(t, "table2.golden", report.Table2(fingerprint.ShodanKeywords(), sigDescs))
+	compareGolden(t, "table2.golden", report.Table2(table2Doc()))
 
 	opts := filtermap.Options{Scale: filtermap.ScaleSmall}
 	goldens := map[string]string{
@@ -145,7 +144,7 @@ func TestScaleSmallProfileMatchesGoldens(t *testing.T) {
 			}
 			compareGolden(t, golden, art.render(t, opts, workers))
 		}
-		got := report.Table2WithMechanisms(fingerprint.ShodanKeywords(), sigDescs,
+		got := report.Table2WithMechanisms(fingerprint.ShodanKeywords(), fingerprint.Table2SignatureDescriptions(),
 			fingerprint.MechanismSignatureDescriptions()) + "\n" +
 			mechanismsArtifact(t, opts, workers)
 		compareGolden(t, "mechanisms.golden", got)

@@ -26,10 +26,12 @@ type key struct{ host string }
 // point is compared with ==, which reads its fields.
 type point struct{ x int }
 
-// Config is public: the facade aliases it.
+// Config is public: the facade aliases it. Use sets Inner and nothing
+// reads it, which a caller of the public API may do.
 type Config struct{ Inner Inner }
 
-// Inner is public: Config reaches it through an exported field.
+// Inner is public: Config reaches it through an exported field. Nothing
+// sets Depth, so no caller can use it.
 type Inner struct{ Depth int }
 
 // Targets spells its anonymous result type twice; the two are one.
@@ -38,9 +40,9 @@ func Targets() []struct{ Name string } {
 }
 
 // Use reaches each case.
-func Use(r *Record) (int, bool, Tagged, Wrapper) {
+func Use(r *Record) (int, bool, Tagged, Wrapper, Config) {
 	r.seen = true
 	p := Pair{1, 2}
 	hits := map[key]int{{"h"}: 1}
-	return p.A + p.B + hits[key{"h"}] + len(r.Label) + len(Targets()[0].Name), point{1} == point{2}, Tagged{}, Wrapper{}
+	return p.A + p.B + hits[key{"h"}] + len(r.Label) + len(Targets()[0].Name), point{1} == point{2}, Tagged{}, Wrapper{}, Config{Inner: Inner{}}
 }

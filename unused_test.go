@@ -32,19 +32,22 @@ import (
 // The field rule: a struct field under internal/ is live only if
 // non-test code reads it, and an exported one only if non-test code
 // also writes it. Exempt are fields with a json tag (encoding/json
-// reads and writes them), embedded fields, fields of a struct type used
-// as a map key or compared with == or != (equality reads them), and the
-// exported fields of the facade's types and of the struct types those
-// reach through exported fields, pointers, slices, arrays and maps (the
-// public API). Identical anonymous struct types count as one type.
+// reads and writes them), embedded fields, and fields of a struct type
+// used as a map key or compared with == or != (equality reads them).
+// The exported fields of the facade's types, and of the struct types
+// those reach through exported fields, pointers, slices, arrays and
+// maps, are the public API: a caller may read them, so they need not be
+// read, but a public option that nothing sets is dead, so they must be
+// written. Identical anonymous struct types count as one type.
 
 // unreachedAllowed holds the test seams that tests in other packages
-// need, one line each with its reason. A seam only its own package's
-// tests use lives in that package's export_test.go instead. An entry
-// that non-test code reaches again, or that names nothing, fails the
-// gate. A key is a package directory, which covers all of the package,
-// or a package directory and a dotted name: an identifier, a method
-// (Type.Method) or a field (Type.Field).
+// need, the fields only tests set and the public fields that are
+// deployment settings, one line each with its reason. A seam only its
+// own package's tests use lives in that package's export_test.go
+// instead. An entry that non-test code reaches again, or that names
+// nothing, fails the gate. A key is a package directory, which covers
+// all of the package, or a package directory and a dotted name: an
+// identifier, a method (Type.Method) or a field (Type.Field).
 var unreachedAllowed = map[string]string{
 	"internal/corpustest":                    "block-page corpus fixtures shared by the blockpage, fingerprint and root differential tests",
 	"internal/store.WithoutSync":             "lets the server, monitor, cluster and cmd tests skip fsync on throwaway stores",
@@ -62,6 +65,14 @@ var unreachedAllowed = map[string]string{
 	"internal/netsim.FaultRule.Hostname":                       "scopes a fault to a dialed name in TestFaultRuleScoping",
 	"internal/products/common.Gateway.OnBlock":                 "shows TestGatewayCallbacks the category a blocked request met",
 	"internal/products/netsweeper.Engine.DisableDenyPageTests": "turns the deny-page test tool off in TestDenyPageTestsSpecialCase (§4.4)",
+	"internal/cluster.Worker.OnResult":                         "counts the shards a worker finished before TestClusterWorkerDrain drains it",
+	"internal/measurement.Client.DisableReuse":                 "gives BenchmarkListReuse its dial-per-request baseline (BENCH_monitor.json)",
+	"internal/server.ClusterOptions.WorkerPoll":                "shortens the local workers' idle poll in the server's clusterTestOptions and TestClusterReplication",
+
+	// Public fields that are deployment settings: the public API offers
+	// them to its callers, and nothing in the module has one to set.
+	"internal/cluster.Follower.Client":      "the caller's own HTTP client for tailing a coordinator (ReplicaFollower)",
+	"internal/cluster.HTTPTransport.Client": "the caller's own HTTP client for the shard protocol (ClusterTransport)",
 }
 
 // TestNoUnreachedAPI is `make unused-gate`: it fails with one line per
@@ -81,12 +92,12 @@ func TestNoUnreachedAPI(t *testing.T) {
 // TestUnreachedAPIFixture runs the gate's checker over a small tree: it
 // must report an uncalled exported function, a method that shares its
 // name with a standard library interface its type does not implement,
-// a field nothing reads, an exported field nothing writes, and both
-// kinds of stale allowlist entry for an identifier and for a field. It
-// must not report a method reached only by converting its type to an
-// interface, a field written only by a positional literal, or a field
-// one of the field rule's exemptions covers (internal/lib/fields.go has
-// one case each).
+// a field nothing reads, an exported field nothing writes, a public one
+// too, and both kinds of stale allowlist entry for an identifier and for
+// a field. It must not report a method reached only by converting its
+// type to an interface, a field written only by a positional literal, a
+// public field nothing reads, or a field one of the field rule's
+// exemptions covers (internal/lib/fields.go has one case each).
 func TestUnreachedAPIFixture(t *testing.T) {
 	found, err := findUnreached("testdata/unused", "fixture", map[string]string{
 		"internal/lib.Used":        "reached by the facade, so stale",
@@ -100,6 +111,7 @@ func TestUnreachedAPIFixture(t *testing.T) {
 	want := []string{
 		"internal/lib.Counter.Len (internal/lib/lib.go:24)",
 		"internal/lib.Dead (internal/lib/lib.go:11)",
+		"internal/lib.Inner.Depth (internal/lib/fields.go:35): never written",
 		"internal/lib.Record.Label (internal/lib/fields.go:9): never written",
 		"internal/lib.Record.seen (internal/lib/fields.go:8): never read",
 		"stale allowlist entry internal/lib.Gone: names nothing",
@@ -235,7 +247,7 @@ func findUnreached(root, module string, allow map[string]string) ([]string, erro
 				_, tagged := reflect.StructTag(tag).Lookup("json")
 				switch {
 				case tagged || fields.exempt[c]:
-				case !fields.read[c]:
+				case !fields.read[c] && !fields.api[c]:
 					dead = ": never read"
 				case v.Exported() && !fields.written[c]:
 					dead = ": never written"
@@ -262,7 +274,8 @@ func findUnreached(root, module string, allow map[string]string) ([]string, erro
 type fieldUses struct {
 	canon                 map[*types.Var]*types.Var
 	read, written, exempt map[*types.Var]bool
-	compared, public      map[types.Type]bool // seen by exemptStruct, exemptPublic
+	api                   map[*types.Var]bool // public API: need not be read
+	compared, public      map[types.Type]bool // seen by exemptStruct, markPublic
 }
 
 // field maps a field, of a generic type's instance too, to the field
@@ -279,13 +292,14 @@ func (u *fieldUses) field(v *types.Var) *types.Var {
 // by any use but the left side of = or := and a composite literal's
 // key, and written by an assignment, &x.f, x.f++ or a composite
 // literal. The fields of a struct type that is a map key or an operand
-// of == or != are exempt, as are the exported fields of the facade's
-// types and of the struct types they reach through exported fields,
-// pointers, slices, arrays and maps.
+// of == or != are exempt. The exported fields of the facade's types and
+// of the struct types they reach through exported fields, pointers,
+// slices, arrays and maps are marked api.
 func collectFieldUses(mine []*apiPackage, facade *apiPackage) *fieldUses {
 	u := &fieldUses{
 		canon: map[*types.Var]*types.Var{},
 		read:  map[*types.Var]bool{}, written: map[*types.Var]bool{}, exempt: map[*types.Var]bool{},
+		api:      map[*types.Var]bool{},
 		compared: map[types.Type]bool{}, public: map[types.Type]bool{},
 	}
 	var anon []*types.Struct
@@ -385,7 +399,7 @@ func collectFieldUses(mine []*apiPackage, facade *apiPackage) *fieldUses {
 		scope := facade.pkg.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() {
-				u.exemptPublic(tn.Type())
+				u.markPublic(tn.Type())
 			}
 		}
 	}
@@ -410,32 +424,32 @@ func (u *fieldUses) exemptStruct(t types.Type) {
 	}
 }
 
-// exemptPublic exempts the exported fields of the struct types public
+// markPublic marks api the exported fields of the struct types public
 // type t reaches.
-func (u *fieldUses) exemptPublic(t types.Type) {
+func (u *fieldUses) markPublic(t types.Type) {
 	if u.public[t] {
 		return
 	}
 	u.public[t] = true
 	switch t := t.(type) {
 	case *types.Named:
-		u.exemptPublic(t.Underlying())
+		u.markPublic(t.Underlying())
 	case *types.Alias:
-		u.exemptPublic(types.Unalias(t))
+		u.markPublic(types.Unalias(t))
 	case *types.Pointer:
-		u.exemptPublic(t.Elem())
+		u.markPublic(t.Elem())
 	case *types.Slice:
-		u.exemptPublic(t.Elem())
+		u.markPublic(t.Elem())
 	case *types.Array:
-		u.exemptPublic(t.Elem())
+		u.markPublic(t.Elem())
 	case *types.Map:
-		u.exemptPublic(t.Key())
-		u.exemptPublic(t.Elem())
+		u.markPublic(t.Key())
+		u.markPublic(t.Elem())
 	case *types.Struct:
 		for i := 0; i < t.NumFields(); i++ {
 			if f := t.Field(i); f.Exported() {
-				u.exempt[u.field(f)] = true
-				u.exemptPublic(f.Type())
+				u.api[u.field(f)] = true
+				u.markPublic(f.Type())
 			}
 		}
 	}
