@@ -83,6 +83,33 @@ func postBytes(t *testing.T, url string) []byte {
 	return body
 }
 
+// doJSON sends method to url with body, fails unless the status is
+// want, and decodes the response into out (unless nil).
+func doJSON(t *testing.T, method, url, body string, want int, out any) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read %s: %v", url, err)
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s: status %d, want %d: %s", method, url, resp.StatusCode, want, got)
+	}
+	if out != nil {
+		if err := json.Unmarshal(got, out); err != nil {
+			t.Fatalf("decode %s: %v", url, err)
+		}
+	}
+}
+
 // postAsync POSTs url off the test goroutine, delivering body or error
 // on the returned channel.
 type postResult struct {
@@ -315,14 +342,15 @@ func TestClusterWorkerDrain(t *testing.T) {
 	}
 }
 
-// TestClusterReplication tails the coordinator's replication log into a
-// fresh follower store and verifies the stores agree record for record.
+// TestClusterReplication records two documents on a coordinator, tails
+// its replication log into a fresh follower store and verifies the
+// stores agree record for record.
 func TestClusterReplication(t *testing.T) {
 	coord := startServer(t, filtermap.ServeOptions{
 		Cluster: &filtermap.ClusterOptions{Role: filtermap.RoleBoth, LocalWorkers: 2, WorkerPoll: 2 * time.Millisecond},
 	})
-	postBytes(t, coord.URL+"/v1/mechanisms?wait=1")
-	postBytes(t, coord.URL+"/v1/discover?wait=1")
+	doJSON(t, http.MethodPost, coord.URL+"/v1/snapshots", `{"kind":"mechanisms"}`, http.StatusCreated, nil)
+	doJSON(t, http.MethodPost, coord.URL+"/v1/snapshots", `{"kind":"discover"}`, http.StatusCreated, nil)
 
 	replica, err := filtermap.OpenStore("")
 	if err != nil {
@@ -333,8 +361,8 @@ func TestClusterReplication(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	if applied < 2 {
-		t.Fatalf("Sync applied %d records, want at least the two cluster appends", applied)
+	if applied != 2 {
+		t.Fatalf("Sync applied %d records, want the two recorded snapshots", applied)
 	}
 
 	// The replica's log must be byte-for-byte the coordinator's.

@@ -15,7 +15,9 @@
 // crawl summary and the novel blocked URLs. -json prints the document
 // instead. -store appends the document to a snapshot store (kind
 // "discovery") for fmhist diff; -table4 re-measures with the synthetic
-// "discovered" theme folded in and prints the resulting Table 4 matrix.
+// "discovered" theme folded in and prints the resulting Table 4 matrix,
+// or under -json its document as a second line, one compact document
+// per line as fmrepro -json prints several steps.
 package main
 
 import (
@@ -98,8 +100,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println()
-		fmt.Print(r.Table4(reports))
+		if *asJSON {
+			if err := json.NewEncoder(os.Stdout).Encode(r.Table4JSON(reports)); err != nil {
+				log.Fatal(err)
+			}
+		} else {
+			fmt.Println()
+			fmt.Print(r.Table4(reports))
+		}
 	}
 
 	if *storeDir != "" {

@@ -29,6 +29,32 @@ func TestMainSingleTarget(t *testing.T) {
 	}
 }
 
+// TestMainJSONTable4 checks -json with -table4 prints one JSON document
+// per line: the discovery document, then the Table 4 document.
+func TestMainJSONTable4(t *testing.T) {
+	flag.CommandLine = flag.NewFlagSet("fmdiscover", flag.ExitOnError)
+	out := captureStdout(t, func() {
+		os.Args = []string{"fmdiscover", "-json", "-table4", "-rounds", "1", "-budget", "10", "-isps", filtermap.ISPYemenNet}
+		main()
+	})
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("fmdiscover -json -table4 printed %d lines, want 2:\n%s", len(lines), out)
+	}
+	var discovery filtermap.DiscoveryDoc
+	var table4 filtermap.Table4Doc
+	for i, v := range []any{&discovery, &table4} {
+		dec := json.NewDecoder(strings.NewReader(lines[i]))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil {
+			t.Fatalf("line %d does not decode as %T: %v\n%.300s", i+1, v, err, lines[i])
+		}
+	}
+	if len(discovery.Targets) != 1 || len(table4.Rows) == 0 {
+		t.Fatalf("discovery targets %d, Table 4 rows %d; want 1 target and some rows", len(discovery.Targets), len(table4.Rows))
+	}
+}
+
 // TestStoreDedupesAcrossRecorders: -store records under the ConfigHash
 // of the run's world options, so the same crawl recorded the way fmhist
 // record -run and fmserve snapshots record it (plan.Execute on a fresh

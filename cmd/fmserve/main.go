@@ -36,9 +36,11 @@
 // characterize, discovery and mechanism requests across workers joining
 // over POST /v1/cluster/lease (run them with cmd/fmworker); "both"
 // additionally runs -cluster-workers in-process workers so one binary
-// serves and executes. -follow makes this server a read-only replica
-// tailing the coordinator's replication log (GET /v1/cluster/log) into
-// its own snapshot store.
+// serves and executes. A clustered run, like a standalone one, records
+// nothing: the snapshot store holds what POST /v1/snapshots and the
+// monitor recorded. -follow makes this server a read-only replica
+// tailing another server's store (GET /v1/cluster/log) into its own;
+// it answers POST /v1/snapshots with 409 and cannot take -monitor.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: the listener
 // stops, queued and running jobs drain (bounded by -drain), and the

@@ -199,8 +199,9 @@ type (
 	ClusterCounters = cluster.Counters
 	// ClusterStatus is the GET /v1/cluster document.
 	ClusterStatus = cluster.StatusDoc
-	// ReplicaFollower tails a coordinator's replication log into a local
-	// snapshot store (ServeOptions.Follow wires one into a Server).
+	// ReplicaFollower tails a leader's replication log (its snapshot
+	// store) into a local one (ServeOptions.Follow wires one into a
+	// Server).
 	ReplicaFollower = cluster.Follower
 	// ClusterTransport is the HTTP client side of the /v1/cluster
 	// protocol; set Token when the coordinator requires one.

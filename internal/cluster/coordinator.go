@@ -24,10 +24,6 @@ type Options struct {
 	// LeaseTTL is how long a granted lease lives without a heartbeat
 	// before the shard is reassignable (0 = 10s).
 	LeaseTTL time.Duration
-	// OnComplete, when set, observes every successfully merged document
-	// before Run returns — the server appends it to the snapshot store
-	// here, making the coordinator the store's single writer.
-	OnComplete func(req plan.Request, doc any)
 	// Now substitutes the clock in tests (nil = time.Now).
 	Now func() time.Time
 }
@@ -128,9 +124,6 @@ func (c *Coordinator) Run(ctx context.Context, req plan.Request) (any, bool, err
 		doc, degraded, err := plan.Merge(req, nil)
 		if err != nil {
 			return nil, false, err
-		}
-		if c.opts.OnComplete != nil {
-			c.opts.OnComplete(req, doc)
 		}
 		c.mu.Lock()
 		c.counters.Jobs++
@@ -428,9 +421,6 @@ func (c *Coordinator) Result(worker string, ref LeaseRef, frag *plan.Fragment, e
 	c.mu.Unlock()
 
 	doc, degraded, err := plan.Merge(req, frags)
-	if err == nil && c.opts.OnComplete != nil {
-		c.opts.OnComplete(req, doc)
-	}
 
 	c.mu.Lock()
 	j.doc, j.degraded, j.err = doc, degraded, err

@@ -40,18 +40,21 @@ type FollowerCounters struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Follower tails a coordinator's replication log into a local store,
-// making the local process a read-only serving replica. The coordinator
-// is the single writer: a follower store must take no local appends, and
-// the follower verifies that every applied record lands with the same
-// sequence number and content ID the coordinator assigned — any
-// divergence (a replica that wrote locally, a log from a different
-// store) is a hard error.
+// Follower tails a leader's replication log (its snapshot store) into a
+// local store, making the local process a read-only serving replica.
+// The follower verifies that every applied record lands with the same
+// sequence number and content ID the leader assigned, and a record that
+// does not (a log from a different store) is a hard error. It cannot
+// see a local write: Sync resumes after the local store's last
+// sequence number, so a record written locally hides the leader's
+// record of that number. The local store must therefore take no other
+// writes; fmserve with Follow set refuses POST /v1/snapshots and the
+// monitor.
 type Follower struct {
-	// URL is the coordinator base URL.
+	// URL is the leader's base URL.
 	URL string
 	// Token is the shared cluster secret sent as the TokenHeader when
-	// the coordinator's log is token-protected ("" = none).
+	// the leader's log is token-protected ("" = none).
 	Token string
 	// Store is the local replica store.
 	Store *store.Store

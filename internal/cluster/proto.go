@@ -14,9 +14,10 @@
 // Shards are leased with a deadline: a worker that stops heartbeating
 // loses its lease and the shard is reassigned to the next worker that
 // asks (lease expiry is the crash-recovery path, work-stealing the
-// straggler path). Completed cluster runs append to the coordinator's
-// snapshot store — the single writer — and replicas tail the log over
-// GET /v1/cluster/log (see Follower).
+// straggler path). A merged document goes back to the caller and
+// nowhere else: the coordinator's snapshot store holds only what was
+// recorded into it, as a standalone server's does, and replicas tail
+// that store over GET /v1/cluster/log (see Follower).
 package cluster
 
 import (

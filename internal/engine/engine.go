@@ -94,10 +94,10 @@ type Config struct {
 	// Stats accumulates per-stage counters and latencies (nil for none).
 	Stats *Stats
 	// Sleep waits out retry backoffs; nil sleeps real time (ctx-aware).
-	// The simulated world injects a virtual-clock sleeper in tests.
+	// A world's engine sleeps on the world's virtual clock.
 	Sleep func(ctx context.Context, d time.Duration)
 	// Breaker is the optional per-target circuit breaker stages consult
-	// (nil for none). See NewBreaker.
+	// (nil for none; a chaos world's engine has one). See NewBreaker.
 	Breaker *Breaker
 }
 

@@ -1,14 +1,15 @@
 package server
 
 import (
-	"strings"
 	"sync"
 	"time"
 )
 
 // resultCache is the TTL result cache on the service hot path, keyed by
 // canonicalized request. Values are fully marshaled JSON responses, so a
-// hit costs one map lookup and zero encoding work.
+// hit costs one map lookup and zero encoding work. The worlds a document
+// is computed from never change, so an entry leaves only when its TTL
+// runs out or, with max entries held, when it is the earliest to expire.
 type resultCache struct {
 	mu      sync.Mutex
 	ttl     time.Duration
@@ -69,26 +70,6 @@ func (c *resultCache) evictOldestLocked() {
 	if oldestKey != "" {
 		delete(c.entries, oldestKey)
 	}
-}
-
-// invalidatePrefix drops every entry whose key starts with prefix and
-// returns how many were dropped. Appending a newer snapshot for a
-// (kind, config) calls this so cached reports for that pair die
-// immediately instead of serving stale results until the TTL runs out.
-func (c *resultCache) invalidatePrefix(prefix string) int {
-	if c.ttl < 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k := range c.entries {
-		if strings.HasPrefix(k, prefix) {
-			delete(c.entries, k)
-			n++
-		}
-	}
-	return n
 }
 
 func (c *resultCache) len() int {

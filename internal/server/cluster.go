@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -11,9 +10,6 @@ import (
 	"time"
 
 	"filtermap/internal/cluster"
-	"filtermap/internal/monitor"
-	"filtermap/internal/plan"
-	"filtermap/internal/store"
 )
 
 // This file is the cluster surface: the coordinator wiring that fans
@@ -62,9 +58,7 @@ type clusterRuntime struct {
 }
 
 // startCluster wires the coordinator (and, for RoleBoth, local workers
-// sharing the server's runner) into the server. Completed cluster runs
-// append to the snapshot store through recordClusterDoc — the
-// single-writer replication log.
+// sharing the server's runner) into the server.
 func (s *Server) startCluster(opts ClusterOptions) {
 	role := opts.Role
 	if role == "" {
@@ -76,9 +70,8 @@ func (s *Server) startCluster(opts ClusterOptions) {
 	}
 	rt := &clusterRuntime{role: role}
 	rt.coord = cluster.NewCoordinator(cluster.Options{
-		LeaseTTL:   leaseTTL,
-		OnComplete: s.recordClusterDoc,
-		Now:        s.opts.now,
+		LeaseTTL: leaseTTL,
+		Now:      s.opts.now,
 	})
 
 	if role == RoleBoth {
@@ -116,48 +109,6 @@ func (rt *clusterRuntime) stop() {
 		rt.cancel()
 	}
 	rt.wg.Wait()
-}
-
-// recordClusterDoc is the coordinator's OnComplete hook: it appends the
-// merged document to the snapshot store (the replication log replicas
-// tail) and publishes a watch event. The store dedupes identical
-// consecutive content per (kind, config), so repeated runs of an
-// unchanged world cost one record.
-func (s *Server) recordClusterDoc(req plan.Request, doc any) {
-	p, ok := plan.Lookup(req.Kind)
-	if !ok {
-		s.metrics.clusterAppendError()
-		return
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		s.metrics.clusterAppendError()
-		return
-	}
-	meta, err := s.snaps.Append(store.Snapshot{
-		Kind:   p.StoreKind,
-		At:     s.base.Clock.Now(),
-		Config: store.ConfigHash(req.World),
-		Note:   "cluster",
-		Body:   body,
-	})
-	if err != nil {
-		// The client already received the merged document, but the
-		// record never reached the replication log: followers and
-		// /v1/snapshots are now behind reality. Count it so operators
-		// can see the log diverging.
-		s.metrics.clusterAppendError()
-		return
-	}
-	s.metrics.snapshotRecorded(meta.Deduped)
-	if !meta.Deduped {
-		s.broker.Publish(monitor.Event{
-			At: meta.At, Type: monitor.EventSnapshot,
-			Plan: "cluster", Kind: meta.Kind,
-			Seq: meta.Seq, SnapshotID: meta.ID,
-			Note: meta.Note,
-		})
-	}
 }
 
 // clusterPath reports whether an URL path belongs to the worker/replica

@@ -2,14 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"filtermap/internal/cluster"
+	"filtermap/internal/monitor"
+	"filtermap/internal/store"
 	"filtermap/internal/world"
 )
 
@@ -82,14 +86,17 @@ func TestClusterByteIdentity(t *testing.T) {
 
 // TestClusterStatusMetricsAndLog exercises the observability surface
 // after real clustered runs: /v1/cluster counters, the /metrics cluster
-// section, and the replication-log tail fed by OnComplete appends.
+// section, and the replication-log tail, which holds what was recorded.
 func TestClusterStatusMetricsAndLog(t *testing.T) {
 	_, ts := newTestServer(t, clusterTestOptions(2))
 
 	postBody(t, ts.URL+"/v1/mechanisms?wait=1")
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/snapshots",
+		snapshotRecordRequest{Kind: KindIdentify, Note: "api"}, nil)
+	wantStatus(t, resp, http.StatusCreated)
 
 	var status cluster.StatusDoc
-	resp := doJSON(t, http.MethodGet, ts.URL+"/v1/cluster", nil, &status)
+	resp = doJSON(t, http.MethodGet, ts.URL+"/v1/cluster", nil, &status)
 	wantStatus(t, resp, http.StatusOK)
 	if !status.Enabled || status.Role != RoleBoth {
 		t.Fatalf("status = %+v, want enabled role=both", status)
@@ -110,19 +117,17 @@ func TestClusterStatusMetricsAndLog(t *testing.T) {
 	if metrics.Cluster.Role != RoleBoth || metrics.Cluster.Counters.ShardsDone == 0 {
 		t.Fatalf("/metrics cluster section = %+v", metrics.Cluster)
 	}
-	if metrics.Cluster.AppendErrors != 0 {
-		t.Fatalf("AppendErrors = %d after clean runs, want 0", metrics.Cluster.AppendErrors)
-	}
 
-	// The completed run appended to the store — the replication log.
+	// The log is the store: the recorded snapshot, and not the served
+	// mechanisms document.
 	var logResp cluster.LogResponse
 	resp = doJSON(t, http.MethodGet, ts.URL+"/v1/cluster/log", nil, &logResp)
 	wantStatus(t, resp, http.StatusOK)
-	if len(logResp.Records) == 0 || logResp.LastSeq == 0 {
-		t.Fatalf("replication log empty after a clustered run: %+v", logResp)
+	if len(logResp.Records) != 1 || logResp.LastSeq != 1 {
+		t.Fatalf("replication log = %d records up to seq %d, want the one recorded snapshot", len(logResp.Records), logResp.LastSeq)
 	}
-	if logResp.Records[0].Meta.Note != "cluster" {
-		t.Fatalf("log record note = %q, want cluster", logResp.Records[0].Meta.Note)
+	if m := logResp.Records[0].Meta; m.Kind != KindIdentify || m.Note != "api" {
+		t.Fatalf("log record = %s noted %q, want identify noted api", m.Kind, m.Note)
 	}
 
 	// Tailing from the end returns nothing new.
@@ -131,6 +136,117 @@ func TestClusterStatusMetricsAndLog(t *testing.T) {
 	wantStatus(t, resp, http.StatusOK)
 	if len(logResp.Records) != 0 {
 		t.Fatalf("tail past LastSeq returned %d records", len(logResp.Records))
+	}
+}
+
+// TestClusterFirstSnapshotKeepsNote: on a fresh clustered server the
+// first recorded snapshot is the caller's, with the caller's note, as on
+// a standalone server.
+func TestClusterFirstSnapshotKeepsNote(t *testing.T) {
+	_, ts := newTestServer(t, clusterTestOptions(1))
+	var meta store.Meta
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/snapshots",
+		snapshotRecordRequest{Kind: KindMechanisms, Note: "my-note"}, &meta)
+	wantStatus(t, resp, http.StatusCreated)
+	if meta.Seq != 1 || meta.Note != "my-note" || meta.Deduped {
+		t.Fatalf("first snapshot = seq %d noted %q (deduped %v), want seq 1 noted my-note", meta.Seq, meta.Note, meta.Deduped)
+	}
+}
+
+// TestServingRecordsNothing: a served run, standalone or clustered,
+// returns its document and writes nothing to the snapshot store, a
+// product subset included.
+func TestServingRecordsNothing(t *testing.T) {
+	for name, opts := range map[string]Options{"standalone": {}, "cluster": clusterTestOptions(1)} {
+		_, ts := newTestServer(t, opts)
+		postBody(t, ts.URL+"/v1/identify?wait=1")
+		resp := doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1", PlanRequest{Products: []string{"Netsweeper"}}, nil)
+		wantStatus(t, resp, http.StatusOK)
+
+		var list struct {
+			Snapshots []store.Meta `json:"snapshots"`
+		}
+		resp = doJSON(t, http.MethodGet, ts.URL+"/v1/snapshots", nil, &list)
+		wantStatus(t, resp, http.StatusOK)
+		var metrics MetricsDoc
+		resp = doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &metrics)
+		wantStatus(t, resp, http.StatusOK)
+		if len(list.Snapshots) != 0 || metrics.Snapshots.Stored != 0 || metrics.Snapshots.Recorded != 0 {
+			t.Errorf("%s: two served identifies left %d snapshots (metrics %+v), want none", name, len(list.Snapshots), metrics.Snapshots)
+		}
+	}
+}
+
+// TestAlternatingSubsetsHitCache: six identify requests alternating two
+// product subsets run the pipeline once per subset and answer the other
+// four from the cache, on a clustered server as on a standalone one.
+func TestAlternatingSubsetsHitCache(t *testing.T) {
+	for name, opts := range map[string]Options{"standalone": {}, "cluster": clusterTestOptions(1)} {
+		_, ts := newTestServer(t, opts)
+		for i := 0; i < 6; i++ {
+			products := []string{"Netsweeper"}
+			if i%2 == 1 {
+				products = []string{"Websense"}
+			}
+			resp := doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1", PlanRequest{Products: products}, nil)
+			wantStatus(t, resp, http.StatusOK)
+		}
+		var metrics MetricsDoc
+		resp := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &metrics)
+		wantStatus(t, resp, http.StatusOK)
+		if c := metrics.Cache; c.Hits != 4 || c.Misses != 2 || metrics.Runs[KindIdentify] != 2 {
+			t.Errorf("%s: cache %+v and %d identify runs, want 4 hits, 2 misses and 2 runs", name, c, metrics.Runs[KindIdentify])
+		}
+	}
+}
+
+// TestFollowerIsReadOnly: a following server's store holds only its
+// leader's log. POST /v1/snapshots answers 409 naming the leader, the
+// leader's records arrive with the leader's sequence numbers and IDs,
+// and New refuses a monitor, whose ticks would write the same store.
+func TestFollowerIsReadOnly(t *testing.T) {
+	_, leader := newTestServer(t, Options{})
+	_, follower := newTestServer(t, Options{Follow: leader.URL, FollowInterval: 5 * time.Millisecond})
+
+	var refusal struct {
+		Error string `json:"error"`
+	}
+	resp := doJSON(t, http.MethodPost, follower.URL+"/v1/snapshots", snapshotRecordRequest{Kind: KindMechanisms}, &refusal)
+	wantStatus(t, resp, http.StatusConflict)
+	if !strings.Contains(refusal.Error, leader.URL) {
+		t.Fatalf("refusal %q does not name the leader %s", refusal.Error, leader.URL)
+	}
+
+	for _, kind := range []string{KindIdentify, KindMechanisms} {
+		resp = doJSON(t, http.MethodPost, leader.URL+"/v1/snapshots", snapshotRecordRequest{Kind: kind}, nil)
+		wantStatus(t, resp, http.StatusCreated)
+	}
+	type list struct {
+		Snapshots []store.Meta `json:"snapshots"`
+	}
+	var want, got list
+	doJSON(t, http.MethodGet, leader.URL+"/v1/snapshots", nil, &want)
+	for deadline := time.Now().Add(10 * time.Second); len(got.Snapshots) < len(want.Snapshots); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower holds %d of the leader's %d records", len(got.Snapshots), len(want.Snapshots))
+		}
+		doJSON(t, http.MethodGet, follower.URL+"/v1/snapshots", nil, &got)
+	}
+	for i, m := range got.Snapshots {
+		if w := want.Snapshots[i]; m.Seq != w.Seq || m.ID != w.ID {
+			t.Fatalf("follower record %d = seq %d id %s, leader's = seq %d id %s", i, m.Seq, m.ID, w.Seq, w.ID)
+		}
+	}
+	var metrics MetricsDoc
+	doJSON(t, http.MethodGet, follower.URL+"/metrics", nil, &metrics)
+	if r := metrics.Replica; r == nil || r.Applied != 2 || r.Errors != 0 {
+		t.Fatalf("follower census = %+v, want 2 applied and no errors", r)
+	}
+
+	srv, err := New(Options{Follow: leader.URL, Monitor: &monitor.Options{}})
+	if err == nil {
+		srv.Shutdown(context.Background()) //nolint:errcheck // the test fails either way
+		t.Fatal("New accepted Follow with Monitor")
 	}
 }
 

@@ -30,12 +30,6 @@ type metrics struct {
 	snapshots        uint64
 	snapshotsDeduped uint64
 	diffs            uint64
-	invalidated      uint64
-
-	// clusterAppendErrors counts merged cluster documents that failed to
-	// append to the snapshot store — records missing from the
-	// replication log that clients nevertheless received.
-	clusterAppendErrors uint64
 
 	// engineStats is installed into every world's engine config, so
 	// pipeline stages report here across runs.
@@ -94,31 +88,9 @@ func (m *metrics) snapshotRecorded(deduped bool) {
 	m.mu.Unlock()
 }
 
-// clusterAppendError accounts one merged cluster document dropped from
-// the replication log by a marshal/append failure.
-func (m *metrics) clusterAppendError() { m.mu.Lock(); m.clusterAppendErrors++; m.mu.Unlock() }
-
-// clusterAppendErrorCount reads the census for /metrics.
-func (m *metrics) clusterAppendErrorCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.clusterAppendErrors
-}
-
 // diffComputed accounts one longitudinal diff execution (cache misses
 // only; cached diffs count as cache hits).
 func (m *metrics) diffComputed() { m.mu.Lock(); m.diffs++; m.mu.Unlock() }
-
-// cacheInvalidated accounts result-cache entries dropped because a newer
-// snapshot superseded them (delta-aware invalidation).
-func (m *metrics) cacheInvalidated(n int) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.invalidated += uint64(n)
-	m.mu.Unlock()
-}
 
 // run accounts one underlying pipeline execution of the given kind.
 func (m *metrics) run(kind string) {
@@ -167,11 +139,6 @@ type ClusterMetricsDoc struct {
 	// Workers counts live ring members.
 	Workers  int              `json:"workers"`
 	Counters cluster.Counters `json:"counters"`
-	// AppendErrors counts merged documents that failed to append to the
-	// snapshot store: the replication log is missing records that
-	// clients received. Anything non-zero means followers and
-	// /v1/snapshots have silently diverged from served results.
-	AppendErrors uint64 `json:"append_errors"`
 }
 
 // WatchDoc is the event-stream fan-out census: live subscribers, events
@@ -200,9 +167,6 @@ type CacheDoc struct {
 	Misses    uint64 `json:"misses"`
 	Coalesced uint64 `json:"coalesced"`
 	Entries   int    `json:"entries"`
-	// Invalidated counts entries dropped because a newer snapshot for
-	// their (kind, config) superseded them before the TTL ran out.
-	Invalidated uint64 `json:"invalidated"`
 }
 
 // SnapshotCountsDoc is the longitudinal layer's counters: snapshot
@@ -230,11 +194,10 @@ func (m *metrics) snapshot(now time.Time, cacheEntries int, jobs JobCountsDoc, s
 		UptimeSeconds: now.Sub(m.startedAt).Seconds(),
 		Endpoints:     make(map[string]EndpointDoc, len(m.endpoints)),
 		Cache: CacheDoc{
-			Hits:        m.hits,
-			Misses:      m.misses,
-			Coalesced:   m.coalesced,
-			Entries:     cacheEntries,
-			Invalidated: m.invalidated,
+			Hits:      m.hits,
+			Misses:    m.misses,
+			Coalesced: m.coalesced,
+			Entries:   cacheEntries,
 		},
 		Jobs:        jobs,
 		Runs:        make(map[string]uint64, len(m.runs)),

@@ -90,8 +90,9 @@ type Options struct {
 	StoreDir string
 	// Monitor enables the continuous-measurement scheduler (nil =
 	// disabled; /v1/watch still serves, streaming snapshot-append events
-	// from the API surface). The monitor drives its own world; its Broker
-	// and Store fields are overwritten with the server's.
+	// from the API surface). The monitor churns its own world and appends
+	// to the server's store and broker; no world the API answers from
+	// changes, so its ticks leave cached documents alone.
 	Monitor *monitor.Options
 	// WatchRetain bounds the /v1/watch replay tail (0 = broker default).
 	WatchRetain int
@@ -108,8 +109,9 @@ type Options struct {
 	// token authenticates this server's outgoing Follow polling.
 	ClusterToken string
 	// Follow makes this server a read-only serving replica: it tails the
-	// named coordinator's replication log (GET /v1/cluster/log) into its
-	// own snapshot store. The replica must take no local snapshot writes.
+	// named server's replication log (GET /v1/cluster/log) into its own
+	// snapshot store, which nothing else may write. POST /v1/snapshots
+	// answers 409 naming the leader, and New refuses Monitor.
 	Follow string
 	// FollowInterval paces the log polling (0 = 2s; with Follow).
 	FollowInterval time.Duration
@@ -153,9 +155,12 @@ type Server struct {
 
 // New builds the server and its long-lived base world. Engine options
 // (filtermap.WithWorkers, ...) tune every world the server constructs;
-// the server always adds its own stats registry and counting observer so
-// /metrics sees every pipeline stage.
+// the server always adds its own stats registry so /metrics sees every
+// pipeline stage.
 func New(opts Options, engOpts ...engine.Option) (*Server, error) {
+	if opts.Follow != "" && opts.Monitor != nil {
+		return nil, errors.New("server: a follower's store takes only the leader's records, so Follow and Monitor cannot be combined")
+	}
 	if opts.CacheTTL == 0 {
 		opts.CacheTTL = 5 * time.Minute
 	}
@@ -196,18 +201,7 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 	}
 	s.diffEng = &plan.DiffEngine{Config: engine.NewConfig(s.engOpts...)}
 
-	// Delta-aware invalidation: a snapshot append for a (kind, config)
-	// pair kills cached reports for that pair immediately instead of
-	// letting them ride out the TTL. Diff cache entries are
-	// content-addressed and never go stale, so they stay.
 	s.broker = monitor.NewBroker(opts.WatchRetain)
-	s.snaps.OnAppend(func(meta store.Meta) {
-		p, ok := plan.ForStoreKind(meta.Kind)
-		if !ok {
-			return
-		}
-		s.metrics.cacheInvalidated(s.cache.invalidatePrefix(p.Kind + ":" + meta.Config + ":"))
-	})
 
 	if opts.Monitor != nil {
 		mo := *opts.Monitor
@@ -900,10 +894,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.clusterRt != nil {
 		status := s.clusterRt.coord.Status()
 		doc.Cluster = &ClusterMetricsDoc{
-			Role:         s.clusterRt.role,
-			Workers:      len(status.Workers),
-			Counters:     status.Counters,
-			AppendErrors: s.metrics.clusterAppendErrorCount(),
+			Role:     s.clusterRt.role,
+			Workers:  len(status.Workers),
+			Counters: status.Counters,
 		}
 	}
 	if s.follower != nil {

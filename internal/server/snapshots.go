@@ -35,8 +35,13 @@ type snapshotRecordRequest struct {
 // cache) and appends its document to the snapshot store, keyed by the
 // base world's virtual time and the effective world-config hash. Identical
 // consecutive content dedupes: the existing record is returned with 200
-// instead of 201.
+// instead of 201. A follower records nothing: its store holds only the
+// leader's log, so it answers 409 naming the leader.
 func (s *Server) handleSnapshotRecord(w http.ResponseWriter, r *http.Request) {
+	if s.opts.Follow != "" {
+		jsonError(w, http.StatusConflict, "this server is a read-only replica; record snapshots on its leader "+s.opts.Follow)
+		return
+	}
 	var body snapshotRecordRequest
 	if !s.decodeBody(w, r, &body) {
 		return
@@ -70,11 +75,6 @@ func (s *Server) handleSnapshotRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.snapshotRecorded(meta.Deduped)
-	// The append's invalidation hook just dropped every cached report for
-	// this (kind, config) — including the one whose bytes we appended.
-	// That entry still matches the newest snapshot, so restore it: repeat
-	// recordings stay cache hits instead of re-running the pipeline.
-	s.cache.put(key, val)
 	// Mirror the append onto the watch stream so subscribers see
 	// API-recorded snapshots alongside monitor ticks.
 	s.broker.Publish(monitor.Event{

@@ -191,11 +191,6 @@ type Store struct {
 
 	recovered int64 // bytes truncated from the tail at Open
 	closed    bool
-
-	// observers run after each non-deduped append, outside mu (own lock
-	// so observers can re-enter the store).
-	obsMu     sync.Mutex
-	observers []func(Meta)
 }
 
 // Open opens (or creates) the store rooted at dir. An empty dir returns
@@ -301,40 +296,10 @@ func canonicalBody(body json.RawMessage) ([]byte, error) {
 
 // ---- append ----
 
-// OnAppend registers fn to run after every append that writes a new
-// record; deduped appends (content unchanged) do not fire. fn runs on
-// the appending goroutine after the store's lock is released, so it may
-// call back into the store. Observers cannot be unregistered; register
-// once per store lifetime. The server uses this to invalidate cached
-// reports the moment a newer snapshot of the same (kind, config) lands.
-func (s *Store) OnAppend(fn func(Meta)) {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	s.observers = append(s.observers, fn)
-}
-
-func (s *Store) notifyAppend(meta Meta) {
-	s.obsMu.Lock()
-	obs := s.observers
-	s.obsMu.Unlock()
-	for _, fn := range obs {
-		fn(meta)
-	}
-}
-
 // Append persists one snapshot and returns its Meta. If the snapshot's
 // content matches the latest stored snapshot of the same (kind, config),
 // nothing is written and the existing Meta is returned with Deduped set.
-// Non-deduped appends fire the OnAppend observers before returning.
 func (s *Store) Append(snap Snapshot) (Meta, error) {
-	meta, err := s.append(snap)
-	if err == nil && !meta.Deduped {
-		s.notifyAppend(meta)
-	}
-	return meta, err
-}
-
-func (s *Store) append(snap Snapshot) (Meta, error) {
 	if snap.Kind == "" {
 		return Meta{}, errors.New("store: snapshot kind required")
 	}

@@ -194,22 +194,18 @@ func Build(opts Options, engOpts ...engine.Option) (*World, error) {
 	if opts.ChaosSeed != 0 {
 		// Chaos without retries or a breaker would just shrink coverage;
 		// give the hardening machinery its defaults unless the caller
-		// configured its own.
+		// configured a retry policy of its own.
 		if engCfg.Retry.MaxAttempts == 0 {
 			engCfg.Retry = engine.DefaultRetryPolicy()
 		}
-		if engCfg.Breaker == nil {
-			// The limit matches the retry budget so the breaker never cuts
-			// an item's own retry loop short (a fault recovering on the
-			// last attempt must get that attempt); it only suppresses
-			// re-testing targets that already burned a full loop.
-			engCfg.Breaker = engine.NewBreaker(engCfg.Retry.MaxAttempts)
-		}
+		// The limit matches the retry budget so the breaker never cuts
+		// an item's own retry loop short (a fault recovering on the last
+		// attempt must get that attempt); it only suppresses re-testing
+		// targets that already burned a full loop.
+		engCfg.Breaker = engine.NewBreaker(engCfg.Retry.MaxAttempts)
 	}
-	if engCfg.Sleep == nil {
-		// Retry backoffs wait on the virtual clock, not the wall clock.
-		engCfg.Sleep = func(_ context.Context, d time.Duration) { clock.Advance(d) }
-	}
+	// Retry backoffs wait on the virtual clock, not the wall clock.
+	engCfg.Sleep = func(_ context.Context, d time.Duration) { clock.Advance(d) }
 	w := &World{
 		Opts:           opts,
 		Clock:          clock,

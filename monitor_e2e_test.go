@@ -222,12 +222,13 @@ func TestWatchSSEResume(t *testing.T) {
 	}
 }
 
-// TestWatchInvalidatesCache proves the delta-aware invalidation
-// satellite: a cached report for a (kind, config) pair dies the moment a
-// newer snapshot for that pair is appended, instead of riding out the
-// TTL.
-func TestWatchInvalidatesCache(t *testing.T) {
-	srv, err := filtermap.NewServer(filtermap.ServeOptions{
+// TestMonitorTickKeepsCache: a monitor tick churns the monitor's own
+// world and records the churn in the snapshot store, but changes no
+// world the API answers from, so the served identify document stays
+// cached. The next request is a cache hit with the same bytes, and the
+// churn is visible only in the monitor's snapshot.
+func TestMonitorTickKeepsCache(t *testing.T) {
+	ts := startServer(t, filtermap.ServeOptions{
 		Monitor: &filtermap.MonitorOptions{
 			Seed: 7,
 			Plans: []filtermap.MonitorPlan{
@@ -235,79 +236,57 @@ func TestWatchInvalidatesCache(t *testing.T) {
 			},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
+	type cacheCounts struct {
+		Hits    uint64 `json:"hits"`
+		Misses  uint64 `json:"misses"`
+		Entries int    `json:"entries"`
 	}
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// Record a snapshot through the API: this both caches the identify
-	// report and appends a snapshot for (identify, base config).
-	resp, err := http.Post(ts.URL+"/v1/snapshots", "application/json", strings.NewReader(`{"kind":"identify"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("snapshot record: status %d, want 201", resp.StatusCode)
-	}
-
-	metrics := func() (entries int, invalidated uint64) {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
+	metrics := func() (cacheCounts, uint64) {
 		var doc struct {
-			Cache struct {
-				Entries     int    `json:"entries"`
-				Invalidated uint64 `json:"invalidated"`
-			} `json:"cache"`
+			Cache cacheCounts       `json:"cache"`
+			Runs  map[string]uint64 `json:"runs"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc.Cache.Entries, doc.Cache.Invalidated
-	}
-	entries, invalidated := metrics()
-	if entries == 0 {
-		t.Fatal("recording a snapshot should have left the result cache populated")
+		doJSON(t, http.MethodGet, ts.URL+"/metrics", "", http.StatusOK, &doc)
+		return doc.Cache, doc.Runs["identify"]
 	}
 
-	// A second identical append dedupes — the content is unchanged, the
-	// invalidation hook never fires, and the cached report survives.
-	resp, err = http.Post(ts.URL+"/v1/snapshots", "application/json", strings.NewReader(`{"kind":"identify"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deduped record: status %d, want 200", resp.StatusCode)
-	}
-	if _, inv := metrics(); inv != invalidated {
-		t.Fatalf("deduped append moved invalidated %d -> %d, want unchanged", invalidated, inv)
+	served := postBytes(t, ts.URL+"/v1/identify?wait=1")
+	before, runs := metrics()
+	if before.Entries != 1 || runs != 1 {
+		t.Fatalf("after one identify: cache %+v, %d identify runs; want 1 entry and 1 run", before, runs)
 	}
 
-	// A monitor tick churns the landscape and appends a changed identify
-	// snapshot under the same config hash: the cached API report for that
-	// pair must be dropped immediately.
-	resp, err = http.Post(ts.URL+"/v1/monitor/tick", "application/json", strings.NewReader(`{"ticks":1}`))
-	if err != nil {
+	doJSON(t, http.MethodPost, ts.URL+"/v1/monitor/tick", `{"ticks":1}`, http.StatusOK, nil)
+
+	again := postBytes(t, ts.URL+"/v1/identify?wait=1")
+	if string(again) != string(served) {
+		t.Fatalf("identify after a monitor tick changed:\nbefore: %.300s\nafter:  %.300s", served, again)
+	}
+	after, runs := metrics()
+	if after.Entries != 1 || after.Hits != before.Hits+1 || after.Misses != before.Misses || runs != 1 {
+		t.Fatalf("identify after a monitor tick: cache %+v (before %+v), %d identify runs; want a hit and no new run", after, before, runs)
+	}
+
+	// The tick's churn (seed 7 installs SmartFilter at 100.64.1.1, as
+	// testdata/monitor.golden shows) lives in the monitor's snapshot.
+	var snap struct {
+		Body filtermap.IdentifyDoc `json:"body"`
+	}
+	doJSON(t, http.MethodGet, ts.URL+"/v1/snapshots/latest:identify", "", http.StatusOK, &snap)
+	churned := func(doc filtermap.IdentifyDoc) bool {
+		for _, inst := range doc.Installations {
+			if inst.IP == "100.64.1.1" {
+				return true
+			}
+		}
+		return false
+	}
+	var doc filtermap.IdentifyDoc
+	if err := json.Unmarshal(served, &doc); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("monitor tick: status %d, want 200", resp.StatusCode)
-	}
-	entriesAfter, invalidatedAfter := metrics()
-	if invalidatedAfter <= invalidated {
-		t.Fatal("superseding monitor snapshot did not invalidate the cached report")
-	}
-	if entriesAfter >= entries {
-		t.Fatalf("cache entries %d -> %d, want a drop from invalidation", entries, entriesAfter)
+	if !churned(snap.Body) || churned(doc) {
+		t.Fatalf("churned install 100.64.1.1: in the monitor's snapshot %v, in the served document %v; want true, false",
+			churned(snap.Body), churned(doc))
 	}
 }

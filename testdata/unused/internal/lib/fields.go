@@ -34,6 +34,27 @@ type Config struct{ Inner Inner }
 // sets Depth, so no caller can use it.
 type Inner struct{ Depth int }
 
+// Options has two options only its constructor defaults, which no
+// caller sets, and one a caller sets as well.
+type Options struct {
+	Retries, Workers int
+	Sink             func()
+}
+
+// NewOptions defaults what the caller left unset.
+func NewOptions(o Options) Options {
+	if o.Retries <= 0 {
+		o.Retries = 3
+	}
+	if nil == o.Sink {
+		o.Sink = func() {}
+	}
+	if o.Workers == 0 {
+		o.Workers = 1
+	}
+	return o
+}
+
 // Targets spells its anonymous result type twice; the two are one.
 func Targets() []struct{ Name string } {
 	return []struct{ Name string }{{Name: "a"}}
@@ -42,6 +63,7 @@ func Targets() []struct{ Name string } {
 // Use reaches each case.
 func Use(r *Record) (int, bool, Tagged, Wrapper, Config) {
 	r.seen = true
+	NewOptions(Options{Workers: 2})
 	p := Pair{1, 2}
 	hits := map[key]int{{"h"}: 1}
 	return p.A + p.B + hits[key{"h"}] + len(r.Label) + len(Targets()[0].Name), point{1} == point{2}, Tagged{}, Wrapper{}, Config{Inner: Inner{}}

@@ -31,9 +31,12 @@ import (
 //
 // The field rule: a struct field under internal/ is live only if
 // non-test code reads it, and an exported one only if non-test code
-// also writes it. Exempt are fields with a json tag (encoding/json
-// reads and writes them), embedded fields, and fields of a struct type
-// used as a map key or compared with == or != (equality reads them).
+// also writes it. A constructor's default is not a write: an
+// assignment to a field in the body of an if that compares the same
+// field with a constant or nil (if o.X <= 0 { o.X = d }). Exempt are
+// fields with a json tag (encoding/json reads and writes them),
+// embedded fields, and fields of a struct type used as a map key or
+// compared with == or != (equality reads them).
 // The exported fields of the facade's types, and of the struct types
 // those reach through exported fields, pointers, slices, arrays and
 // maps, are the public API: a caller may read them, so they need not be
@@ -93,11 +96,13 @@ func TestNoUnreachedAPI(t *testing.T) {
 // must report an uncalled exported function, a method that shares its
 // name with a standard library interface its type does not implement,
 // a field nothing reads, an exported field nothing writes, a public one
-// too, and both kinds of stale allowlist entry for an identifier and for
-// a field. It must not report a method reached only by converting its
-// type to an interface, a field written only by a positional literal, a
-// public field nothing reads, or a field one of the field rule's
-// exemptions covers (internal/lib/fields.go has one case each).
+// too, options only their constructor defaults (compared with a
+// constant, and with nil), and both kinds of stale allowlist entry for
+// an identifier and for a field. It must not report a defaulted option
+// a caller also sets, a method reached only by converting its type to
+// an interface, a field written only by a positional literal, a public
+// field nothing reads, or a field one of the field rule's exemptions
+// covers (internal/lib/fields.go has one case each).
 func TestUnreachedAPIFixture(t *testing.T) {
 	found, err := findUnreached("testdata/unused", "fixture", map[string]string{
 		"internal/lib.Used":        "reached by the facade, so stale",
@@ -112,6 +117,8 @@ func TestUnreachedAPIFixture(t *testing.T) {
 		"internal/lib.Counter.Len (internal/lib/lib.go:24)",
 		"internal/lib.Dead (internal/lib/lib.go:11)",
 		"internal/lib.Inner.Depth (internal/lib/fields.go:35): never written",
+		"internal/lib.Options.Retries (internal/lib/fields.go:40): never written",
+		"internal/lib.Options.Sink (internal/lib/fields.go:41): never written",
 		"internal/lib.Record.Label (internal/lib/fields.go:9): never written",
 		"internal/lib.Record.seen (internal/lib/fields.go:8): never read",
 		"stale allowlist entry internal/lib.Gone: names nothing",
@@ -340,13 +347,50 @@ func collectFieldUses(mine []*apiPackage, facade *apiPackage) *fieldUses {
 			}
 			return nil, nil
 		}
+		// comparedField returns the field cond compares with a constant
+		// or nil, or nil when cond is no such comparison.
+		comparedField := func(cond ast.Expr) *types.Var {
+			bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+			if !ok {
+				return nil
+			}
+			switch bin.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+			default:
+				return nil
+			}
+			for _, pair := range [][2]ast.Expr{{bin.X, bin.Y}, {bin.Y, bin.X}} {
+				if tv := info.Types[pair[1]]; tv.Value != nil || tv.IsNil() {
+					if _, v := fieldOf(pair[0]); v != nil {
+						return v
+					}
+				}
+			}
+			return nil
+		}
+		// defaulted holds the left sides of a constructor's defaults:
+		// assignments to a field in the body of an if that compares that
+		// field with a constant or nil. They do not write the field.
+		defaulted := map[ast.Expr]bool{}
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.IfStmt:
+					if v := comparedField(n.Cond); v != nil {
+						for _, st := range n.Body.List {
+							if as, ok := st.(*ast.AssignStmt); ok {
+								for _, lhs := range as.Lhs {
+									if _, w := fieldOf(lhs); w == v {
+										defaulted[lhs] = true
+									}
+								}
+							}
+						}
+					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
 						if id, v := fieldOf(lhs); v != nil {
-							u.written[v] = true
+							u.written[v] = u.written[v] || !defaulted[lhs]
 							notRead[id] = n.Tok == token.ASSIGN || n.Tok == token.DEFINE
 						}
 					}
