@@ -75,12 +75,15 @@ monitor-golden:
 # merge the same through its wire form, and a fragment of another
 # kind's shape must fail its shard's attempt: the job fails once every
 # attempt did, and a good fragment from another worker still finishes it.
+# Leases go out in shard order to whichever worker asks, a restarted
+# worker's own expired lease included, and a follower whose local tail
+# is not the leader's record refuses to sync.
 .PHONY: cluster-golden
 cluster-golden:
 	go test -race -run 'TestGoldenClusterScanOut|TestClusterWorker|TestClusterReplication' -count=1 .
-	go test -race -run 'TestClusterByteIdentity' -count=1 ./internal/server/
+	go test -race -run 'TestClusterByteIdentity|TestFollowerRefusesDivergedTail' -count=1 ./internal/server/
 	go test -race -count=1 -run 'TestMergePerPieceEqualsWhole|TestToyKindIsOneFile' ./internal/plan/
-	go test -race -count=1 -run 'TestResultRejectsMisshapenFragments|TestResultRetriesMisshapenFragment' ./internal/cluster/
+	go test -race -count=1 -run 'TestResultRejectsMisshapenFragments|TestResultRetriesMisshapenFragment|TestLeaseGrantsInShardOrder|TestLeaseRestartedWorker' ./internal/cluster/
 
 # The world-scaling determinism check (DESIGN.md §16): the synthetic
 # population the scale realm answers must be byte-identical to the

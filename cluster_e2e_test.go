@@ -175,7 +175,7 @@ func TestGoldenClusterScanOut(t *testing.T) {
 
 	st := clusterStatus(t, coord.URL)
 	if !st.Enabled || len(st.Workers) != 4 {
-		t.Fatalf("cluster status: enabled=%v workers=%d, want 4 on the ring", st.Enabled, len(st.Workers))
+		t.Fatalf("cluster status: enabled=%v workers=%d, want 4 workers", st.Enabled, len(st.Workers))
 	}
 	if st.Counters.JobsDone != 4 || st.Counters.ShardsDone == 0 {
 		t.Fatalf("cluster counters after 4 jobs: %+v", st.Counters)

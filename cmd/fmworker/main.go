@@ -33,7 +33,7 @@ import (
 
 func main() {
 	coordinator := flag.String("coordinator", "", "coordinator base URL (an fmserve running -role coordinator|both); required")
-	id := flag.String("id", "", "worker id on the ring (default worker-<pid>)")
+	id := flag.String("id", "", "worker id, unique in the cluster (default worker-<pid>)")
 	token := flag.String("token", "", "shared cluster token (required when the coordinator runs -cluster-token)")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = engine default)")
 	poll := flag.Duration("poll", 0, "idle re-poll interval (0 = 100ms)")

@@ -195,7 +195,7 @@ type (
 	// coordinator, runs them against its own world replica, and ships
 	// document fragments back.
 	ClusterWorker = cluster.Worker
-	// ClusterCounters is the coordinator's shard/lease/steal census.
+	// ClusterCounters is the coordinator's shard and lease census.
 	ClusterCounters = cluster.Counters
 	// ClusterStatus is the GET /v1/cluster document.
 	ClusterStatus = cluster.StatusDoc

@@ -33,45 +33,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// ---- ring ----
-
-func TestRingDeterministicOwnership(t *testing.T) {
-	members := []string{"a", "b", "c"}
-	r1 := newRing(members)
-	r2 := newRing([]string{"c", "a", "b"}) // order must not matter
-	keys := []string{"mechanisms/Etisalat", "identify/Netsweeper", "discover/YemenNet", "characterize/Du"}
-	for _, k := range keys {
-		if r1.owner(k) != r2.owner(k) {
-			t.Fatalf("ring ownership depends on member order for %q: %q vs %q", k, r1.owner(k), r2.owner(k))
-		}
-	}
-	if got := newRing(nil).owner("anything"); got != "" {
-		t.Fatalf("empty ring owner = %q, want \"\"", got)
-	}
-}
-
-// TestRingStability checks the consistent-hashing property: removing one
-// member only moves the keys that member owned.
-func TestRingStability(t *testing.T) {
-	members := []string{"w1", "w2", "w3", "w4"}
-	full := newRing(members)
-	without := newRing([]string{"w1", "w2", "w3"})
-	moved := 0
-	for i := 0; i < 200; i++ {
-		key := "identify/product-" + strings.Repeat("x", i%7) + string(rune('a'+i%26))
-		before, after := full.owner(key), without.owner(key)
-		if before == "w4" {
-			continue // had to move
-		}
-		if before != after {
-			moved++
-		}
-	}
-	if moved != 0 {
-		t.Fatalf("%d keys not owned by the removed member changed owner", moved)
-	}
-}
-
 // ---- coordinator lease state machine ----
 
 // startJob submits a mechanisms job and waits until its shards are
@@ -118,24 +79,38 @@ func fragFor(l ShardLease) *plan.Fragment {
 	return wireFragment(report.MechanismsDoc{Mechanisms: []report.MechanismISPDoc{{ISP: l.Spec.Pieces[0], Tested: 1}}})
 }
 
+// leaseN calls Lease for the worker until it has n grants or Lease
+// grants nothing, and returns the grants.
+func leaseN(c *Coordinator, worker string, n int) []ShardLease {
+	var out []ShardLease
+	for len(out) < n {
+		l := c.Lease(worker)
+		if len(l) == 0 {
+			break
+		}
+		out = append(out, l...)
+	}
+	return out
+}
+
 func TestLeaseExpiryAndReassignment(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	c := NewCoordinator(Options{LeaseTTL: time.Second, Now: clk.Now})
 	docs, errs := startJob(t, c)
 
 	n := len(world.MechanismRosterISPs())
-	leasesA := c.Lease("worker-a", n+5)
+	leasesA := leaseN(c, "worker-a", n+5)
 	if len(leasesA) != n {
 		t.Fatalf("worker-a leased %d shards, want %d", len(leasesA), n)
 	}
 	// Nothing more to grant while the leases are live.
-	if extra := c.Lease("worker-b", n); len(extra) != 0 {
+	if extra := leaseN(c, "worker-b", n); len(extra) != 0 {
 		t.Fatalf("worker-b got %d leases while worker-a's are live", len(extra))
 	}
 
 	// worker-a goes silent past the TTL: worker-b takes over everything.
 	clk.Advance(2 * time.Second)
-	leasesB := c.Lease("worker-b", n+5)
+	leasesB := leaseN(c, "worker-b", n+5)
 	if len(leasesB) != n {
 		t.Fatalf("worker-b reassigned %d shards after expiry, want %d", len(leasesB), n)
 	}
@@ -187,12 +162,73 @@ func TestLeaseExpiryAndReassignment(t *testing.T) {
 	}
 }
 
+// TestLeaseGrantsInShardOrder: two workers taking turns get a job's
+// shards in shard order, whatever their ids, and once the leases expire
+// they get them again in shard order, each worker the shards it held
+// before.
+func TestLeaseGrantsInShardOrder(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	c := NewCoordinator(Options{LeaseTTL: time.Second, Now: clk.Now})
+	startJob(t, c)
+
+	workers := [2]string{"worker-a", "worker-b"}
+	n := len(world.MechanismRosterISPs())
+	for epoch := 1; epoch <= 2; epoch++ {
+		for i := 0; i < n; i++ {
+			worker := workers[i%2]
+			l := c.Lease(worker)
+			if len(l) != 1 || l[0].Ref.Shard != i || l[0].Ref.Epoch != epoch {
+				t.Fatalf("lease %d of epoch %d to %s = %+v, want shard %d", i, epoch, worker, l, i)
+			}
+		}
+		if l := c.Lease(workers[0]); len(l) != 0 {
+			t.Fatalf("epoch %d: granted %+v with every lease live", epoch, l)
+		}
+		clk.Advance(2 * time.Second)
+	}
+	if got := c.Status().Counters.LeasesExpired; got != uint64(n) {
+		t.Fatalf("LeasesExpired = %d, want %d", got, n)
+	}
+}
+
+// TestLeaseRestartedWorker: a worker that went silent past the TTL
+// holding a lease and came back under the same id (fmworker -id, the
+// only worker, restarted after a crash) takes the pending shards and
+// then its own expired lease, so the job completes.
+func TestLeaseRestartedWorker(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	c := NewCoordinator(Options{LeaseTTL: time.Second, Now: clk.Now})
+	docs, errs := startJob(t, c)
+
+	lost := c.Lease("w1")
+	if len(lost) != 1 {
+		t.Fatalf("w1 leased %d shards, want 1", len(lost))
+	}
+	clk.Advance(2 * time.Second)
+	for i := 1; i < len(world.MechanismRosterISPs()); i++ {
+		l := c.Lease("w1")
+		if len(l) != 1 || l[0].Ref.Shard != i {
+			t.Fatalf("restarted w1 got %+v, want pending shard %d", l, i)
+		}
+		c.Result("w1", l[0].Ref, fragFor(l[0]), "")
+	}
+	back := c.Lease("w1")
+	if len(back) != 1 || back[0].Ref.Shard != 0 || back[0].Ref.Epoch != lost[0].Ref.Epoch+1 {
+		t.Fatalf("restarted w1 got %+v, want its expired shard 0 under a new epoch", back)
+	}
+	c.Result("w1", back[0].Ref, fragFor(back[0]), "")
+	<-docs
+	if err := <-errs; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestHeartbeatExtendsLease(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	c := NewCoordinator(Options{LeaseTTL: time.Second, Now: clk.Now})
 	docs, errs := startJob(t, c)
 
-	leases := c.Lease("worker-a", 100)
+	leases := leaseN(c, "worker-a", 100)
 	refs := make([]LeaseRef, len(leases))
 	for i, l := range leases {
 		refs[i] = l.Ref
@@ -206,8 +242,8 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 		}
 	}
 	clk.Advance(700 * time.Millisecond)
-	if stolen := c.Lease("worker-b", 100); len(stolen) != 0 {
-		t.Fatalf("heartbeat did not extend leases: %d reassigned", len(stolen))
+	if reassigned := leaseN(c, "worker-b", 100); len(reassigned) != 0 {
+		t.Fatalf("heartbeat did not extend leases: %d reassigned", len(reassigned))
 	}
 	// Wrong epoch never validates.
 	bad := refs[0]
@@ -229,7 +265,7 @@ func TestReleaseReturnsShardsImmediately(t *testing.T) {
 	c := NewCoordinator(Options{LeaseTTL: time.Hour, Now: clk.Now})
 	docs, errs := startJob(t, c)
 
-	leases := c.Lease("worker-a", 100)
+	leases := leaseN(c, "worker-a", 100)
 	refs := make([]LeaseRef, len(leases))
 	for i, l := range leases {
 		refs[i] = l.Ref
@@ -239,7 +275,7 @@ func TestReleaseReturnsShardsImmediately(t *testing.T) {
 		t.Fatalf("LeasesReleased = %d, want %d", got, len(leases))
 	}
 	// No clock advance needed: the shards are pending again.
-	handoff := c.Lease("worker-b", 100)
+	handoff := leaseN(c, "worker-b", 100)
 	if len(handoff) != len(leases) {
 		t.Fatalf("worker-b picked up %d released shards, want %d", len(handoff), len(leases))
 	}
@@ -258,7 +294,7 @@ func TestShardFailureBudget(t *testing.T) {
 	docs, errs := startJob(t, c)
 
 	for attempt := 0; attempt < shardAttempts; attempt++ {
-		leases := c.Lease("worker-a", 1)
+		leases := c.Lease("worker-a")
 		if len(leases) != 1 {
 			t.Fatalf("attempt %d: leased %d shards, want 1", attempt, len(leases))
 		}
@@ -289,7 +325,7 @@ func TestResultRejectsMisshapenFragments(t *testing.T) {
 		c := NewCoordinator(Options{LeaseTTL: time.Hour})
 		docs, errs := startJob(t, c)
 		for attempt := 0; attempt < shardAttempts; attempt++ {
-			leases := c.Lease("worker-a", 100)
+			leases := leaseN(c, "worker-a", 100)
 			if len(leases) != len(world.MechanismRosterISPs()) {
 				t.Fatalf("attempt %d: leased %d shards, want every shard back", attempt, len(leases))
 			}
@@ -325,14 +361,14 @@ func TestResultRetriesMisshapenFragment(t *testing.T) {
 
 	c := NewCoordinator(Options{LeaseTTL: time.Hour})
 	docs, errs := startRequest(t, c, req)
-	bad := c.Lease("worker-a", 1)
+	bad := c.Lease("worker-a")
 	if len(bad) != 1 {
 		t.Fatalf("worker-a leased %d shards, want 1", len(bad))
 	}
 	if resp := c.Result("worker-a", bad[0].Ref, wireFragment(json.RawMessage(`{"installations":[]}`)), ""); !resp.Accepted {
 		t.Fatalf("misshapen fragment: %+v", resp)
 	}
-	leases := c.Lease("worker-b", 100)
+	leases := leaseN(c, "worker-b", 100)
 	if len(leases) != 2 {
 		t.Fatalf("worker-b leased %d shards, want both, the retried one included", len(leases))
 	}
@@ -365,7 +401,7 @@ func TestRunAbortsOnContextCancel(t *testing.T) {
 		t.Fatalf("Run under canceled ctx = %v, want context.Canceled", err)
 	}
 	// The aborted job must not be leasable.
-	if leases := c.Lease("worker-a", 100); len(leases) != 0 {
+	if leases := leaseN(c, "worker-a", 100); len(leases) != 0 {
 		t.Fatalf("aborted job still granted %d leases", len(leases))
 	}
 }
@@ -452,7 +488,7 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 	docs, errs := startJob(t, c)
 
 	// Manually walk one worker through "drain arrived after leasing".
-	leases := c.Lease("drainer", 1)
+	leases := c.Lease("drainer")
 	if len(leases) != 1 {
 		t.Fatalf("leased %d, want 1", len(leases))
 	}
@@ -465,7 +501,7 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 	}
 	c.Release("drainer", []LeaseRef{leases[0].Ref})
 
-	rest := c.Lease("finisher", 100)
+	rest := leaseN(c, "finisher", 100)
 	if len(rest) != len(world.MechanismRosterISPs()) {
 		t.Fatalf("finisher leased %d shards, want the whole job back", len(rest))
 	}

@@ -14,8 +14,8 @@ const (
 	// shardAttempts bounds failed executions per shard before the whole
 	// job fails.
 	shardAttempts = 3
-	// workerLeases is how many lease TTLs a silent worker stays a ring
-	// member.
+	// workerLeases is how many lease TTLs a silent worker stays in the
+	// status table.
 	workerLeases = 3
 )
 
@@ -37,7 +37,6 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	workers  map[string]*workerState
-	ring     *ring
 	jobs     map[string]*jobState
 	order    []string // active job IDs, submission order
 	finished []JobStatusDoc
@@ -101,7 +100,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	return &Coordinator{
 		opts:    opts,
 		workers: make(map[string]*workerState),
-		ring:    newRing(nil),
 		jobs:    make(map[string]*jobState),
 	}
 }
@@ -196,95 +194,71 @@ func (c *Coordinator) retireLocked(j *jobState) {
 	}
 }
 
-// touchWorkerLocked admits or refreshes a worker and expires silent ring
-// members, rebuilding the ring on membership change.
+// touchWorkerLocked admits or refreshes a worker and drops workers
+// silent for workerLeases TTLs from the status table.
 func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
-	changed := false
 	if w, ok := c.workers[id]; ok {
 		w.lastSeen = now
 	} else {
 		c.workers[id] = &workerState{id: id, lastSeen: now}
 		c.counters.WorkersAdmitted++
-		changed = true
 	}
 	for wid, w := range c.workers {
 		if now.Sub(w.lastSeen) > workerLeases*c.opts.LeaseTTL {
 			delete(c.workers, wid)
 			c.counters.WorkersExpired++
-			changed = true
 		}
-	}
-	if changed {
-		members := make([]string, 0, len(c.workers))
-		for wid := range c.workers {
-			members = append(members, wid)
-		}
-		c.ring = newRing(members)
 	}
 }
 
-// Lease grants up to max pending shards to the worker. Grant order per
-// job: the worker's own ring-owned pending shards, then other pending
-// shards (work-stealing), then leases whose deadline has passed
-// (expiry + reassignment). Empty response = no work; poll again.
-func (c *Coordinator) Lease(worker string, max int) []ShardLease {
-	if max <= 0 {
-		max = 1
-	}
+// Lease grants the worker at most one shard: the first pending shard of
+// the oldest running job, else the first shard whose lease deadline has
+// passed, whichever worker held it. A worker asks only between shards,
+// so it no longer runs a lease of its own that expired, and a worker
+// restarted under its old id takes that lease back like any other.
+// Empty response = no work; poll again.
+func (c *Coordinator) Lease(worker string) []ShardLease {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.Now()
 	c.touchWorkerLocked(worker, now)
 
-	var grants []ShardLease
-	grant := func(j *jobState, i int, sh *shardState, stolen, expired bool) {
-		if expired {
-			c.counters.LeasesExpired++
+	j, i := c.nextShardLocked(func(sh *shardState) bool { return sh.state == shardPending })
+	if j == nil {
+		j, i = c.nextShardLocked(func(sh *shardState) bool { return sh.state == shardLeased && now.After(sh.deadline) })
+		if j == nil {
+			return nil
 		}
-		if stolen {
-			c.counters.ShardsStolen++
-		}
-		sh.state = shardLeased
-		sh.worker = worker
-		sh.epoch++
-		sh.deadline = now.Add(c.opts.LeaseTTL)
-		c.counters.LeasesGranted++
-		grants = append(grants, ShardLease{
-			Ref:      LeaseRef{Job: j.id, Shard: i, Epoch: sh.epoch},
-			Spec:     sh.spec,
-			Deadline: sh.deadline,
-		})
+		c.counters.LeasesExpired++
 	}
+	sh := j.shards[i]
+	sh.state = shardLeased
+	sh.worker = worker
+	sh.epoch++
+	sh.deadline = now.Add(c.opts.LeaseTTL)
+	c.counters.LeasesGranted++
+	return []ShardLease{{
+		Ref:      LeaseRef{Job: j.id, Shard: i, Epoch: sh.epoch},
+		Spec:     sh.spec,
+		Deadline: sh.deadline,
+	}}
+}
 
-	// Three passes across all active jobs, cheapest-to-justify first.
-	for pass := 0; pass < 3 && len(grants) < max; pass++ {
-		for _, id := range c.order {
-			j := c.jobs[id]
-			if j.state != jobRunning {
-				continue
-			}
-			for i, sh := range j.shards {
-				if len(grants) >= max {
-					return grants
-				}
-				switch pass {
-				case 0: // own pending shards
-					if sh.state == shardPending && c.ring.owner(shardKey(&sh.spec)) == worker {
-						grant(j, i, sh, false, false)
-					}
-				case 1: // steal other pending shards
-					if sh.state == shardPending {
-						grant(j, i, sh, true, false)
-					}
-				case 2: // reassign expired leases
-					if sh.state == shardLeased && now.After(sh.deadline) && sh.worker != worker {
-						grant(j, i, sh, false, true)
-					}
-				}
+// nextShardLocked returns the first shard, oldest running job first,
+// that ok accepts (nil when none does).
+func (c *Coordinator) nextShardLocked(ok func(*shardState) bool) (*jobState, int) {
+	for _, id := range c.order {
+		j := c.jobs[id]
+		if j.state != jobRunning {
+			continue
+		}
+		for i, sh := range j.shards {
+			if ok(sh) {
+				return j, i
 			}
 		}
 	}
-	return grants
+	return nil, 0
 }
 
 // Heartbeat refreshes the worker's leases, reporting positionally which
@@ -311,8 +285,7 @@ func (c *Coordinator) Heartbeat(worker string, refs []LeaseRef) []bool {
 // Release hands leases back without results — the graceful-drain path.
 // Released shards return to pending immediately, so the next poll from
 // any worker picks them up without waiting out the lease TTL. The
-// worker is removed from the ring: a draining worker should not attract
-// new preferred-owner assignments.
+// worker leaves the status table.
 func (c *Coordinator) Release(worker string, refs []LeaseRef) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -325,14 +298,7 @@ func (c *Coordinator) Release(worker string, refs []LeaseRef) {
 		sh.worker = ""
 		c.counters.LeasesReleased++
 	}
-	if _, ok := c.workers[worker]; ok {
-		delete(c.workers, worker)
-		members := make([]string, 0, len(c.workers))
-		for wid := range c.workers {
-			members = append(members, wid)
-		}
-		c.ring = newRing(members)
-	}
+	delete(c.workers, worker)
 }
 
 // shardLocked resolves a lease ref to its shard (nil when the job is
@@ -343,6 +309,16 @@ func (c *Coordinator) shardLocked(ref LeaseRef) *shardState {
 		return nil
 	}
 	return j.shards[ref.Shard]
+}
+
+// shardKey names a shard in a failed-shard error: its kind plus the
+// first piece of its probe-space slice.
+func shardKey(spec *plan.ShardSpec) string {
+	key := spec.Kind
+	if len(spec.Pieces) > 0 {
+		key += "/" + spec.Pieces[0]
+	}
+	return key
 }
 
 // Result ingests one shard outcome. Success marks the shard done — even

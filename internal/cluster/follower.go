@@ -42,14 +42,17 @@ type FollowerCounters struct {
 
 // Follower tails a leader's replication log (its snapshot store) into a
 // local store, making the local process a read-only serving replica.
-// The follower verifies that every applied record lands with the same
-// sequence number and content ID the leader assigned, and a record that
-// does not (a log from a different store) is a hard error. It cannot
-// see a local write: Sync resumes after the local store's last
-// sequence number, so a record written locally hides the leader's
-// record of that number. The local store must therefore take no other
-// writes; fmserve with Follow set refuses POST /v1/snapshots and the
-// monitor.
+// Sync resumes after the local store's last sequence number. Before its
+// first pull it checks that this local tail is the leader's record of
+// that number (same sequence number, same content ID), so a record
+// written into the store before following began cannot hide the
+// leader's: a tail the leader does not hold, or a leader log that ends
+// before it, fails the sync with nothing applied. After that, every
+// applied record must land with the sequence number and content ID the
+// leader assigned, and one that does not (a log from a different store)
+// is a hard error. The local store must take no other writes while
+// following; fmserve with Follow set refuses POST /v1/snapshots and the
+// monitor. Sync and Run are not safe for concurrent use.
 type Follower struct {
 	// URL is the leader's base URL.
 	URL string
@@ -68,6 +71,9 @@ type Follower struct {
 
 	mu       sync.Mutex
 	counters FollowerCounters
+	// tailChecked records that the local tail was found to be the
+	// leader's record, so the check runs once per follower.
+	tailChecked bool
 }
 
 // logBatch bounds how many records one sync pull requests.
@@ -95,10 +101,16 @@ func (f *Follower) Run(ctx context.Context) error {
 // Sync pulls and applies every record newer than the local store's tail.
 // It returns how many records were applied.
 func (f *Follower) Sync(ctx context.Context) (int, error) {
+	if !f.tailChecked {
+		if err := f.checkTail(ctx); err != nil {
+			return 0, err
+		}
+		f.tailChecked = true
+	}
 	applied := 0
 	for {
 		after := f.Store.LastSeq()
-		resp, err := f.fetch(ctx, after)
+		resp, err := f.fetch(ctx, after, logBatch)
 		if err != nil {
 			return applied, err
 		}
@@ -114,10 +126,36 @@ func (f *Follower) Sync(ctx context.Context) (int, error) {
 	}
 }
 
-func (f *Follower) fetch(ctx context.Context, after uint64) (LogResponse, error) {
+// checkTail verifies that the local store's newest record is the
+// leader's record of that sequence number, the point Sync resumes from.
+func (f *Follower) checkTail(ctx context.Context) error {
+	seq := f.Store.LastSeq()
+	if seq == 0 {
+		return nil
+	}
+	local, _, err := f.Store.Get(strconv.FormatUint(seq, 10))
+	if err != nil {
+		return fmt.Errorf("cluster: read local record %d: %w", seq, err)
+	}
+	resp, err := f.fetch(ctx, seq-1, 1)
+	if err != nil {
+		return err
+	}
+	var leaderID string
+	if len(resp.Records) > 0 && resp.Records[0].Meta.Seq == seq {
+		leaderID = resp.Records[0].Meta.ID
+	}
+	if leaderID != local.ID {
+		return fmt.Errorf("cluster: replica diverged at record %d: local id %s, leader id %q (leader log ends at record %d); "+
+			"replicas must be read-only followers of one coordinator log", seq, local.ID, leaderID, resp.LastSeq)
+	}
+	return nil
+}
+
+func (f *Follower) fetch(ctx context.Context, after uint64, limit int) (LogResponse, error) {
 	var out LogResponse
 	url := strings.TrimSuffix(f.URL, "/") + "/v1/cluster/log?after=" + strconv.FormatUint(after, 10) +
-		"&limit=" + strconv.Itoa(logBatch)
+		"&limit=" + strconv.Itoa(limit)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return out, err

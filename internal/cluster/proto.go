@@ -8,13 +8,13 @@
 // its leased shards on a plan.Runner, the same runner a standalone
 // server uses for its one-shard runs. This package keeps only the
 // distribution machinery — the coordinator's shard table and leases,
-// the workers, the consistent-hash ring and the replication-log
-// follower.
+// the workers and the replication-log follower.
 //
-// Shards are leased with a deadline: a worker that stops heartbeating
-// loses its lease and the shard is reassigned to the next worker that
-// asks (lease expiry is the crash-recovery path, work-stealing the
-// straggler path). A merged document goes back to the caller and
+// A worker asks for one shard at a time and gets the first pending
+// shard of the oldest running job. Shards are leased with a deadline:
+// a worker that stops heartbeating loses its lease, and the shard goes
+// to the next worker that asks once no shard is pending (lease expiry
+// is the crash-recovery path). A merged document goes back to the caller and
 // nowhere else: the coordinator's snapshot store holds only what was
 // recorded into it, as a standalone server's does, and replicas tail
 // that store over GET /v1/cluster/log (see Follower).
@@ -46,11 +46,9 @@ type ShardLease struct {
 // LeaseRequest is the POST /v1/cluster/lease body.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
-	// Max caps how many shards to lease in one call (0 = 1).
-	Max int `json:"max,omitempty"`
 }
 
-// LeaseResponse carries zero or more granted leases. Empty means no
+// LeaseResponse carries at most one granted lease. Empty means no
 // pending work; the worker polls again.
 type LeaseResponse struct {
 	Leases []ShardLease `json:"leases"`
@@ -99,17 +97,14 @@ type ReleaseRequest struct {
 // Counters is the coordinator's monotonic event census, served under
 // /metrics.
 type Counters struct {
-	Jobs          uint64 `json:"jobs"`
-	JobsDone      uint64 `json:"jobs_done"`
-	JobsFailed    uint64 `json:"jobs_failed"`
-	Shards        uint64 `json:"shards"`
-	ShardsDone    uint64 `json:"shards_done"`
-	ShardsRetried uint64 `json:"shards_retried"`
-	LeasesGranted uint64 `json:"leases_granted"`
-	LeasesExpired uint64 `json:"leases_expired"`
-	// ShardsStolen counts leases granted to a worker that is not the
-	// shard's consistent-hash owner (work-stealing).
-	ShardsStolen    uint64 `json:"shards_stolen"`
+	Jobs            uint64 `json:"jobs"`
+	JobsDone        uint64 `json:"jobs_done"`
+	JobsFailed      uint64 `json:"jobs_failed"`
+	Shards          uint64 `json:"shards"`
+	ShardsDone      uint64 `json:"shards_done"`
+	ShardsRetried   uint64 `json:"shards_retried"`
+	LeasesGranted   uint64 `json:"leases_granted"`
+	LeasesExpired   uint64 `json:"leases_expired"`
 	LeasesReleased  uint64 `json:"leases_released"`
 	Heartbeats      uint64 `json:"heartbeats"`
 	StaleResults    uint64 `json:"stale_results"`
@@ -121,14 +116,15 @@ type Counters struct {
 type StatusDoc struct {
 	Enabled bool   `json:"enabled"`
 	Role    string `json:"role,omitempty"`
-	// Workers lists the live ring members, sorted by ID.
+	// Workers lists the workers heard from within the last three lease
+	// TTLs, sorted by ID.
 	Workers []WorkerStatusDoc `json:"workers,omitempty"`
 	// Jobs lists active jobs plus a bounded tail of finished ones.
 	Jobs     []JobStatusDoc `json:"jobs,omitempty"`
 	Counters Counters       `json:"counters"`
 }
 
-// WorkerStatusDoc is one ring member's census entry.
+// WorkerStatusDoc is one worker's census entry.
 type WorkerStatusDoc struct {
 	ID string `json:"id"`
 	// IdleMS is how long ago the worker last contacted the coordinator.

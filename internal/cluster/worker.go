@@ -33,7 +33,7 @@ type LocalTransport struct {
 }
 
 func (t LocalTransport) Lease(_ context.Context, req LeaseRequest) (LeaseResponse, error) {
-	return LeaseResponse{Leases: t.Coord.Lease(req.Worker, req.Max)}, nil
+	return LeaseResponse{Leases: t.Coord.Lease(req.Worker)}, nil
 }
 
 func (t LocalTransport) Result(_ context.Context, req ResultRequest) (ResultResponse, error) {
@@ -137,7 +137,8 @@ func (t *HTTPTransport) Release(ctx context.Context, req ReleaseRequest) error {
 // heartbeat that comes back invalid cancels the shard (the lease expired
 // and someone else owns it now).
 type Worker struct {
-	// ID names the worker on the ring. Must be unique per cluster.
+	// ID names the worker to the coordinator. Must be unique per
+	// cluster.
 	ID string
 	// Transport reaches the coordinator.
 	Transport Transport
@@ -198,7 +199,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if w.draining.Load() {
 			return nil
 		}
-		resp, err := w.Transport.Lease(ctx, LeaseRequest{Worker: w.ID, Max: 1})
+		resp, err := w.Transport.Lease(ctx, LeaseRequest{Worker: w.ID})
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

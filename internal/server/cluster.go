@@ -20,7 +20,7 @@ import (
 //	POST /v1/cluster/result     worker delivers a fragment (or failure)
 //	POST /v1/cluster/heartbeat  worker renews its leases
 //	POST /v1/cluster/release    worker hands leases back (drain)
-//	GET  /v1/cluster            ring/job/counter status
+//	GET  /v1/cluster            worker/job/counter status
 //	GET  /v1/cluster/log        replication-log tail (?after=N&limit=M)
 
 // Cluster roles.
@@ -151,49 +151,40 @@ func (s *Server) clusterAuth(w http.ResponseWriter, r *http.Request) bool {
 
 // ---- handlers ----
 
-// clusterCoord returns the coordinator, or nil with a 409 written when
-// the server is not running one.
-func (s *Server) clusterCoord(w http.ResponseWriter) *cluster.Coordinator {
+// clusterCall runs the steps every worker protocol handler shares: the
+// token check, the coordinator check (409 when the server runs none),
+// the body decode into req and a non-empty worker id, which worker
+// points at inside req. It returns nil, with the error written, when a
+// step fails.
+func (s *Server) clusterCall(w http.ResponseWriter, r *http.Request, req any, worker *string) *cluster.Coordinator {
+	if !s.clusterAuth(w, r) {
+		return nil
+	}
 	if s.clusterRt == nil {
 		jsonError(w, http.StatusConflict, "cluster mode is not enabled (start fmserve with -role coordinator|both)")
+		return nil
+	}
+	if !s.decodeBody(w, r, req) {
+		return nil
+	}
+	if *worker == "" {
+		jsonError(w, http.StatusBadRequest, "worker id required")
 		return nil
 	}
 	return s.clusterRt.coord
 }
 
 func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterAuth(w, r) {
-		return
-	}
-	coord := s.clusterCoord(w)
-	if coord == nil {
-		return
-	}
 	var req cluster.LeaseRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if coord := s.clusterCall(w, r, &req, &req.Worker); coord != nil {
+		writeJSON(w, http.StatusOK, cluster.LeaseResponse{Leases: coord.Lease(req.Worker)})
 	}
-	if req.Worker == "" {
-		jsonError(w, http.StatusBadRequest, "worker id required")
-		return
-	}
-	writeJSON(w, http.StatusOK, cluster.LeaseResponse{Leases: coord.Lease(req.Worker, req.Max)})
 }
 
 func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterAuth(w, r) {
-		return
-	}
-	coord := s.clusterCoord(w)
-	if coord == nil {
-		return
-	}
 	var req cluster.ResultRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Worker == "" {
-		jsonError(w, http.StatusBadRequest, "worker id required")
+	coord := s.clusterCall(w, r, &req, &req.Worker)
+	if coord == nil {
 		return
 	}
 	if req.Fragment == nil && req.Error == "" {
@@ -204,38 +195,18 @@ func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterAuth(w, r) {
-		return
-	}
-	coord := s.clusterCoord(w)
-	if coord == nil {
-		return
-	}
 	var req cluster.HeartbeatRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if coord := s.clusterCall(w, r, &req, &req.Worker); coord != nil {
+		writeJSON(w, http.StatusOK, cluster.HeartbeatResponse{Valid: coord.Heartbeat(req.Worker, req.Refs)})
 	}
-	if req.Worker == "" {
-		jsonError(w, http.StatusBadRequest, "worker id required")
-		return
-	}
-	writeJSON(w, http.StatusOK, cluster.HeartbeatResponse{Valid: coord.Heartbeat(req.Worker, req.Refs)})
 }
 
 func (s *Server) handleClusterRelease(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterAuth(w, r) {
-		return
-	}
-	coord := s.clusterCoord(w)
-	if coord == nil {
-		return
-	}
 	var req cluster.ReleaseRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if coord := s.clusterCall(w, r, &req, &req.Worker); coord != nil {
+		coord.Release(req.Worker, req.Refs)
+		writeJSON(w, http.StatusOK, map[string]bool{"released": true})
 	}
-	coord.Release(req.Worker, req.Refs)
-	writeJSON(w, http.StatusOK, map[string]bool{"released": true})
 }
 
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {

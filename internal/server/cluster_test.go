@@ -250,6 +250,48 @@ func TestFollowerIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestFollowerRefusesDivergedTail: a record written into a follower's
+// store before it follows must not hide the leader's record of that
+// sequence number. Sync fails naming the record and applies nothing,
+// against an empty leader log and against one holding other records,
+// while a follower restarted on a faithful copy of the log resumes.
+func TestFollowerRefusesDivergedTail(t *testing.T) {
+	_, leader := newTestServer(t, Options{})
+	ctx := context.Background()
+	local, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.Append(store.Snapshot{Kind: KindMechanisms, Body: json.RawMessage(`{"local":true}`)}); err != nil {
+		t.Fatal(err)
+	}
+	diverged := &cluster.Follower{URL: leader.URL, Store: local}
+	wantRefused := func(when string) {
+		t.Helper()
+		applied, err := diverged.Sync(ctx)
+		if applied != 0 || err == nil || !strings.Contains(err.Error(), "diverged at record 1") || local.LastSeq() != 1 {
+			t.Fatalf("%s: Sync = (%d, %v) leaving seq %d, want nothing applied and divergence at record 1", when, applied, err, local.LastSeq())
+		}
+	}
+	wantRefused("empty leader log")
+	for _, kind := range []string{KindIdentify, KindMechanisms} {
+		resp := doJSON(t, http.MethodPost, leader.URL+"/v1/snapshots", snapshotRecordRequest{Kind: kind}, nil)
+		wantStatus(t, resp, http.StatusCreated)
+	}
+	wantRefused("leader log with records")
+
+	replica, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := (&cluster.Follower{URL: leader.URL, Store: replica}).Sync(ctx); applied != 2 || err != nil {
+		t.Fatalf("fresh replica Sync = (%d, %v), want (2, nil)", applied, err)
+	}
+	if applied, err := (&cluster.Follower{URL: leader.URL, Store: replica}).Sync(ctx); applied != 0 || err != nil {
+		t.Fatalf("restarted follower Sync = (%d, %v), want (0, nil)", applied, err)
+	}
+}
+
 // TestClusterTokenAuth locks down the worker/replica protocol: with a
 // cluster token configured, every /v1/cluster/* protocol endpoint must
 // reject requests without the token, and accept them with it — so no
@@ -320,7 +362,8 @@ func TestClusterTokenAuth(t *testing.T) {
 }
 
 // TestClusterLeaseValidation checks the protocol endpoints reject
-// malformed requests.
+// malformed requests: each of the four without a worker id, and a
+// result carrying neither fragment nor error.
 func TestClusterLeaseValidation(t *testing.T) {
 	_, ts := newTestServer(t, clusterTestOptions(1))
 
@@ -329,5 +372,16 @@ func TestClusterLeaseValidation(t *testing.T) {
 
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/cluster/result",
 		cluster.ResultRequest{Worker: "w"}, nil)
+	wantStatus(t, resp, http.StatusBadRequest)
+
+	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/cluster/result",
+		cluster.ResultRequest{Error: "boom"}, nil)
+	wantStatus(t, resp, http.StatusBadRequest)
+
+	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/cluster/heartbeat", cluster.HeartbeatRequest{}, nil)
+	wantStatus(t, resp, http.StatusBadRequest)
+
+	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/cluster/release",
+		cluster.ReleaseRequest{Refs: []cluster.LeaseRef{{Job: "c1"}}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 }

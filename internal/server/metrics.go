@@ -125,7 +125,7 @@ type MetricsDoc struct {
 	Monitor *monitor.Counters `json:"monitor,omitempty"`
 	// Watch is the /v1/watch fan-out census.
 	Watch WatchDoc `json:"watch"`
-	// Cluster carries the coordinator's shard/lease/steal counters
+	// Cluster carries the coordinator's shard and lease counters
 	// (omitted when cluster mode is off).
 	Cluster *ClusterMetricsDoc `json:"cluster,omitempty"`
 	// Replica carries the replication-log follower's census (omitted
@@ -136,7 +136,8 @@ type MetricsDoc struct {
 // ClusterMetricsDoc is the coordinator's /metrics entry.
 type ClusterMetricsDoc struct {
 	Role string `json:"role"`
-	// Workers counts live ring members.
+	// Workers counts the workers heard from within the last three lease
+	// TTLs.
 	Workers  int              `json:"workers"`
 	Counters cluster.Counters `json:"counters"`
 }

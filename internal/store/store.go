@@ -624,11 +624,13 @@ func (s *Store) scanSegment(idx int, tail bool) (recs []rec, truncated int64, er
 		var l line
 		bad := json.Unmarshal(raw, &l) != nil || l.Seq == 0 || l.ID == "" || l.Kind == "" ||
 			(len(l.Body) == 0) == (l.Ref == "")
+		var canon []byte
 		if !bad && len(l.Body) > 0 {
 			// Content addressing doubles as an integrity check: a body
 			// that no longer hashes to its envelope's ID is a torn or
 			// bit-rotted record.
-			canon, cerr := canonicalBody(l.Body)
+			var cerr error
+			canon, cerr = canonicalBody(l.Body)
 			if cerr != nil || ContentID(l.Kind, l.Config, canon) != l.ID {
 				bad = true
 			}
@@ -637,11 +639,7 @@ func (s *Store) scanSegment(idx int, tail bool) (recs []rec, truncated int64, er
 			corruptAt = off
 			break
 		}
-		meta := Meta{Seq: l.Seq, ID: l.ID, Kind: l.Kind, At: l.At, Config: l.Config, Note: l.Note}
-		if len(l.Body) > 0 {
-			canon, _ := canonicalBody(l.Body)
-			meta.Bytes = len(canon)
-		}
+		meta := Meta{Seq: l.Seq, ID: l.ID, Kind: l.Kind, At: l.At, Config: l.Config, Note: l.Note, Bytes: len(canon)}
 		recs = append(recs, rec{meta: meta, seg: idx, off: off, llen: llen, ref: l.Ref})
 		off += llen
 	}
